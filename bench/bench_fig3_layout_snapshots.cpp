@@ -22,7 +22,8 @@ int main() {
   TpiOptions tpi_opts;
   tpi_opts.num_test_points =
       static_cast<int>(0.02 * static_cast<double>(nl->flip_flops().size()));
-  insert_test_points(*nl, tpi_opts);
+  DesignDB db(*nl);
+  insert_test_points(db, tpi_opts);
   ScanOptions scan_opts;
   scan_opts.max_chain_length = profile.max_chain_length;
   scan_opts.max_chains = profile.max_chains;

@@ -77,7 +77,8 @@ int main(int argc, char** argv) {
   TpiOptions tpi_opts;
   tpi_opts.num_test_points = std::max(
       1, static_cast<int>(tp_percent / 100.0 * static_cast<double>(before.flip_flops)));
-  const TpiReport tpi_report = insert_test_points(nl, tpi_opts);
+  DesignDB db(nl);
+  const TpiReport tpi_report = insert_test_points(db, tpi_opts);
   std::printf("inserted %zu test point(s) on:", tpi_report.sites.size());
   for (const NetId site : tpi_report.sites) std::printf(" %s", nl.net(site).name.c_str());
   std::printf("\n");

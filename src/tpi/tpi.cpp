@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <utility>
 
 #include "netlist/design_db.hpp"
 #include "util/log.hpp"
@@ -40,21 +41,24 @@ bool legal_site(const Netlist& nl, NetId net_id) {
 constexpr int kNearestClockMaxVisits = 4000;
 
 /// BFS scratch, hoisted by the caller across sites so the per-site search
-/// reuses one allocation instead of a fresh queue + hash set each time.
+/// reuses one allocation instead of a fresh queue + visited set each time.
 struct NearestClockScratch {
-  std::vector<NetId> frontier;  ///< head-indexed FIFO (like levelize)
-  std::unordered_set<NetId> seen;
+  std::vector<NetId> frontier;      ///< head-indexed FIFO (like levelize)
+  std::vector<std::uint32_t> seen;  ///< per-net visit stamp (== epoch: visited)
+  std::uint32_t epoch = 0;
 };
 
 // §3.1 step 2: the clock for a new TSFF is the domain of the nearest
 // flip-flop, found by BFS through the netlist from the insertion site.
 NetId nearest_clock(const Netlist& nl, NetId site, NearestClockScratch& scratch) {
   std::vector<NetId>& frontier = scratch.frontier;
-  std::unordered_set<NetId>& seen = scratch.seen;
-  frontier.clear();
-  seen.clear();
-  frontier.push_back(site);
-  seen.insert(site);
+  scratch.seen.resize(nl.num_nets(), 0);  // each insertion adds nets
+  const std::uint32_t epoch = ++scratch.epoch;
+  auto first_visit = [&](NetId n) {
+    return std::exchange(scratch.seen[static_cast<std::size_t>(n)], epoch) != epoch;
+  };
+  frontier.assign(1, site);
+  scratch.seen[static_cast<std::size_t>(site)] = epoch;
   for (std::size_t head = 0;
        head < frontier.size() && head < static_cast<std::size_t>(kNearestClockMaxVisits);
        ++head) {
@@ -73,13 +77,13 @@ NetId nearest_clock(const Netlist& nl, NetId site, NearestClockScratch& scratch)
       const NetId ck = visit_cell(s.cell);
       if (ck != kNoNet) return ck;
       const NetId out = nl.cell(s.cell).output_net();
-      if (out != kNoNet && seen.insert(out).second) frontier.push_back(out);
+      if (out != kNoNet && first_visit(out)) frontier.push_back(out);
     }
     if (net.driver.valid()) {
       const NetId ck = visit_cell(net.driver.cell);
       if (ck != kNoNet) return ck;
       for (const NetId in : nl.cell(net.driver.cell).conn) {
-        if (in != kNoNet && in != net_id && seen.insert(in).second) frontier.push_back(in);
+        if (in != kNoNet && in != net_id && first_visit(in)) frontier.push_back(in);
       }
     }
   }
@@ -95,85 +99,80 @@ NetId get_or_create_control_pi(Netlist& nl, const std::string& name) {
   return nl.pi_net(pi);
 }
 
-}  // namespace
-
-namespace {
-
 // Gain of a hypothetical test point on net X (Seiss-style gradient):
 //  * control gain — re-evaluate COP signal probabilities in X's fanout
 //    cone with p1(X) forced to 0.5 and count nets whose hardest stuck-at
 //    fault crosses from random-resistant to random-detectable;
 //  * observation gain — nets in X's fan-in whose faults are activatable
 //    but unobservable today become observable at the TSFF's D input.
+// Nothing is allocated per candidate: visited marks are epoch-stamped
+// (one epoch per candidate), the BFS queues are reused, and the cone is
+// evaluated in place in a working copy of the COP p1 vector that is put
+// back after each candidate. The cone caps and the BFS/sort order decide
+// the ranking and are part of its determinism contract (DESIGN.md §5).
 class GainEvaluator {
  public:
   GainEvaluator(const CombModel& model, const TestabilityResult& t)
-      : model_(model), t_(t) {
-    p1_override_.assign(model.num_nets(), 0.0f);
-    stamp_.assign(model.num_nets(), 0);
-  }
+      : model_(model), t_(t), p1_(t.p1), net_seen_(model.num_nets(), 0),
+        node_seen_(model.nodes().size(), 0) {}
 
   double gain(NetId x) {
     constexpr float kRandomTh = 1e-3f;  // random-detectable threshold
+    constexpr std::size_t kMaxConeNodes = 500, kMaxFaninNets = 300;  // BFS caps
     ++epoch_;
     double g = 0.0;
+    const auto xi = static_cast<std::size_t>(x);
 
     // ---- control gain over the fanout cone ----
-    set_p1(x, 0.5f);
-    // Collect cone node indices (bounded), then process in topo order.
+    // Collect cone node indices (bounded BFS), then evaluate in topo order.
     cone_.clear();
-    std::vector<NetId> frontier{x};
-    std::unordered_set<int> seen_nodes;
-    for (std::size_t head = 0; head < frontier.size() && cone_.size() < 500; ++head) {
-      for (const int reader : model_.readers_of(frontier[head])) {
-        if (!seen_nodes.insert(reader).second) continue;
+    frontier_.assign(1, x);
+    for (std::size_t head = 0; head < frontier_.size() && cone_.size() < kMaxConeNodes;
+         ++head) {
+      for (const int reader : model_.readers_of(frontier_[head])) {
+        const auto ri = static_cast<std::size_t>(reader);
+        if (std::exchange(node_seen_[ri], epoch_) == epoch_) continue;
         cone_.push_back(reader);
-        const NetId out = model_.nodes()[static_cast<std::size_t>(reader)].out;
-        if (out != kNoNet) frontier.push_back(out);
+        const NetId out = model_.nodes()[ri].out;
+        if (out != kNoNet) frontier_.push_back(out);
       }
     }
     std::sort(cone_.begin(), cone_.end());
+    p1_[xi] = 0.5f;
     for (const int ni : cone_) {
       const CombNode& node = model_.nodes()[static_cast<std::size_t>(ni)];
       if (node.out == kNoNet) continue;
-      // Evaluate with overridden inputs where present.
-      float in_p1[6];
-      float* base = const_cast<float*>(t_.p1.data());
-      // Build a tiny shadow: copy inputs through the override lookup.
-      CombNode shadow = node;
-      for (int i = 0; i < node.num_inputs; ++i) in_p1[i] = p1_of(node.in[i]);
-      float sel_p1 = node.sel != kNoNet ? p1_of(node.sel) : 0.5f;
-      (void)base;
-      const float p_new = eval_with(shadow, in_p1, sel_p1);
-      set_p1(node.out, p_new);
       const auto out = static_cast<std::size_t>(node.out);
+      const float p_new = cop_node_p1(node, p1_.data());
+      p1_[out] = p_new;
       const float obs = t_.obs[out];
       const float old_dp = std::min(t_.p1[out], 1.0f - t_.p1[out]) * obs;
       const float new_dp = std::min(p_new, 1.0f - p_new) * obs;
       if (old_dp < kRandomTh && new_dp >= kRandomTh) g += 1.0;
     }
-    // X's own faults become fully testable (control + observe).
-    {
-      const auto xi = static_cast<std::size_t>(x);
-      const float old_dp = std::min(t_.p1[xi], 1.0f - t_.p1[xi]) * t_.obs[xi];
-      if (old_dp < kRandomTh) g += 1.0;
+    // Put p1_ back: frontier_ holds X and every cone node's output net.
+    for (const NetId n : frontier_) {
+      p1_[static_cast<std::size_t>(n)] = t_.p1[static_cast<std::size_t>(n)];
     }
+    // X's own faults become fully testable (control + observe).
+    if (std::min(t_.p1[xi], 1.0f - t_.p1[xi]) * t_.obs[xi] < kRandomTh) g += 1.0;
 
     // ---- observation gain over the fan-in cone ----
-    std::vector<NetId> back{x};
-    std::unordered_set<NetId> seen_nets{x};
-    for (std::size_t head = 0; head < back.size() && back.size() < 300; ++head) {
-      const int prod = model_.producer_of(back[head]);
+    back_.assign(1, x);
+    net_seen_[xi] = epoch_;
+    for (std::size_t head = 0; head < back_.size() && back_.size() < kMaxFaninNets; ++head) {
+      const int prod = model_.producer_of(back_[head]);
       if (prod < 0) continue;
       const CombNode& node = model_.nodes()[static_cast<std::size_t>(prod)];
       for (int i = 0; i < node.num_inputs + (node.sel != kNoNet ? 1 : 0); ++i) {
         const NetId in = i < node.num_inputs ? node.in[i] : node.sel;
-        if (in == kNoNet || !seen_nets.insert(in).second) continue;
+        if (in == kNoNet) continue;
         const auto ii = static_cast<std::size_t>(in);
+        if (std::exchange(net_seen_[ii], epoch_) == epoch_) continue;
         const float activ = std::min(t_.p1[ii], 1.0f - t_.p1[ii]);
         if (t_.obs[ii] * activ < kRandomTh && activ >= kRandomTh) {
           g += 0.5;  // observation-only gain counts less than control
-          back.push_back(in);
+          back_.push_back(in);
         }
       }
     }
@@ -181,37 +180,15 @@ class GainEvaluator {
   }
 
  private:
-  float p1_of(NetId net) const {
-    const auto i = static_cast<std::size_t>(net);
-    return stamp_[i] == epoch_ ? p1_override_[i] : t_.p1[i];
-  }
-  void set_p1(NetId net, float v) {
-    const auto i = static_cast<std::size_t>(net);
-    p1_override_[i] = v;
-    stamp_[i] = epoch_;
-  }
-  static float eval_with(const CombNode& node, const float* in_p1, float sel_p1) {
-    // cop_node_p1 reads by net id; build a small indirection instead.
-    // Re-implement inline over the packed inputs:
-    std::vector<float> scratch(8, 0.5f);
-    CombNode local = node;
-    for (int i = 0; i < node.num_inputs; ++i) {
-      local.in[i] = static_cast<NetId>(i);
-      scratch[static_cast<std::size_t>(i)] = in_p1[i];
-    }
-    if (node.sel != kNoNet) {
-      local.sel = static_cast<NetId>(6);
-      scratch[6] = sel_p1;
-    }
-    return cop_node_p1(local, scratch.data());
-  }
-
   const CombModel& model_;
   const TestabilityResult& t_;
-  std::vector<float> p1_override_;
-  std::vector<std::uint32_t> stamp_;
+  std::vector<float> p1_;  ///< t_.p1, overridden inside the current cone only
+  std::vector<std::uint32_t> net_seen_;   ///< fan-in visit stamp per net
+  std::vector<std::uint32_t> node_seen_;  ///< fan-out visit stamp per node
   std::uint32_t epoch_ = 0;
   std::vector<int> cone_;
+  std::vector<NetId> frontier_;
+  std::vector<NetId> back_;
 };
 
 }  // namespace
@@ -225,26 +202,24 @@ std::vector<NetId> rank_tpi_candidates(const Netlist& nl, const TestabilityResul
     double score;
   };
   std::vector<Scored> scored;
+  auto candidate = [&](NetId net) { return !excluded.contains(net) && legal_site(nl, net); };
 
   if (method == TpiMethod::kHybrid) {
-    // Shortlist the random-resistant nets, then rank them by explicit
-    // testability gain (control + observation). Hard nets with no
-    // measurable gain still rank by hardness so the requested test-point
-    // budget is always spent (ties broken toward the hardest lines).
+    // Shortlist the random-resistant nets (the first kMaxShortlist in
+    // net-id order) and rank them by explicit testability gain (control +
+    // observation). Hard nets with no measurable gain still rank by
+    // hardness so the requested test-point budget is always spent (ties
+    // broken toward the hardest lines).
     constexpr float kHardTh = 2e-3f;
-    std::vector<NetId> shortlist;
-    for (std::size_t n = 0; n < nl.num_nets(); ++n) {
-      const NetId net = static_cast<NetId>(n);
-      if (excluded.contains(net) || !legal_site(nl, net)) continue;
-      if (t.detect_prob_min(net) < kHardTh) shortlist.push_back(net);
-      if (shortlist.size() >= 12000) break;
-    }
+    constexpr std::size_t kMaxShortlist = 12000;
     GainEvaluator eval(model, t);
-    for (const NetId net : shortlist) {
-      const double g = eval.gain(net);
-      const double dp = static_cast<double>(t.detect_prob_min(net)) + 1e-12;
-      const double hardness = -std::log2(dp);  // in (0, 40]
-      scored.push_back(Scored{net, -g - hardness / 64.0});
+    for (std::size_t n = 0; n < nl.num_nets() && scored.size() < kMaxShortlist; ++n) {
+      const NetId net = static_cast<NetId>(n);
+      const float dp = t.detect_prob_min(net);
+      if (dp < kHardTh && candidate(net)) {
+        const double hardness = -std::log2(static_cast<double>(dp) + 1e-12);  // in (0, 40]
+        scored.push_back(Scored{net, -eval.gain(net) - hardness / 64.0});
+      }
     }
     if (scored.size() < max_candidates) {
       // Not enough random-resistant nets: top up with the hardest of the
@@ -252,15 +227,14 @@ std::vector<NetId> rank_tpi_candidates(const Netlist& nl, const TestabilityResul
       for (std::size_t n = 0; n < nl.num_nets() && scored.size() < 4 * max_candidates;
            ++n) {
         const NetId net = static_cast<NetId>(n);
-        if (excluded.contains(net) || !legal_site(nl, net)) continue;
-        if (t.detect_prob_min(net) < kHardTh) continue;  // already scored
+        if (!candidate(net) || t.detect_prob_min(net) < kHardTh) continue;  // shortlisted above
         scored.push_back(Scored{net, static_cast<double>(t.detect_prob_min(net))});
       }
     }
   } else {
     for (std::size_t n = 0; n < nl.num_nets(); ++n) {
       const NetId net = static_cast<NetId>(n);
-      if (excluded.contains(net) || !legal_site(nl, net)) continue;
+      if (!candidate(net)) continue;
       double score = 0.0;
       if (method == TpiMethod::kCop) {
         score = t.detect_prob_min(net);
@@ -276,12 +250,8 @@ std::vector<NetId> rank_tpi_candidates(const Netlist& nl, const TestabilityResul
 
   std::stable_sort(scored.begin(), scored.end(),
                    [](const Scored& a, const Scored& b) { return a.score < b.score; });
-  std::vector<NetId> out;
-  out.reserve(std::min(max_candidates, scored.size()));
-  for (const Scored& s : scored) {
-    if (out.size() >= max_candidates) break;
-    out.push_back(s.net);
-  }
+  std::vector<NetId> out(std::min(max_candidates, scored.size()));
+  for (std::size_t i = 0; i < out.size(); ++i) out[i] = scored[i].net;
   return out;
 }
 
@@ -295,8 +265,7 @@ TpiReport insert_test_points(DesignDB& db, const TpiOptions& opts) {
   const NetId te = get_or_create_control_pi(nl, opts.te_pi_name);
   const NetId tr = get_or_create_control_pi(nl, opts.tr_pi_name);
 
-  // BFS scratch shared across every site of every round (satellite: one
-  // allocation instead of a queue + hash set per insertion).
+  // BFS scratch shared across every site of every round.
   NearestClockScratch scratch;
   std::vector<NetId> changed_nets;
 
@@ -312,9 +281,8 @@ TpiReport insert_test_points(DesignDB& db, const TpiOptions& opts) {
     const TestabilityResult& t = db.testability(SeqView::kCapture);
 
     const int batch = std::min(remaining, (opts.num_test_points + rounds - 1) / rounds);
-    std::unordered_set<NetId> excluded = opts.excluded_nets;
-    const auto ranked =
-        rank_tpi_candidates(nl, t, model, opts.method, excluded, static_cast<std::size_t>(batch));
+    const auto ranked = rank_tpi_candidates(nl, t, model, opts.method, opts.excluded_nets,
+                                            static_cast<std::size_t>(batch));
     if (ranked.empty()) break;
 
     for (const NetId site : ranked) {
@@ -340,15 +308,9 @@ TpiReport insert_test_points(DesignDB& db, const TpiOptions& opts) {
     report.nets_changed_per_round.push_back(
         complete ? static_cast<int>(changed_nets.size()) : -1);
   }
-  report.candidates_rejected_excluded = static_cast<int>(opts.excluded_nets.size());
   log_info() << "TPI: inserted " << report.test_points.size() << " test points in "
              << report.rounds_run << " rounds";
   return report;
-}
-
-TpiReport insert_test_points(Netlist& nl, const TpiOptions& opts) {
-  DesignDB db(nl);
-  return insert_test_points(db, opts);
 }
 
 }  // namespace tpi

@@ -20,12 +20,11 @@
 #include <unordered_set>
 #include <vector>
 
+#include "netlist/design_db.hpp"
 #include "netlist/netlist.hpp"
 #include "testability/testability.hpp"
 
 namespace tpi {
-
-class DesignDB;
 
 enum class TpiMethod {
   kCop,     ///< COP detection-probability cost only
@@ -48,7 +47,6 @@ struct TpiReport {
   std::vector<CellId> test_points;  ///< inserted TSFF cells
   std::vector<NetId> sites;         ///< original nets that were split
   int rounds_run = 0;
-  int candidates_rejected_excluded = 0;
   /// Per round: how many distinct nets the round's insertions touched
   /// (from the Netlist edit journal; -1 when the bounded journal
   /// overflowed mid-round). A round that inserted nothing records 0 and
@@ -63,10 +61,6 @@ struct TpiReport {
 /// database (§3.1 step 1 — a rebuild only when the previous round edited
 /// the netlist) and journals which nets its insertions changed.
 TpiReport insert_test_points(DesignDB& db, const TpiOptions& opts);
-
-/// Compatibility overload over a bare netlist (wraps it in a throwaway
-/// DesignDB).
-TpiReport insert_test_points(Netlist& nl, const TpiOptions& opts);
 
 /// Exposed for tests and the ablation benches: rank candidate nets for one
 /// insertion round (lowest score = best candidate).

@@ -23,7 +23,8 @@ AtpgResult run_with_jobs(const CircuitProfile& profile, int jobs, int test_point
   if (test_points > 0) {
     TpiOptions to;
     to.num_test_points = test_points;
-    insert_test_points(*nl, to);
+    DesignDB db(*nl);
+    insert_test_points(db, to);
   }
   ScanOptions so;
   so.max_chain_length = 16;

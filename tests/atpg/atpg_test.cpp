@@ -98,7 +98,8 @@ TEST(AtpgTest, TestPointsReducePatternsOnHardCircuit) {
     auto nl = generate_circuit(lib(), p);
     TpiOptions to;
     to.num_test_points = tps;
-    insert_test_points(*nl, to);
+    DesignDB db(*nl);
+    insert_test_points(db, to);
     ScanOptions so;
     so.max_chain_length = 16;
     insert_scan(*nl, so);

@@ -116,7 +116,8 @@ TEST(LbistTest, TestPointsLiftPseudoRandomCoverage) {
   auto pointed = generate_circuit(lib(), p);
   TpiOptions tpi_opts;
   tpi_opts.num_test_points = 3;
-  insert_test_points(*pointed, tpi_opts);
+  DesignDB db(*pointed);
+  insert_test_points(db, tpi_opts);
 
   LbistOptions opts;
   opts.max_patterns = 8192;

@@ -44,7 +44,8 @@ TEST(ScanInsertTest, TsffsRehomedToSharedEnable) {
   auto nl = generate_circuit(lib(), test::tiny_profile(43));
   TpiOptions tpi;
   tpi.num_test_points = 3;
-  insert_test_points(*nl, tpi);
+  DesignDB db(*nl);
+  insert_test_points(db, tpi);
   ScanOptions opts;
   const ScanInsertReport report = insert_scan(*nl, opts);
   for (const CellId tp : nl->test_points()) {

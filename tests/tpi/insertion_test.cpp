@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "../common/test_circuits.hpp"
 #include "circuits/generator.hpp"
 #include "sim/seq_sim.hpp"
+#include "util/ledger.hpp"
 #include "util/rng.hpp"
 
 namespace tpi {
@@ -16,7 +19,8 @@ TEST(TpiInsertionTest, InsertsRequestedCount) {
   auto nl = generate_circuit(lib(), test::tiny_profile(11));
   TpiOptions opts;
   opts.num_test_points = 5;
-  const TpiReport report = insert_test_points(*nl, opts);
+  DesignDB db(*nl);
+  const TpiReport report = insert_test_points(db, opts);
   EXPECT_EQ(report.test_points.size(), 5u);
   EXPECT_EQ(nl->test_points().size(), 5u);
   EXPECT_TRUE(nl->validate().empty()) << nl->validate();
@@ -27,7 +31,8 @@ TEST(TpiInsertionTest, ZeroIsNoOp) {
   const std::size_t cells = nl->num_cells();
   TpiOptions opts;
   opts.num_test_points = 0;
-  insert_test_points(*nl, opts);
+  DesignDB db(*nl);
+  insert_test_points(db, opts);
   EXPECT_EQ(nl->num_cells(), cells);
 }
 
@@ -35,7 +40,8 @@ TEST(TpiInsertionTest, TestPointsFullyConnected) {
   auto nl = generate_circuit(lib(), test::tiny_profile(12));
   TpiOptions opts;
   opts.num_test_points = 4;
-  const TpiReport report = insert_test_points(*nl, opts);
+  DesignDB db(*nl);
+  const TpiReport report = insert_test_points(db, opts);
   for (const CellId tp : report.test_points) {
     const CellInst& inst = nl->cell(tp);
     const CellSpec* spec = inst.spec;
@@ -61,7 +67,8 @@ TEST(TpiInsertionTest, ApplicationModeBehaviourPreserved) {
   auto modified = generate_circuit(lib(), p);
   TpiOptions opts;
   opts.num_test_points = 6;
-  insert_test_points(*modified, opts);
+  DesignDB db(*modified);
+  insert_test_points(db, opts);
 
   SequentialSim ref(*golden);
   SequentialSim dut(*modified);
@@ -92,13 +99,15 @@ TEST(TpiInsertionTest, ExcludedNetsAreRespected) {
   auto probe = generate_circuit(lib(), p);
   TpiOptions opts;
   opts.num_test_points = 3;
-  const TpiReport first = insert_test_points(*probe, opts);
+  DesignDB probe_db(*probe);
+  const TpiReport first = insert_test_points(probe_db, opts);
   ASSERT_EQ(first.sites.size(), 3u);
 
   // Re-run on a fresh copy with the first choice excluded.
   auto nl = generate_circuit(lib(), p);
   opts.excluded_nets = {first.sites.begin(), first.sites.end()};
-  const TpiReport second = insert_test_points(*nl, opts);
+  DesignDB db(*nl);
+  const TpiReport second = insert_test_points(db, opts);
   for (const NetId site : second.sites) {
     EXPECT_FALSE(opts.excluded_nets.contains(site));
   }
@@ -151,7 +160,8 @@ TEST(TpiInsertionTest, InsertionImprovesTestability) {
   }
   TpiOptions opts;
   opts.num_test_points = 4;
-  insert_test_points(*nl, opts);
+  DesignDB db(*nl);
+  insert_test_points(db, opts);
   CombModel after_model(*nl, SeqView::kCapture);
   const TestabilityResult after = analyze_testability(after_model);
   // Average hardness (in probability bits) must improve on hard nets.
@@ -169,6 +179,31 @@ TEST(TpiInsertionTest, InsertionImprovesTestability) {
     }
   }
   if (count > 0) EXPECT_GT(sum_after, sum_before);
+}
+
+std::uint64_t digest(const std::vector<NetId>& nets) {
+  return fnv1a_64({reinterpret_cast<const char*>(nets.data()), nets.size() * sizeof(NetId)});
+}
+
+TEST(TpiInsertionTest, PaperScaleRankingGolden) {
+  // Only full-size circuits hit the gain evaluator's caps (500-node fan-out
+  // cone, 300-net fan-in, 12000-net shortlist), so pin the whole round-1
+  // hybrid ranking and the 1 % TP insertion sites there, byte for byte.
+  struct Golden { CircuitProfile profile; std::uint64_t ranking, sites; };
+  for (const Golden& g : {Golden{s38417_profile(), 0x0d66ed330988b921ull, 0x26b989d7a081d047ull},
+                          Golden{p26909_profile(), 0xbf5ae127988e78d2ull, 0x8ae630d71341137bull}}) {
+    auto nl = generate_circuit(lib(), g.profile);
+    DesignDB db(*nl);
+    const auto ranked = rank_tpi_candidates(*nl, db.testability(SeqView::kCapture),
+                                            db.comb_model(SeqView::kCapture), TpiMethod::kHybrid,
+                                            {}, nl->num_nets());
+    EXPECT_EQ(digest(ranked), g.ranking) << g.profile.name << " ranking";
+    TpiOptions opts;  // 1 % TP, rounded as the flow does
+    opts.num_test_points =
+        static_cast<int>(std::lround(0.01 * static_cast<double>(nl->flip_flops().size())));
+    const TpiReport report = insert_test_points(db, opts);
+    EXPECT_EQ(digest(report.sites), g.sites) << g.profile.name << " sites";
+  }
 }
 
 }  // namespace
