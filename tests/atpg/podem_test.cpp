@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <sstream>
+
 #include "../common/test_circuits.hpp"
 #include "atpg/fault_sim.hpp"
 #include "circuits/generator.hpp"
+#include "circuits/profiles.hpp"
+#include "util/ledger.hpp"
 
 namespace tpi {
 namespace {
@@ -204,6 +209,65 @@ TEST(PodemTest, BacktrackLimitYieldsAborted) {
     aborted += podem.generate(f).outcome == PodemOutcome::kAborted;
   }
   EXPECT_GT(aborted, 0);
+}
+
+// Paper-scale golden: the first 1500 undetected faults in run_atpg's
+// hardest-first order on two scaled paper circuits, run through one reused
+// Podem (as run_atpg does) with the default limits and with an implication
+// limit low enough to take the abort path. The digest covers every result's
+// outcome, backtrack count and cube, so any change to the implication
+// order, the D-frontier order or the decision order shows up here.
+TEST(PodemTest, PaperScaleGolden) {
+  struct Golden {
+    CircuitProfile profile;
+    std::int64_t implication_limit;
+    int aborted, redundant, backtracks;
+    std::uint64_t digest;
+  };
+  const std::int64_t kDefault = PodemOptions{}.implication_limit;
+  const CircuitProfile s38417 = scaled(s38417_profile(), 0.12);
+  const CircuitProfile p26909 = scaled(p26909_profile(), 0.12);
+  for (const Golden& g : {Golden{s38417, kDefault, 156, 113, 18840, 0x384c4cd8a3277ac5ull},
+                          Golden{s38417, 3000, 601, 17, 3185, 0x9577a2b572906d42ull},
+                          Golden{p26909, kDefault, 95, 101, 14776, 0x84be20976ddfd33full},
+                          Golden{p26909, 3000, 553, 1, 3008, 0xa319ee931935b931ull}}) {
+    auto nl = generate_circuit(lib(), g.profile);
+    CombModel model(*nl, SeqView::kCapture);
+    const TestabilityResult t = analyze_testability(model);
+    const FaultList fl = build_fault_list(model);
+    std::vector<const Fault*> order;
+    for (const Fault& f : fl.faults) {
+      if (f.status == FaultStatus::kUndetected) order.push_back(&f);
+    }
+    const auto hardness = [&](const Fault* f) {
+      return f->stuck1 ? t.detect_prob_sa0(f->net) : t.detect_prob_sa1(f->net);
+    };
+    std::stable_sort(order.begin(), order.end(),
+                     [&](const Fault* a, const Fault* b) { return hardness(a) < hardness(b); });
+    order.resize(std::min<std::size_t>(order.size(), 1500));
+
+    PodemOptions opts;
+    opts.implication_limit = g.implication_limit;
+    Podem podem(model, t, opts);
+    std::string bytes;
+    int aborted = 0, redundant = 0, backtracks = 0;
+    for (const Fault* f : order) {
+      const PodemResult r = podem.generate(*f);
+      aborted += r.outcome == PodemOutcome::kAborted;
+      redundant += r.outcome == PodemOutcome::kRedundant;
+      backtracks += r.backtracks;
+      bytes.push_back(static_cast<char>(r.outcome));
+      bytes.append(reinterpret_cast<const char*>(&r.backtracks), sizeof r.backtracks);
+      for (const Tern v : r.cube) bytes.push_back(static_cast<char>(v));
+    }
+    std::ostringstream label;
+    label << g.profile.name << " limit " << g.implication_limit;
+    EXPECT_EQ(order.size(), 1500u) << label.str();
+    EXPECT_EQ(aborted, g.aborted) << label.str();
+    EXPECT_EQ(redundant, g.redundant) << label.str();
+    EXPECT_EQ(backtracks, g.backtracks) << label.str();
+    EXPECT_EQ(fnv1a_64(bytes), g.digest) << label.str() << " digest 0x" << std::hex << fnv1a_64(bytes);
+  }
 }
 
 }  // namespace
