@@ -21,7 +21,6 @@ namespace tpi {
 struct PodemOptions {
   int backtrack_limit = 80;
   std::int64_t implication_limit = 2'000'000;  ///< per fault, safety net
-  bool trace = false;  ///< stderr decision/backtrack trace (debugging)
 };
 
 enum class PodemOutcome { kTest, kRedundant, kAborted };
@@ -51,14 +50,15 @@ class Podem {
   bool assign_and_imply(NetId net, Tern value);
   void eval_node(int node_index);
   void set_net(NetId net, Tern g, Tern f);
-  bool objective(NetId* net, Tern* value);
+  void schedule_readers(NetId net);
+  int pop_pending();
+  void clear_pending();
   void rebuild_d_frontier();
   template <typename Fn>
   bool for_each_propagation_objective(int node_index, Fn&& try_objective);
   bool find_decision(NetId* in_net, Tern* in_val);
   bool backtrace(NetId obj_net, Tern obj_val, NetId* input_net, Tern* input_val);
   int pick_d_frontier();
-  bool fault_detected() const { return detected_; }
 
   const CombModel& model_;
   const TestabilityResult& scoap_;
@@ -77,9 +77,14 @@ class Podem {
   };
   std::vector<TrailEntry> trail_;
   std::vector<int> d_frontier_;  ///< candidate node indices (lazily filtered)
-  std::vector<int> heap_;
-  std::vector<std::uint32_t> queued_;
-  std::uint32_t epoch_ = 0;
+  /// Nodes awaiting evaluation, one bit per node index. Implication pops
+  /// the lowest set bit, so nodes are evaluated in ascending index order.
+  /// Words outside [pending_lo_, pending_hi_) are all zero; the empty
+  /// range (lo = max, hi = 0) lets a push just take min/max.
+  std::vector<std::uint64_t> pending_;
+  std::size_t pending_lo_ = ~std::size_t{0}, pending_hi_ = 0;
+  std::vector<int> candidates_;  ///< find_decision's sorted frontier copy
+  std::vector<Decision> decisions_;
   std::vector<char> is_input_;  ///< per net: controllable input
   std::vector<std::size_t> input_index_;  ///< net -> index into input_nets
   std::vector<char> observed_;

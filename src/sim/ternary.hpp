@@ -40,6 +40,37 @@ inline Tern tern_mux(Tern a, Tern b, Tern s) {
 }
 
 /// Evaluate a combinational node over ternary inputs.
-Tern eval_node_tern(const CombNode& node, const Tern* in, Tern sel);
+inline Tern eval_node_tern(const CombNode& node, const Tern* in, Tern sel) {
+  switch (node.func) {
+    case CellFunc::kBuf:
+    case CellFunc::kClkBuf:
+    case CellFunc::kTsff:
+      return in[0];
+    case CellFunc::kInv:
+      return tern_not(in[0]);
+    case CellFunc::kAnd:
+    case CellFunc::kNand: {
+      Tern acc = in[0];
+      for (int i = 1; i < node.num_inputs; ++i) acc = tern_and(acc, in[i]);
+      return node.func == CellFunc::kAnd ? acc : tern_not(acc);
+    }
+    case CellFunc::kOr:
+    case CellFunc::kNor: {
+      Tern acc = in[0];
+      for (int i = 1; i < node.num_inputs; ++i) acc = tern_or(acc, in[i]);
+      return node.func == CellFunc::kOr ? acc : tern_not(acc);
+    }
+    case CellFunc::kXor:
+    case CellFunc::kXnor: {
+      Tern acc = in[0];
+      for (int i = 1; i < node.num_inputs; ++i) acc = tern_xor(acc, in[i]);
+      return node.func == CellFunc::kXor ? acc : tern_not(acc);
+    }
+    case CellFunc::kMux2:
+      return tern_mux(in[0], in[1], sel);
+    default:
+      return Tern::kX;
+  }
+}
 
 }  // namespace tpi

@@ -1,7 +1,7 @@
 // Bit-parallel two-plane ternary (0/1/X) encodings, as a compile-time
 // policy.
 //
-// The scalar Tern byte array in ternary.cpp evaluates one value per net
+// The scalar Tern byte array of ternary.hpp evaluates one value per net
 // visit; a two-plane encoding packs 64 independent ternary values into a
 // pair of words, so a full-lane sweep grades 64 (or, at super-batch width,
 // 512) X-propagation trajectories per node. Two encodings are provided and
