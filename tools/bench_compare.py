@@ -5,11 +5,16 @@ Usage:
     tools/bench_compare.py OLD.json NEW.json [--threshold PCT]
     tools/bench_compare.py --ledger RUNS.jsonl [--last N] [--threshold PCT]
 
-Bench mode: benchmarks are matched by name; the table reports old/new
-real time and the speedup (old / new, so > 1.0 is an improvement).
-Benchmarks present in only one file are listed but not compared. Exits
-nonzero when any matched benchmark regressed by more than --threshold
-percent (default 10), so the script can gate CI or a pre-commit check:
+Bench mode: benchmarks are matched by name (a "/real_time" suffix is
+ignored); the table reports old/new real time and the speedup (old / new,
+so > 1.0 is an improvement). A file run with --benchmark_repetitions holds
+several runs per benchmark: each side is then its median, and the gate of
+that benchmark widens from --threshold to 3 x the old file's relative
+median absolute deviation (MAD / median) when that is larger, so a noisy
+benchmark does not fail on its own noise. Benchmarks present in only one
+file are listed but not compared. Exits nonzero when any matched
+benchmark regressed by more than its gate (default 10 percent), so the
+script can gate CI or a pre-commit check:
 
     tools/bench_compare.py BENCH_atpg_pre_simd.json BENCH_atpg.json
 
@@ -23,26 +28,37 @@ offending row and the script exits 1 — same contract as the bench mode.
 
 import argparse
 import json
+import statistics
 import sys
-
-
-def load_benchmarks(path):
-    """name -> (real_time, time_unit), aggregates (mean/median/...) skipped."""
-    with open(path) as f:
-        data = json.load(f)
-    out = {}
-    for b in data.get("benchmarks", []):
-        if b.get("run_type") == "aggregate":
-            continue
-        out[b["name"]] = (float(b["real_time"]), b.get("time_unit", "ns"))
-    return out
-
 
 _UNIT_NS = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
 
 
 def to_ns(value, unit):
     return value * _UNIT_NS.get(unit, 1.0)
+
+
+def load_benchmarks(path):
+    """name -> list of real times in ns, one per repetition; aggregates
+    (mean/median/...) are skipped."""
+    with open(path) as f:
+        data = json.load(f)
+    out = {}
+    for b in data.get("benchmarks", []):
+        if b.get("run_type") == "aggregate":
+            continue
+        name = b["name"].removesuffix("/real_time")
+        out.setdefault(name, []).append(
+            to_ns(float(b["real_time"]), b.get("time_unit", "ns")))
+    return out
+
+
+def relative_mad(values):
+    """Median absolute deviation as a share of the median (0 for one run)."""
+    med = statistics.median(values)
+    if len(values) < 2 or med == 0.0:
+        return 0.0
+    return statistics.median(abs(v - med) for v in values) / med
 
 
 def fmt_time(ns):
@@ -185,30 +201,35 @@ def main():
         return 2
 
     width = max(len(n) for n in names)
-    print(f"{'benchmark':<{width}}  {'old':>10}  {'new':>10}  {'speedup':>8}")
-    print(f"{'-' * width}  {'-' * 10}  {'-' * 10}  {'-' * 8}")
+    print(f"{'benchmark':<{width}}  {'old':>10}  {'new':>10}  {'speedup':>8}"
+          f"  {'gate':>6}")
+    print(f"{'-' * width}  {'-' * 10}  {'-' * 10}  {'-' * 8}  {'-' * 6}")
     regressions = []
     for name in names:
-        old_ns = to_ns(*old[name])
-        new_ns = to_ns(*new[name])
+        old_ns = statistics.median(old[name])
+        new_ns = statistics.median(new[name])
+        gate = max(args.threshold, 300.0 * relative_mad(old[name]))
         speedup = old_ns / new_ns if new_ns > 0 else float("inf")
         flag = ""
-        if new_ns > old_ns * (1.0 + args.threshold / 100.0):
-            regressions.append((name, speedup))
+        if new_ns > old_ns * (1.0 + gate / 100.0):
+            regressions.append((name, speedup, gate))
             flag = "  REGRESSED"
         print(f"{name:<{width}}  {fmt_time(old_ns):>10}  {fmt_time(new_ns):>10}"
-              f"  {speedup:>7.2f}x{flag}")
+              f"  {speedup:>7.2f}x  {gate:>5.0f}%{flag}")
 
     for name in only_old:
-        print(f"{name:<{width}}  {fmt_time(to_ns(*old[name])):>10}  {'(gone)':>10}")
+        print(f"{name:<{width}}  {fmt_time(statistics.median(old[name])):>10}"
+              f"  {'(gone)':>10}")
     for name in only_new:
-        print(f"{name:<{width}}  {'(new)':>10}  {fmt_time(to_ns(*new[name])):>10}")
+        print(f"{name:<{width}}  {'(new)':>10}"
+              f"  {fmt_time(statistics.median(new[name])):>10}")
 
     if regressions:
         print(f"\n{len(regressions)} benchmark(s) regressed more than "
-              f"{args.threshold:.0f}%:", file=sys.stderr)
-        for name, speedup in regressions:
-            print(f"  {name}: {1.0 / speedup:.2f}x slower", file=sys.stderr)
+              f"their gate:", file=sys.stderr)
+        for name, speedup, gate in regressions:
+            print(f"  {name}: {1.0 / speedup:.2f}x slower (gate {gate:.0f}%)",
+                  file=sys.stderr)
         return 1
     return 0
 
