@@ -12,6 +12,7 @@
 #include "netlist/design_db.hpp"
 #include "scan/scan.hpp"
 #include "sim/seq_sim.hpp"
+#include "sim/simd.hpp"
 #include "sta/sta.hpp"
 #include "tpi/tpi.hpp"
 #include "util/rng.hpp"
@@ -344,4 +345,13 @@ BENCHMARK(BM_SpanOverheadEnabled)->Iterations(2'000'000);
 
 }  // namespace
 
-BENCHMARK_MAIN();
+// BENCHMARK_MAIN plus the kernel backend in the JSON context, so
+// tools/bench_compare.py can tell when two files come from different hosts.
+int main(int argc, char** argv) {
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  benchmark::AddCustomContext("simd_backend", tpi::simd_backend_name(tpi::simd_backend()));
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

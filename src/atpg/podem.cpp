@@ -13,8 +13,7 @@ Tern tern_of(bool b) { return b ? Tern::k1 : Tern::k0; }
 Podem::Podem(const CombModel& model, const TestabilityResult& scoap, PodemOptions opts)
     : model_(model), scoap_(scoap), opts_(opts) {
   const std::size_t n = model.num_nets();
-  vg_.assign(n, Tern::kX);
-  vf_.assign(n, Tern::kX);
+  v_.assign(n, kCodeXX);
   is_input_.assign(n, 0);
   input_index_.assign(n, 0);
   observed_.assign(n, 0);
@@ -32,8 +31,7 @@ Podem::Podem(const CombModel& model, const TestabilityResult& scoap, PodemOption
 
 void Podem::reset_state() {
   for (auto it = trail_.rbegin(); it != trail_.rend(); ++it) {
-    vg_[static_cast<std::size_t>(it->net)] = it->old_g;
-    vf_[static_cast<std::size_t>(it->net)] = it->old_f;
+    v_[static_cast<std::size_t>(it->net)] = it->old;
   }
   trail_.clear();
   d_frontier_.clear();
@@ -41,51 +39,46 @@ void Podem::reset_state() {
   implications_ = 0;
   // Constants are permanent; (re)assert them outside the trail.
   for (const NetId net : model_.const0_nets()) {
-    vg_[static_cast<std::size_t>(net)] = Tern::k0;
-    vf_[static_cast<std::size_t>(net)] = Tern::k0;
+    v_[static_cast<std::size_t>(net)] = tern_code(Tern::k0, Tern::k0);
   }
   for (const NetId net : model_.const1_nets()) {
-    vg_[static_cast<std::size_t>(net)] = Tern::k1;
-    vf_[static_cast<std::size_t>(net)] = Tern::k1;
+    v_[static_cast<std::size_t>(net)] = tern_code(Tern::k1, Tern::k1);
   }
 }
 
-void Podem::set_net(NetId net, Tern g, Tern f) {
+void Podem::set_net(NetId net, TernCode code) {
   const auto i = static_cast<std::size_t>(net);
-  if (vg_[i] == g && vf_[i] == f) return;
-  trail_.push_back(TrailEntry{net, vg_[i], vf_[i]});
-  vg_[i] = g;
-  vf_[i] = f;
-  if (observed_[i] && g != Tern::kX && f != Tern::kX && g != f) detected_ = true;
+  if (v_[i] == code) return;
+  trail_.push_back(TrailEntry{net, v_[i]});
+  v_[i] = code;
+  if (observed_[i] && code_is_d(code)) detected_ = true;
 }
 
 void Podem::eval_node(int node_index) {
   const CombNode& node = model_.nodes()[static_cast<std::size_t>(node_index)];
   if (node.out == kNoNet) return;
-  Tern gin[4], fin[4];
-  const Tern stuck = tern_of(fault_->stuck1);
-  const bool inject = node_index == branch_reader_;
-  for (int i = 0; i < node.num_inputs; ++i) {
-    const auto n = static_cast<std::size_t>(node.in[i]);
-    gin[i] = vg_[n];
-    fin[i] = (inject && node.in[i] == fault_->net) ? stuck : vf_[n];
-  }
-  Tern gsel = Tern::kX, fsel = Tern::kX;
-  if (node.sel != kNoNet) {
-    const auto n = static_cast<std::size_t>(node.sel);
-    gsel = vg_[n];
-    fsel = (inject && node.sel == fault_->net) ? stuck : vf_[n];
-  }
-  Tern g = eval_node_tern(node, gin, gsel);
-  Tern f = eval_node_tern(node, fin, fsel);
-  // Stem fault: the faulty circuit's value at the site is pinned.
-  if (fault_->is_stem() && node.out == fault_->net) f = stuck;
-
   const auto out = static_cast<std::size_t>(node.out);
-  if (g == vg_[out] && f == vf_[out]) return;
-  set_net(node.out, g, f);
+  // Implication only refines X values and evaluation is monotone, so an
+  // output known in both circuits would evaluate to itself.
+  if (code_known(v_[out])) return;
+  TernCode in[4];
+  for (int i = 0; i < node.num_inputs; ++i) in[i] = v_[static_cast<std::size_t>(node.in[i])];
+  TernCode sel = node.sel != kNoNet ? v_[static_cast<std::size_t>(node.sel)] : kCodeXX;
+  const Tern stuck = tern_of(fault_->stuck1);
+  if (node_index == branch_reader_) {
+    for (int i = 0; i < node.num_inputs; ++i) {
+      if (node.in[i] == fault_->net) in[i] = code_with_faulty(in[i], stuck);
+    }
+    if (node.sel == fault_->net) sel = code_with_faulty(sel, stuck);
+  }
+  TernCode c = eval_node_code(node.func, node.num_inputs, in, sel);
+  // Stem fault: the faulty circuit's value at the site is pinned.
+  if (fault_->is_stem() && node.out == fault_->net) c = code_with_faulty(c, stuck);
+
+  if (c == v_[out]) return;
+  set_net(node.out, c);
   // D-frontier bookkeeping: the node's readers may now have a D input.
-  if (g != Tern::kX && f != Tern::kX && g != f) {
+  if (code_is_d(c)) {
     for (const int reader : model_.readers_of(node.out)) d_frontier_.push_back(reader);
   }
   schedule_readers(node.out);
@@ -121,7 +114,7 @@ void Podem::clear_pending() {
 bool Podem::assign_and_imply(NetId net, Tern value) {
   const Tern stuck = tern_of(fault_->stuck1);
   const Tern f = (fault_->is_stem() && net == fault_->net) ? stuck : value;
-  set_net(net, value, f);
+  set_net(net, tern_code(value, f));
   if (fault_->is_stem() && net == fault_->net && value != Tern::kX && value != stuck) {
     if (observed_[static_cast<std::size_t>(net)]) detected_ = true;
     // The activated site carries a D: its readers join the D-frontier.
@@ -144,8 +137,7 @@ void Podem::rebuild_d_frontier() {
   // appears as a D on a real net, so it is always a frontier candidate.
   if (branch_reader_ >= 0) d_frontier_.push_back(branch_reader_);
   for (const TrailEntry& e : trail_) {
-    const auto n = static_cast<std::size_t>(e.net);
-    if (vg_[n] != Tern::kX && vf_[n] != Tern::kX && vg_[n] != vf_[n]) {
+    if (code_is_d(v_[static_cast<std::size_t>(e.net)])) {
       for (const int reader : model_.readers_of(e.net)) d_frontier_.push_back(reader);
     }
   }
@@ -164,7 +156,7 @@ int Podem::pick_d_frontier() {
     const auto out = static_cast<std::size_t>(node.out);
     // Resolved only when BOTH circuits know the output; a known good value
     // with an unknown faulty value can still become a D.
-    if (vg_[out] != Tern::kX && vf_[out] != Tern::kX) continue;
+    if (code_known(v_[out])) continue;
     if (ni == branch_reader_) {
       // Keep the injection node alive even before the fault is activated:
       // its D is virtual and appears once the site gets its value.
@@ -172,14 +164,9 @@ int Podem::pick_d_frontier() {
       continue;
     }
     bool has_d = false;
-    const Tern stuck = tern_of(fault_->stuck1);
-    const bool inject = ni == branch_reader_;
     for (int k = 0; k < node.num_inputs + (node.sel != kNoNet ? 1 : 0); ++k) {
       const NetId in_net = k < node.num_inputs ? node.in[k] : node.sel;
-      const auto n = static_cast<std::size_t>(in_net);
-      const Tern g = vg_[n];
-      const Tern f = (inject && in_net == fault_->net) ? stuck : vf_[n];
-      if (g != Tern::kX && f != Tern::kX && g != f) {
+      if (code_is_d(v_[static_cast<std::size_t>(in_net)])) {
         has_d = true;
         break;
       }
@@ -202,30 +189,25 @@ template <typename Fn>
 bool Podem::for_each_propagation_objective(int ni, Fn&& try_objective) {
   const CombNode& node = model_.nodes()[static_cast<std::size_t>(ni)];
   if (node.func == CellFunc::kMux2) {
-    const auto sel = static_cast<std::size_t>(node.sel);
-    const Tern stuck = tern_of(fault_->stuck1);
     const bool inject = ni == branch_reader_;
-    auto fval = [&](NetId in_net) {
-      return (inject && in_net == fault_->net) ? stuck
-                                               : vf_[static_cast<std::size_t>(in_net)];
-    };
     auto has_d = [&](NetId in_net) {
-      const Tern g = vg_[static_cast<std::size_t>(in_net)];
-      const Tern f = fval(in_net);
-      return g != Tern::kX && f != Tern::kX && g != f;
+      const TernCode c = v_[static_cast<std::size_t>(in_net)];
+      return code_is_d(inject && in_net == fault_->net
+                           ? code_with_faulty(c, tern_of(fault_->stuck1))
+                           : c);
     };
     if (has_d(node.sel)) {
       // D on select: make the data inputs differ.
       for (int k = 0; k < 2; ++k) {
-        if (vg_[static_cast<std::size_t>(node.in[k])] != Tern::kX) continue;
-        const Tern other = vg_[static_cast<std::size_t>(node.in[1 - k])];
+        if (good(node.in[k]) != Tern::kX) continue;
+        const Tern other = good(node.in[1 - k]);
         const Tern v = other == Tern::k1 ? Tern::k0 : Tern::k1;
         if (try_objective(node.in[k], v)) return true;
         if (other == Tern::kX && try_objective(node.in[k], tern_not(v))) return true;
       }
       return false;
     }
-    if (vg_[sel] == Tern::kX) {
+    if (good(node.sel) == Tern::kX) {
       // Steer the select toward the data input carrying the D.
       const Tern v = has_d(node.in[1]) ? Tern::k1 : Tern::k0;
       return try_objective(node.sel, v);
@@ -247,7 +229,7 @@ bool Podem::for_each_propagation_objective(int ni, Fn&& try_objective) {
       break;
   }
   for (int k = 0; k < node.num_inputs; ++k) {
-    if (vg_[static_cast<std::size_t>(node.in[k])] != Tern::kX) continue;
+    if (good(node.in[k]) != Tern::kX) continue;
     if (try_objective(node.in[k], nc)) return true;
   }
   return false;
@@ -259,15 +241,14 @@ bool Podem::for_each_propagation_objective(int ni, Fn&& try_objective) {
 // a branch that might still hold a test (in that case an exhausted search
 // must report kAborted, not kRedundant).
 bool Podem::find_decision(NetId* in_net, Tern* in_val) {
-  const auto site = static_cast<std::size_t>(fault_->net);
   const Tern want = tern_of(!fault_->stuck1);
-  if (vg_[site] == Tern::kX) {
+  if (good(fault_->net) == Tern::kX) {
     if (backtrace(fault_->net, want, in_net, in_val)) return true;
     // Backtrace picked one uncontrollable chain; alternatives may exist.
     truncated_ = true;
     return false;
   }
-  if (vg_[site] != want) return false;  // activation conflict: genuine dead end
+  if (good(fault_->net) != want) return false;  // activation conflict: genuine dead end
   // Refresh the frontier list order (best first) and walk every candidate.
   pick_d_frontier();
   candidates_.assign(d_frontier_.begin(), d_frontier_.end());
@@ -315,8 +296,7 @@ bool Podem::backtrace(NetId obj_net, Tern obj_val, NetId* input_net, Tern* input
       NetId pick = kNoNet;
       float pick_cost = all_required ? -1.0f : kScoapInf + 1.0f;
       for (int k = 0; k < node.num_inputs; ++k) {
-        const auto i = static_cast<std::size_t>(node.in[k]);
-        if (vg_[i] != Tern::kX) continue;
+        if (good(node.in[k]) != Tern::kX) continue;
         const float cost = cc(node.in[k], need);
         // When any single input suffices, never walk into a structurally
         // uncontrollable chain (tie-driven) — another input can serve.
@@ -364,7 +344,7 @@ bool Podem::backtrace(NetId obj_net, Tern obj_val, NetId* input_net, Tern* input
         // the other inputs / subsequent objectives).
         NetId pick = kNoNet;
         for (int k = 0; k < node.num_inputs; ++k) {
-          if (vg_[static_cast<std::size_t>(node.in[k])] == Tern::kX) {
+          if (good(node.in[k]) == Tern::kX) {
             pick = node.in[k];
             break;
           }
@@ -375,16 +355,16 @@ bool Podem::backtrace(NetId obj_net, Tern obj_val, NetId* input_net, Tern* input
         break;
       }
       case CellFunc::kMux2: {
-        const auto sel = static_cast<std::size_t>(node.sel);
-        if (vg_[sel] == Tern::kX) {
+        const Tern sel = good(node.sel);
+        if (sel == Tern::kX) {
           // Steer through the cheaper data path.
           const float via_a = cc(node.in[0], val) + cc(node.sel, Tern::k0);
           const float via_b = cc(node.in[1], val) + cc(node.sel, Tern::k1);
           net = node.sel;
           val = via_a <= via_b ? Tern::k0 : Tern::k1;
         } else {
-          const int k = vg_[sel] == Tern::k1 ? 1 : 0;
-          if (vg_[static_cast<std::size_t>(node.in[k])] != Tern::kX) return false;
+          const int k = sel == Tern::k1 ? 1 : 0;
+          if (good(node.in[k]) != Tern::kX) return false;
           net = node.in[k];
         }
         break;
@@ -392,7 +372,7 @@ bool Podem::backtrace(NetId obj_net, Tern obj_val, NetId* input_net, Tern* input
       default:
         return false;
     }
-    if (vg_[static_cast<std::size_t>(net)] != Tern::kX) return false;
+    if (good(net) != Tern::kX) return false;
   }
   return false;
 }
@@ -427,8 +407,7 @@ PodemResult Podem::generate(const Fault& fault) {
   decisions_.clear();
   int backtracks = 0;
   while (true) {
-    if (direct_branch_capture_ &&
-        vg_[static_cast<std::size_t>(fault.net)] == tern_of(!fault.stuck1)) {
+    if (direct_branch_capture_ && good(fault.net) == tern_of(!fault.stuck1)) {
       detected_ = true;
     }
     if (detected_) {
@@ -436,7 +415,7 @@ PodemResult Podem::generate(const Fault& fault) {
       res.cube.assign(model_.input_nets().size(), Tern::kX);
       const auto& inputs = model_.input_nets();
       for (std::size_t i = 0; i < inputs.size(); ++i) {
-        res.cube[i] = vg_[static_cast<std::size_t>(inputs[i])];
+        res.cube[i] = good(inputs[i]);
       }
       res.backtracks = backtracks;
       return res;
@@ -465,8 +444,7 @@ PodemResult Podem::generate(const Fault& fault) {
       while (trail_.size() > d.trail_mark) {
         const TrailEntry e = trail_.back();
         trail_.pop_back();
-        vg_[static_cast<std::size_t>(e.net)] = e.old_g;
-        vf_[static_cast<std::size_t>(e.net)] = e.old_f;
+        v_[static_cast<std::size_t>(e.net)] = e.old;
       }
       detected_ = false;
       if (!d.flipped) {

@@ -49,7 +49,7 @@ class Podem {
   void reset_state();
   bool assign_and_imply(NetId net, Tern value);
   void eval_node(int node_index);
-  void set_net(NetId net, Tern g, Tern f);
+  void set_net(NetId net, TernCode code);
   void schedule_readers(NetId net);
   int pop_pending();
   void clear_pending();
@@ -59,6 +59,7 @@ class Podem {
   bool find_decision(NetId* in_net, Tern* in_val);
   bool backtrace(NetId obj_net, Tern obj_val, NetId* input_net, Tern* input_val);
   int pick_d_frontier();
+  Tern good(NetId net) const { return code_good(v_[static_cast<std::size_t>(net)]); }
 
   const CombModel& model_;
   const TestabilityResult& scoap_;
@@ -67,13 +68,14 @@ class Podem {
   int branch_reader_ = -1;
   bool direct_branch_capture_ = false;  ///< branch fault straight into a FF D pin
 
-  std::vector<Tern> vg_, vf_;
+  /// Composite good/faulty code per net (sim/ternary.hpp).
+  std::vector<TernCode> v_;
   /// Undo log: every value change is recorded (a net's composite value can
   /// change more than once — (X,X) → (1,X) → (1,1) — across decision
   /// levels, so "reset to X on undo" would corrupt the shallower state).
   struct TrailEntry {
     NetId net;
-    Tern old_g, old_f;
+    TernCode old;
   };
   std::vector<TrailEntry> trail_;
   std::vector<int> d_frontier_;  ///< candidate node indices (lazily filtered)

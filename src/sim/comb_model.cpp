@@ -50,7 +50,7 @@ void CombModel::pad_to_netlist() {
   // no producer, no readers, outside every observe cone. Identical to what
   // a full rebuild assigns them.
   producer_.resize(nl_->num_nets(), -1);
-  readers_.resize(nl_->num_nets());
+  reader_begin_.resize(nl_->num_nets() + 1, reader_begin_.back());
   reaches_observe_.resize(nl_->num_nets(), 0);
   observed_.resize(nl_->num_nets(), 0);
 }
@@ -59,7 +59,6 @@ CombModel::CombModel(const Netlist& nl, SeqView view, const TopoOrder& topo)
     : nl_(&nl), view_(view) {
   acyclic_ = topo.acyclic;
   producer_.assign(nl.num_nets(), -1);
-  readers_.assign(nl.num_nets(), {});
 
   nodes_.reserve(topo.order.size());
   for (const CellId cid : topo.order) {
@@ -94,14 +93,33 @@ CombModel::CombModel(const Netlist& nl, SeqView view, const TopoOrder& topo)
       }
       node.num_inputs = k;
     }
-    const int idx = static_cast<int>(nodes_.size());
-    if (node.out != kNoNet) producer_[static_cast<std::size_t>(node.out)] = idx;
-    for (int i = 0; i < node.num_inputs; ++i) {
-      if (node.in[i] != kNoNet) readers_[static_cast<std::size_t>(node.in[i])].push_back(idx);
+    if (node.out != kNoNet) {
+      producer_[static_cast<std::size_t>(node.out)] = static_cast<int>(nodes_.size());
     }
-    if (node.sel != kNoNet) readers_[static_cast<std::size_t>(node.sel)].push_back(idx);
     nodes_.push_back(node);
   }
+
+  // CSR readers: count pins per net, prefix-sum, then fill in node order
+  // so each net's readers come out ascending.
+  auto for_each_read = [&](auto&& fn) {
+    for (std::size_t idx = 0; idx < nodes_.size(); ++idx) {
+      const CombNode& node = nodes_[idx];
+      for (int i = 0; i < node.num_inputs; ++i) {
+        if (node.in[i] != kNoNet) fn(node.in[i], idx);
+      }
+      if (node.sel != kNoNet) fn(node.sel, idx);
+    }
+  };
+  reader_begin_.assign(nl.num_nets() + 1, 0);
+  for_each_read([&](NetId net, std::size_t) {
+    ++reader_begin_[static_cast<std::size_t>(net) + 1];
+  });
+  for (std::size_t n = 0; n < nl.num_nets(); ++n) reader_begin_[n + 1] += reader_begin_[n];
+  readers_.resize(reader_begin_.back());
+  std::vector<std::uint32_t> fill(reader_begin_.begin(), reader_begin_.end() - 1);
+  for_each_read([&](NetId net, std::size_t idx) {
+    readers_[fill[static_cast<std::size_t>(net)]++] = static_cast<int>(idx);
+  });
 
   // Inputs: non-clock PIs, then boundary-FF outputs (pseudo-PIs).
   for (std::size_t i = 0; i < nl.num_pis(); ++i) {

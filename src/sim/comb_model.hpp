@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "netlist/levelize.hpp"
@@ -76,9 +77,11 @@ class CombModel {
 
   /// Node index computing each net, or −1 (inputs, constants, boundaries).
   int producer_of(NetId net) const { return producer_[static_cast<std::size_t>(net)]; }
-  /// Node indices reading each net (logic pins only), ascending topo order.
-  const std::vector<int>& readers_of(NetId net) const {
-    return readers_[static_cast<std::size_t>(net)];
+  /// Node indices reading each net (logic pins only), ascending topo order,
+  /// one entry per pin (a node reading the net twice appears twice).
+  std::span<const int> readers_of(NetId net) const {
+    const auto n = static_cast<std::size_t>(net);
+    return {readers_.data() + reader_begin_[n], readers_.data() + reader_begin_[n + 1]};
   }
 
   /// Controllable nets: non-clock PI nets followed by boundary-FF Q nets.
@@ -122,7 +125,9 @@ class CombModel {
   std::vector<EvalOp> eval_ops_;
   std::size_t nodes_deduped_ = 0;
   std::vector<int> producer_;
-  std::vector<std::vector<int>> readers_;
+  /// CSR readers: net n's readers are readers_[reader_begin_[n], reader_begin_[n + 1]).
+  std::vector<std::uint32_t> reader_begin_;
+  std::vector<int> readers_;
   std::vector<NetId> input_nets_;
   std::size_t num_pi_inputs_ = 0;
   std::vector<NetId> observe_nets_;

@@ -117,7 +117,7 @@ void sweep_impl(const CombModel& model, Word* v) {
 
 template <int NW>
 void tern_sweep_impl(const CombModel& model, Word* p, Word* q) {
-  using Enc = TernEncoding;
+  using Enc = EncVC;
   for (const EvalOp& op : model.eval_ops()) {
     if (op.out == kNoNet) continue;
     const std::size_t ob = static_cast<std::size_t>(op.out) * NW;

@@ -1,25 +1,18 @@
-// Bit-parallel two-plane ternary (0/1/X) encodings, as a compile-time
-// policy.
+// Bit-parallel two-plane ternary (0/1/X) encoding.
 //
 // The scalar Tern byte array of ternary.hpp evaluates one value per net
 // visit; a two-plane encoding packs 64 independent ternary values into a
 // pair of words, so a full-lane sweep grades 64 (or, at super-batch width,
-// 512) X-propagation trajectories per node. Two encodings are provided and
-// selected at build time — the same way voiraig selects its ternary0..5
-// encodings per build — via -DTPI_TERNARY_ENCODING=zo (CMake option;
-// value/care is the default):
+// 512) X-propagation trajectories per node. The encoding is value/care:
 //
 //   EncVC — plane p = value, plane q = care. care=1: the lane is a known
 //           0/1 held in p; care=0: the lane is X and p is canonically 0
 //           (invariant p & ~q == 0, every op below preserves it).
-//   EncZO — plane p = "definitely 0", plane q = "definitely 1"
-//           (invariant p & q == 0). NOT is a plane swap; AND/OR are two
-//           ops per word — cheaper for inverter-heavy X sweeps.
 //
-// Both encode exactly the ternary algebra of sim/ternary.hpp (including
+// It encodes exactly the ternary algebra of sim/ternary.hpp (including
 // tern_mux's "select unknown, outputs agree" rule); the truth-table test
 // asserts equality against eval_node_tern for every op and every {0,1,X}
-// input combination, for both encodings.
+// input combination.
 #pragma once
 
 #include "sim/parallel_sim.hpp"
@@ -29,7 +22,6 @@ namespace tpi {
 
 /// Value/care planes: p=value, q=care (1 = known). X is (0,0).
 struct EncVC {
-  static constexpr const char* kName = "vc";
   static void zero(Word& p, Word& q) { p = 0; q = ~Word{0}; }
   static void one(Word& p, Word& q) { p = ~Word{0}; q = ~Word{0}; }
   static void x(Word& p, Word& q) { p = 0; q = 0; }
@@ -68,45 +60,6 @@ struct EncVC {
     p = ((s0 & ap) | (s1 & bp) | (~sq & ap & bp)) & q;
   }
 };
-
-/// Zero/one planes: p = definitely-0, q = definitely-1. X is (0,0).
-struct EncZO {
-  static constexpr const char* kName = "zo";
-  static void zero(Word& p, Word& q) { p = ~Word{0}; q = 0; }
-  static void one(Word& p, Word& q) { p = 0; q = ~Word{0}; }
-  static void x(Word& p, Word& q) { p = 0; q = 0; }
-  static void from_bits(Word bits, Word& p, Word& q) { p = ~bits; q = bits; }
-  static Word ones(Word p, Word q) { (void)p; return q; }
-  static Word zeros(Word p, Word q) { (void)q; return p; }
-
-  static void not_(Word ap, Word aq, Word& p, Word& q) {
-    p = aq;
-    q = ap;
-  }
-  static void and_(Word ap, Word aq, Word bp, Word bq, Word& p, Word& q) {
-    p = ap | bp;
-    q = aq & bq;
-  }
-  static void or_(Word ap, Word aq, Word bp, Word bq, Word& p, Word& q) {
-    p = ap & bp;
-    q = aq | bq;
-  }
-  static void xor_(Word ap, Word aq, Word bp, Word bq, Word& p, Word& q) {
-    p = (ap & bp) | (aq & bq);
-    q = (ap & bq) | (aq & bp);
-  }
-  static void mux_(Word ap, Word aq, Word bp, Word bq, Word sp, Word sq, Word& p, Word& q) {
-    p = (sp & ap) | (sq & bp) | (ap & bp);
-    q = (sp & aq) | (sq & bq) | (aq & bq);
-  }
-};
-
-/// The build-selected encoding (CMake option TPI_TERNARY_ENCODING).
-#ifdef TPI_TERNARY_ENCODING_ZO
-using TernEncoding = EncZO;
-#else
-using TernEncoding = EncVC;
-#endif
 
 /// Encode a scalar Tern into all 64 lanes of a plane pair.
 template <typename Enc>

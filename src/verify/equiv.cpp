@@ -226,12 +226,12 @@ bool EquivChecker::ternary_round(std::uint64_t round_seed, int frames, bool* pro
   // trajectories, every one from the all-X initial state. A definite 1 in
   // any lane is a counterexample valid from reset; a proof means the miter
   // output was a definite 0 in every lane of every frame.
-  using Enc = TernEncoding;
+  using Enc = EncVC;
   constexpr std::size_t nw = static_cast<std::size_t>(kMaxLaneWords);
   Rng rng(round_seed);
   const std::size_t nets = static_cast<std::size_t>(model_.num_nets());
   std::vector<Word> plane_p(nets * nw, 0);
-  std::vector<Word> plane_q(nets * nw, 0);  // (0,0) == X in both encodings
+  std::vector<Word> plane_q(nets * nw, 0);  // (0,0) == X
   const std::size_t nff = model_.boundary_ffs().size();
   std::vector<Word> state_p(nff * nw, 0);
   std::vector<Word> state_q(nff * nw, 0);

@@ -220,6 +220,84 @@ TEST(DesignDbTest, CombModelRefreshAfterScanReplacement) {
   EXPECT_GT(after.view_refreshes, before.view_refreshes);
 }
 
+// Reference reader lists rebuilt from nodes(): ascending node index, one
+// entry per pin, MUX select included.
+std::vector<std::vector<int>> reference_readers(const CombModel& model) {
+  std::vector<std::vector<int>> ref(model.num_nets());
+  for (std::size_t idx = 0; idx < model.nodes().size(); ++idx) {
+    const CombNode& node = model.nodes()[idx];
+    for (int i = 0; i < node.num_inputs; ++i) {
+      ref[static_cast<std::size_t>(node.in[i])].push_back(static_cast<int>(idx));
+    }
+    if (node.sel != kNoNet) {
+      ref[static_cast<std::size_t>(node.sel)].push_back(static_cast<int>(idx));
+    }
+  }
+  return ref;
+}
+
+// readers_of() for every net.
+std::vector<std::vector<int>> readers_table(const CombModel& model) {
+  std::vector<std::vector<int>> out(model.num_nets());
+  for (std::size_t n = 0; n < out.size(); ++n) {
+    const auto readers = model.readers_of(static_cast<NetId>(n));
+    out[n].assign(readers.begin(), readers.end());
+  }
+  return out;
+}
+
+TEST(CombModelTest, ReadersMatchReferenceWithDuplicatePinsAndSelect) {
+  // y = AND(a, a) reads a twice; m = MUX2(A=y, B=b, S=a) reads a as select.
+  Netlist nl(&lib(), "readers");
+  const NetId a = nl.pi_net(nl.add_primary_input("a"));
+  const NetId b = nl.pi_net(nl.add_primary_input("b"));
+  const CellSpec* and2 = lib().gate(CellFunc::kAnd, 2);
+  const CellSpec* mux = lib().by_name("MUX2_X1");
+  const CellId g = nl.add_cell(and2, "g");
+  nl.connect(g, 0, a);
+  nl.connect(g, 1, a);
+  const NetId y = nl.add_net("y");
+  nl.connect(g, and2->output_pin, y);
+  const CellId m = nl.add_cell(mux, "m");
+  nl.connect(m, mux->find_pin("A"), y);
+  nl.connect(m, mux->find_pin("B"), b);
+  nl.connect(m, mux->select_pin, a);
+  const NetId z = nl.add_net("z");
+  nl.connect(m, mux->output_pin, z);
+  nl.add_primary_output("po", z);
+
+  const CombModel model(nl, SeqView::kCapture);
+  const auto ref = reference_readers(model);
+  EXPECT_EQ(ref[static_cast<std::size_t>(a)].size(), 3u);  // two AND pins + select
+  EXPECT_EQ(readers_table(model), ref);
+  EXPECT_TRUE(model.readers_of(z).empty());
+
+  auto gen = generate_circuit(lib(), test::tiny_profile());
+  const CombModel big(*gen, SeqView::kCapture);
+  EXPECT_EQ(readers_table(big), reference_readers(big));
+}
+
+TEST(CombModelTest, PaddedReadersMatchFreshRebuild) {
+  auto nl = generate_circuit(lib(), test::tiny_profile());
+  DesignDB db(*nl);
+  const CombModel* cached = &db.comb_model(SeqView::kCapture);
+  const std::size_t nets_before = cached->num_nets();
+  const auto before = db.counters();
+
+  // ECO-style growth outside the comb graph: a clock buffer and its leaf net.
+  const CellSpec* clkbuf = lib().by_name("CLKBUF_X2");
+  const CellId cb = nl->add_cell(clkbuf, "ctsbuf0");
+  nl->connect(cb, 0, nl->pi_net(0));
+  nl->connect(cb, clkbuf->output_pin, nl->add_net("clk_leaf"));
+  nl->add_net("spare");
+
+  const CombModel& padded = db.comb_model(SeqView::kCapture);
+  ASSERT_EQ(&padded, cached);
+  EXPECT_EQ(db.counters().comb_rebuilds, before.comb_rebuilds);  // padded, not rebuilt
+  EXPECT_GT(padded.num_nets(), nets_before);
+  EXPECT_EQ(readers_table(padded), readers_table(CombModel(*nl, SeqView::kCapture)));
+}
+
 TEST(DesignDbTest, TestabilityRefreshMatchesFreshAnalysis) {
   auto nl = test::make_small_comb();
   DesignDB db(*nl);

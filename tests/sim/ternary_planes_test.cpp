@@ -1,7 +1,6 @@
-// Exhaustive equivalence of the two-plane ternary encodings against the
+// Exhaustive equivalence of the two-plane ternary encoding against the
 // scalar reference: every op eval_node_tern models, every input count,
-// every {0,1,X} input (and MUX select) combination, for both EncVC and
-// EncZO — regardless of which one the build selected as TernEncoding.
+// every {0,1,X} input (and MUX select) combination.
 #include "sim/ternary_planes.hpp"
 
 #include <gtest/gtest.h>
@@ -46,7 +45,6 @@ void set_lane(Word& p, Word& q, int lane, Tern t) {
 
 template <typename Enc>
 void check_encoding() {
-  SCOPED_TRACE(Enc::kName);
   for (const OpCase& c : op_cases()) {
     for (int n = c.min_inputs; n <= c.max_inputs; ++n) {
       const int slots = n + (c.has_sel ? 1 : 0);
@@ -91,10 +89,6 @@ TEST(TernaryPlanesTest, ValueCareMatchesScalarReferenceExhaustively) {
   check_encoding<EncVC>();
 }
 
-TEST(TernaryPlanesTest, ZeroOneMatchesScalarReferenceExhaustively) {
-  check_encoding<EncZO>();
-}
-
 TEST(TernaryPlanesTest, ValueCarePreservesCanonicalInvariant) {
   // EncVC requires p & ~q == 0 (an X lane holds a canonical 0 value bit);
   // every op must preserve it or lane comparisons become encoding-noise.
@@ -118,8 +112,6 @@ TEST(TernaryPlanesTest, EncodeDecodeRoundTrips) {
     Word p = 0, q = 0;
     encode_tern<EncVC>(t, p, q);
     for (const int lane : {0, 17, 63}) EXPECT_EQ((decode_tern<EncVC>(p, q, lane)), t);
-    encode_tern<EncZO>(t, p, q);
-    for (const int lane : {0, 17, 63}) EXPECT_EQ((decode_tern<EncZO>(p, q, lane)), t);
   }
   // from_bits: all lanes known, value straight from the bit.
   const Word bits = 0xDEADBEEFCAFEF00DULL;
@@ -127,9 +119,6 @@ TEST(TernaryPlanesTest, EncodeDecodeRoundTrips) {
   EncVC::from_bits(bits, p, q);
   EXPECT_EQ(EncVC::ones(p, q), bits);
   EXPECT_EQ(EncVC::zeros(p, q), ~bits);
-  EncZO::from_bits(bits, p, q);
-  EXPECT_EQ(EncZO::ones(p, q), bits);
-  EXPECT_EQ(EncZO::zeros(p, q), ~bits);
 }
 
 }  // namespace

@@ -87,5 +87,55 @@ TEST(TernaryTest, PartialInputsMayResolve) {
   EXPECT_EQ(eval_node_tern(node, one_x, Tern::kX), Tern::kX);
 }
 
+TEST(TernaryTest, CompositeCodeEvalMatchesScalarExhaustively) {
+  // Every func eval_node_tern handles (plus an unmodelled one, which is X
+  // in both circuits), arity 1-4 (MUX: 2 data inputs plus select), all 9^n
+  // composite input codes: one table pass equals two scalar evaluations.
+  for (const CellFunc func :
+       {CellFunc::kBuf, CellFunc::kClkBuf, CellFunc::kTsff, CellFunc::kInv, CellFunc::kAnd,
+        CellFunc::kNand, CellFunc::kOr, CellFunc::kNor, CellFunc::kXor, CellFunc::kXnor,
+        CellFunc::kMux2, CellFunc::kTie0}) {
+    const bool mux = func == CellFunc::kMux2;
+    for (int n = mux ? 2 : 1; n <= (mux ? 2 : 4); ++n) {
+      const int slots = n + (mux ? 1 : 0);
+      int combos = 1;
+      for (int i = 0; i < slots; ++i) combos *= 9;
+      CombNode node;
+      node.func = func;
+      node.num_inputs = n;
+      for (int idx = 0; idx < combos; ++idx) {
+        TernCode code[4];
+        Tern good[4], faulty[4];
+        for (int i = 0, rest = idx; i < slots; ++i, rest /= 9) {
+          code[i] = static_cast<TernCode>(rest % 9);
+          if (i < n) {
+            good[i] = code_good(code[i]);
+            faulty[i] = code_faulty(code[i]);
+          }
+        }
+        const TernCode sel = mux ? code[n] : kCodeXX;
+        const TernCode expected = tern_code(eval_node_tern(node, good, code_good(sel)),
+                                            eval_node_tern(node, faulty, code_faulty(sel)));
+        ASSERT_EQ(eval_node_code(func, n, code, sel), expected)
+            << "func=" << static_cast<int>(func) << " n=" << n << " idx=" << idx;
+      }
+    }
+  }
+}
+
+TEST(TernaryTest, CompositeCodeHelpers) {
+  for (const Tern g : {Tern::k0, Tern::k1, Tern::kX}) {
+    for (const Tern f : {Tern::k0, Tern::k1, Tern::kX}) {
+      const TernCode c = tern_code(g, f);
+      EXPECT_EQ(code_good(c), g);
+      EXPECT_EQ(code_faulty(c), f);
+      EXPECT_EQ(code_known(c), g != Tern::kX && f != Tern::kX);
+      EXPECT_EQ(code_is_d(c), g != Tern::kX && f != Tern::kX && g != f);
+      EXPECT_EQ(code_with_faulty(c, Tern::k1), tern_code(g, Tern::k1));
+    }
+  }
+  EXPECT_EQ(tern_code(Tern::kX, Tern::kX), kCodeXX);
+}
+
 }  // namespace
 }  // namespace tpi

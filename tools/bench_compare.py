@@ -12,9 +12,13 @@ several runs per benchmark: each side is then its median, and the gate of
 that benchmark widens from --threshold to 3 x the old file's relative
 median absolute deviation (MAD / median) when that is larger, so a noisy
 benchmark does not fail on its own noise. Benchmarks present in only one
-file are listed but not compared. Exits nonzero when any matched
-benchmark regressed by more than its gate (default 10 percent), so the
-script can gate CI or a pre-commit check:
+file are listed but not compared. Each file's host record (num_cpus and
+the simd_backend custom context) is printed, with a warning when the two
+differ. A pool variant "NAME/N" (N workers) is reported but not gated
+when N exceeds either file's num_cpus: its time then measures the host's
+core count, not the code. Exits nonzero when any gated benchmark
+regressed by more than its gate (default 10 percent), so the script can
+gate CI or a pre-commit check:
 
     tools/bench_compare.py BENCH_atpg_pre_simd.json BENCH_atpg.json
 
@@ -39,8 +43,8 @@ def to_ns(value, unit):
 
 
 def load_benchmarks(path):
-    """name -> list of real times in ns, one per repetition; aggregates
-    (mean/median/...) are skipped."""
+    """(context, name -> list of real times in ns, one per repetition);
+    aggregates (mean/median/...) are skipped."""
     with open(path) as f:
         data = json.load(f)
     out = {}
@@ -50,7 +54,20 @@ def load_benchmarks(path):
         name = b["name"].removesuffix("/real_time")
         out.setdefault(name, []).append(
             to_ns(float(b["real_time"]), b.get("time_unit", "ns")))
-    return out
+    return data.get("context", {}), out
+
+
+def pool_jobs(name):
+    """Worker count of a pool variant "NAME/N", else None."""
+    _, _, last = name.rpartition("/")
+    return int(last) if last.isdigit() else None
+
+
+def host_record(path, context):
+    """Print one file's host record; returns (num_cpus, simd_backend)."""
+    host = (context.get("num_cpus"), context.get("simd_backend", "unknown"))
+    print(f"{path}: num_cpus={host[0]} simd_backend={host[1]}")
+    return host
 
 
 def relative_mad(values):
@@ -190,8 +207,15 @@ def main():
     if not args.old or not args.new:
         ap.error("bench mode needs OLD.json and NEW.json (or use --ledger)")
 
-    old = load_benchmarks(args.old)
-    new = load_benchmarks(args.new)
+    old_ctx, old = load_benchmarks(args.old)
+    new_ctx, new = load_benchmarks(args.new)
+    old_host = host_record(args.old, old_ctx)
+    new_host = host_record(args.new, new_ctx)
+    if old_host != new_host:
+        print("warning: the files come from different hosts (num_cpus or "
+              "simd_backend differ); deltas mix host and code", file=sys.stderr)
+    cpus = [c for c in (old_host[0], new_host[0]) if isinstance(c, int)]
+    max_jobs = min(cpus) if cpus else None
     names = [n for n in old if n in new]
     only_old = sorted(set(old) - set(new))
     only_new = sorted(set(new) - set(old))
@@ -211,7 +235,10 @@ def main():
         gate = max(args.threshold, 300.0 * relative_mad(old[name]))
         speedup = old_ns / new_ns if new_ns > 0 else float("inf")
         flag = ""
-        if new_ns > old_ns * (1.0 + gate / 100.0):
+        jobs = pool_jobs(name)
+        if max_jobs is not None and jobs is not None and jobs > max_jobs:
+            flag = f"  (not gated: {jobs} jobs > {max_jobs} CPUs)"
+        elif new_ns > old_ns * (1.0 + gate / 100.0):
             regressions.append((name, speedup, gate))
             flag = "  REGRESSED"
         print(f"{name:<{width}}  {fmt_time(old_ns):>10}  {fmt_time(new_ns):>10}"
