@@ -3,6 +3,8 @@
 // envelope that keeps the full Tables 1-3 sweeps tractable.
 #include <benchmark/benchmark.h>
 
+#include <cmath>
+
 #include "atpg/atpg.hpp"
 #include "atpg/fault_sim.hpp"
 #include "circuits/generator.hpp"
@@ -64,6 +66,27 @@ void BM_TestabilityAnalysis(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TestabilityAnalysis)->Unit(benchmark::kMillisecond);
+
+// Round 1 of hybrid TPI on full-size s38417 at the flow's 1 % TP batch:
+// the ranking computes exact gains only for the shortlisted nets whose
+// gain bound can still reach the batch (gain_evals of shortlisted).
+void BM_TpiRankRound(benchmark::State& state) {
+  const auto nl = generate_circuit(lib(), s38417_profile());
+  const CombModel model(*nl, SeqView::kCapture);
+  const TestabilityResult t = analyze_testability(model);
+  const TpiOptions defaults;
+  const auto num_tp = std::lround(0.01 * static_cast<double>(nl->flip_flops().size()));
+  const auto batch = static_cast<std::size_t>((num_tp + defaults.rounds - 1) / defaults.rounds);
+  RankStats stats;
+  for (auto _ : state) {
+    const auto ranked =
+        rank_tpi_candidates(*nl, t, model, TpiMethod::kHybrid, {}, batch, &stats);
+    benchmark::DoNotOptimize(ranked.data());
+  }
+  state.counters["gain_evals"] = static_cast<double>(stats.gain_evals);
+  state.counters["shortlisted"] = static_cast<double>(stats.shortlisted);
+}
+BENCHMARK(BM_TpiRankRound)->Unit(benchmark::kMillisecond);
 
 void BM_GoodSimulationBatch(benchmark::State& state) {
   const CombModel model(scan_netlist(), SeqView::kCapture);

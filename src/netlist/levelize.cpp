@@ -40,16 +40,6 @@ bool in_graph(const Netlist& nl, CellId cell_id, SeqView view) {
   return in_comb_graph(*nl.cell(cell_id).spec, view);
 }
 
-// Input pins whose value feeds the cell's combinational function in this
-// view. For a transparent TSFF only D matters (TI/TE/TR are test-mode).
-void logic_input_pins(const Netlist& nl, CellId cell_id, std::vector<int>& pins) {
-  pins.clear();
-  const CellSpec* spec = nl.cell(cell_id).spec;
-  for (std::size_t p = 0; p < spec->pins.size(); ++p) {
-    if (is_logic_input_pin(*spec, static_cast<int>(p))) pins.push_back(static_cast<int>(p));
-  }
-}
-
 }  // namespace
 
 TopoOrder levelize(const Netlist& nl, SeqView view) {
@@ -58,15 +48,15 @@ TopoOrder levelize(const Netlist& nl, SeqView view) {
   out.level.assign(n, -1);
   std::vector<int> indegree(n, 0);
   std::vector<char> active(n, 0);
-  std::vector<int> pins;
 
   for (std::size_t c = 0; c < n; ++c) {
     const CellId id = static_cast<CellId>(c);
     if (!in_graph(nl, id, view)) continue;
     active[c] = 1;
-    logic_input_pins(nl, id, pins);
-    for (int p : pins) {
-      const NetId net = nl.cell(id).conn[static_cast<std::size_t>(p)];
+    const CellInst& inst = nl.cell(id);
+    for (std::size_t p = 0; p < inst.spec->pins.size(); ++p) {
+      if (!is_logic_input_pin(*inst.spec, static_cast<int>(p))) continue;
+      const NetId net = inst.conn[p];
       if (net == kNoNet) continue;
       const PinRef drv = nl.net(net).driver;
       if (drv.valid() && in_graph(nl, drv.cell, view)) ++indegree[c];
@@ -91,8 +81,7 @@ TopoOrder levelize(const Netlist& nl, SeqView view) {
       const std::size_t sc = static_cast<std::size_t>(sink.cell);
       if (!active[sc]) continue;
       // Only count edges into logic pins (a clock pin load is not a logic edge).
-      logic_input_pins(nl, sink.cell, pins);
-      if (std::find(pins.begin(), pins.end(), sink.pin) == pins.end()) continue;
+      if (!is_logic_input_pin(*nl.cell(sink.cell).spec, sink.pin)) continue;
       out.level[sc] = std::max(out.level[sc], out.level[static_cast<std::size_t>(c)] + 1);
       if (--indegree[sc] == 0) queue.push_back(sink.cell);
     }

@@ -112,76 +112,62 @@ TestabilityResult analyze_testability(const CombModel& model) {
     const auto out = static_cast<std::size_t>(node.out);
     auto in0 = [&](int i) { return r.cc0[static_cast<std::size_t>(node.in[i])]; };
     auto in1 = [&](int i) { return r.cc1[static_cast<std::size_t>(node.in[i])]; };
-    auto p = [&](int i) { return r.p1[static_cast<std::size_t>(node.in[i])]; };
+    // COP has one definition, shared with the TPI gain evaluator.
+    r.p1[out] = cop_node_p1(node, r.p1.data());
     switch (node.func) {
       case CellFunc::kBuf:
       case CellFunc::kClkBuf:
       case CellFunc::kTsff:
         r.cc0[out] = sat_add(in0(0), 1.0f);
         r.cc1[out] = sat_add(in1(0), 1.0f);
-        r.p1[out] = p(0);
         break;
       case CellFunc::kInv:
         r.cc0[out] = sat_add(in1(0), 1.0f);
         r.cc1[out] = sat_add(in0(0), 1.0f);
-        r.p1[out] = 1.0f - p(0);
         break;
       case CellFunc::kAnd:
       case CellFunc::kNand: {
-        float sum1 = 0, min0 = kScoapInf, prod = 1.0f;
+        float sum1 = 0, min0 = kScoapInf;
         for (int i = 0; i < node.num_inputs; ++i) {
           sum1 = sat_add(sum1, in1(i));
           min0 = std::min(min0, in0(i));
-          prod *= p(i);
         }
         const float c1 = sat_add(sum1, 1.0f), c0 = sat_add(min0, 1.0f);
         if (node.func == CellFunc::kAnd) {
           r.cc1[out] = c1;
           r.cc0[out] = c0;
-          r.p1[out] = prod;
         } else {
           r.cc0[out] = c1;
           r.cc1[out] = c0;
-          r.p1[out] = 1.0f - prod;
         }
         break;
       }
       case CellFunc::kOr:
       case CellFunc::kNor: {
-        float sum0 = 0, min1 = kScoapInf, prod = 1.0f;
+        float sum0 = 0, min1 = kScoapInf;
         for (int i = 0; i < node.num_inputs; ++i) {
           sum0 = sat_add(sum0, in0(i));
           min1 = std::min(min1, in1(i));
-          prod *= 1.0f - p(i);
         }
         const float c0 = sat_add(sum0, 1.0f), c1 = sat_add(min1, 1.0f);
         if (node.func == CellFunc::kOr) {
           r.cc0[out] = c0;
           r.cc1[out] = c1;
-          r.p1[out] = 1.0f - prod;
         } else {
           r.cc1[out] = c0;
           r.cc0[out] = c1;
-          r.p1[out] = prod;
         }
         break;
       }
       case CellFunc::kXor:
-      case CellFunc::kXnor: {
+      case CellFunc::kXnor:
         xor_scoap(node, r.cc0, r.cc1, node.func == CellFunc::kXnor, r.cc0[out], r.cc1[out]);
-        float podd = 0.0f;
-        for (int i = 0; i < node.num_inputs; ++i) {
-          podd = podd * (1.0f - p(i)) + (1.0f - podd) * p(i);
-        }
-        r.p1[out] = node.func == CellFunc::kXor ? podd : 1.0f - podd;
         break;
-      }
       case CellFunc::kMux2: {
         const auto sel = static_cast<std::size_t>(node.sel);
-        const float s0 = r.cc0[sel], s1 = r.cc1[sel], ps = r.p1[sel];
+        const float s0 = r.cc0[sel], s1 = r.cc1[sel];
         r.cc0[out] = sat_add(std::min(sat_add(s0, in0(0)), sat_add(s1, in0(1))), 1.0f);
         r.cc1[out] = sat_add(std::min(sat_add(s0, in1(0)), sat_add(s1, in1(1))), 1.0f);
-        r.p1[out] = p(0) * (1.0f - ps) + p(1) * ps;
         break;
       }
       default:

@@ -1,8 +1,10 @@
 #include "tpi/tpi.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cmath>
+#include <cstdint>
 #include <utility>
 
 #include "netlist/design_db.hpp"
@@ -99,63 +101,69 @@ NetId get_or_create_control_pi(Netlist& nl, const std::string& name) {
   return nl.pi_net(pi);
 }
 
+constexpr float kRandomTh = 1e-3f;  // random-detectable threshold
+
 // Gain of a hypothetical test point on net X (Seiss-style gradient):
 //  * control gain — re-evaluate COP signal probabilities in X's fanout
 //    cone with p1(X) forced to 0.5 and count nets whose hardest stuck-at
 //    fault crosses from random-resistant to random-detectable;
 //  * observation gain — nets in X's fan-in whose faults are activatable
 //    but unobservable today become observable at the TSFF's D input.
-// Nothing is allocated per candidate: visited marks are epoch-stamped
-// (one epoch per candidate), the BFS queues are reused, and the cone is
-// evaluated in place in a working copy of the COP p1 vector that is put
-// back after each candidate. The cone caps and the BFS/sort order decide
-// the ranking and are part of its determinism contract (DESIGN.md §5).
+// Nothing is allocated per candidate: the cone is marked in a node bitmap
+// (which also dedups the BFS) and read back in ascending node order,
+// fan-in marks are epoch-stamped (one epoch per candidate), the BFS queues
+// are reused, and the cone is evaluated in place in a working copy of the
+// COP p1 vector that is put back after each candidate. The cone caps and
+// the BFS/node order decide the ranking and are part of its determinism
+// contract (DESIGN.md §5).
 class GainEvaluator {
  public:
   GainEvaluator(const CombModel& model, const TestabilityResult& t)
       : model_(model), t_(t), p1_(t.p1), net_seen_(model.num_nets(), 0),
-        node_seen_(model.nodes().size(), 0) {}
+        cone_((model.nodes().size() + 63) / 64, 0) {}
 
   double gain(NetId x) {
-    constexpr float kRandomTh = 1e-3f;  // random-detectable threshold
     constexpr std::size_t kMaxConeNodes = 500, kMaxFaninNets = 300;  // BFS caps
     ++epoch_;
     double g = 0.0;
     const auto xi = static_cast<std::size_t>(x);
 
     // ---- control gain over the fanout cone ----
-    // Collect cone node indices (bounded BFS), then evaluate in topo order.
-    cone_.clear();
+    // Mark cone nodes (bounded BFS), then evaluate them in topo order.
+    std::size_t cone_size = 0, lo = cone_.size(), hi = 0;
     frontier_.assign(1, x);
-    for (std::size_t head = 0; head < frontier_.size() && cone_.size() < kMaxConeNodes;
-         ++head) {
+    for (std::size_t head = 0; head < frontier_.size() && cone_size < kMaxConeNodes; ++head) {
       for (const int reader : model_.readers_of(frontier_[head])) {
         const auto ri = static_cast<std::size_t>(reader);
-        if (std::exchange(node_seen_[ri], epoch_) == epoch_) continue;
-        cone_.push_back(reader);
+        const std::uint64_t bit = std::uint64_t{1} << (ri % 64);
+        if (cone_[ri / 64] & bit) continue;
+        cone_[ri / 64] |= bit;
+        ++cone_size;
+        lo = std::min(lo, ri / 64);
+        hi = std::max(hi, ri / 64 + 1);
         const NetId out = model_.nodes()[ri].out;
         if (out != kNoNet) frontier_.push_back(out);
       }
     }
-    std::sort(cone_.begin(), cone_.end());
     p1_[xi] = 0.5f;
-    for (const int ni : cone_) {
-      const CombNode& node = model_.nodes()[static_cast<std::size_t>(ni)];
-      if (node.out == kNoNet) continue;
-      const auto out = static_cast<std::size_t>(node.out);
-      const float p_new = cop_node_p1(node, p1_.data());
-      p1_[out] = p_new;
-      const float obs = t_.obs[out];
-      const float old_dp = std::min(t_.p1[out], 1.0f - t_.p1[out]) * obs;
-      const float new_dp = std::min(p_new, 1.0f - p_new) * obs;
-      if (old_dp < kRandomTh && new_dp >= kRandomTh) g += 1.0;
+    for (std::size_t w = lo; w < hi; ++w) {
+      for (std::uint64_t word = std::exchange(cone_[w], 0); word != 0; word &= word - 1) {
+        const std::size_t ni = w * 64 + static_cast<std::size_t>(std::countr_zero(word));
+        const CombNode& node = model_.nodes()[ni];
+        if (node.out == kNoNet) continue;
+        const auto out = static_cast<std::size_t>(node.out);
+        const float p_new = cop_node_p1(node, p1_.data());
+        p1_[out] = p_new;
+        const float new_dp = std::min(p_new, 1.0f - p_new) * t_.obs[out];
+        if (hard(out) && new_dp >= kRandomTh) g += 1.0;
+      }
     }
     // Put p1_ back: frontier_ holds X and every cone node's output net.
     for (const NetId n : frontier_) {
       p1_[static_cast<std::size_t>(n)] = t_.p1[static_cast<std::size_t>(n)];
     }
     // X's own faults become fully testable (control + observe).
-    if (std::min(t_.p1[xi], 1.0f - t_.p1[xi]) * t_.obs[xi] < kRandomTh) g += 1.0;
+    if (hard(xi)) g += 1.0;
 
     // ---- observation gain over the fan-in cone ----
     back_.assign(1, x);
@@ -169,8 +177,7 @@ class GainEvaluator {
         if (in == kNoNet) continue;
         const auto ii = static_cast<std::size_t>(in);
         if (std::exchange(net_seen_[ii], epoch_) == epoch_) continue;
-        const float activ = std::min(t_.p1[ii], 1.0f - t_.p1[ii]);
-        if (t_.obs[ii] * activ < kRandomTh && activ >= kRandomTh) {
+        if (unobserved(ii)) {
           g += 0.5;  // observation-only gain counts less than control
           back_.push_back(in);
         }
@@ -179,16 +186,79 @@ class GainEvaluator {
     return g;
   }
 
+  /// One pass over the model that makes upper_bound() valid for every net.
+  /// H[n] counts, over paths, the reader outputs below n that are hard
+  /// today — the only nodes that can add to n's control gain, whatever the
+  /// cone cap. O[n] counts, over paths, the activatable-but-unobservable
+  /// nets the fan-in walk can push. Both saturate at kBoundSat, far above
+  /// any cone or fan-in walk.
+  void compute_bounds() {
+    const std::size_t n_nets = model_.num_nets();
+    const auto& nodes = model_.nodes();
+    auto below = [&](NetId n) {
+      std::uint32_t h = 0;
+      for (const int reader : model_.readers_of(n)) {
+        const NetId out = nodes[static_cast<std::size_t>(reader)].out;
+        if (out == kNoNet) continue;
+        const auto o = static_cast<std::size_t>(out);
+        h = sat_add(h, sat_add(hard(o) ? 1 : 0, hard_below_[o]));
+      }
+      return h;
+    };
+    hard_below_.assign(n_nets, 0);
+    for (std::size_t k = nodes.size(); k-- > 0;) {  // readers come later in node order
+      const NetId out = nodes[k].out;
+      if (out != kNoNet) hard_below_[static_cast<std::size_t>(out)] = below(out);
+    }
+    for (std::size_t n = 0; n < n_nets; ++n) {  // PIs, pseudo-PIs, other producer-less nets
+      const NetId net = static_cast<NetId>(n);
+      if (model_.producer_of(net) < 0) hard_below_[n] = below(net);
+    }
+    unobserved_above_.assign(n_nets, 0);
+    for (const CombNode& node : nodes) {  // producers come earlier in node order
+      if (node.out == kNoNet) continue;
+      std::uint32_t o = 0;
+      for (int i = 0; i < node.num_inputs + (node.sel != kNoNet ? 1 : 0); ++i) {
+        const NetId in = i < node.num_inputs ? node.in[i] : node.sel;
+        if (in == kNoNet || !unobserved(static_cast<std::size_t>(in))) continue;
+        o = sat_add(o, sat_add(1, unobserved_above_[static_cast<std::size_t>(in)]));
+      }
+      unobserved_above_[static_cast<std::size_t>(node.out)] = o;
+    }
+  }
+
+  /// gain(x) <= upper_bound(x): the cone holds at most H[x] hard outputs,
+  /// X's own term adds at most 1, and the fan-in walk at most O[x] halves.
+  double upper_bound(NetId x) const {
+    const auto xi = static_cast<std::size_t>(x);
+    return hard_below_[xi] + 1.0 + 0.5 * unobserved_above_[xi];
+  }
+
  private:
+  static constexpr std::uint32_t kBoundSat = 1u << 30;
+  static std::uint32_t sat_add(std::uint32_t a, std::uint32_t b) {
+    return std::min(a + b, kBoundSat);
+  }
+  /// The net's hardest stuck-at fault is random-resistant today.
+  bool hard(std::size_t n) const {
+    return std::min(t_.p1[n], 1.0f - t_.p1[n]) * t_.obs[n] < kRandomTh;
+  }
+  /// The net's faults are activatable but not observable today.
+  bool unobserved(std::size_t n) const {
+    const float activ = std::min(t_.p1[n], 1.0f - t_.p1[n]);
+    return t_.obs[n] * activ < kRandomTh && activ >= kRandomTh;
+  }
+
   const CombModel& model_;
   const TestabilityResult& t_;
   std::vector<float> p1_;  ///< t_.p1, overridden inside the current cone only
-  std::vector<std::uint32_t> net_seen_;   ///< fan-in visit stamp per net
-  std::vector<std::uint32_t> node_seen_;  ///< fan-out visit stamp per node
+  std::vector<std::uint32_t> net_seen_;  ///< fan-in visit stamp per net
   std::uint32_t epoch_ = 0;
-  std::vector<int> cone_;
+  std::vector<std::uint64_t> cone_;  ///< fan-out cone bitmap over nodes, zero between calls
   std::vector<NetId> frontier_;
   std::vector<NetId> back_;
+  std::vector<std::uint32_t> hard_below_;        ///< H, per net
+  std::vector<std::uint32_t> unobserved_above_;  ///< O, per net
 };
 
 }  // namespace
@@ -196,13 +266,17 @@ class GainEvaluator {
 std::vector<NetId> rank_tpi_candidates(const Netlist& nl, const TestabilityResult& t,
                                        const CombModel& model, TpiMethod method,
                                        const std::unordered_set<NetId>& excluded,
-                                       std::size_t max_candidates) {
+                                       std::size_t max_candidates, RankStats* stats) {
   struct Scored {
     NetId net;
     double score;
   };
   std::vector<Scored> scored;
   auto candidate = [&](NetId net) { return !excluded.contains(net) && legal_site(nl, net); };
+  RankStats local;
+  RankStats& st = stats != nullptr ? *stats : local;
+  st = RankStats{};
+  if (max_candidates == 0) return {};
 
   if (method == TpiMethod::kHybrid) {
     // Shortlist the random-resistant nets (the first kMaxShortlist in
@@ -212,14 +286,55 @@ std::vector<NetId> rank_tpi_candidates(const Netlist& nl, const TestabilityResul
     // broken toward the hardest lines).
     constexpr float kHardTh = 2e-3f;
     constexpr std::size_t kMaxShortlist = 12000;
-    GainEvaluator eval(model, t);
-    for (std::size_t n = 0; n < nl.num_nets() && scored.size() < kMaxShortlist; ++n) {
+    struct Hard {
+      NetId net;
+      double hardness;
+    };
+    std::vector<Hard> shortlist;
+    for (std::size_t n = 0; n < nl.num_nets() && shortlist.size() < kMaxShortlist; ++n) {
       const NetId net = static_cast<NetId>(n);
       const float dp = t.detect_prob_min(net);
       if (dp < kHardTh && candidate(net)) {
-        const double hardness = -std::log2(static_cast<double>(dp) + 1e-12);  // in (0, 40]
-        scored.push_back(Scored{net, -eval.gain(net) - hardness / 64.0});
+        shortlist.push_back(Hard{net, -std::log2(static_cast<double>(dp) + 1e-12)});  // (0, 40]
       }
+    }
+    st.shortlisted = shortlist.size();
+    GainEvaluator eval(model, t);
+    auto score = [&](const Hard& h) {
+      ++st.gain_evals;
+      return -eval.gain(h.net) - h.hardness / 64.0;
+    };
+    if (shortlist.size() <= max_candidates) {
+      for (const Hard& h : shortlist) scored.push_back(Scored{h.net, score(h)});
+    } else {
+      // Best first: visit candidates by ascending lower bound on their
+      // score and stop once the next bound is worse than the current k-th
+      // best score. A bound equal to it is still evaluated: its score may
+      // tie the k-th and win on net id. Every net of the true top k is
+      // evaluated, so ranking the evaluated subset (in net-id order, as the
+      // stable sort below expects) gives the same top k as ranking all.
+      eval.compute_bounds();
+      std::vector<std::pair<double, std::size_t>> order(shortlist.size());  // (lb, index)
+      for (std::size_t i = 0; i < shortlist.size(); ++i) {
+        order[i] = {-eval.upper_bound(shortlist[i].net) - shortlist[i].hardness / 64.0, i};
+      }
+      std::sort(order.begin(), order.end());
+      std::vector<std::pair<double, NetId>> top;  // max-heap of the best k (score, net)
+      for (const auto& [lb, i] : order) {
+        if (top.size() == max_candidates && lb > top.front().first) break;
+        const std::pair<double, NetId> entry{score(shortlist[i]), shortlist[i].net};
+        scored.push_back(Scored{entry.second, entry.first});
+        if (top.size() < max_candidates) {
+          top.push_back(entry);
+          std::push_heap(top.begin(), top.end());
+        } else if (entry < top.front()) {
+          std::pop_heap(top.begin(), top.end());
+          top.back() = entry;
+          std::push_heap(top.begin(), top.end());
+        }
+      }
+      std::sort(scored.begin(), scored.end(),
+                [](const Scored& a, const Scored& b) { return a.net < b.net; });
     }
     if (scored.size() < max_candidates) {
       // Not enough random-resistant nets: top up with the hardest of the
@@ -281,8 +396,9 @@ TpiReport insert_test_points(DesignDB& db, const TpiOptions& opts) {
     const TestabilityResult& t = db.testability(SeqView::kCapture);
 
     const int batch = std::min(remaining, (opts.num_test_points + rounds - 1) / rounds);
+    RankStats stats;
     const auto ranked = rank_tpi_candidates(nl, t, model, opts.method, opts.excluded_nets,
-                                            static_cast<std::size_t>(batch));
+                                            static_cast<std::size_t>(batch), &stats);
     if (ranked.empty()) break;
 
     for (const NetId site : ranked) {
@@ -307,6 +423,7 @@ TpiReport insert_test_points(DesignDB& db, const TpiOptions& opts) {
     const bool complete = nl.nets_changed_since(round_start, changed_nets);
     report.nets_changed_per_round.push_back(
         complete ? static_cast<int>(changed_nets.size()) : -1);
+    report.gain_evals_per_round.push_back(static_cast<int>(stats.gain_evals));
   }
   log_info() << "TPI: inserted " << report.test_points.size() << " test points in "
              << report.rounds_run << " rounds";

@@ -52,6 +52,9 @@ struct TpiReport {
   /// overflowed mid-round). A round that inserted nothing records 0 and
   /// leaves the cached testability views untouched for the next consumer.
   std::vector<int> nets_changed_per_round;
+  /// Per round: how many exact gain evaluations the hybrid ranking made
+  /// (0 for the COP-only and SCOAP-only methods). Not serialised.
+  std::vector<int> gain_evals_per_round;
 };
 
 /// Insert `opts.num_test_points` TSFFs into the netlist. The TSFFs' TI pins
@@ -62,11 +65,20 @@ struct TpiReport {
 /// the netlist) and journals which nets its insertions changed.
 TpiReport insert_test_points(DesignDB& db, const TpiOptions& opts);
 
+/// Work counters of one rank_tpi_candidates call.
+struct RankStats {
+  std::size_t shortlisted = 0;  ///< hard legal nets the hybrid method considered
+  std::size_t gain_evals = 0;   ///< of those, how many had their exact gain computed
+};
+
 /// Exposed for tests and the ablation benches: rank candidate nets for one
-/// insertion round (lowest score = best candidate).
+/// insertion round (lowest score = best candidate). Returns the first
+/// `max_candidates` of the full ranking; the hybrid method computes exact
+/// gains only for the nets whose gain bound lets them reach that prefix.
 std::vector<NetId> rank_tpi_candidates(const Netlist& nl, const TestabilityResult& t,
                                        const CombModel& model, TpiMethod method,
                                        const std::unordered_set<NetId>& excluded,
-                                       std::size_t max_candidates);
+                                       std::size_t max_candidates,
+                                       RankStats* stats = nullptr);
 
 }  // namespace tpi

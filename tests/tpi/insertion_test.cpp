@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
+#include <string>
+#include <vector>
 
 #include "../common/test_circuits.hpp"
 #include "circuits/generator.hpp"
@@ -203,6 +206,117 @@ TEST(TpiInsertionTest, PaperScaleRankingGolden) {
         static_cast<int>(std::lround(0.01 * static_cast<double>(nl->flip_flops().size())));
     const TpiReport report = insert_test_points(db, opts);
     EXPECT_EQ(digest(report.sites), g.sites) << g.profile.name << " sites";
+  }
+}
+
+TEST(TpiInsertionTest, PrunedTopKMatchesFullRanking) {
+  // The hybrid ranking stops computing gains once no remaining net's gain
+  // bound can reach the top k. Its first k must equal the first k of the
+  // full ranking (k = num_nets evaluates every shortlisted net), nets and
+  // order, on the full-size circuits where the cone caps bind: at round 1
+  // and after a 1 % TP insertion, with and without excluded nets.
+  for (const CircuitProfile& profile : {s38417_profile(), circuit1_profile(), p26909_profile()}) {
+    auto nl = generate_circuit(lib(), profile);
+    DesignDB db(*nl);
+    auto check = [&](const char* when) {
+      const CombModel& model = db.comb_model(SeqView::kCapture);
+      const TestabilityResult& t = db.testability(SeqView::kCapture);
+      std::unordered_set<NetId> excluded;
+      for (const bool exclude : {false, true}) {
+        const auto full =
+            rank_tpi_candidates(*nl, t, model, TpiMethod::kHybrid, excluded, nl->num_nets());
+        ASSERT_GE(full.size(), 100u) << profile.name << " " << when;
+        for (const std::size_t k : {1, 2, 3, 4, 8, 17, 36, 100}) {
+          RankStats stats;
+          const auto top =
+              rank_tpi_candidates(*nl, t, model, TpiMethod::kHybrid, excluded, k, &stats);
+          EXPECT_EQ(top, std::vector<NetId>(full.begin(), full.begin() + static_cast<long>(k)))
+              << profile.name << " " << when << " excluded=" << exclude << " k=" << k;
+          EXPECT_LT(stats.gain_evals, stats.shortlisted) << profile.name << " k=" << k;
+        }
+        // Exclude every third of the full top 30 for the second pass.
+        for (std::size_t i = 0; i < 30; i += 3) excluded.insert(full[i]);
+      }
+    };
+    check("round 1");
+    TpiOptions opts;
+    opts.num_test_points =
+        static_cast<int>(std::lround(0.01 * static_cast<double>(nl->flip_flops().size())));
+    insert_test_points(db, opts);
+    check("after 1 % TPs");
+  }
+}
+
+// Hand-built circuits for the edge cases of the best-first ranking. An
+// enable is ANDn over n AND3 trees of 9 PIs: p1 = 2^-9n, and the 13n
+// nets of its tree are activatable but unobservable. Each of its readers
+// is AND2(enable, fresh PI) into a PO, hard today and random-detectable
+// once the enable is controlled, so the enable's gain equals its bound
+// when nothing reconverges.
+struct Crafted {
+  std::unique_ptr<Netlist> nl = std::make_unique<Netlist>(&lib(), "crafted");
+  int id = 0;
+  std::string name() { return "n" + std::to_string(id++); }
+  NetId pi() { return nl->pi_net(nl->add_primary_input(name())); }
+  NetId gate(const std::vector<NetId>& ins) {
+    const CellSpec* spec = lib().gate(CellFunc::kAnd, static_cast<int>(ins.size()));
+    const CellId c = nl->add_cell(spec, name());
+    for (std::size_t i = 0; i < ins.size(); ++i) nl->connect(c, static_cast<int>(i), ins[i]);
+    const NetId out = nl->add_net(name());
+    nl->connect(c, spec->output_pin, out);
+    return out;
+  }
+  NetId tree(int depth) {
+    if (depth == 0) return pi();
+    return gate({tree(depth - 1), tree(depth - 1), tree(depth - 1)});
+  }
+  NetId enable(int n) {
+    std::vector<NetId> ins;
+    for (int i = 0; i < n; ++i) ins.push_back(tree(2));
+    return gate(ins);
+  }
+  void fan_out(NetId en, int readers) {
+    for (int r = 0; r < readers; ++r) nl->add_primary_output(name(), gate({en, pi()}));
+  }
+};
+
+TEST(TpiInsertionTest, PrunedTopKKeepsTiesAndWideCones) {
+  auto expect_prefixes_match = [](const Netlist& nl, NetId best, const char* what) {
+    const CombModel model(nl, SeqView::kCapture);
+    const TestabilityResult t = analyze_testability(model);
+    const auto full = rank_tpi_candidates(nl, t, model, TpiMethod::kHybrid, {}, nl.num_nets());
+    ASSERT_GE(full.size(), 3u) << what;
+    EXPECT_EQ(full.front(), best) << what;
+    for (const std::size_t k : {1, 2, 3}) {
+      RankStats stats;
+      const auto top = rank_tpi_candidates(nl, t, model, TpiMethod::kHybrid, {}, k, &stats);
+      EXPECT_EQ(top, std::vector<NetId>(full.begin(), full.begin() + static_cast<long>(k)))
+          << what << " k=" << k;
+      EXPECT_LT(stats.gain_evals, stats.shortlisted) << what << " k=" << k;
+    }
+  };
+  {
+    // Tie: B and A score the same, B has the lower net id, and A's bound is
+    // looser by one (its extra reader stays hard), so A is scored first and
+    // B's bound equals the k-th score. B must still be evaluated and win.
+    Crafted c;
+    const NetId b = c.enable(2);
+    c.fan_out(b, 40);
+    const NetId a = c.enable(2);
+    c.fan_out(a, 40);
+    c.nl->add_primary_output(c.name(), c.gate({a, c.enable(2)}));
+    expect_prefixes_match(*c.nl, b, "tie");
+  }
+  {
+    // Wide cone: X's 600 readers all enter the cone before the 500-node cap
+    // is checked again, so X's gain exceeds 500. Y has more unobservable
+    // fan-in but a smaller cone and must not displace X.
+    Crafted c;
+    const NetId x = c.enable(2);
+    c.fan_out(x, 600);
+    const NetId y = c.enable(3);
+    c.fan_out(y, 550);
+    expect_prefixes_match(*c.nl, x, "wide cone");
   }
 }
 
