@@ -30,6 +30,7 @@
 #include "flow/flow.hpp"
 #include "flow/flow_config.hpp"
 #include "flow/sweep.hpp"
+#include "util/log.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
 
@@ -66,14 +67,20 @@ inline std::vector<CircuitProfile> bench_profiles() {
   return out;
 }
 
+/// Write a sweep report's JSON to TPI_BENCH_JSON when it is set.
+inline void write_bench_json(const std::string& json) {
+  const std::string& path = bench_config().bench_json;
+  if (!path.empty() && write_text_file(path, json, "TPI_BENCH_JSON")) {
+    std::fprintf(stderr, "[bench] wrote %s\n", path.c_str());
+  }
+}
+
 /// Execute jobs through a SweepRunner sized by the bench config and write
 /// the aggregate JSON report when TPI_BENCH_JSON is set.
 inline SweepReport run_jobs(std::vector<SweepJob> jobs) {
   const SweepReport report =
       SweepRunner(bench_config()).run(*make_phl130_library(), std::move(jobs));
-  if (const std::string& path = bench_config().bench_json; !path.empty()) {
-    if (report.write_json(path)) std::fprintf(stderr, "[bench] wrote %s\n", path.c_str());
-  }
+  write_bench_json(report.to_json());
   return report;
 }
 

@@ -23,9 +23,7 @@ int main() {
   const SocSweepReport report = runner.run(
       *make_phl130_library(),
       SocSweepRunner::grid(cores, tam_widths, tp_percents, bench_config()));
-  if (const std::string& path = bench_config().bench_json; !path.empty()) {
-    if (report.write_json(path)) std::fprintf(stderr, "[bench] wrote %s\n", path.c_str());
-  }
+  write_bench_json(report.to_json());
 
   TextTable table({"chip", "chip TAT(cyc)", "serial TAT(cyc)", "speedup",
                    "TAM util(%)", "wall(s)"});

@@ -49,8 +49,8 @@ int main(int argc, char** argv) {
     profile.name = keep;
   }
 
-  // Timing only: mask off the ATPG stage instead of the legacy
-  // run_atpg = false flag.
+  // Timing only: mask off the ATPG stage; the scan chains are still
+  // stitched, so the layout matches a full flow's.
   const StageMask timing_stages = StageMask::all().without(Stage::kReorderAtpg);
 
   FlowOptions base_opts;

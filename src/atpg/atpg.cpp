@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <chrono>
 
 #include "atpg/fault_sim.hpp"
 #include "netlist/design_db.hpp"
@@ -13,12 +12,6 @@
 
 namespace tpi {
 namespace {
-
-using Clock = std::chrono::steady_clock;
-
-double ms_since(Clock::time_point t0) {
-  return std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
-}
 
 // Pack up to nw*64 patterns into per-input lane words (input-major):
 // pattern k lands in bit k%64 of words[i*nw + k/64]. Lanes past the
@@ -78,7 +71,7 @@ AtpgResult run_atpg(const CombModel& model, const TestabilityResult& testability
   const bool loc = opts.fault_model == FaultModel::kTransition;
 
   FaultSimBank bank(model, opts.jobs);
-  res.profile.jobs = bank.jobs();
+  std::uint64_t sim_batches = 0;  ///< 64-pattern batches graded, all phases
   Podem podem(model, testability, opts.podem);
   Rng rng(opts.seed);
   const std::size_t num_inputs = model.input_nets().size();
@@ -118,14 +111,14 @@ AtpgResult run_atpg(const CombModel& model, const TestabilityResult& testability
 
   // Simulate batch[0..count) against the live list, drop detected faults
   // and append the patterns to the result set.
-  auto simulate_and_keep = [&](std::size_t count, AtpgPhaseProfile& phase) {
+  auto simulate_and_keep = [&](std::size_t count) {
     refs.clear();
     for (std::size_t k = 0; k < count; ++k) refs.push_back(&batch[k]);
     pack_batch(refs, num_inputs, /*nw=*/1, words);
     bank.configure_lanes(1);
     load_bank(words);
     const FaultSimBank::DropOutcome out = bank.grade_and_drop(live);
-    ++phase.batches;
+    ++sim_batches;
     for (std::size_t k = 0; k < count; ++k) res.patterns.push_back(batch[k]);
     return out;
   };
@@ -140,7 +133,6 @@ AtpgResult run_atpg(const CombModel& model, const TestabilityResult& testability
   // sub-batch's drops and patterns still count, as before), and faults
   // first detected after the cutoff stay live — their detecting patterns
   // were never applied.
-  const auto t_random = Clock::now();
   {
     TPI_SPAN("atpg.random");
     std::vector<Word> detect;
@@ -201,17 +193,14 @@ AtpgResult run_atpg(const CombModel& model, const TestabilityResult& testability
 
       const std::size_t applied_patterns = static_cast<std::size_t>(applied) * kWordBits;
       for (std::size_t k = 0; k < applied_patterns; ++k) res.patterns.push_back(batch[k]);
-      res.profile.random.batches += static_cast<std::uint64_t>(applied);
+      sim_batches += static_cast<std::uint64_t>(applied);
       b += applied;
     }
   }
-  res.profile.random.add(bank.take_stats());
-  res.profile.random.wall_ms = ms_since(t_random);
 
   // ---- phase 2: deterministic PODEM with dynamic compaction ----
   // Targets ordered hardest-first (lowest COP detection probability): hard
   // faults anchor patterns whose random fill then sweeps up easy faults.
-  const auto t_podem = Clock::now();
   {
     TPI_SPAN("atpg.podem");
     std::vector<std::size_t> order;
@@ -265,17 +254,14 @@ AtpgResult run_atpg(const CombModel& model, const TestabilityResult& testability
         }
       }
       if (batch_n == 0) continue;
-      simulate_and_keep(batch_n, res.profile.podem);
+      simulate_and_keep(batch_n);
     }
   }
   res.patterns_before_compaction = static_cast<int>(res.patterns.size());
-  res.profile.podem.add(bank.take_stats());
-  res.profile.podem.wall_ms = ms_since(t_podem);
 
   // ---- phase 3: reverse-order static compaction ----
   if (opts.static_compaction && !res.patterns.empty()) {
     TPI_SPAN("atpg.static_compaction");
-    const auto t_compact = Clock::now();
     for (Fault& f : res.faults.faults) {
       if (f.status == FaultStatus::kDetected) f.status = FaultStatus::kUndetected;
     }
@@ -307,7 +293,7 @@ AtpgResult run_atpg(const CombModel& model, const TestabilityResult& testability
       bank.configure_lanes(nw);
       load_bank(words);
       bank.grade(live, detect);
-      res.profile.compaction.batches += (count + kWordBits - 1) / kWordBits;
+      sim_batches += (count + kWordBits - 1) / kWordBits;
       // Merge in fault-list order: a detected fault keeps the first pattern
       // (in reverse order) that detects it and leaves the live list. Lanes
       // past the pattern count hold phantom all-zero vectors and are
@@ -339,8 +325,6 @@ AtpgResult run_atpg(const CombModel& model, const TestabilityResult& testability
       if (keep[i]) kept.push_back(std::move(res.patterns[i]));
     }
     res.patterns = std::move(kept);
-    res.profile.compaction.add(bank.take_stats());
-    res.profile.compaction.wall_ms = ms_since(t_compact);
   }
 
   // ---- metrics ----
@@ -357,23 +341,24 @@ AtpgResult run_atpg(const CombModel& model, const TestabilityResult& testability
   log_info() << "ATPG " << model.netlist().name() << ": " << res.patterns.size()
              << " patterns (" << res.patterns_before_compaction << " pre-compaction), FC="
              << res.fault_coverage_pct << "% FE=" << res.fault_efficiency_pct << "%";
-  const AtpgPhaseProfile t = res.profile.total();
-  log_info() << "ATPG kernel " << model.netlist().name() << ": jobs=" << res.profile.jobs
-             << " batches=" << t.batches << " graded=" << t.faults_graded
-             << " cone_skips=" << t.cone_skips << " node_evals=" << t.node_evals
-             << " sim_wall=" << t.wall_ms << "ms";
-  // Publish the kernel profile to the active registry: same numbers as the
-  // AtpgKernelProfile compat view, all deterministic for any opts.jobs.
+  // Fault-sim counters summed over all three phases; each fault is graded
+  // exactly once per batch, so every atpg.* value below is deterministic
+  // for any opts.jobs. The worker count itself is runtime-only.
+  const FaultSimStats sim = bank.take_stats();
+  log_info() << "ATPG kernel " << model.netlist().name() << ": jobs=" << bank.jobs()
+             << " batches=" << sim_batches << " graded=" << sim.faults_graded
+             << " cone_skips=" << sim.cone_skips << " node_evals=" << sim.node_evals;
   MetricsRegistry& m = metrics();
   m.add("atpg.patterns", static_cast<std::uint64_t>(res.num_patterns()));
   m.add("atpg.podem.calls", static_cast<std::uint64_t>(res.podem_calls));
   m.add("atpg.podem.aborts", static_cast<std::uint64_t>(res.podem_aborts));
   m.add("atpg.podem.backtracks", static_cast<std::uint64_t>(res.podem_backtracks));
-  m.add("atpg.sim.batches", t.batches);
-  m.add("atpg.sim.faults_graded", t.faults_graded);
-  m.add("atpg.sim.cone_skips", t.cone_skips);
-  m.add("atpg.sim.node_evals", t.node_evals);
-  m.add("atpg.sim.events", t.events);
+  m.add("atpg.sim.batches", sim_batches);
+  m.add("atpg.sim.faults_graded", sim.faults_graded);
+  m.add("atpg.sim.cone_skips", sim.cone_skips);
+  m.add("atpg.sim.node_evals", sim.node_evals);
+  m.add("atpg.sim.events", sim.events);
+  m.set("rt.atpg.sim.jobs", bank.jobs());
   return res;
 }
 

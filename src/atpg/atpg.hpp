@@ -39,54 +39,6 @@ struct AtpgOptions {
   int jobs = 1;
 };
 
-/// Fault-sim kernel counters for one ATPG phase. wall_ms is the whole
-/// phase's wall clock (for the podem phase that includes the PODEM calls
-/// themselves); the event counters cover fault simulation only and are
-/// identical for any AtpgOptions::jobs.
-///
-/// Compat view: run_atpg also publishes these counters to the active
-/// MetricsRegistry (atpg.* names) and wraps each phase in a trace span
-/// ("atpg.random" / "atpg.podem" / "atpg.static_compaction"), so the
-/// unified observability layer and this struct always agree.
-struct AtpgPhaseProfile {
-  double wall_ms = 0.0;
-  std::uint64_t batches = 0;  ///< 64-pattern batches simulated
-
-  std::uint64_t faults_graded = 0;  ///< detects() calls
-  std::uint64_t cone_skips = 0;     ///< faults cut by the observability mask
-  std::uint64_t node_evals = 0;     ///< nodes evaluated during propagation
-  std::uint64_t events = 0;         ///< scheduler pushes accepted
-
-  void add(const FaultSimStats& s) {
-    faults_graded += s.faults_graded;
-    cone_skips += s.cone_skips;
-    node_evals += s.node_evals;
-    events += s.events;
-  }
-};
-
-/// Per-phase fault-sim kernel profile of one run_atpg() call — the
-/// measurable side of the parallel/cone-limited fault simulation.
-struct AtpgKernelProfile {
-  int jobs = 1;  ///< fault-sim workers actually used
-  AtpgPhaseProfile random;      ///< phase 1: pseudo-random warm-up
-  AtpgPhaseProfile podem;       ///< phase 2: PODEM + dynamic compaction
-  AtpgPhaseProfile compaction;  ///< phase 3: reverse-order static compaction
-
-  AtpgPhaseProfile total() const {
-    AtpgPhaseProfile t;
-    for (const AtpgPhaseProfile* p : {&random, &podem, &compaction}) {
-      t.wall_ms += p->wall_ms;
-      t.batches += p->batches;
-      t.faults_graded += p->faults_graded;
-      t.cone_skips += p->cone_skips;
-      t.node_evals += p->node_evals;
-      t.events += p->events;
-    }
-    return t;
-  }
-};
-
 /// One scan-test pattern: values for every controllable input (PIs and
 /// scan-cell states), aligned with CombModel::input_nets().
 struct TestPattern {
@@ -112,11 +64,13 @@ struct AtpgResult {
   int podem_calls = 0;
   int podem_aborts = 0;
   std::int64_t podem_backtracks = 0;  ///< summed over all PODEM calls
-  AtpgKernelProfile profile;  ///< fault-sim kernel profile (per phase)
 
   int num_patterns() const { return static_cast<int>(patterns.size()); }
 };
 
+/// Publishes its counters to the active MetricsRegistry (atpg.podem.*,
+/// atpg.sim.*, and the runtime gauge rt.atpg.sim.jobs) and wraps each
+/// phase in an atpg.random / atpg.podem / atpg.static_compaction span.
 AtpgResult run_atpg(const CombModel& model, const TestabilityResult& testability,
                     const AtpgOptions& opts = {});
 

@@ -65,14 +65,6 @@ std::string StageMask::to_string() const {
   return out.empty() ? "none" : out;
 }
 
-StageMask stage_mask_from(const FlowOptions& opts) {
-  StageMask mask = StageMask::all();
-  if (!opts.run_atpg) mask = mask.without(Stage::kReorderAtpg);
-  if (!opts.run_sta) mask = mask.without(Stage::kExtract).without(Stage::kSta);
-  if (opts.verify) mask = mask.with(Stage::kVerify);
-  return mask;
-}
-
 FlowEngine::FlowEngine(Netlist& nl, const CircuitProfile& profile, const FlowOptions& opts)
     : nl_(&nl), profile_(profile), opts_(opts) {
   db_.emplace(*nl_);
@@ -129,7 +121,6 @@ StageEvent FlowEngine::make_event(Stage stage, double wall_ms) const {
   StageEvent ev;
   ev.stage = stage;
   ev.name = stage_name(stage);
-  ev.job_label = job_label_.c_str();
   ev.wall_ms = wall_ms;
   ev.num_cells = nl_->num_cells();
   ev.num_nets = nl_->num_nets();
@@ -263,13 +254,6 @@ void FlowEngine::do_reorder_atpg() {
   AtpgOptions atpg_opts = opts_.atpg;
   atpg_opts.seed ^= profile_.seed;
   res_.atpg = run_atpg(*db_, atpg_opts);
-  // The fault-sim kernel profile (per-phase wall clock + event counts,
-  // AtpgResult::profile) rides inside res_.atpg, so FlowObserver callbacks
-  // and the sweep JSON report see it through StageEvent::result.
-  const AtpgPhaseProfile kernel = res_.atpg.profile.total();
-  log_info() << res_.circuit << " reorder_atpg: fault-sim jobs=" << res_.atpg.profile.jobs
-             << " sim_wall=" << kernel.wall_ms << "ms graded=" << kernel.faults_graded
-             << " cone_skips=" << kernel.cone_skips;
   res_.num_faults = res_.atpg.total_faults;
   res_.fault_coverage_pct = res_.atpg.fault_coverage_pct;
   res_.fault_efficiency_pct = res_.atpg.fault_efficiency_pct;
@@ -403,17 +387,6 @@ void FlowEngine::do_verify() {
                  << " claimed fault detections did not replay";
     }
   }
-}
-
-FlowResult run_flow(const CellLibrary& lib, const CircuitProfile& profile,
-                    const FlowOptions& opts) {
-  std::unique_ptr<Netlist> nl = generate_circuit(lib, profile);
-  return run_flow_on(*nl, profile, opts);
-}
-
-FlowResult run_flow_on(Netlist& nl, const CircuitProfile& profile, const FlowOptions& opts) {
-  FlowEngine engine(nl, profile, opts);
-  return engine.run(stage_mask_from(opts));
 }
 
 }  // namespace tpi

@@ -13,9 +13,7 @@
 //
 // FlowEngine runs the stages one by one, times each, and reports progress
 // through an optional FlowObserver. Callers pick the stages they need with
-// a StageMask (partial flows, ablations); the legacy run_flow()/
-// run_flow_on() wrappers execute the full flow honoring the deprecated
-// FlowOptions::run_atpg / run_sta booleans.
+// a StageMask (partial flows, ablations).
 #pragma once
 
 #include <atomic>
@@ -50,18 +48,13 @@ struct FlowOptions {
   bool timing_driven_tpi = false;
   double timing_exclude_slack_ps = 400.0;
 
-  /// DEPRECATED (PR 6): select stages with FlowEngine::run(StageMask) or a
-  /// FlowConfig instead; these booleans exist only so the legacy
-  /// run_flow()/run_flow_on() shims can map them via stage_mask_from().
-  /// New code (benches, tests, the flow server) never reads them.
-  bool run_atpg = true;  ///< Table 1 needs it; Tables 2-3 do not
-  bool run_sta = true;
   AtpgOptions atpg;
   std::uint64_t seed = 0xF10F;
 
   /// Opt-in verify stage: snapshot the pre-transform netlist, and after the
   /// flow check mission-mode equivalence (miter + EquivChecker) and replay
-  /// the ATPG pattern set against every claimed fault detection.
+  /// the ATPG pattern set against every claimed fault detection. The stage
+  /// runs when the mask also carries Stage::kVerify.
   bool verify = false;
   EquivOptions verify_equiv;
 
@@ -77,11 +70,6 @@ struct FlowOptions {
 /// the at-speed capture period (a production-tester shift clock is several
 /// times slower than F_max).
 inline constexpr double kAtSpeedSlowFactor = 4.0;
-
-/// StageMask equivalent of the deprecated run_atpg / run_sta booleans:
-/// all stages, minus reorder_atpg when !run_atpg, minus extract+sta when
-/// !run_sta, plus verify when opts.verify.
-StageMask stage_mask_from(const FlowOptions& opts);
 
 /// Result of the opt-in verify stage (see FlowOptions::verify).
 struct VerifySummary {
@@ -194,12 +182,6 @@ class FlowEngine {
   /// Not owned; must outlive the run.
   void set_observer(FlowObserver* observer) { observer_ = observer; }
 
-  /// Label carried into every StageEvent::job_label ("s38417/tp=2"), so a
-  /// shared observer can attribute callbacks when many engines run
-  /// concurrently. SweepRunner sets each cell's label; the default is "".
-  void set_job_label(std::string label) { job_label_ = std::move(label); }
-  const std::string& job_label() const { return job_label_; }
-
   /// Cooperative cancellation: run() re-checks the token before every
   /// stage and stops at the next stage boundary once it reads true, so a
   /// cancel lands within one stage's wall clock. The flag may be flipped
@@ -255,7 +237,6 @@ class FlowEngine {
   std::optional<DesignDB> db_;  ///< wraps *nl_, set in the constructors
   CircuitProfile profile_;
   FlowOptions opts_;
-  std::string job_label_;  ///< see set_job_label
   FlowObserver* observer_ = nullptr;
   const std::atomic<bool>* cancel_ = nullptr;
 
@@ -274,16 +255,5 @@ class FlowEngine {
   std::optional<RoutingResult> routes_;
   std::optional<ExtractionResult> extraction_;
 };
-
-/// DEPRECATED (PR 6): thin shim over FlowEngine kept for source compat;
-/// it honors the deprecated run_atpg/run_sta booleans via
-/// stage_mask_from(). New code constructs a FlowEngine (or a FlowConfig,
-/// see flow/flow_config.hpp) and passes an explicit StageMask.
-FlowResult run_flow(const CellLibrary& lib, const CircuitProfile& profile,
-                    const FlowOptions& opts);
-
-/// DEPRECATED (PR 6): same shim on a caller-supplied netlist (consumed/
-/// modified in place). Prefer FlowEngine(Netlist&, ...) + run(StageMask).
-FlowResult run_flow_on(Netlist& nl, const CircuitProfile& profile, const FlowOptions& opts);
 
 }  // namespace tpi

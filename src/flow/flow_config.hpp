@@ -1,7 +1,7 @@
 // FlowConfig — the one typed configuration object for a flow run.
 //
 // Before PR 6 the flow's configuration was spread across three layers:
-// typed FlowOptions, the deprecated run_atpg/run_sta booleans, and ~8
+// typed FlowOptions, the run_atpg/run_sta booleans (since removed), and ~8
 // TPI_* environment lookups scattered over bench_common, log.cpp and
 // fuzz.cpp. FlowConfig consolidates all of it: one struct holding the
 // FlowOptions, the StageMask, the job counts and the seeds, buildable
@@ -75,11 +75,9 @@ struct FlowConfig {
   /// Uniform profile scale factor (TPI_BENCH_SCALE); 1.0 = paper-sized.
   double scale = 1.0;
   /// Typed flow options: tp_percent, TPI method, seeds, AtpgOptions
-  /// (including atpg.jobs), verify budget. The deprecated
-  /// run_atpg/run_sta booleans inside are ignored by FlowConfig
-  /// consumers — `stages` below is authoritative.
+  /// (including atpg.jobs), verify budget.
   FlowOptions options;
-  /// Stages to run, replacing the run_atpg/run_sta booleans.
+  /// Stages to run.
   StageMask stages = StageMask::all();
   /// Flow-server scheduling priority: higher runs first; FIFO within one
   /// priority level.

@@ -61,14 +61,15 @@ std::optional<Stage> stage_from_name(std::string_view name);
 /// extract, sta) gate their analyses only; in particular, masking off
 /// reorder_atpg skips compact ATPG while the scan-chain stitch — a
 /// structural prerequisite of the downstream layout stages — still runs
-/// (attributed to the eco stage), exactly matching the legacy
-/// `run_atpg = false` behaviour.
+/// (attributed to the eco stage), so the layout is identical with and
+/// without ATPG.
 class StageMask {
  public:
   constexpr StageMask() = default;
 
-  /// The six paper stages. The verify stage is opt-in: add it explicitly
-  /// with .with(Stage::kVerify) or via FlowOptions::verify.
+  /// The six paper stages. The verify stage is opt-in: add it with
+  /// .with(Stage::kVerify) (the FlowConfig "verify" key does) and set
+  /// FlowOptions::verify so the engine snapshots the netlist for it.
   static constexpr StageMask all() { return StageMask((1u << kNumFlowStages) - 1u); }
   static constexpr StageMask none() { return StageMask(0); }
   /// Stages kTpiScan..s inclusive — the "run the flow up to here" mask.
@@ -114,9 +115,6 @@ struct StageTimings {
 struct StageEvent {
   Stage stage = Stage::kTpiScan;
   const char* name = "";
-  /// Job/cell label of the run ("s38417/tp=2"; "" outside sweeps/server).
-  /// Lets one observer shared across a sweep attribute events to cells.
-  const char* job_label = "";
   double wall_ms = 0.0;  ///< 0 in on_stage_begin
   std::size_t num_cells = 0;
   std::size_t num_nets = 0;
@@ -125,8 +123,8 @@ struct StageEvent {
 
 /// Observer hook for FlowEngine: progress reporting, per-stage profiling,
 /// intermediate-state assertions in tests. Callbacks run on the thread
-/// executing the flow (under SweepRunner that is a worker thread — observers
-/// shared across jobs must be thread-safe).
+/// executing the flow. Sweeps and server jobs are observed through their
+/// stage spans (RunRecorder) instead.
 class FlowObserver {
  public:
   virtual ~FlowObserver() = default;

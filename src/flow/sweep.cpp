@@ -1,46 +1,16 @@
 #include "flow/sweep.hpp"
 
-#include <sys/stat.h>
-
 #include <chrono>
 #include <cstdio>
 #include <future>
-#include <memory>
-#include <optional>
 #include <utility>
 
 #include "flow/flow_config.hpp"
 #include "flow/flow_json.hpp"
-#include "util/ledger.hpp"
-#include "util/log.hpp"
 #include "util/thread_pool.hpp"
-#include "util/trace.hpp"
 
 namespace tpi {
 namespace {
-
-using Clock = std::chrono::steady_clock;
-
-double ms_since(Clock::time_point t0) {
-  return std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    if (static_cast<unsigned char>(c) < 0x20) continue;  // labels are plain ASCII
-    out += c;
-  }
-  return out;
-}
-
-std::string fmt_double(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.4f", v);
-  return buf;
-}
 
 std::string stages_json(const StageTimings& t) {
   std::string out = "{";
@@ -51,47 +21,26 @@ std::string stages_json(const StageTimings& t) {
     out += "\"";
     out += stage_name(s);
     out += "\": ";
-    out += fmt_double(t[s]);
+    out += report_number(t[s]);
   }
   return out + "}";
 }
 
-// Fault-sim kernel profile of the cell's ATPG run: per-phase wall clock
-// plus the (job-count-independent) event counters.
-std::string atpg_profile_json(const AtpgKernelProfile& p) {
-  const AtpgPhaseProfile t = p.total();
-  std::string out = "{";
-  out += "\"jobs\": " + std::to_string(p.jobs) + ", ";
-  out += "\"random_ms\": " + fmt_double(p.random.wall_ms) + ", ";
-  out += "\"podem_ms\": " + fmt_double(p.podem.wall_ms) + ", ";
-  out += "\"compaction_ms\": " + fmt_double(p.compaction.wall_ms) + ", ";
-  out += "\"batches\": " + std::to_string(t.batches) + ", ";
-  out += "\"faults_graded\": " + std::to_string(t.faults_graded) + ", ";
-  out += "\"cone_skips\": " + std::to_string(t.cone_skips) + ", ";
-  out += "\"node_evals\": " + std::to_string(t.node_evals) + ", ";
-  out += "\"events\": " + std::to_string(t.events) + "}";
-  return out;
-}
-
 }  // namespace
 
-std::string sanitize_trace_label(const std::string& label) {
-  auto safe = [](char c) {
-    return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-           (c >= '0' && c <= '9') || c == '.' || c == '=' || c == '-';
-  };
+std::string report_number(double v) {
+  char buf[64];
+  std::snprintf(buf, sizeof buf, "%.4f", v);
+  return buf;
+}
+
+std::string report_escape(const std::string& s) {
   std::string out;
-  out.reserve(label.size());
-  for (const char c : label) {
-    if (safe(c)) {
-      out += c;
-    } else {
-      static const char kHex[] = "0123456789abcdef";
-      const auto b = static_cast<unsigned char>(c);
-      out += '_';
-      out += kHex[b >> 4];
-      out += kHex[b & 0xF];
-    }
+  out.reserve(s.size());
+  for (const char c : s) {
+    if (c == '"' || c == '\\') out += '\\';
+    if (static_cast<unsigned char>(c) < 0x20) continue;  // labels are plain ASCII
+    out += c;
   }
   return out;
 }
@@ -100,9 +49,9 @@ std::string SweepReport::to_json() const {
   std::string out = "{\n  \"context\": {\n";
   out += "    \"jobs\": " + std::to_string(jobs) + ",\n";
   out += "    \"num_cells\": " + std::to_string(cells.size()) + ",\n";
-  out += "    \"wall_ms\": " + fmt_double(wall_ms) + ",\n";
-  out += "    \"cpu_ms\": " + fmt_double(cpu_ms) + ",\n";
-  out += "    \"speedup\": " + fmt_double(speedup()) + "\n";
+  out += "    \"wall_ms\": " + report_number(wall_ms) + ",\n";
+  out += "    \"cpu_ms\": " + report_number(cpu_ms) + ",\n";
+  out += "    \"speedup\": " + report_number(speedup()) + "\n";
   out += "  },\n";
   // Deterministic subset only: this line must be bit-identical at any
   // TPI_BENCH_JOBS / TPI_ATPG_JOBS (the sweep tests diff it verbatim).
@@ -113,31 +62,30 @@ std::string SweepReport::to_json() const {
     if (!first) out += ",\n";
     first = false;
     const FlowResult& r = cell.result;
-    out += "    {\"name\": \"" + json_escape(cell.job.label) + "\", ";
+    out += "    {\"name\": \"" + report_escape(cell.job.label) + "\", ";
     out += "\"run_type\": \"iteration\", \"iterations\": 1, ";
-    out += "\"real_time\": " + fmt_double(cell.wall_ms) + ", ";
+    out += "\"real_time\": " + report_number(cell.wall_ms) + ", ";
     out += "\"time_unit\": \"ms\", ";
-    out += "\"tp_percent\": " + fmt_double(cell.job.options.tp_percent) + ", ";
+    out += "\"tp_percent\": " + report_number(cell.job.options.tp_percent) + ", ";
     out += "\"num_test_points\": " + std::to_string(r.num_test_points) + ", ";
     out += "\"num_cells\": " + std::to_string(r.num_cells) + ", ";
     out += "\"saf_patterns\": " + std::to_string(r.saf_patterns) + ", ";
-    out += "\"chip_area_um2\": " + fmt_double(r.chip_area_um2) + ", ";
-    out += "\"wire_length_um\": " + fmt_double(r.wire_length_um) + ", ";
-    out += "\"t_cp_ps\": " + fmt_double(r.sta.worst.valid ? r.sta.worst.t_cp_ps : 0.0) + ", ";
+    out += "\"chip_area_um2\": " + report_number(r.chip_area_um2) + ", ";
+    out += "\"wire_length_um\": " + report_number(r.wire_length_um) + ", ";
+    out += "\"t_cp_ps\": " + report_number(r.sta.worst.valid ? r.sta.worst.t_cp_ps : 0.0) + ", ";
     // Conditional keys: stuck-at cells keep the seed's exact layout.
     if (r.atpg.fault_model == FaultModel::kTransition) {
       out += "\"fault_model\": \"transition\", ";
     }
     if (r.at_speed.ran) {
       out += "\"at_speed\": {";
-      out += "\"capture_period_ps\": " + fmt_double(r.at_speed.capture_period_ps) + ", ";
-      out += "\"at_speed_coverage_pct\": " + fmt_double(r.at_speed.at_speed_coverage_pct) + ", ";
+      out += "\"capture_period_ps\": " + report_number(r.at_speed.capture_period_ps) + ", ";
+      out += "\"at_speed_coverage_pct\": " + report_number(r.at_speed.at_speed_coverage_pct) + ", ";
       out += "\"slow_speed_coverage_pct\": " +
-             fmt_double(r.at_speed.slow_speed_coverage_pct) + ", ";
-      out += "\"coverage_delta_pct\": " + fmt_double(r.at_speed.coverage_delta_pct()) + ", ";
+             report_number(r.at_speed.slow_speed_coverage_pct) + ", ";
+      out += "\"coverage_delta_pct\": " + report_number(r.at_speed.coverage_delta_pct()) + ", ";
       out += "\"qualified_faults\": " + std::to_string(r.at_speed.qualified_faults) + "}, ";
     }
-    out += "\"atpg_kernel\": " + atpg_profile_json(r.atpg.profile) + ", ";
     out += "\"stages\": " + stages_json(r.timings) + "}";
   }
   for (const Stage s : kAllStages) {
@@ -146,42 +94,29 @@ std::string SweepReport::to_json() const {
     out += "    {\"name\": \"stage_totals/";
     out += stage_name(s);
     out += "\", \"run_type\": \"aggregate\", \"aggregate_name\": \"total\", ";
-    out += "\"real_time\": " + fmt_double(stage_total_ms[static_cast<std::size_t>(s)]) +
+    out += "\"real_time\": " + report_number(stage_total_ms[static_cast<std::size_t>(s)]) +
            ", \"time_unit\": \"ms\"}";
   }
   out += "\n  ]\n}\n";
   return out;
 }
 
-bool SweepReport::write_json(const std::string& path) const {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    log_warn() << "SweepReport: cannot write " << path;
-    return false;
-  }
-  const std::string json = to_json();
-  const bool ok = std::fwrite(json.data(), 1, json.size(), f) == json.size();
-  std::fclose(f);
-  if (!ok) log_warn() << "SweepReport: short write to " << path;
-  return ok;
+SweepOptions SweepOptions::from_config(const FlowConfig& config) {
+  SweepOptions opts;
+  opts.jobs = config.effective_bench_jobs();
+  opts.trace_dir = config.trace_dir;
+  opts.ledger = config.ledger;
+  return opts;
 }
 
-SweepRunner::SweepRunner(SweepOptions opts) : opts_(std::move(opts)) {}
-
-SweepRunner::SweepRunner(const FlowConfig& config) {
-  opts_.jobs = config.effective_bench_jobs();
-  opts_.trace_dir = config.trace_dir;
-  opts_.ledger = config.ledger;
+int SweepOptions::effective_jobs() const {
+  return jobs > 0 ? jobs : static_cast<int>(ThreadPool::default_concurrency());
 }
 
 std::vector<SweepJob> SweepRunner::grid(const std::vector<CircuitProfile>& circuits,
                                         const std::vector<double>& tp_percents,
                                         const FlowConfig& config) {
   return grid(circuits, tp_percents, config.options, config.stages);
-}
-
-int SweepRunner::effective_jobs() const {
-  return opts_.jobs > 0 ? opts_.jobs : static_cast<int>(ThreadPool::default_concurrency());
 }
 
 std::vector<SweepJob> SweepRunner::grid(const std::vector<CircuitProfile>& circuits,
@@ -192,9 +127,7 @@ std::vector<SweepJob> SweepRunner::grid(const std::vector<CircuitProfile>& circu
   for (const CircuitProfile& profile : circuits) {
     for (const double pct : tp_percents) {
       SweepJob job;
-      char pct_str[32];
-      std::snprintf(pct_str, sizeof pct_str, "%g", pct);
-      job.label = profile.name + "/tp=" + pct_str;
+      job.label = run_label(profile.name, pct);
       job.profile = profile;
       job.options = base_options;
       job.options.tp_percent = pct;
@@ -216,41 +149,23 @@ SweepReport SweepRunner::run(const CellLibrary& lib, std::vector<SweepJob> jobs)
   };
 
   const bool progress = opts_.progress;
-  FlowObserver* observer = opts_.observer;
   const std::string& trace_dir = opts_.trace_dir;
-  if (!trace_dir.empty()) ::mkdir(trace_dir.c_str(), 0777);  // EEXIST is fine
-  std::unique_ptr<Ledger> ledger;
-  if (!opts_.ledger.empty()) ledger = std::make_unique<Ledger>(opts_.ledger);
+  const RunRecorder recorder(opts_.ledger);
 
-  const auto sweep_t0 = Clock::now();
+  const auto sweep_t0 = std::chrono::steady_clock::now();
   std::vector<std::future<CellOut>> futures;
   futures.reserve(jobs.size());
   {
     ThreadPool pool(static_cast<unsigned>(report.jobs));
     for (std::size_t i = 0; i < jobs.size(); ++i) {
       const SweepJob& job = jobs[i];
-      futures.push_back(pool.submit([&lib, &job, &trace_dir, i, progress, observer] {
+      futures.push_back(pool.submit([&lib, &job, &trace_dir, i, progress] {
         if (progress) std::fprintf(stderr, "[sweep] %s...\n", job.label.c_str());
-        // Per-cell flight recorder: this worker's spans go to the cell's
-        // own sink, so concurrent cells never share a trace file.
-        std::unique_ptr<TraceSink> sink;
-        if (!trace_dir.empty()) {
-          sink = std::make_unique<TraceSink>(static_cast<std::uint64_t>(i + 1),
-                                             job.label);
-        }
-        const auto t0 = Clock::now();
+        const RunRecorder::Trace trace(!trace_dir.empty(), i + 1, job.label);
+        const auto t0 = std::chrono::steady_clock::now();
         FlowEngine engine(lib, job.profile, job.options);
-        engine.set_job_label(job.label);
-        engine.set_observer(observer);
-        {
-          std::optional<ScopedTraceSink> scope;
-          if (sink != nullptr) scope.emplace(*sink);
-          engine.run(job.stages);
-        }
-        if (sink != nullptr) {
-          sink->write_json(trace_dir + "/" + sanitize_trace_label(job.label) +
-                           ".trace.json");
-        }
+        trace.run([&] { engine.run(job.stages); });
+        trace.write(trace_dir, sanitize_trace_label(job.label));
         return CellOut{engine.result(), ms_since(t0)};
       }));
     }
@@ -259,15 +174,12 @@ SweepReport SweepRunner::run(const CellLibrary& lib, std::vector<SweepJob> jobs)
     // Ledger lines are appended here too, so their order is deterministic.
     for (std::size_t i = 0; i < futures.size(); ++i) {
       CellOut out = futures[i].get();
-      if (ledger != nullptr) {
+      if (recorder.has_ledger()) {
         FlowConfig cell_cfg;
         cell_cfg.profile = jobs[i].profile.name;
         cell_cfg.options = jobs[i].options;
         cell_cfg.stages = jobs[i].stages;
-        const JsonParseResult cfg_json = json_parse(cell_cfg.to_json());
-        ledger->append(jobs[i].label,
-                       cfg_json.ok ? cfg_json.value : JsonValue(JsonObject{}),
-                       flow_result_to_json_value(out.result));
+        recorder.append(jobs[i].label, cell_cfg, flow_result_to_json_value(out.result));
       }
       report.cells.push_back(
           {std::move(jobs[i]), std::move(out.result), out.wall_ms});

@@ -14,21 +14,20 @@
 
 #include <array>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "flow/flow.hpp"
+#include "flow/run_recorder.hpp"
 
 namespace tpi {
 
 struct FlowConfig;  // flow_config.hpp
 
-/// Collision-free file-name form of a job label: `[A-Za-z0-9.=-]` bytes
-/// pass through, every other byte becomes `_` + two lowercase hex digits
-/// ("s38417/tp=2" -> "s38417_2ftp=2"). Because `_` itself is escaped
-/// ("_5f"), the mapping is injective — two distinct labels can never land
-/// in the same trace file, which the old '/'-to-'_' mapping allowed
-/// ("s38417/tp=2" vs "s38417_tp=2").
-std::string sanitize_trace_label(const std::string& label);
+/// Formatting shared by the sweep and SOC sweep JSON reports: numbers as
+/// "%.4f"; strings with '"' and '\\' escaped and control bytes dropped.
+std::string report_number(double v);
+std::string report_escape(const std::string& s);
 
 /// One grid cell: a full flow run of `profile` with `options`
 /// (tp_percent and seeds live inside `options`), restricted to `stages`.
@@ -44,9 +43,6 @@ struct SweepOptions {
   int jobs = 0;
   /// Announce each cell on stderr as a worker picks it up.
   bool progress = true;
-  /// Observer attached to every FlowEngine (must be thread-safe when
-  /// jobs > 1); nullptr = none.
-  FlowObserver* observer = nullptr;
   /// Per-cell flight recorder directory (TPI_TRACE_DIR / FlowConfig
   /// trace_dir): each cell's spans go to its own TraceSink and are written
   /// as <trace_dir>/<sanitize_trace_label(label)>.trace.json, so
@@ -55,6 +51,12 @@ struct SweepOptions {
   /// Run-ledger JSONL path (TPI_LEDGER / FlowConfig ledger): every cell's
   /// deterministic flow result is appended in submission order. Empty = off.
   std::string ledger;
+
+  /// jobs = config.effective_bench_jobs(), trace_dir and ledger from
+  /// `config`, progress on.
+  static SweepOptions from_config(const FlowConfig& config);
+  /// Worker threads a runner with these options uses (>= 1).
+  int effective_jobs() const;
 };
 
 struct SweepCellResult {
@@ -81,17 +83,14 @@ struct SweepReport {
   /// with one entry per cell (real_time = cell wall clock, per-stage times
   /// under "stages") plus one "stage_totals/<stage>" aggregate per stage.
   std::string to_json() const;
-
-  /// to_json() written to `path` (returns false + warning on I/O failure).
-  bool write_json(const std::string& path) const;
 };
 
 class SweepRunner {
  public:
-  explicit SweepRunner(SweepOptions opts = {});
-  /// Runner sized from a unified FlowConfig (jobs =
-  /// config.effective_bench_jobs(), progress on).
-  explicit SweepRunner(const FlowConfig& config);
+  explicit SweepRunner(SweepOptions opts = {}) : opts_(std::move(opts)) {}
+  /// Runner sized from a unified FlowConfig (SweepOptions::from_config).
+  explicit SweepRunner(const FlowConfig& config)
+      : SweepRunner(SweepOptions::from_config(config)) {}
 
   /// Execute all jobs on the pool; blocks until the grid is done. An
   /// exception escaping a cell's flow run is rethrown here after the
@@ -112,7 +111,7 @@ class SweepRunner {
                                     const FlowConfig& config);
 
   /// Number of worker threads run() will use.
-  int effective_jobs() const;
+  int effective_jobs() const { return opts_.effective_jobs(); }
 
  private:
   SweepOptions opts_;

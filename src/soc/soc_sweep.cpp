@@ -1,32 +1,13 @@
 #include "soc/soc_sweep.hpp"
 
-#include <sys/stat.h>
-
 #include <chrono>
 #include <cstdio>
-#include <memory>
-#include <optional>
 #include <utility>
 
 #include "flow/flow_config.hpp"
-#include "util/ledger.hpp"
-#include "util/log.hpp"
-#include "util/trace.hpp"
 
 namespace tpi {
 namespace {
-
-using Clock = std::chrono::steady_clock;
-
-double ms_since(Clock::time_point t0) {
-  return std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
-}
-
-std::string fmt_double(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.4f", v);
-  return buf;
-}
 
 /// The cell's effective FlowConfig, for the ledger's config fingerprint.
 FlowConfig cell_config(const SocSweepJob& job) {
@@ -42,18 +23,6 @@ FlowConfig cell_config(const SocSweepJob& job) {
 
 }  // namespace
 
-SocSweepRunner::SocSweepRunner(SweepOptions opts) : opts_(std::move(opts)) {}
-
-SocSweepRunner::SocSweepRunner(const FlowConfig& config) {
-  opts_.jobs = config.effective_bench_jobs();
-  opts_.trace_dir = config.trace_dir;
-  opts_.ledger = config.ledger;
-}
-
-int SocSweepRunner::effective_jobs() const {
-  return opts_.jobs > 0 ? opts_.jobs : static_cast<int>(ThreadPool::default_concurrency());
-}
-
 std::vector<SocSweepJob> SocSweepRunner::grid(const std::vector<int>& cores,
                                               const std::vector<int>& tam_widths,
                                               const std::vector<double>& tp_percents,
@@ -64,19 +33,11 @@ std::vector<SocSweepJob> SocSweepRunner::grid(const std::vector<int>& cores,
     for (const int w : tam_widths) {
       for (const double pct : tp_percents) {
         SocSweepJob job;
-        char pct_str[32];
-        std::snprintf(pct_str, sizeof pct_str, "%g", pct);
-        job.label = "soc=" + std::to_string(n) + "/tam=" + std::to_string(w) +
-                    "/tp=" + pct_str;
+        job.label = soc_run_label(n, w, pct);
+        job.options = soc_options_from(config);
         job.options.cores = n;
         job.options.tam_width = w;
-        job.options.schedule = soc_schedule_from_name(config.soc.schedule)
-                                   .value_or(SocScheduleMethod::kDiagonal);
-        job.options.scale = config.scale;
-        job.options.flow = config.options;
         job.options.flow.tp_percent = pct;
-        job.options.stages = config.stages;
-        job.options.jobs = config.effective_bench_jobs();
         jobs.push_back(std::move(job));
       }
     }
@@ -87,44 +48,28 @@ std::vector<SocSweepJob> SocSweepRunner::grid(const std::vector<int>& cores,
 SocSweepReport SocSweepRunner::run(const CellLibrary& lib,
                                    std::vector<SocSweepJob> jobs) const {
   SocSweepReport report;
-  report.jobs = effective_jobs();
+  report.jobs = opts_.effective_jobs();
   report.cells.reserve(jobs.size());
-
-  const std::string& trace_dir = opts_.trace_dir;
-  if (!trace_dir.empty()) ::mkdir(trace_dir.c_str(), 0777);  // EEXIST is fine
-  std::unique_ptr<Ledger> ledger;
-  if (!opts_.ledger.empty()) ledger = std::make_unique<Ledger>(opts_.ledger);
+  const RunRecorder recorder(opts_.ledger);
 
   // One pool + one cache across the whole grid; cells run on this thread,
   // so the pool only ever executes leaf (core-flow) tasks.
   ThreadPool pool(static_cast<unsigned>(report.jobs));
   DesignCache cache(lib, std::size_t{256} << 20);
 
-  const auto sweep_t0 = Clock::now();
+  const auto sweep_t0 = std::chrono::steady_clock::now();
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     SocSweepJob& job = jobs[i];
     if (opts_.progress) std::fprintf(stderr, "[soc-sweep] %s...\n", job.label.c_str());
-    std::unique_ptr<TraceSink> sink;
-    if (!trace_dir.empty()) {
-      sink = std::make_unique<TraceSink>(static_cast<std::uint64_t>(i + 1), job.label);
-    }
-    const auto t0 = Clock::now();
+    const RunRecorder::Trace trace(!opts_.trace_dir.empty(), i + 1, job.label);
+    const auto t0 = std::chrono::steady_clock::now();
     SocRunner runner(job.options);
     SocResult result;
-    {
-      std::optional<ScopedTraceSink> scope;
-      if (sink != nullptr) scope.emplace(*sink);
-      result = runner.run(lib, &pool, &cache);
-    }
+    trace.run([&] { result = runner.run(lib, &pool, &cache); });
     const double wall = ms_since(t0);
-    if (sink != nullptr) {
-      sink->write_json(trace_dir + "/" + sanitize_trace_label(job.label) +
-                       ".trace.json");
-    }
-    if (ledger != nullptr) {
-      const JsonParseResult cfg_json = json_parse(cell_config(job).to_json());
-      ledger->append(job.label, cfg_json.ok ? cfg_json.value : JsonValue(JsonObject{}),
-                     soc_result_to_json_value(result));
+    trace.write(opts_.trace_dir, sanitize_trace_label(job.label));
+    if (recorder.has_ledger()) {
+      recorder.append(job.label, cell_config(job), soc_result_to_json_value(result));
     }
     report.cells.push_back({std::move(job), std::move(result), wall});
   }
@@ -140,8 +85,8 @@ std::string SocSweepReport::to_json() const {
   std::string out = "{\n  \"context\": {\n";
   out += "    \"jobs\": " + std::to_string(jobs) + ",\n";
   out += "    \"num_cells\": " + std::to_string(cells.size()) + ",\n";
-  out += "    \"wall_ms\": " + fmt_double(wall_ms) + ",\n";
-  out += "    \"cpu_ms\": " + fmt_double(cpu_ms) + "\n";
+  out += "    \"wall_ms\": " + report_number(wall_ms) + ",\n";
+  out += "    \"cpu_ms\": " + report_number(cpu_ms) + "\n";
   out += "  },\n";
   // Deterministic subset: bit-identical at any job count / SIMD backend.
   out += "  \"metrics\": " + metrics.to_json(MetricsSnapshot::kNoRuntime) + ",\n";
@@ -151,33 +96,20 @@ std::string SocSweepReport::to_json() const {
     if (!first) out += ",\n";
     first = false;
     const SocResult& r = cell.result;
-    out += "    {\"name\": \"" + cell.job.label + "\", ";
+    out += "    {\"name\": \"" + report_escape(cell.job.label) + "\", ";
     out += "\"run_type\": \"iteration\", \"iterations\": 1, ";
-    out += "\"real_time\": " + fmt_double(cell.wall_ms) + ", ";
+    out += "\"real_time\": " + report_number(cell.wall_ms) + ", ";
     out += "\"time_unit\": \"ms\", ";
     out += "\"cores\": " + std::to_string(r.cores) + ", ";
     out += "\"tam_width\": " + std::to_string(r.tam_width) + ", ";
-    out += "\"tp_percent\": " + fmt_double(cell.job.options.flow.tp_percent) + ", ";
+    out += "\"tp_percent\": " + report_number(cell.job.options.flow.tp_percent) + ", ";
     out += "\"schedule\": \"" + std::string(soc_schedule_name(r.schedule)) + "\", ";
     out += "\"chip_tat_cycles\": " + std::to_string(r.chip_tat_cycles) + ", ";
     out += "\"serial_tat_cycles\": " + std::to_string(r.serial_tat_cycles) + ", ";
-    out += "\"tam_utilization_pct\": " + fmt_double(r.tam_utilization_pct) + "}";
+    out += "\"tam_utilization_pct\": " + report_number(r.tam_utilization_pct) + "}";
   }
   out += "\n  ]\n}\n";
   return out;
-}
-
-bool SocSweepReport::write_json(const std::string& path) const {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    log_warn() << "SocSweepReport: cannot write " << path;
-    return false;
-  }
-  const std::string json = to_json();
-  const bool ok = std::fwrite(json.data(), 1, json.size(), f) == json.size();
-  std::fclose(f);
-  if (!ok) log_warn() << "SocSweepReport: short write to " << path;
-  return ok;
 }
 
 }  // namespace tpi

@@ -14,6 +14,7 @@
 #pragma once
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "flow/sweep.hpp"
@@ -46,14 +47,14 @@ struct SocSweepReport {
   /// tam_utilization_pct. Everything except the context block and
   /// real_time is bit-identical at any job count and SIMD backend.
   std::string to_json() const;
-  bool write_json(const std::string& path) const;
 };
 
 class SocSweepRunner {
  public:
-  explicit SocSweepRunner(SweepOptions opts = {});
-  /// Runner sized from a unified FlowConfig (jobs, trace_dir, ledger).
-  explicit SocSweepRunner(const FlowConfig& config);
+  explicit SocSweepRunner(SweepOptions opts = {}) : opts_(std::move(opts)) {}
+  /// Runner sized from a unified FlowConfig (SweepOptions::from_config).
+  explicit SocSweepRunner(const FlowConfig& config)
+      : SocSweepRunner(SweepOptions::from_config(config)) {}
 
   /// Run all cells (sequentially; per-core flows in parallel). A cell's
   /// exception propagates after the shared pool drains.
@@ -66,8 +67,6 @@ class SocSweepRunner {
                                        const std::vector<int>& tam_widths,
                                        const std::vector<double>& tp_percents,
                                        const FlowConfig& config);
-
-  int effective_jobs() const;
 
  private:
   SweepOptions opts_;

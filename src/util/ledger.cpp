@@ -1,6 +1,5 @@
 #include "util/ledger.hpp"
 
-#include <cstdlib>
 #include <ctime>
 
 #include "util/log.hpp"
@@ -120,12 +119,6 @@ std::vector<LedgerEntry> Ledger::read_file(const std::string& path) {
   flush_line(line);  // unterminated trailing line (crash mid-append)
   std::fclose(f);
   return entries;
-}
-
-std::unique_ptr<Ledger> Ledger::from_env() {
-  const char* path = std::getenv("TPI_LEDGER");
-  if (path == nullptr || *path == '\0') return nullptr;
-  return std::make_unique<Ledger>(path);
 }
 
 }  // namespace tpi

@@ -15,14 +15,14 @@
 // flushed per line; a reader that hits a torn or malformed trailing line
 // (crash mid-append) skips it rather than failing the whole file.
 //
-// Producers: FlowServer (every finished job when TPI_LEDGER is set) and
-// SweepRunner (every cell). The path comes from TPI_LEDGER or the
+// Producers, all through RunRecorder (flow/run_recorder.hpp): FlowServer
+// (every job that finishes kDone), SweepRunner (every cell) and
+// SocSweepRunner (every chip). The path comes from TPI_LEDGER or the
 // FlowConfig "ledger" key.
 #pragma once
 
 #include <cstdint>
 #include <cstdio>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
@@ -79,9 +79,6 @@ class Ledger {
   /// Parse every well-formed line of a ledger file, skipping malformed
   /// ones (torn writes, foreign schema lines keep their raw envelope).
   static std::vector<LedgerEntry> read_file(const std::string& path);
-
-  /// Ledger at $TPI_LEDGER, or nullptr when the variable is unset/empty.
-  static std::unique_ptr<Ledger> from_env();
 
  private:
   std::string path_;

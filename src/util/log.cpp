@@ -77,4 +77,16 @@ void log_line(LogLevel level, const std::string& msg) {
   std::fwrite(line.data(), 1, line.size(), stderr);
 }
 
+bool write_text_file(const std::string& path, std::string_view text, const char* what) {
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  if (f == nullptr) {
+    log_warn() << what << ": cannot write " << path;
+    return false;
+  }
+  const bool ok = std::fwrite(text.data(), 1, text.size(), f) == text.size();
+  std::fclose(f);
+  if (!ok) log_warn() << what << ": short write to " << path;
+  return ok;
+}
+
 }  // namespace tpi

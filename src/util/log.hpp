@@ -28,6 +28,10 @@ LogLevel set_log_level_from_env(LogLevel fallback = LogLevel::kWarn);
 /// Emit one line (with level tag and elapsed wall time) to stderr.
 void log_line(LogLevel level, const std::string& msg);
 
+/// Write `text` to `path`. On failure warn "<what>: cannot write <path>"
+/// (or "short write to") and return false.
+bool write_text_file(const std::string& path, std::string_view text, const char* what);
+
 namespace detail {
 
 class LogStream {

@@ -189,24 +189,8 @@ std::string trace_to_json() {
   return out;
 }
 
-namespace {
-
-bool write_string(const std::string& json, const std::string& path, const char* what) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    log_warn() << what << ": cannot write " << path;
-    return false;
-  }
-  const bool ok = std::fwrite(json.data(), 1, json.size(), f) == json.size();
-  std::fclose(f);
-  if (!ok) log_warn() << what << ": short write to " << path;
-  return ok;
-}
-
-}  // namespace
-
 bool trace_write_json(const std::string& path) {
-  return write_string(trace_to_json(), path, "trace");
+  return write_text_file(path, trace_to_json(), "trace");
 }
 
 const char* trace_init_from_env() {
@@ -270,10 +254,6 @@ std::string TraceSink::to_json() const {
   }
   out += "\n]}\n";
   return out;
-}
-
-bool TraceSink::write_json(const std::string& path) const {
-  return write_string(to_json(), path, "trace sink");
 }
 
 ScopedTraceSink::ScopedTraceSink(TraceSink& sink) : prev_(trace_detail::t_sink) {

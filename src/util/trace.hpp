@@ -110,9 +110,6 @@ class TraceSink {
   /// trace_to_json, plus a process_name metadata event carrying `label`).
   std::string to_json() const;
 
-  /// to_json() written to `path`; false + warning on I/O failure.
-  bool write_json(const std::string& path) const;
-
   /// Used by trace_detail::record; not part of the public surface.
   void append(const char* name, std::uint64_t begin_ns, std::uint64_t end_ns,
               std::uint32_t tid);

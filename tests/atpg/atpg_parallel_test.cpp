@@ -11,6 +11,7 @@
 #include "circuits/generator.hpp"
 #include "scan/scan.hpp"
 #include "tpi/tpi.hpp"
+#include "util/metrics.hpp"
 #include "util/rng.hpp"
 
 namespace tpi {
@@ -18,7 +19,17 @@ namespace {
 
 using test::lib;
 
-AtpgResult run_with_jobs(const CircuitProfile& profile, int jobs, int test_points = 0) {
+/// run_atpg's result plus the metrics it published.
+struct AtpgRun : AtpgResult {
+  MetricsSnapshot metrics;
+};
+
+double sim_jobs(const AtpgRun& run) {
+  const MetricValue* v = run.metrics.find("rt.atpg.sim.jobs");
+  return v != nullptr ? v->value : 0.0;
+}
+
+AtpgRun run_with_jobs(const CircuitProfile& profile, int jobs, int test_points = 0) {
   auto nl = generate_circuit(lib(), profile);
   if (test_points > 0) {
     TpiOptions to;
@@ -33,10 +44,14 @@ AtpgResult run_with_jobs(const CircuitProfile& profile, int jobs, int test_point
   const TestabilityResult t = analyze_testability(model);
   AtpgOptions opts;
   opts.jobs = jobs;
-  return run_atpg(model, t, opts);
+  MetricsRegistry registry;
+  const ScopedMetricsRegistry scope(registry);
+  AtpgRun run{run_atpg(model, t, opts), {}};
+  run.metrics = registry.snapshot();
+  return run;
 }
 
-void expect_bit_identical(const AtpgResult& a, const AtpgResult& b) {
+void expect_bit_identical(const AtpgRun& a, const AtpgRun& b) {
   // Patterns: count and every bit.
   ASSERT_EQ(a.patterns.size(), b.patterns.size());
   for (std::size_t i = 0; i < a.patterns.size(); ++i) {
@@ -58,24 +73,19 @@ void expect_bit_identical(const AtpgResult& a, const AtpgResult& b) {
   EXPECT_EQ(a.patterns_before_compaction, b.patterns_before_compaction);
   EXPECT_EQ(a.podem_calls, b.podem_calls);
   EXPECT_EQ(a.podem_aborts, b.podem_aborts);
-  // Kernel event counters are scheduling-independent too (each fault is
-  // graded exactly once; only wall_ms may differ).
-  const AtpgPhaseProfile pa = a.profile.total();
-  const AtpgPhaseProfile pb = b.profile.total();
-  EXPECT_EQ(pa.batches, pb.batches);
-  EXPECT_EQ(pa.faults_graded, pb.faults_graded);
-  EXPECT_EQ(pa.cone_skips, pb.cone_skips);
-  EXPECT_EQ(pa.node_evals, pb.node_evals);
-  EXPECT_EQ(pa.events, pb.events);
+  // The published atpg.sim.* kernel counters are scheduling-independent
+  // too (each fault is graded exactly once per batch).
+  EXPECT_EQ(a.metrics.to_json(MetricsSnapshot::kNoRuntime),
+            b.metrics.to_json(MetricsSnapshot::kNoRuntime));
 }
 
 TEST(AtpgParallelTest, BitIdenticalAcrossJobCountsOnTinyProfile) {
-  const AtpgResult serial = run_with_jobs(test::tiny_profile(11), 1);
-  const AtpgResult two = run_with_jobs(test::tiny_profile(11), 2);
-  const AtpgResult hw = run_with_jobs(test::tiny_profile(11), 0);  // hardware
-  EXPECT_EQ(serial.profile.jobs, 1);
-  EXPECT_EQ(two.profile.jobs, 2);
-  EXPECT_GE(hw.profile.jobs, 1);
+  const AtpgRun serial = run_with_jobs(test::tiny_profile(11), 1);
+  const AtpgRun two = run_with_jobs(test::tiny_profile(11), 2);
+  const AtpgRun hw = run_with_jobs(test::tiny_profile(11), 0);  // hardware
+  EXPECT_EQ(sim_jobs(serial), 1.0);
+  EXPECT_EQ(sim_jobs(two), 2.0);
+  EXPECT_GE(sim_jobs(hw), 1.0);
   expect_bit_identical(serial, two);
   expect_bit_identical(serial, hw);
 }
@@ -91,13 +101,15 @@ TEST(AtpgParallelTest, BitIdenticalOnHardBlockProfileWithTestPoints) {
   p.hard_classes_per_block = 12;
   p.hard_mode_bits = 5;
 
-  const AtpgResult serial = run_with_jobs(p, 1, 4);
-  const AtpgResult two = run_with_jobs(p, 2, 4);
-  const AtpgResult four = run_with_jobs(p, 4, 4);
+  const AtpgRun serial = run_with_jobs(p, 1, 4);
+  const AtpgRun two = run_with_jobs(p, 2, 4);
+  const AtpgRun four = run_with_jobs(p, 4, 4);
   expect_bit_identical(serial, two);
   expect_bit_identical(serial, four);
   EXPECT_GT(serial.num_patterns(), 0);
-  EXPECT_GT(serial.profile.total().faults_graded, 0u);
+  const MetricValue* graded = serial.metrics.find("atpg.sim.faults_graded");
+  ASSERT_NE(graded, nullptr);
+  EXPECT_GT(graded->count, 0u);
 }
 
 TEST(AtpgParallelTest, BankGradeMatchesPerFaultDetects) {

@@ -1,14 +1,29 @@
-// Shared helpers for tests: hand-built netlists with known behaviour and a
-// tiny generator profile used by the cross-module tests.
+// Shared helpers for tests: hand-built netlists with known behaviour, a
+// tiny generator profile used by the cross-module tests, and a file reader
+// for the trace/ledger files the flow writes.
 #pragma once
 
+#include <cstdio>
 #include <memory>
+#include <string>
 
 #include "circuits/generator.hpp"
 #include "circuits/profiles.hpp"
 #include "netlist/netlist.hpp"
 
 namespace tpi::test {
+
+/// Whole contents of `path`; "" when it cannot be opened.
+inline std::string read_text_file(const std::string& path) {
+  std::string out;
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (f == nullptr) return out;
+  char buf[4096];
+  std::size_t n;
+  while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) out.append(buf, n);
+  std::fclose(f);
+  return out;
+}
 
 /// Library shared by all tests in a binary.
 inline const CellLibrary& lib() {

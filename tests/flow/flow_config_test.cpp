@@ -186,7 +186,9 @@ TEST(FlowConfigTest, AtpgJobsExplicitConfigBeatsEnv) {
   // And the engine actually runs with the explicit value.
   FlowEngine engine(test::lib(), cfg);
   const FlowResult& res = engine.run(StageMask::through(Stage::kReorderAtpg));
-  EXPECT_EQ(res.atpg.profile.jobs, 2);
+  const MetricValue* jobs = res.metrics.find("rt.atpg.sim.jobs");
+  ASSERT_NE(jobs, nullptr);
+  EXPECT_EQ(jobs->value, 2.0);
 }
 
 TEST(FlowConfigTest, StagesParsing) {

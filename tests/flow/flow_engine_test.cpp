@@ -1,5 +1,5 @@
-// FlowEngine stage-model tests: observer callbacks, stage masks, per-stage
-// timings, and equivalence with the legacy run_flow_on() wrapper.
+// FlowEngine stage-model tests: observer callbacks, stage masks and
+// per-stage timings.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -7,7 +7,6 @@
 #include "../common/test_circuits.hpp"
 #include "circuits/generator.hpp"
 #include "flow/flow.hpp"
-#include "flow/trace_observer.hpp"
 
 namespace tpi {
 namespace {
@@ -45,6 +44,7 @@ TEST(StageMaskTest, NamedStageAlgebra) {
   EXPECT_EQ(StageMask::all().to_string(),
             "tpi_scan|floorplan_place|reorder_atpg|eco|extract|sta");
   EXPECT_EQ(StageMask::none().to_string(), "none");
+  EXPECT_FALSE(StageMask::all().has(Stage::kVerify));  // verify is opt-in
 }
 
 TEST(StageMaskTest, StageNamesRoundTrip) {
@@ -54,23 +54,6 @@ TEST(StageMaskTest, StageNamesRoundTrip) {
     EXPECT_EQ(*parsed, s);
   }
   EXPECT_FALSE(stage_from_name("no_such_stage").has_value());
-}
-
-TEST(StageMaskTest, LegacyBooleansMapOntoMask) {
-  FlowOptions opts;
-  EXPECT_EQ(stage_mask_from(opts), StageMask::all());
-  opts.run_atpg = false;
-  EXPECT_EQ(stage_mask_from(opts), StageMask::all().without(Stage::kReorderAtpg));
-  opts.run_sta = false;
-  EXPECT_EQ(stage_mask_from(opts), StageMask::all()
-                                       .without(Stage::kReorderAtpg)
-                                       .without(Stage::kExtract)
-                                       .without(Stage::kSta));
-  opts.run_atpg = true;
-  opts.run_sta = true;
-  opts.verify = true;
-  EXPECT_EQ(stage_mask_from(opts), StageMask::all().with(Stage::kVerify));
-  EXPECT_FALSE(StageMask::all().has(Stage::kVerify));  // verify is opt-in
 }
 
 TEST(FlowEngineTest, ObserverSeesAllSixStagesInOrder) {
@@ -171,17 +154,6 @@ TEST(FlowEngineTest, ResultCarriesMetricsSnapshot) {
   EXPECT_EQ(fresh_stages->count, 1u);
 }
 
-TEST(FlowEngineTest, TracingObserverCountsStageBoundaries) {
-  FlowOptions opts;
-  opts.tp_percent = 2.0;
-  FlowEngine engine(lib(), test::tiny_profile(29), opts);
-  TracingFlowObserver obs;
-  engine.set_observer(&obs);
-  engine.run();
-  EXPECT_EQ(obs.stages_begun(), 6u);
-  EXPECT_EQ(obs.stages_ended(), 6u);
-}
-
 // The opt-in verify stage: the default flow's transforms must be mission-
 // mode equivalent to the generated netlist, and every claimed ATPG fault
 // detection must replay.
@@ -190,7 +162,7 @@ TEST(FlowEngineTest, VerifyStageConfirmsFlowAndReplay) {
   opts.tp_percent = 5.0;
   opts.verify = true;
   FlowEngine engine(lib(), test::tiny_profile(30), opts);
-  const FlowResult& r = engine.run(stage_mask_from(opts));
+  const FlowResult& r = engine.run(StageMask::all().with(Stage::kVerify));
   EXPECT_TRUE(engine.stage_ran(Stage::kVerify));
   ASSERT_TRUE(r.verify.ran);
   EXPECT_TRUE(r.verify.ok()) << r.verify.error;
@@ -223,50 +195,15 @@ TEST(FlowEngineTest, VerifyStageRequiresSnapshot) {
   EXPECT_FALSE(engine.result().verify.ran);
 }
 
-// The legacy wrappers and the staged engine must produce bit-identical
-// results for the same profile and options (the wrapper IS the engine, but
-// this pins the compat mapping of run_atpg/run_sta onto StageMask).
-TEST(FlowEngineTest, WrapperMatchesEngineBitExactly) {
-  for (const bool with_atpg : {false, true}) {
-    FlowOptions opts;
-    opts.tp_percent = 10.0;
-    opts.run_atpg = with_atpg;
-    const FlowResult a = run_flow(lib(), test::tiny_profile(26), opts);
-
-    FlowEngine engine(lib(), test::tiny_profile(26), opts);
-    const FlowResult& b = engine.run(stage_mask_from(opts));
-
-    EXPECT_EQ(a.num_test_points, b.num_test_points);
-    EXPECT_EQ(a.num_ffs, b.num_ffs);
-    EXPECT_EQ(a.num_chains, b.num_chains);
-    EXPECT_EQ(a.saf_patterns, b.saf_patterns);
-    EXPECT_EQ(a.num_cells, b.num_cells);
-    EXPECT_DOUBLE_EQ(a.scan_wire_length_um, b.scan_wire_length_um);
-    EXPECT_DOUBLE_EQ(a.wire_length_um, b.wire_length_um);
-    EXPECT_DOUBLE_EQ(a.chip_area_um2, b.chip_area_um2);
-    EXPECT_DOUBLE_EQ(a.sta.worst.t_cp_ps, b.sta.worst.t_cp_ps);
-  }
-}
-
-// Masking off reorder_atpg must reproduce the legacy run_atpg=false flow
-// exactly: chains still stitched (they shape routing), ATPG skipped.
+// Masking off reorder_atpg skips ATPG but still stitches the scan chains,
+// which the downstream layout stages need.
 TEST(FlowEngineTest, MaskedAtpgKeepsScanStitchingIdentical) {
-  FlowOptions legacy;
-  legacy.tp_percent = 5.0;
-  legacy.run_atpg = false;
-  const FlowResult a = run_flow(lib(), test::tiny_profile(27), legacy);
-
   FlowOptions opts;
   opts.tp_percent = 5.0;
   FlowEngine engine(lib(), test::tiny_profile(27), opts);
-  const FlowResult& b = engine.run(StageMask::all().without(Stage::kReorderAtpg));
-
-  EXPECT_EQ(b.saf_patterns, 0);
-  EXPECT_GT(b.num_chains, 0);
-  EXPECT_EQ(a.num_chains, b.num_chains);
-  EXPECT_DOUBLE_EQ(a.scan_wire_length_um, b.scan_wire_length_um);
-  EXPECT_DOUBLE_EQ(a.wire_length_um, b.wire_length_um);
-  EXPECT_DOUBLE_EQ(a.sta.worst.t_cp_ps, b.sta.worst.t_cp_ps);
+  const FlowResult& r = engine.run(StageMask::all().without(Stage::kReorderAtpg));
+  EXPECT_EQ(r.saf_patterns, 0);
+  EXPECT_GT(r.num_chains, 0);
 }
 
 }  // namespace

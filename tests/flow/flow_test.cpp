@@ -12,9 +12,7 @@ namespace {
 
 using test::lib;
 
-// End-to-end flow properties, driven through FlowEngine + StageMask (the
-// deprecated run_flow()/run_atpg shims have their own compat pins in
-// flow_engine_test.cpp).
+// End-to-end flow properties, driven through FlowEngine + StageMask.
 constexpr StageMask kNoAtpg = StageMask::all().without(Stage::kReorderAtpg);
 constexpr StageMask kLayoutOnly =
     StageMask::all().without(Stage::kReorderAtpg).without(Stage::kExtract).without(Stage::kSta);

@@ -160,13 +160,8 @@ TEST(SweepRunnerTest, TraceDirAndLedgerRecordEveryCell) {
     // "tinyA/tp=0" -> "tinyA_2ftp=0.trace.json" (sanitize_trace_label).
     const std::string path =
         trace_dir + "/" + sanitize_trace_label(job.label) + ".trace.json";
-    std::FILE* f = std::fopen(path.c_str(), "rb");
-    ASSERT_NE(f, nullptr) << path;
-    std::string contents;
-    char buf[4096];
-    std::size_t n;
-    while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) contents.append(buf, n);
-    std::fclose(f);
+    const std::string contents = test::read_text_file(path);
+    ASSERT_FALSE(contents.empty()) << path;
     std::remove(path.c_str());
     std::string error;
     EXPECT_TRUE(json_well_formed(contents, &error)) << path << ": " << error;

@@ -385,7 +385,7 @@ TEST(DesignDbTest, TpiReportsNetsChangedPerRound) {
 
 // ---- flow-level construction savings (the tentpole's acceptance bar) ----
 
-// Default run_flow at 1% TP on the tiny profile (0 test points, so no
+// Default full flow at 1% TP on the tiny profile (0 test points, so no
 // TSFFs). Before the DesignDB refactor the flow built 4 topo/comb
 // structures: ATPG's CombModel + its internal levelize, then two levelize
 // calls inside run_sta. With the DB, stage 3 rebuilds one TopoOrder + one

@@ -6,9 +6,11 @@
 #include "server/flow_server.hpp"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <condition_variable>
+#include <cstdio>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -18,6 +20,7 @@
 #include "server/client.hpp"
 #include "circuits/design_cache.hpp"
 #include "util/json.hpp"
+#include "util/ledger.hpp"
 
 namespace tpi {
 namespace {
@@ -427,9 +430,11 @@ TEST(FlowServerTest, TraceRpcReturnsOnlyThatJobsSpans) {
   FlowServer server(tiny_base(), opts);
 
   // Two traced jobs run concurrently on the two workers: each retrieved
-  // trace must carry only its own job's spans (pid == job id).
+  // trace must carry only its own job's spans (pid == job id). Job a also
+  // spills its trace to trace_dir as job_<id>.trace.json.
+  const std::string dir = ::testing::TempDir() + "tpi_server_traces";
   const std::uint64_t a =
-      submit(server, "{\"tp_percent\": 2.0, \"record_trace\": true}");
+      submit(server, "{\"tp_percent\": 2.0, \"trace_dir\": \"" + dir + "\"}");
   const std::uint64_t b =
       submit(server, "{\"tp_percent\": 4.0, \"record_trace\": true}");
   const std::uint64_t untraced = submit(server, "{\"tp_percent\": 2.0}");
@@ -458,6 +463,19 @@ TEST(FlowServerTest, TraceRpcReturnsOnlyThatJobsSpans) {
     const std::uint64_t other = job == a ? b : a;
     EXPECT_EQ(serialised.find("\"pid\":" + std::to_string(other)),
               std::string::npos);
+    if (job != a) continue;
+    const std::string path = dir + "/job_" + std::to_string(a) + ".trace.json";
+    const JsonParseResult file = json_parse(test::read_text_file(path));
+    ASSERT_TRUE(file.ok) << path << ": " << file.error;
+    EXPECT_EQ(file.value.serialise(), serialised);
+    for (const Stage s : kAllStages) {
+      if (!StageMask::all().has(s)) continue;
+      EXPECT_NE(serialised.find(std::string("\"name\":\"") + stage_name(s) + "\""),
+                std::string::npos)
+          << stage_name(s);
+    }
+    std::remove(path.c_str());
+    ::rmdir(dir.c_str());
   }
 
   // No recorder attached: the RPC says how to get one.
@@ -468,6 +486,39 @@ TEST(FlowServerTest, TraceRpcReturnsOnlyThatJobsSpans) {
   const JsonValue* err = resp.find("error");
   ASSERT_NE(err, nullptr);
   EXPECT_NE(err->as_string().find("record_trace"), std::string::npos);
+}
+
+// Run ledger: a finished single-core job appends one line whose "flow" is
+// the result RPC payload byte for byte; a job cancelled as it starts
+// appends none.
+TEST(FlowServerTest, LedgerRecordsOnlyFinishedJobs) {
+  const std::string ledger_path = ::testing::TempDir() + "tpi_server_ledger.jsonl";
+  std::remove(ledger_path.c_str());
+  FlowConfig base = tiny_base();
+  base.ledger = ledger_path;
+  FlowServer* server_ptr = nullptr;
+  FlowServerOptions opts;
+  opts.workers = 1;
+  opts.on_job_start = [&server_ptr](std::uint64_t id) {
+    if (id != 2) return;  // job ids are handed out from 1
+    server_ptr->handle_request("{\"id\": 3, \"method\": \"cancel\", \"params\": {\"job\": 2}}");
+  };
+  FlowServer server(base, opts);
+  server_ptr = &server;
+
+  const std::uint64_t done = submit(server, "{\"tp_percent\": 2.0}");
+  const std::uint64_t cancelled = submit(server, "{\"tp_percent\": 1.0}");
+  ASSERT_EQ(cancelled, 2u);
+  const JsonValue result = wait_result(server, done);
+  ASSERT_EQ(result.find("state")->as_string(), "done");
+  EXPECT_EQ(wait_result(server, cancelled).find("state")->as_string(), "cancelled");
+  server.stop();
+
+  const std::vector<LedgerEntry> entries = Ledger::read_file(ledger_path);
+  ASSERT_EQ(entries.size(), 1u);
+  EXPECT_EQ(entries[0].label, "s38417/tp=2");
+  EXPECT_EQ(entries[0].flow.serialise(), result.find("flow")->serialise());
+  std::remove(ledger_path.c_str());
 }
 
 TEST(FlowServerTest, TraceRpcRejectsNonTerminalJobs) {

@@ -154,7 +154,7 @@ TEST(SimdParityTest, FlowMetricsJsonIdenticalAcrossBackends) {
     SCOPED_TRACE(simd_backend_name(b));
     ScopedBackend pin(b);
     FlowEngine engine(lib(), test::tiny_profile(808), opts);
-    const FlowResult& r = engine.run(stage_mask_from(opts));
+    const FlowResult& r = engine.run(StageMask::all().with(Stage::kVerify));
     ASSERT_TRUE(r.verify.ok()) << r.verify.error;
     const std::string json = r.metrics.to_json(MetricsSnapshot::kNoRuntime);
     if (ref_json.empty()) {

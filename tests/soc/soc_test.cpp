@@ -2,6 +2,7 @@
 // core-flow job count and SIMD backend, the SOC sweep grid, and an 8-core
 // chip job through the flow server with its ledger line.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <string>
@@ -14,6 +15,7 @@
 #include "soc/soc.hpp"
 #include "soc/soc_sweep.hpp"
 #include "util/json.hpp"
+#include "util/json_check.hpp"
 #include "util/ledger.hpp"
 
 namespace tpi {
@@ -115,7 +117,8 @@ TEST(SocSweepTest, GridEnumeratesCoresMajorWithLabels) {
 
 // The SOC sweep analogue of the single-core bit-identity sweep test: the
 // per-cell deterministic payloads (and the ledger lines they feed) agree
-// byte-for-byte between a serial and a parallel run.
+// byte-for-byte between a serial and a parallel run. The parallel run also
+// writes one trace file per cell.
 TEST(SocSweepTest, CellsBitIdenticalAcrossJobCountsWithLedger) {
   const std::string ledger_path = ::testing::TempDir() + "tpi_soc_ledger.jsonl";
   std::remove(ledger_path.c_str());
@@ -135,7 +138,17 @@ TEST(SocSweepTest, CellsBitIdenticalAcrossJobCountsWithLedger) {
   parallel.jobs = 4;
   parallel.progress = false;
   parallel.ledger = ledger_path;
+  parallel.trace_dir = ::testing::TempDir() + "tpi_soc_traces";
   const SocSweepReport b = SocSweepRunner(parallel).run(lib(), jobs);
+  for (const SocSweepJob& job : jobs) {
+    const std::string path =
+        parallel.trace_dir + "/" + sanitize_trace_label(job.label) + ".trace.json";
+    const JsonParseResult trace = json_parse(test::read_text_file(path));
+    ASSERT_TRUE(trace.ok) << path << ": " << trace.error;
+    EXPECT_NE(trace.value.serialise().find(job.label), std::string::npos) << path;
+    std::remove(path.c_str());
+  }
+  ::rmdir(parallel.trace_dir.c_str());
 
   ASSERT_EQ(a.cells.size(), jobs.size());
   ASSERT_EQ(b.cells.size(), jobs.size());
@@ -162,6 +175,18 @@ TEST(SocSweepTest, CellsBitIdenticalAcrossJobCountsWithLedger) {
     EXPECT_NE(entries[i].flow.find("chip_tat_cycles"), nullptr);
   }
   std::remove(ledger_path.c_str());
+}
+
+// A caller-set label is escaped in the report JSON, as SweepReport does.
+TEST(SocSweepTest, ReportJsonEscapesLabels) {
+  SocSweepReport report;
+  SocSweepCellResult cell;
+  cell.job.label = "chip \"A\" \\ v2";
+  report.cells.push_back(cell);
+  const std::string json = report.to_json();
+  std::string error;
+  EXPECT_TRUE(json_well_formed(json, &error)) << error << "\n" << json;
+  EXPECT_NE(json.find("\"name\": \"chip \\\"A\\\" \\\\ v2\""), std::string::npos) << json;
 }
 
 // Acceptance criterion: an 8-core SOC job completes end-to-end through the

@@ -5,11 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "../common/test_circuits.hpp"
 #include "util/json.hpp"
 #include "util/json_check.hpp"
 #include "util/ledger.hpp"
@@ -19,17 +19,6 @@ namespace {
 
 std::string temp_ledger_path(const char* stem) {
   return ::testing::TempDir() + stem + ".jsonl";
-}
-
-std::string read_all(const std::string& path) {
-  std::string out;
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return out;
-  char buf[4096];
-  std::size_t n;
-  while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) out.append(buf, n);
-  std::fclose(f);
-  return out;
 }
 
 JsonValue parse(const std::string& text) {
@@ -101,7 +90,7 @@ TEST(LedgerTest, EveryLineIsSelfContainedJson) {
     ledger.append("one", parse("{\"k\": 1}"), parse("{\"v\": 1}"));
     ledger.append("two", parse("{\"k\": 2}"), parse("{\"v\": 2}"));
   }
-  const std::string raw = read_all(path);
+  const std::string raw = test::read_text_file(path);
   ASSERT_FALSE(raw.empty());
   EXPECT_EQ(raw.back(), '\n');
   std::size_t start = 0, lines = 0;
@@ -181,19 +170,6 @@ TEST(LedgerTest, UnopenablePathReportsNotOk) {
   EXPECT_FALSE(ledger.ok());
   EXPECT_FALSE(ledger.append("x", JsonValue(), JsonValue()));
   EXPECT_EQ(ledger.lines_written(), 0u);
-}
-
-TEST(LedgerTest, FromEnvHonoursTpiLedger) {
-  ::unsetenv("TPI_LEDGER");
-  EXPECT_EQ(Ledger::from_env(), nullptr);
-  const std::string path = temp_ledger_path("tpi_ledger_env");
-  ::setenv("TPI_LEDGER", path.c_str(), 1);
-  const std::unique_ptr<Ledger> ledger = Ledger::from_env();
-  ::unsetenv("TPI_LEDGER");
-  ASSERT_NE(ledger, nullptr);
-  EXPECT_TRUE(ledger->ok());
-  EXPECT_EQ(ledger->path(), path);
-  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -100,12 +100,12 @@ TEST(DeterminismTest, VerifyMetricsIdenticalAcrossAtpgJobs) {
   FlowOptions serial = base;
   serial.atpg.jobs = 1;
   FlowEngine e1(lib(), test::tiny_profile(777), serial);
-  const FlowResult& r1 = e1.run(stage_mask_from(serial));
+  const FlowResult& r1 = e1.run(StageMask::all().with(Stage::kVerify));
 
   FlowOptions parallel = base;
   parallel.atpg.jobs = 4;
   FlowEngine e2(lib(), test::tiny_profile(777), parallel);
-  const FlowResult& r2 = e2.run(stage_mask_from(parallel));
+  const FlowResult& r2 = e2.run(StageMask::all().with(Stage::kVerify));
 
   ASSERT_TRUE(r1.verify.ok()) << r1.verify.error;
   ASSERT_TRUE(r2.verify.ok()) << r2.verify.error;

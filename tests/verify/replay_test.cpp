@@ -32,7 +32,7 @@ TEST(ReplayTest, FlowAtpgOnS38417ProfileReplaysFully) {
   opts.tp_percent = 1.0;
   opts.verify = true;
   FlowEngine engine(lib(), test::small_profile(), opts);
-  const FlowResult& r = engine.run(stage_mask_from(opts));
+  const FlowResult& r = engine.run(StageMask::all().with(Stage::kVerify));
   ASSERT_TRUE(r.verify.ran);
   EXPECT_TRUE(r.verify.ok()) << r.verify.error;
   ASSERT_TRUE(r.verify.replay_ran);
