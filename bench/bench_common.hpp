@@ -3,8 +3,9 @@
 // layout of the paper's tables. The (circuit × tp_percent) grid executes in
 // parallel through SweepRunner; results are bit-identical at any job count.
 //
-// All environment handling lives in FlowConfig::from_env (flow/flow_config.hpp)
-// — bench_config() reads it once per process:
+// The environment is read by FlowConfig::from_env (flow/flow_config.hpp)
+// once per process through bench_config(), except TPI_TRACE, which
+// setup_logging() arms through trace_init_from_env (util/trace.hpp):
 //   TPI_BENCH_SCALE   scale factor applied to every circuit profile
 //                     (default 1.0 = paper-sized; use e.g. 0.2 for smoke runs)
 //   TPI_BENCH_JOBS    worker threads for the sweep grid
@@ -19,7 +20,6 @@
 //   TPI_TRACE         path to write a Chrome trace-event JSON of the run
 //                     (load in chrome://tracing or Perfetto; default: off)
 //   TPI_LOG_LEVEL     debug|info|warn|error|silent (default warn)
-//   TPI_BENCH_VERBOSE legacy alias: set (and TPI_LOG_LEVEL unset) = info
 #pragma once
 
 #include <cstdio>

@@ -18,6 +18,7 @@
 
 #include "circuits/generator.hpp"
 #include "flow/flow.hpp"
+#include "flow/flow_config.hpp"
 #include "util/json_check.hpp"
 #include "util/log.hpp"
 #include "util/thread_pool.hpp"
@@ -52,7 +53,7 @@ bool contains(const std::string& haystack, const char* needle) {
 
 int main() {
   using namespace tpi;
-  set_log_level_from_env(LogLevel::kWarn);
+  set_log_level(FlowConfig::from_env().log_level);
 
   // Under ctest TPI_TRACE points at trace_smoke.json; standalone runs get
   // the same behaviour with an explicit enable + write below.

@@ -2,7 +2,6 @@
 
 #include <cmath>
 
-#include "sim/simd.hpp"
 #include "util/env.hpp"
 #include "util/json.hpp"
 #include "util/thread_pool.hpp"
@@ -14,7 +13,6 @@ namespace {
 // Bounds shared by the env and JSON paths. Job counts of 0 mean "hardware
 // concurrency" throughout the codebase, so 0 is in range.
 constexpr long kMaxJobs = 4096;
-constexpr long kMaxFuzzIters = 1000000;
 
 std::optional<StageMask> stages_from_json(const JsonValue& v, std::string* error) {
   if (v.is_string()) {
@@ -62,10 +60,6 @@ std::optional<std::uint64_t> u64_from_json(const JsonValue& v) {
   }
   if (v.is_string()) return parse_u64(v.as_string());
   return std::nullopt;
-}
-
-bool valid_simd_name(std::string_view name) {
-  return name == "auto" || simd_backend_from_name(name).has_value();
 }
 
 std::optional<long> int_from_json(const JsonValue& v, long lo, long hi) {
@@ -153,17 +147,9 @@ FlowConfig FlowConfig::from_env(const FlowConfig& base) {
   cfg.server_queue_limit = static_cast<int>(
       env_int("TPI_SERVER_QUEUE_LIMIT", base.server_queue_limit, 0, kMaxJobs));
   if (const std::optional<std::string> v = env_string("TPI_BENCH_JSON")) cfg.bench_json = *v;
-  if (const std::optional<std::string> v = env_string("TPI_TRACE")) cfg.trace_path = *v;
   if (const std::optional<std::string> v = env_string("TPI_TRACE_DIR")) cfg.trace_dir = *v;
   if (const std::optional<std::string> v = env_string("TPI_LEDGER")) cfg.ledger = *v;
 
-  // TPI_LOG_LEVEL wins; the legacy TPI_BENCH_VERBOSE alias only upgrades
-  // the fallback (matching the historical bench_common behaviour).
-  LogLevel fallback = base.log_level;
-  if (env_string("TPI_BENCH_VERBOSE") && fallback > LogLevel::kInfo) {
-    fallback = LogLevel::kInfo;
-  }
-  cfg.log_level = fallback;
   if (const std::optional<std::string> v = env_string("TPI_LOG_LEVEL")) {
     if (const std::optional<LogLevel> parsed = parse_log_level(*v)) {
       cfg.log_level = *parsed;
@@ -173,22 +159,11 @@ FlowConfig FlowConfig::from_env(const FlowConfig& base) {
     }
   }
 
-  cfg.fuzz_seed = env_u64("TPI_FUZZ_SEED", base.fuzz_seed);
-  cfg.fuzz_iters =
-      static_cast<int>(env_int("TPI_FUZZ_ITERS", base.fuzz_iters, 1, kMaxFuzzIters));
   if (const std::optional<std::string> v = env_string("TPI_SERVER_SOCKET")) {
     cfg.server_socket = *v;
   }
   cfg.server_cache_mb =
       static_cast<int>(env_int("TPI_SERVER_CACHE_MB", base.server_cache_mb, 1, 1 << 20));
-  if (const std::optional<std::string> v = env_string("TPI_SIMD")) {
-    if (valid_simd_name(*v)) {
-      cfg.simd = *v;
-    } else {
-      log_warn() << "config: invalid TPI_SIMD=\"" << *v
-                 << "\" (want auto|scalar|avx2|avx512)";
-    }
-  }
   cfg.soc.cores = static_cast<int>(env_int("TPI_SOC_CORES", base.soc.cores, 0, kMaxSocCores));
   cfg.soc.tam_width =
       static_cast<int>(env_int("TPI_SOC_TAM_WIDTH", base.soc.tam_width, 1, kMaxTamWidth));
@@ -255,10 +230,6 @@ bool FlowConfig::from_json(std::string_view text, const FlowConfig& base, FlowCo
     } else if (key == "at_speed") {
       if (!v.is_bool()) return type_error("a boolean");
       cfg.options.at_speed_lbist = v.as_bool();
-    } else if (key == "server_queue_limit") {
-      const std::optional<long> q = int_from_json(v, 0, kMaxJobs);
-      if (!q) return type_error("a queue depth in [0, 4096]");
-      cfg.server_queue_limit = static_cast<int>(*q);
     } else if (key == "max_patterns") {
       const std::optional<long> p = int_from_json(v, 1, 100000000);
       if (!p) return type_error("a positive pattern cap");
@@ -284,46 +255,12 @@ bool FlowConfig::from_json(std::string_view text, const FlowConfig& base, FlowCo
       const std::optional<long> j = int_from_json(v, 0, kMaxJobs);
       if (!j) return type_error("a worker count in [0, 4096]");
       cfg.bench_jobs = static_cast<int>(*j);
-    } else if (key == "bench_json") {
-      if (!v.is_string()) return type_error("a path string");
-      cfg.bench_json = v.as_string();
-    } else if (key == "trace") {
-      if (!v.is_string()) return type_error("a path string");
-      cfg.trace_path = v.as_string();
     } else if (key == "trace_dir") {
       if (!v.is_string()) return type_error("a directory-path string");
       cfg.trace_dir = v.as_string();
-    } else if (key == "ledger") {
-      if (!v.is_string()) return type_error("a path string");
-      cfg.ledger = v.as_string();
     } else if (key == "record_trace") {
       if (!v.is_bool()) return type_error("a boolean");
       cfg.record_trace = v.as_bool();
-    } else if (key == "log_level") {
-      if (!v.is_string()) return type_error("debug|info|warn|error|silent");
-      const std::optional<LogLevel> l = parse_log_level(v.as_string());
-      if (!l) return type_error("debug|info|warn|error|silent");
-      cfg.log_level = *l;
-    } else if (key == "fuzz_seed") {
-      const std::optional<std::uint64_t> s = u64_from_json(v);
-      if (!s) return type_error("a 64-bit seed (number or string)");
-      cfg.fuzz_seed = *s;
-    } else if (key == "fuzz_iters") {
-      const std::optional<long> i = int_from_json(v, 1, kMaxFuzzIters);
-      if (!i) return type_error("an iteration count in [1, 1000000]");
-      cfg.fuzz_iters = static_cast<int>(*i);
-    } else if (key == "server_socket") {
-      if (!v.is_string()) return type_error("a path string");
-      cfg.server_socket = v.as_string();
-    } else if (key == "server_cache_mb") {
-      const std::optional<long> mb = int_from_json(v, 1, 1 << 20);
-      if (!mb) return type_error("a cache budget in MiB");
-      cfg.server_cache_mb = static_cast<int>(*mb);
-    } else if (key == "simd") {
-      if (!v.is_string() || !valid_simd_name(v.as_string())) {
-        return type_error("\"auto\", \"scalar\", \"avx2\" or \"avx512\"");
-      }
-      cfg.simd = v.as_string();
     } else if (key == "soc") {
       if (!soc_from_json(v, cfg.soc, error)) return false;
     } else {
@@ -352,9 +289,6 @@ std::string FlowConfig::to_json() const {
     o.set("fault_model", fault_model_name(options.atpg.fault_model));
   }
   if (options.at_speed_lbist) o.set("at_speed", true);
-  if (server_queue_limit != defaults.server_queue_limit) {
-    o.set("server_queue_limit", server_queue_limit);
-  }
   if (options.atpg.max_patterns != defaults.options.atpg.max_patterns) {
     o.set("max_patterns", options.atpg.max_patterns);
   }
@@ -368,21 +302,7 @@ std::string FlowConfig::to_json() const {
   }
   if (record_trace) o.set("record_trace", true);
   if (bench_jobs != defaults.bench_jobs) o.set("bench_jobs", bench_jobs);
-  if (!bench_json.empty()) o.set("bench_json", bench_json);
-  if (!trace_path.empty()) o.set("trace", trace_path);
   if (!trace_dir.empty()) o.set("trace_dir", trace_dir);
-  if (!ledger.empty()) o.set("ledger", ledger);
-  if (log_level != defaults.log_level) {
-    const char* names[] = {"debug", "info", "warn", "error", "silent"};
-    o.set("log_level", names[static_cast<int>(log_level)]);
-  }
-  if (fuzz_seed != defaults.fuzz_seed) o.set("fuzz_seed", std::to_string(fuzz_seed));
-  if (fuzz_iters != defaults.fuzz_iters) o.set("fuzz_iters", fuzz_iters);
-  if (server_socket != defaults.server_socket) o.set("server_socket", server_socket);
-  if (server_cache_mb != defaults.server_cache_mb) {
-    o.set("server_cache_mb", server_cache_mb);
-  }
-  if (simd != defaults.simd) o.set("simd", simd);
   // SOC mode is opt-in: a single-core config (cores == 0) serialises with
   // no "soc" key at all, whatever the other soc fields hold, so existing
   // configs and their ledger fingerprints are untouched.
@@ -419,20 +339,9 @@ int FlowConfig::effective_bench_jobs() const {
                         : static_cast<int>(ThreadPool::default_concurrency());
 }
 
-FuzzOptions FlowConfig::fuzz_options() const {
-  FuzzOptions o;
-  o.seed = fuzz_seed;
-  o.iterations = fuzz_iters;
-  return o;
-}
-
 void FlowConfig::apply_process_settings() const {
   set_log_level(log_level);
   trace_init_from_env();  // idempotent; arms the TPI_TRACE sink when set
-  // "auto" clears the override so the env/CPU resolution applies; a pinned
-  // name wins over TPI_SIMD for this process (results are identical either
-  // way — the backend only moves wall clock).
-  set_simd_backend(simd == "auto" ? std::nullopt : simd_backend_from_name(simd));
 }
 
 }  // namespace tpi

@@ -1,32 +1,30 @@
-// FlowConfig — the one typed configuration object for a flow run.
+// FlowConfig — the one typed configuration object for a flow run: the
+// FlowOptions, the StageMask, the job counts, the SOC knobs and the few
+// process settings the benches and the server read. It is built
 //
-// Before PR 6 the flow's configuration was spread across three layers:
-// typed FlowOptions, the run_atpg/run_sta booleans (since removed), and ~8
-// TPI_* environment lookups scattered over bench_common, log.cpp and
-// fuzz.cpp. FlowConfig consolidates all of it: one struct holding the
-// FlowOptions, the StageMask, the job counts and the seeds, buildable
-//
-//   * from the environment  — FlowConfig::from_env(), the single place
+//   * from the environment  — FlowConfig::from_env(), the one reader of
 //     TPI_BENCH_JOBS / TPI_ATPG_JOBS / TPI_FAULT_MODEL / TPI_BENCH_SCALE /
-//     TPI_BENCH_JSON / TPI_TRACE / TPI_TRACE_DIR / TPI_LEDGER /
-//     TPI_LOG_LEVEL (+ TPI_BENCH_VERBOSE alias) / TPI_FUZZ_SEED /
-//     TPI_FUZZ_ITERS / TPI_SERVER_SOCKET / TPI_SERVER_CACHE_MB /
-//     TPI_SERVER_QUEUE_LIMIT / TPI_SIMD / TPI_SOC_CORES /
-//     TPI_SOC_TAM_WIDTH / TPI_SOC_SCHEDULE are parsed and validated;
+//     TPI_BENCH_JSON / TPI_TRACE_DIR / TPI_LEDGER / TPI_LOG_LEVEL /
+//     TPI_SERVER_SOCKET / TPI_SERVER_CACHE_MB / TPI_SERVER_QUEUE_LIMIT /
+//     TPI_SOC_CORES / TPI_SOC_TAM_WIDTH / TPI_SOC_SCHEDULE;
 //   * from JSON             — FlowConfig::from_json(), used by the flow
-//     server's submit RPC and config files.
+//     server's submit RPC. It accepts only the keys a submitted job can
+//     honour; the process settings stay env-only.
+//
+// Two variables have their own single reader because they act below the
+// flow layer: TPI_TRACE (trace_init_from_env, util/trace.hpp) and
+// TPI_SIMD (the backend resolver, sim/simd.hpp).
 //
 // Precedence is purely positional: each builder layers over a base
 // config, so  from_json(request, from_env())  gives explicit per-job JSON
 // the last word over process env, which in turn beats the compiled-in
-// defaults. Nothing else in the codebase reads these variables at run
-// time — in particular AtpgOptions::jobs is never silently overridden by
-// TPI_ATPG_JOBS once a config carries an explicit value (the multi-tenant
-// isolation fix: two server tenants with different job counts never see
-// each other's env).
+// defaults. Nothing reads these variables at run time — in particular
+// AtpgOptions::jobs is never silently overridden by TPI_ATPG_JOBS once a
+// config carries an explicit value (two server tenants with different job
+// counts never see each other's env).
 //
-// FlowEngine, SweepRunner, the benches and the flow server all consume
-// the same FlowConfig.
+// FlowEngine, SweepRunner, SocRunner, the benches and the flow server all
+// consume the same FlowConfig.
 #pragma once
 
 #include <cstdint>
@@ -37,7 +35,6 @@
 #include "circuits/profiles.hpp"
 #include "flow/flow.hpp"
 #include "util/log.hpp"
-#include "verify/fuzz.hpp"
 
 namespace tpi {
 
@@ -47,9 +44,9 @@ namespace tpi {
 /// JSON stay byte-identical. With `cores` > 0 the job is a chip: `cores`
 /// embedded cores composed from the paper profile set, each wrapped and
 /// serialised onto a `tam_width`-bit Test Access Mechanism, with per-core
-/// tests scheduled by the `schedule` packer (src/soc). The typed SOC
-/// runner options live in soc/soc.hpp; this struct is only the
-/// env/JSON-facing surface, kept here so the flow layer stays below soc.
+/// tests scheduled by the `schedule` packer (src/soc). SocRunner
+/// (soc/soc.hpp) reads these knobs straight from the FlowConfig; they live
+/// here so the flow layer stays below soc.
 struct SocKnobs {
   /// Embedded core count; 0 = SOC mode off (TPI_SOC_CORES).
   int cores = 0;
@@ -91,24 +88,22 @@ struct FlowConfig {
   /// identical.
   SocKnobs soc;
 
-  // ---- process-wide settings ----
-  /// Sweep/server worker threads (TPI_BENCH_JOBS; <= 0 = hardware).
+  /// Sweep/server worker threads (TPI_BENCH_JOBS; <= 0 = hardware). Also
+  /// sizes a server SOC job's private core pool, so a submit may set it.
   int bench_jobs = 0;
-  /// Sweep report output path (TPI_BENCH_JSON; empty = not written).
-  std::string bench_json;
-  /// Chrome-trace output path (TPI_TRACE; empty = tracing off).
-  std::string trace_path;
   /// Directory for per-job flight-recorder files (TPI_TRACE_DIR): each
   /// server job / sweep cell writes its own Chrome-trace JSON here.
   /// Empty = no per-job files (the `trace` RPC still works per job via
   /// record_trace above).
   std::string trace_dir;
+
+  // ---- process-wide settings (env only; never in JSON) ----
+  /// Sweep report output path (TPI_BENCH_JSON; empty = not written).
+  std::string bench_json;
   /// Run-ledger JSONL path (TPI_LEDGER): every completed flow appends its
   /// deterministic metrics + config fingerprint. Empty = no ledger.
   std::string ledger;
   LogLevel log_level = LogLevel::kWarn;  ///< TPI_LOG_LEVEL
-  std::uint64_t fuzz_seed = FuzzOptions{}.seed;  ///< TPI_FUZZ_SEED
-  int fuzz_iters = FuzzOptions{}.iterations;     ///< TPI_FUZZ_ITERS
   /// Flow-server listen path (TPI_SERVER_SOCKET), a unix domain socket.
   std::string server_socket = "tpi_server.sock";
   /// Flow-server design-cache budget in MiB (TPI_SERVER_CACHE_MB).
@@ -118,11 +113,6 @@ struct FlowConfig {
   /// get a structured "queue_full" error instead of queueing. 0 = no
   /// limit (the seed behavior).
   int server_queue_limit = 0;
-  /// Simulation kernel backend (TPI_SIMD): "auto" dispatches to the widest
-  /// ISA the CPU supports; "scalar" / "avx2" / "avx512" pin it. Results
-  /// are bit-identical across backends — this knob only moves wall clock
-  /// (and lets the parity tests and A/B benchmarks pin a codegen).
-  std::string simd = "auto";
 
   /// Layer every recognised TPI_* environment variable over `base`:
   /// unset variables keep the base value, invalid ones warn (via the
@@ -131,24 +121,21 @@ struct FlowConfig {
   static FlowConfig from_env(const FlowConfig& base);
   static FlowConfig from_env();  ///< from_env over the compiled-in defaults
 
-  /// Layer a JSON object over `base`. Recognised keys mirror the struct
-  /// (see DESIGN.md §12 for the schema): "profile", "scale",
-  /// "tp_percent", "tpi_method", "seed", "stages", "atpg_jobs",
-  /// "fault_model", "at_speed", "max_patterns", "verify",
+  /// Layer a JSON object over `base`. Recognised keys (DESIGN.md §12):
+  /// "profile", "scale", "tp_percent", "tpi_method", "seed", "stages",
+  /// "atpg_jobs", "fault_model", "at_speed", "max_patterns", "verify",
   /// "layout_driven_reorder", "timing_driven_tpi",
   /// "timing_exclude_slack_ps", "priority", "record_trace", "bench_jobs",
-  /// "bench_json", "trace", "trace_dir", "ledger", "log_level",
-  /// "fuzz_seed", "fuzz_iters", "server_socket", "server_cache_mb",
-  /// "server_queue_limit", "simd", "soc" (a nested object with "cores",
-  /// "tam_width", "schedule").
+  /// "trace_dir", "soc" (a nested object with "cores", "tam_width",
+  /// "schedule").
   /// Unknown keys — top-level or inside "soc" — and type mismatches fail
   /// with a structured message in *error (when non-null) and return false,
   /// leaving `out` untouched.
   static bool from_json(std::string_view text, const FlowConfig& base, FlowConfig& out,
                         std::string* error = nullptr);
 
-  /// Round-trippable JSON of the per-job fields plus the non-default
-  /// process fields: from_json(to_json(), {}) reproduces the config.
+  /// JSON of exactly the keys from_json accepts (optional ones only when
+  /// non-default): from_json(to_json(), {}) reproduces every such field.
   std::string to_json() const;
 
   /// The named profile at `scale` (name kept verbatim so report labels
@@ -158,11 +145,8 @@ struct FlowConfig {
   /// Worker threads a sweep/server built from this config will use.
   int effective_bench_jobs() const;
 
-  /// FuzzOptions with this config's seed/iteration budget applied.
-  FuzzOptions fuzz_options() const;
-
-  /// Install the process-wide side of the config: log level and SIMD
-  /// backend now, trace sink armed from TPI_TRACE (idempotent).
+  /// Install the process-wide side of the config: the log level, and the
+  /// trace sink armed from TPI_TRACE (idempotent).
   void apply_process_settings() const;
 };
 

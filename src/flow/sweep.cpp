@@ -7,6 +7,7 @@
 
 #include "flow/flow_config.hpp"
 #include "flow/flow_json.hpp"
+#include "util/json.hpp"
 #include "util/thread_pool.hpp"
 
 namespace tpi {
@@ -27,23 +28,6 @@ std::string stages_json(const StageTimings& t) {
 }
 
 }  // namespace
-
-std::string report_number(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.4f", v);
-  return buf;
-}
-
-std::string report_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    if (static_cast<unsigned char>(c) < 0x20) continue;  // labels are plain ASCII
-    out += c;
-  }
-  return out;
-}
 
 std::string SweepReport::to_json() const {
   std::string out = "{\n  \"context\": {\n";

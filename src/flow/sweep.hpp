@@ -24,11 +24,6 @@ namespace tpi {
 
 struct FlowConfig;  // flow_config.hpp
 
-/// Formatting shared by the sweep and SOC sweep JSON reports: numbers as
-/// "%.4f"; strings with '"' and '\\' escaped and control bytes dropped.
-std::string report_number(double v);
-std::string report_escape(const std::string& s);
-
 /// One grid cell: a full flow run of `profile` with `options`
 /// (tp_percent and seeds live inside `options`), restricted to `stages`.
 struct SweepJob {

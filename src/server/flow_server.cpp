@@ -111,7 +111,7 @@ void FlowServer::run_job(const std::shared_ptr<Job>& job) {
       // pool worker and the pool has no work stealing, so nesting core
       // tasks onto pool_ could deadlock); the daemon's design cache is
       // shared, so repeated chips hit warm cores.
-      SocRunner runner(cfg);
+      const SocRunner runner(cfg);
       SocResult res;
       trace.run([&] { res = runner.run(*lib_, nullptr, cache_.get(), &job->cancel); });
       cancelled = res.cancelled;

@@ -1,7 +1,8 @@
 // tpi_flow_server — the flow daemon. Configuration comes from the
 // environment via FlowConfig::from_env (TPI_SERVER_SOCKET,
 // TPI_SERVER_CACHE_MB, TPI_BENCH_JOBS for the worker count, TPI_BENCH_SCALE
-// as the default job scale, ...); a few flags override it for ad-hoc runs:
+// as the default job scale, ...); a few flags override those fields of the
+// config for ad-hoc runs:
 //
 //   tpi_flow_server [--socket PATH] [--workers N] [--cache-mb N]
 //
@@ -17,11 +18,6 @@
 
 int main(int argc, char** argv) {
   tpi::FlowConfig config = tpi::FlowConfig::from_env();
-  tpi::FlowServerOptions opts;
-  opts.workers = config.effective_bench_jobs();
-  opts.cache_mb = config.server_cache_mb;
-  opts.socket_path = config.server_socket;
-  opts.max_queue_depth = config.server_queue_limit;
 
   for (int i = 1; i < argc; ++i) {
     const auto need_value = [&](const char* flag) {
@@ -32,11 +28,11 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     if (std::strcmp(argv[i], "--socket") == 0) {
-      opts.socket_path = need_value("--socket");
+      config.server_socket = need_value("--socket");
     } else if (std::strcmp(argv[i], "--workers") == 0) {
-      opts.workers = std::atoi(need_value("--workers"));
+      config.bench_jobs = std::atoi(need_value("--workers"));
     } else if (std::strcmp(argv[i], "--cache-mb") == 0) {
-      opts.cache_mb = std::atoi(need_value("--cache-mb"));
+      config.server_cache_mb = std::atoi(need_value("--cache-mb"));
     } else {
       std::fprintf(stderr,
                    "usage: tpi_flow_server [--socket PATH] [--workers N] [--cache-mb N]\n");
@@ -45,14 +41,15 @@ int main(int argc, char** argv) {
   }
 
   config.apply_process_settings();
-  tpi::FlowServer server(config, opts);
+  tpi::FlowServer server(config);
   std::string error;
   if (!server.listen(&error)) {
     std::fprintf(stderr, "tpi_flow_server: %s\n", error.c_str());
     return 1;
   }
   std::fprintf(stderr, "[server] listening on %s (%d workers, %d MiB cache)\n",
-               server.socket_path().c_str(), opts.workers, opts.cache_mb);
+               server.socket_path().c_str(), config.effective_bench_jobs(),
+               config.server_cache_mb);
   server.wait_until_shutdown();
   server.stop();
   const tpi::DesignCache::Stats cs = server.cache_stats();

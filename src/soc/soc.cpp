@@ -5,8 +5,6 @@
 #include <memory>
 #include <utility>
 
-#include "flow/flow_config.hpp"
-
 namespace tpi {
 namespace {
 
@@ -38,31 +36,15 @@ std::vector<SocCoreSpec> soc_core_specs(int cores, double scale) {
   return specs;
 }
 
-SocOptions soc_options_from(const FlowConfig& config) {
-  SocOptions opts;
-  opts.cores = config.soc.cores;
-  opts.tam_width = config.soc.tam_width;
-  opts.schedule = soc_schedule_from_name(config.soc.schedule)
-                      .value_or(SocScheduleMethod::kDiagonal);
-  opts.scale = config.scale;
-  opts.flow = config.options;
-  opts.stages = config.stages;
-  opts.jobs = config.effective_bench_jobs();
-  return opts;
-}
-
-SocRunner::SocRunner(SocOptions opts) : opts_(std::move(opts)) {}
-
-SocRunner::SocRunner(const FlowConfig& config) : opts_(soc_options_from(config)) {}
-
 SocResult SocRunner::run(const CellLibrary& lib, ThreadPool* pool, DesignCache* cache,
                          const std::atomic<bool>* cancel) const {
   SocResult result;
-  result.cores = opts_.cores;
-  result.tam_width = std::max(opts_.tam_width, 1);
-  result.schedule = opts_.schedule;
+  result.cores = config_.soc.cores;
+  result.tam_width = std::max(config_.soc.tam_width, 1);
+  result.schedule =
+      soc_schedule_from_name(config_.soc.schedule).value_or(SocScheduleMethod::kDiagonal);
 
-  const std::vector<SocCoreSpec> specs = soc_core_specs(opts_.cores, opts_.scale);
+  const std::vector<SocCoreSpec> specs = soc_core_specs(result.cores, config_.scale);
 
   std::unique_ptr<DesignCache> own_cache;
   if (cache == nullptr) {
@@ -71,8 +53,8 @@ SocResult SocRunner::run(const CellLibrary& lib, ThreadPool* pool, DesignCache* 
   }
   std::unique_ptr<ThreadPool> own_pool;
   if (pool == nullptr) {
-    own_pool = std::make_unique<ThreadPool>(
-        opts_.jobs > 0 ? static_cast<unsigned>(opts_.jobs) : 0);
+    own_pool =
+        std::make_unique<ThreadPool>(static_cast<unsigned>(config_.effective_bench_jobs()));
     pool = own_pool.get();
   }
 
@@ -85,10 +67,10 @@ SocResult SocRunner::run(const CellLibrary& lib, ThreadPool* pool, DesignCache* 
     futures.push_back(pool->submit([&lib, &spec, cache, cancel, this] {
       const std::shared_ptr<DesignCache::Entry> entry = cache->acquire(spec.profile);
       Netlist nl = entry->netlist();  // private copy; the journal survives
-      FlowEngine engine(nl, spec.profile, opts_.flow);
+      FlowEngine engine(nl, spec.profile, config_.options);
       engine.design_db().adopt_views_from(entry->db());
       engine.set_cancel_token(cancel);
-      engine.run(opts_.stages);
+      engine.run(config_.stages);
       return engine.result();
     }));
   }
@@ -107,7 +89,7 @@ SocResult SocRunner::run(const CellLibrary& lib, ThreadPool* pool, DesignCache* 
     result.per_core.push_back(std::move(core));
   }
 
-  const SocSchedule sched = schedule_tests(candidates, result.tam_width, opts_.schedule);
+  const SocSchedule sched = schedule_tests(candidates, result.tam_width, result.schedule);
   const SocSchedule serial =
       schedule_tests(candidates, result.tam_width, SocScheduleMethod::kSerial);
   result.chip_tat_cycles = sched.makespan;

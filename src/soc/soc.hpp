@@ -19,19 +19,19 @@
 
 #include <atomic>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "circuits/design_cache.hpp"
 #include "circuits/profiles.hpp"
 #include "flow/flow.hpp"
+#include "flow/flow_config.hpp"
 #include "soc/packing.hpp"
 #include "soc/wrapper.hpp"
 #include "util/json.hpp"
 #include "util/thread_pool.hpp"
 
 namespace tpi {
-
-struct FlowConfig;  // flow/flow_config.hpp
 
 /// One embedded core: a paper profile (possibly scaled) plus its chip-level
 /// instance label ("core3:circuit1").
@@ -45,21 +45,6 @@ struct SocCoreSpec {
 /// x `scale`. Repeats share a DesignCache entry, so an N-core chip
 /// generates at most 9 distinct designs.
 std::vector<SocCoreSpec> soc_core_specs(int cores, double scale);
-
-struct SocOptions {
-  int cores = 8;
-  int tam_width = 32;
-  SocScheduleMethod schedule = SocScheduleMethod::kDiagonal;
-  double scale = 1.0;            ///< uniform core size factor (TPI_BENCH_SCALE)
-  FlowOptions flow;              ///< per-core flow options (tp_percent, seeds, ...)
-  StageMask stages = StageMask::all();
-  int jobs = 0;                  ///< concurrent core flows; <= 0 = hardware
-};
-
-/// SocOptions from a unified FlowConfig (soc knobs + options + stages +
-/// scale + effective_bench_jobs). config.soc.cores may be 0; callers gate
-/// SOC mode on that before running.
-SocOptions soc_options_from(const FlowConfig& config);
 
 /// One core's slice of the chip result: envelope, chosen wrapper and
 /// committed schedule slot, plus the full per-core flow result.
@@ -97,25 +82,24 @@ struct SocResult {
 JsonValue soc_result_to_json_value(const SocResult& result);
 std::string soc_result_to_json(const SocResult& result);
 
+/// Runs the chip a FlowConfig describes: config.soc (cores, TAM width,
+/// schedule; cores > 0 — callers gate SOC mode on that), scale, options
+/// and stages.
 class SocRunner {
  public:
-  explicit SocRunner(SocOptions opts);
-  /// Runner from a unified FlowConfig via soc_options_from().
-  explicit SocRunner(const FlowConfig& config);
+  explicit SocRunner(FlowConfig config) : config_(std::move(config)) {}
 
   /// Run the chip: per-core flows on `pool` (nullptr = a private pool of
-  /// opts.jobs workers), designs checked out of `cache` (nullptr = a
-  /// private per-run cache), cancellation checked at every core's stage
-  /// boundaries via `cancel` (nullptr = never). Results merge in core
-  /// order regardless of scheduling.
+  /// config.effective_bench_jobs() workers), designs checked out of
+  /// `cache` (nullptr = a private per-run cache), cancellation checked at
+  /// every core's stage boundaries via `cancel` (nullptr = never). Results
+  /// merge in core order regardless of scheduling.
   SocResult run(const CellLibrary& lib, ThreadPool* pool = nullptr,
                 DesignCache* cache = nullptr,
                 const std::atomic<bool>* cancel = nullptr) const;
 
-  const SocOptions& options() const { return opts_; }
-
  private:
-  SocOptions opts_;
+  FlowConfig config_;
 };
 
 }  // namespace tpi

@@ -4,24 +4,9 @@
 #include <cstdio>
 #include <utility>
 
-#include "flow/flow_config.hpp"
+#include "util/json.hpp"
 
 namespace tpi {
-namespace {
-
-/// The cell's effective FlowConfig, for the ledger's config fingerprint.
-FlowConfig cell_config(const SocSweepJob& job) {
-  FlowConfig cfg;
-  cfg.scale = job.options.scale;
-  cfg.options = job.options.flow;
-  cfg.stages = job.options.stages;
-  cfg.soc.cores = job.options.cores;
-  cfg.soc.tam_width = job.options.tam_width;
-  cfg.soc.schedule = soc_schedule_name(job.options.schedule);
-  return cfg;
-}
-
-}  // namespace
 
 std::vector<SocSweepJob> SocSweepRunner::grid(const std::vector<int>& cores,
                                               const std::vector<int>& tam_widths,
@@ -32,12 +17,15 @@ std::vector<SocSweepJob> SocSweepRunner::grid(const std::vector<int>& cores,
   for (const int n : cores) {
     for (const int w : tam_widths) {
       for (const double pct : tp_percents) {
+        // Process settings (jobs, trace_dir, ...) stay out, so the ledger
+        // fingerprint of a cell does not depend on how the sweep was run.
         SocSweepJob job;
         job.label = soc_run_label(n, w, pct);
-        job.options = soc_options_from(config);
-        job.options.cores = n;
-        job.options.tam_width = w;
-        job.options.flow.tp_percent = pct;
+        job.config.scale = config.scale;
+        job.config.options = config.options;
+        job.config.options.tp_percent = pct;
+        job.config.stages = config.stages;
+        job.config.soc = {n, w, config.soc.schedule};
         jobs.push_back(std::move(job));
       }
     }
@@ -63,13 +51,13 @@ SocSweepReport SocSweepRunner::run(const CellLibrary& lib,
     if (opts_.progress) std::fprintf(stderr, "[soc-sweep] %s...\n", job.label.c_str());
     const RunRecorder::Trace trace(!opts_.trace_dir.empty(), i + 1, job.label);
     const auto t0 = std::chrono::steady_clock::now();
-    SocRunner runner(job.options);
+    const SocRunner runner(job.config);
     SocResult result;
     trace.run([&] { result = runner.run(lib, &pool, &cache); });
     const double wall = ms_since(t0);
     trace.write(opts_.trace_dir, sanitize_trace_label(job.label));
     if (recorder.has_ledger()) {
-      recorder.append(job.label, cell_config(job), soc_result_to_json_value(result));
+      recorder.append(job.label, job.config, soc_result_to_json_value(result));
     }
     report.cells.push_back({std::move(job), std::move(result), wall});
   }
@@ -102,7 +90,7 @@ std::string SocSweepReport::to_json() const {
     out += "\"time_unit\": \"ms\", ";
     out += "\"cores\": " + std::to_string(r.cores) + ", ";
     out += "\"tam_width\": " + std::to_string(r.tam_width) + ", ";
-    out += "\"tp_percent\": " + report_number(cell.job.options.flow.tp_percent) + ", ";
+    out += "\"tp_percent\": " + report_number(cell.job.config.options.tp_percent) + ", ";
     out += "\"schedule\": \"" + std::string(soc_schedule_name(r.schedule)) + "\", ";
     out += "\"chip_tat_cycles\": " + std::to_string(r.chip_tat_cycles) + ", ";
     out += "\"serial_tat_cycles\": " + std::to_string(r.serial_tat_cycles) + ", ";

@@ -24,7 +24,7 @@ namespace tpi {
 
 struct SocSweepJob {
   std::string label;  ///< report key, e.g. "soc=8/tam=32/tp=1"
-  SocOptions options;
+  FlowConfig config;  ///< the chip; also the config its ledger line records
 };
 
 struct SocSweepCellResult {
@@ -61,8 +61,9 @@ class SocSweepRunner {
   SocSweepReport run(const CellLibrary& lib, std::vector<SocSweepJob> jobs) const;
 
   /// The SOC grid: every (cores, tam_width, tp_percent) triple in
-  /// cores-major order with labels "soc=<n>/tam=<w>/tp=<pct>". Cells
-  /// inherit config.options / config.stages / config.scale.
+  /// cores-major order with labels "soc=<n>/tam=<w>/tp=<pct>". A cell's
+  /// config carries only what describes the chip: config.options /
+  /// config.stages / config.scale / config.soc.schedule plus its own axes.
   static std::vector<SocSweepJob> grid(const std::vector<int>& cores,
                                        const std::vector<int>& tam_widths,
                                        const std::vector<double>& tp_percents,

@@ -74,17 +74,4 @@ long env_int(const char* name, long fallback, long lo, long hi) {
   return *v;
 }
 
-std::uint64_t env_u64(const char* name, std::uint64_t fallback) {
-  const std::optional<std::string> env = env_string(name);
-  if (!env) return fallback;
-  const std::optional<std::uint64_t> v = parse_u64(*env);
-  if (!v) {
-    std::fprintf(stderr,
-                 "[env] warning: invalid %s=\"%s\" (want a 64-bit integer); using %llu\n",
-                 name, env->c_str(), static_cast<unsigned long long>(fallback));
-    return fallback;
-  }
-  return *v;
-}
-
 }  // namespace tpi

@@ -1,10 +1,9 @@
-// Validated environment-variable parsing — the one place process
-// configuration enters the system. Every TPI_* lookup (bench scale, job
-// counts, fuzz seeds, log level, server socket) goes through these helpers,
-// so invalid values produce one consistent warning and a fallback instead
-// of module-specific strtod/strtol ad-hockery. FlowConfig::from_env() is
-// the aggregate consumer; legacy per-module readers (set_log_level_from_env,
-// FuzzOptions::from_env) delegate here.
+// Validated environment-variable parsing. Invalid values produce one
+// consistent warning and a fallback instead of module-specific
+// strtod/strtol ad-hockery. Each TPI_* variable has exactly one reader:
+// FlowConfig::from_env() (flow/flow_config.hpp) reads all of them except
+// TPI_TRACE (trace_init_from_env, util/trace.hpp) and TPI_SIMD (the
+// backend resolver, sim/simd.cpp), which act below the flow layer.
 #pragma once
 
 #include <cstdint>
@@ -24,10 +23,6 @@ double env_positive_double(const char* name, double fallback);
 /// Integer in [lo, hi]. Unset/empty -> `fallback`; garbage or out-of-range
 /// warns and falls back.
 long env_int(const char* name, long fallback, long lo, long hi);
-
-/// 64-bit unsigned integer, base auto-detected (0x... accepted). Unset or
-/// empty -> `fallback`; garbage warns and falls back.
-std::uint64_t env_u64(const char* name, std::uint64_t fallback);
 
 /// Parse helpers over explicit strings (shared by env and JSON config
 /// paths): nullopt on any trailing garbage / range violation.

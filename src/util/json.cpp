@@ -1,5 +1,7 @@
 #include "util/json.hpp"
 
+#include "util/json_check.hpp"
+
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -318,6 +320,23 @@ std::string json_quote(std::string_view s) {
   return out;
 }
 
+std::string report_number(double v) {
+  char buf[64];
+  std::snprintf(buf, sizeof buf, "%.4f", v);
+  return buf;
+}
+
+std::string report_escape(std::string_view s) {
+  std::string out;
+  out.reserve(s.size());
+  for (const char c : s) {
+    if (c == '"' || c == '\\') out += '\\';
+    if (static_cast<unsigned char>(c) < 0x20) continue;  // labels are plain ASCII
+    out += c;
+  }
+  return out;
+}
+
 const JsonValue* JsonValue::find(std::string_view key) const {
   if (kind_ != JsonKind::kObject) return nullptr;
   for (const auto& [k, v] : obj_) {
@@ -393,5 +412,11 @@ bool JsonValue::operator==(const JsonValue& o) const {
 }
 
 JsonParseResult json_parse(std::string_view text) { return Parser(text).run(); }
+
+bool json_well_formed(std::string_view text, std::string* error) {
+  JsonParseResult parsed = json_parse(text);
+  if (!parsed.ok && error != nullptr) *error = std::move(parsed.error);
+  return parsed.ok;
+}
 
 }  // namespace tpi

@@ -1,7 +1,7 @@
 // Minimal JSON document model: parse a byte string into a JsonValue tree
-// and serialise it back. Complements json_check.hpp (which only validates):
-// the FlowConfig loader and the flow server's JSON-RPC endpoint need to
-// *read* documents, not just vet them. Deliberately small — no comments, no
+// and serialise it back. The FlowConfig loader and the flow server's
+// JSON-RPC endpoint read documents with it; json_check.hpp's validator is
+// this parser with the tree dropped. Deliberately small — no comments, no
 // NaN/Inf, UTF-8 passed through verbatim, \uXXXX escapes decoded to UTF-8.
 //
 // Object member order is preserved from the source text (and from
@@ -87,5 +87,12 @@ JsonParseResult json_parse(std::string_view text);
 
 /// "\"escaped\"" JSON string literal for `s` (quotes included).
 std::string json_quote(std::string_view s);
+
+/// Formatting shared by the hand-written JSON reports (sweep and SOC
+/// reports, metrics snapshots, trace-sink metadata): numbers as "%.4f";
+/// strings with '"' and '\\' escaped and control bytes dropped (no
+/// surrounding quotes).
+std::string report_number(double v);
+std::string report_escape(std::string_view s);
 
 }  // namespace tpi

@@ -1,8 +1,8 @@
-// Minimal JSON syntax checker (no DOM, no allocation proportional to the
-// document): validates that a byte string is one well-formed JSON value.
-// Used by the trace/sweep tests and the trace_smoke ctest target to vet
-// the Chrome-trace and benchmark reports we emit without pulling in a
-// JSON library.
+// JSON syntax check: validates that a byte string is one well-formed JSON
+// value. It is json_parse (util/json.hpp) with the tree dropped, so the
+// repo has one JSON grammar. Used by the trace/sweep tests, the
+// trace_smoke ctest target and the load-test benches to vet the
+// Chrome-trace, report and RPC text we emit.
 #pragma once
 
 #include <string>
@@ -11,8 +11,10 @@
 namespace tpi {
 
 /// True iff `text` is exactly one well-formed JSON value (object, array,
-/// string, number, true/false/null) with only whitespace around it. On
-/// failure, `error` (when non-null) gets a short "offset N: ..." message.
+/// string, number, true/false/null) with only whitespace around it, under
+/// json_parse's rules (nesting depth <= 64, paired \u surrogates). On
+/// failure, `error` (when non-null) gets json_parse's "offset N: ..."
+/// message.
 bool json_well_formed(std::string_view text, std::string* error = nullptr);
 
 }  // namespace tpi

@@ -3,9 +3,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-
-#include "util/env.hpp"
 
 namespace tpi {
 namespace {
@@ -42,24 +39,6 @@ std::optional<LogLevel> parse_log_level(std::string_view name) {
   if (name == "error") return LogLevel::kError;
   if (name == "silent") return LogLevel::kSilent;
   return std::nullopt;
-}
-
-LogLevel set_log_level_from_env(LogLevel fallback) {
-  // Delegates to the consolidated env layer (util/env.hpp) for the lookup;
-  // FlowConfig::from_env() uses the same parse_log_level validation.
-  LogLevel level = fallback;
-  if (const std::optional<std::string> env = env_string("TPI_LOG_LEVEL")) {
-    if (const std::optional<LogLevel> parsed = parse_log_level(*env)) {
-      level = *parsed;
-    } else {
-      std::fprintf(stderr,
-                   "[log] warning: invalid TPI_LOG_LEVEL=\"%s\" "
-                   "(want debug|info|warn|error|silent)\n",
-                   env->c_str());
-    }
-  }
-  set_log_level(level);
-  return level;
 }
 
 void log_line(LogLevel level, const std::string& msg) {

@@ -20,11 +20,6 @@ LogLevel log_level();
 /// "debug" | "info" | "warn" | "error" | "silent" (case-sensitive).
 std::optional<LogLevel> parse_log_level(std::string_view name);
 
-/// Initialise the global level from the TPI_LOG_LEVEL environment
-/// variable; `fallback` applies when it is unset, and an invalid value
-/// warns on stderr before falling back. Returns the level installed.
-LogLevel set_log_level_from_env(LogLevel fallback = LogLevel::kWarn);
-
 /// Emit one line (with level tag and elapsed wall time) to stderr.
 void log_line(LogLevel level, const std::string& msg);
 

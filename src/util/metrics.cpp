@@ -6,6 +6,7 @@
 #include <map>
 #include <mutex>
 
+#include "util/json.hpp"
 #include "util/log.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -81,12 +82,6 @@ struct MetricState {
   double value = 0.0;       // gauge
   HistogramData hist;
 };
-
-std::string fmt_metric_double(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.4f", v);
-  return buf;
-}
 
 }  // namespace
 
@@ -220,17 +215,17 @@ std::string MetricsSnapshot::to_json(Runtime runtime) const {
         out += std::to_string(m.count);
         break;
       case MetricKind::kGauge:
-        out += fmt_metric_double(m.value);
+        out += report_number(m.value);
         break;
       case MetricKind::kHistogram: {
         out += "{\"count\": " + std::to_string(m.hist.count);
-        out += ", \"sum\": " + fmt_metric_double(m.hist.sum);
-        out += ", \"min\": " + fmt_metric_double(m.hist.count > 0 ? m.hist.min : 0.0);
-        out += ", \"max\": " + fmt_metric_double(m.hist.count > 0 ? m.hist.max : 0.0);
-        out += ", \"mean\": " + fmt_metric_double(m.hist.mean());
-        out += ", \"p50\": " + fmt_metric_double(m.hist.quantile(0.50));
-        out += ", \"p95\": " + fmt_metric_double(m.hist.quantile(0.95));
-        out += ", \"p99\": " + fmt_metric_double(m.hist.quantile(0.99));
+        out += ", \"sum\": " + report_number(m.hist.sum);
+        out += ", \"min\": " + report_number(m.hist.count > 0 ? m.hist.min : 0.0);
+        out += ", \"max\": " + report_number(m.hist.count > 0 ? m.hist.max : 0.0);
+        out += ", \"mean\": " + report_number(m.hist.mean());
+        out += ", \"p50\": " + report_number(m.hist.quantile(0.50));
+        out += ", \"p95\": " + report_number(m.hist.quantile(0.95));
+        out += ", \"p99\": " + report_number(m.hist.quantile(0.99));
         // Sparse buckets: {"<index>": count} for the non-empty ones only.
         out += ", \"buckets\": {";
         bool first_bucket = true;

@@ -7,6 +7,7 @@
 #include <mutex>
 #include <vector>
 
+#include "util/json.hpp"
 #include "util/log.hpp"
 
 namespace tpi {
@@ -234,18 +235,9 @@ std::size_t TraceSink::event_count() const {
 std::string TraceSink::to_json() const {
   std::string out = "{\"displayTimeUnit\": \"ms\", \"traceEvents\": [\n";
   // Name the process row after the job label so chrome://tracing shows
-  // which job a track belongs to.
-  std::string escaped;
-  for (const char c : label_) {
-    if (c == '"' || c == '\\') escaped += '\\';
-    if (static_cast<unsigned char>(c) >= 0x20) escaped += c;
-  }
-  char meta[192];
-  std::snprintf(meta, sizeof meta,
-                "{\"name\": \"process_name\", \"ph\": \"M\", \"pid\": %llu, "
-                "\"args\": {\"name\": \"%s\"}}",
-                static_cast<unsigned long long>(job_id_), escaped.c_str());
-  out += meta;
+  // which job a track belongs to. The label is caller-set and unbounded.
+  out += "{\"name\": \"process_name\", \"ph\": \"M\", \"pid\": " + std::to_string(job_id_) +
+         ", \"args\": {\"name\": \"" + report_escape(label_) + "\"}}";
   std::lock_guard<std::mutex> lock(mu_);
   for (const Event& e : events_) {
     out += ",\n";

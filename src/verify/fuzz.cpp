@@ -11,7 +11,6 @@
 #include "netlist/design_db.hpp"
 #include "scan/scan.hpp"
 #include "tpi/tpi.hpp"
-#include "util/env.hpp"
 #include "util/log.hpp"
 #include "util/rng.hpp"
 #include "verify/miter.hpp"
@@ -77,15 +76,6 @@ EquivOptions fuzz_equiv_budget() {
   e.unroll_frames = 6;
   e.ternary_frames = 6;
   return e;
-}
-
-FuzzOptions FuzzOptions::from_env() {
-  // Delegates to the consolidated env layer; FlowConfig::from_env() reads
-  // the same variables with the same validation and ranges.
-  FuzzOptions o;
-  o.seed = env_u64("TPI_FUZZ_SEED", o.seed);
-  o.iterations = static_cast<int>(env_int("TPI_FUZZ_ITERS", o.iterations, 1, 1000000));
-  return o;
 }
 
 std::vector<FuzzTransform> default_fuzz_transforms() {

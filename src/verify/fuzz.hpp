@@ -48,16 +48,12 @@ CircuitProfile default_fuzz_profile();
 EquivOptions fuzz_equiv_budget();
 
 struct FuzzOptions {
-  std::uint64_t seed = 0xF422;  ///< TPI_FUZZ_SEED
-  int iterations = 50;          ///< TPI_FUZZ_ITERS
+  std::uint64_t seed = 0xF422;
+  int iterations = 50;
   int min_transforms = 1;
   int max_transforms = 4;
   CircuitProfile profile = default_fuzz_profile();
   EquivOptions equiv = fuzz_equiv_budget();
-
-  /// Defaults overridden by TPI_FUZZ_SEED / TPI_FUZZ_ITERS (invalid values
-  /// warn and fall back).
-  static FuzzOptions from_env();
 };
 
 struct FuzzFailure {

@@ -1,10 +1,12 @@
 // Shared helpers for tests: hand-built netlists with known behaviour, a
-// tiny generator profile used by the cross-module tests, and a file reader
-// for the trace/ledger files the flow writes.
+// tiny generator profile used by the cross-module tests, a file reader
+// for the trace/ledger files the flow writes, and a scoped setenv.
 #pragma once
 
 #include <cstdio>
+#include <cstdlib>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "circuits/generator.hpp"
@@ -24,6 +26,33 @@ inline std::string read_text_file(const std::string& path) {
   std::fclose(f);
   return out;
 }
+
+/// Sets (or, for nullptr, unsets) an environment variable and restores
+/// the previous state on destruction.
+class ScopedEnv {
+ public:
+  ScopedEnv(const char* name, const char* value) : name_(name) {
+    if (const char* old = std::getenv(name)) old_ = old;
+    if (value != nullptr) {
+      ::setenv(name, value, 1);
+    } else {
+      ::unsetenv(name);
+    }
+  }
+  ~ScopedEnv() {
+    if (old_.has_value()) {
+      ::setenv(name_.c_str(), old_->c_str(), 1);
+    } else {
+      ::unsetenv(name_.c_str());
+    }
+  }
+  ScopedEnv(const ScopedEnv&) = delete;
+  ScopedEnv& operator=(const ScopedEnv&) = delete;
+
+ private:
+  std::string name_;
+  std::optional<std::string> old_;
+};
 
 /// Library shared by all tests in a binary.
 inline const CellLibrary& lib() {

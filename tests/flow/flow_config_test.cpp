@@ -1,4 +1,4 @@
-// FlowConfig: the single validated site for TPI_* environment parsing,
+// FlowConfig: the single validated reader of the flow's TPI_* variables,
 // JSON job configs, and the precedence contract (explicit JSON > process
 // env > compiled defaults). The AtpgJobsExplicitConfigBeatsEnv test is the
 // regression for the historical bug where TPI_ATPG_JOBS silently
@@ -7,50 +7,26 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <optional>
 #include <string>
+#include <vector>
 
 #include "../common/test_circuits.hpp"
 #include "flow/flow.hpp"
+#include "util/json.hpp"
 
 namespace tpi {
 namespace {
 
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    if (const char* old = std::getenv(name)) old_ = old;
-    if (value != nullptr) {
-      ::setenv(name, value, 1);
-    } else {
-      ::unsetenv(name);
-    }
-  }
-  ~ScopedEnv() {
-    if (old_.has_value()) {
-      ::setenv(name_.c_str(), old_->c_str(), 1);
-    } else {
-      ::unsetenv(name_.c_str());
-    }
-  }
-
- private:
-  std::string name_;
-  std::optional<std::string> old_;
-};
+using test::ScopedEnv;
 
 TEST(FlowConfigTest, FromEnvReadsEveryVariable) {
   const ScopedEnv e1("TPI_BENCH_SCALE", "0.25");
   const ScopedEnv e2("TPI_BENCH_JOBS", "3");
   const ScopedEnv e3("TPI_ATPG_JOBS", "2");
   const ScopedEnv e4("TPI_BENCH_JSON", "out.json");
-  const ScopedEnv e5("TPI_TRACE", "trace.json");
-  const ScopedEnv e6("TPI_LOG_LEVEL", "error");
-  const ScopedEnv e7("TPI_FUZZ_SEED", "0xABCD");
-  const ScopedEnv e8("TPI_FUZZ_ITERS", "17");
-  const ScopedEnv e9("TPI_SERVER_SOCKET", "/tmp/x.sock");
-  const ScopedEnv e10("TPI_SERVER_CACHE_MB", "64");
+  const ScopedEnv e5("TPI_LOG_LEVEL", "error");
+  const ScopedEnv e6("TPI_SERVER_SOCKET", "/tmp/x.sock");
+  const ScopedEnv e7("TPI_SERVER_CACHE_MB", "64");
 
   const FlowConfig cfg = FlowConfig::from_env();
   EXPECT_DOUBLE_EQ(cfg.scale, 0.25);
@@ -58,10 +34,7 @@ TEST(FlowConfigTest, FromEnvReadsEveryVariable) {
   EXPECT_EQ(cfg.effective_bench_jobs(), 3);
   EXPECT_EQ(cfg.options.atpg.jobs, 2);
   EXPECT_EQ(cfg.bench_json, "out.json");
-  EXPECT_EQ(cfg.trace_path, "trace.json");
   EXPECT_EQ(cfg.log_level, LogLevel::kError);
-  EXPECT_EQ(cfg.fuzz_seed, 0xABCDu);
-  EXPECT_EQ(cfg.fuzz_options().iterations, 17);
   EXPECT_EQ(cfg.server_socket, "/tmp/x.sock");
   EXPECT_EQ(cfg.server_cache_mb, 64);
 }
@@ -87,20 +60,16 @@ TEST(FlowConfigTest, TelemetryKeysParseAndRoundTrip) {
   const FlowConfig base;
   FlowConfig cfg;
   std::string error;
-  ASSERT_TRUE(FlowConfig::from_json(
-      "{\"record_trace\": true, \"trace_dir\": \"traces\", "
-      "\"ledger\": \"runs.jsonl\"}",
-      base, cfg, &error))
+  ASSERT_TRUE(FlowConfig::from_json("{\"record_trace\": true, \"trace_dir\": \"traces\"}",
+                                    base, cfg, &error))
       << error;
   EXPECT_TRUE(cfg.record_trace);
   EXPECT_EQ(cfg.trace_dir, "traces");
-  EXPECT_EQ(cfg.ledger, "runs.jsonl");
 
   FlowConfig back;
   ASSERT_TRUE(FlowConfig::from_json(cfg.to_json(), FlowConfig{}, back, &error)) << error;
   EXPECT_TRUE(back.record_trace);
   EXPECT_EQ(back.trace_dir, cfg.trace_dir);
-  EXPECT_EQ(back.ledger, cfg.ledger);
 
   // Defaults stay off/empty and serialise away entirely.
   const FlowConfig quiet;
@@ -119,32 +88,36 @@ TEST(FlowConfigTest, FromEnvKeepsBaseForUnsetAndInvalidValues) {
   const ScopedEnv e2("TPI_BENCH_JOBS", "-4");
   const ScopedEnv e3("TPI_ATPG_JOBS", nullptr);
   const ScopedEnv e4("TPI_LOG_LEVEL", "shouty");
-  const ScopedEnv e5("TPI_FUZZ_ITERS", "0");
 
   FlowConfig base;
   base.scale = 0.5;
   base.bench_jobs = 7;
   base.options.atpg.jobs = 5;
-  base.fuzz_iters = 33;
   const FlowConfig cfg = FlowConfig::from_env(base);
   EXPECT_DOUBLE_EQ(cfg.scale, 0.5);
   EXPECT_EQ(cfg.bench_jobs, 7);
   EXPECT_EQ(cfg.options.atpg.jobs, 5);
   EXPECT_EQ(cfg.log_level, base.log_level);
-  EXPECT_EQ(cfg.fuzz_iters, 33);
 }
 
-TEST(FlowConfigTest, BenchVerboseAliasOnlyUpgradesFallback) {
+// TPI_LOG_LEVEL has one reader; apply_process_settings installs what it
+// read.
+TEST(FlowConfigTest, LogLevelFromEnvReachesTheLogger) {
+  const LogLevel saved = log_level();
+  FlowConfig base;
+  base.log_level = LogLevel::kInfo;
   {
-    const ScopedEnv v("TPI_BENCH_VERBOSE", "1");
+    const ScopedEnv l("TPI_LOG_LEVEL", "error");
+    const FlowConfig cfg = FlowConfig::from_env(base);
+    EXPECT_EQ(cfg.log_level, LogLevel::kError);
+    cfg.apply_process_settings();
+    EXPECT_EQ(log_level(), LogLevel::kError);
+  }
+  {
     const ScopedEnv l("TPI_LOG_LEVEL", nullptr);
-    EXPECT_EQ(FlowConfig::from_env().log_level, LogLevel::kInfo);
+    EXPECT_EQ(FlowConfig::from_env(base).log_level, LogLevel::kInfo);
   }
-  {
-    const ScopedEnv v("TPI_BENCH_VERBOSE", "1");
-    const ScopedEnv l("TPI_LOG_LEVEL", "silent");
-    EXPECT_EQ(FlowConfig::from_env().log_level, LogLevel::kSilent);
-  }
+  set_log_level(saved);
 }
 
 TEST(FlowConfigTest, FromJsonLayersOverBase) {
@@ -217,13 +190,10 @@ TEST(FlowConfigTest, FaultModelAndAtSpeedKnobsParse) {
   FlowConfig cfg;
   std::string error;
   ASSERT_TRUE(FlowConfig::from_json(
-      "{\"fault_model\": \"transition\", \"at_speed\": true, "
-      "\"server_queue_limit\": 8}",
-      base, cfg, &error))
+      "{\"fault_model\": \"transition\", \"at_speed\": true}", base, cfg, &error))
       << error;
   EXPECT_EQ(cfg.options.atpg.fault_model, FaultModel::kTransition);
   EXPECT_TRUE(cfg.options.at_speed_lbist);
-  EXPECT_EQ(cfg.server_queue_limit, 8);
 
   ASSERT_TRUE(
       FlowConfig::from_json("{\"fault_model\": \"stuck_at\"}", base, cfg, &error));
@@ -232,28 +202,24 @@ TEST(FlowConfigTest, FaultModelAndAtSpeedKnobsParse) {
   EXPECT_FALSE(FlowConfig::from_json("{\"fault_model\": \"bridging\"}", base, cfg, &error));
   EXPECT_FALSE(FlowConfig::from_json("{\"fault_model\": 1}", base, cfg, &error));
   EXPECT_FALSE(FlowConfig::from_json("{\"at_speed\": \"yes\"}", base, cfg, &error));
-  EXPECT_FALSE(FlowConfig::from_json("{\"server_queue_limit\": -1}", base, cfg, &error));
 }
 
 TEST(FlowConfigTest, FaultModelKnobsRoundTripAndStayOffDefaultJson) {
   FlowConfig cfg;
   cfg.options.atpg.fault_model = FaultModel::kTransition;
   cfg.options.at_speed_lbist = true;
-  cfg.server_queue_limit = 16;
 
   FlowConfig back;
   std::string error;
   ASSERT_TRUE(FlowConfig::from_json(cfg.to_json(), FlowConfig{}, back, &error)) << error;
   EXPECT_EQ(back.options.atpg.fault_model, FaultModel::kTransition);
   EXPECT_TRUE(back.options.at_speed_lbist);
-  EXPECT_EQ(back.server_queue_limit, 16);
 
   // Defaults serialise away entirely: pre-existing configs keep their
   // serialised form, and with it their ledger config fingerprints.
   const std::string quiet = FlowConfig{}.to_json();
   EXPECT_EQ(quiet.find("fault_model"), std::string::npos);
   EXPECT_EQ(quiet.find("at_speed"), std::string::npos);
-  EXPECT_EQ(quiet.find("server_queue_limit"), std::string::npos);
 }
 
 TEST(FlowConfigTest, FromEnvReadsFaultModelAndQueueLimit) {
@@ -285,6 +251,17 @@ TEST(FlowConfigTest, RejectsUnknownKeysAndBadTypes) {
   EXPECT_FALSE(FlowConfig::from_json("{\"scale\": -1}", base, cfg, &error));
   EXPECT_FALSE(FlowConfig::from_json("not json", base, cfg, &error));
   EXPECT_FALSE(FlowConfig::from_json("[1,2]", base, cfg, &error));
+  // Process settings are env-only: a submit cannot set them, so their old
+  // JSON keys are unknown like any other.
+  for (const char* key : {"bench_json", "trace", "ledger", "log_level", "fuzz_seed",
+                          "fuzz_iters", "server_socket", "server_cache_mb",
+                          "server_queue_limit", "simd"}) {
+    SCOPED_TRACE(key);
+    error.clear();
+    EXPECT_FALSE(FlowConfig::from_json(std::string("{\"") + key + "\": \"x\"}", base, cfg,
+                                       &error));
+    EXPECT_NE(error.find("unknown key"), std::string::npos) << error;
+  }
   // Failed parses leave the output untouched.
   EXPECT_EQ(cfg.profile, "sentinel");
 }
@@ -357,7 +334,6 @@ TEST(FlowConfigTest, ToJsonRoundTrips) {
   cfg.options.atpg.jobs = 2;
   cfg.stages = StageMask::all().without(Stage::kSta);
   cfg.priority = -2;
-  cfg.fuzz_iters = 5;
 
   FlowConfig back;
   std::string error;
@@ -370,7 +346,47 @@ TEST(FlowConfigTest, ToJsonRoundTrips) {
   EXPECT_EQ(back.options.atpg.jobs, cfg.options.atpg.jobs);
   EXPECT_EQ(back.stages, cfg.stages);
   EXPECT_EQ(back.priority, cfg.priority);
-  EXPECT_EQ(back.fuzz_iters, cfg.fuzz_iters);
+}
+
+// to_json writes exactly the keys from_json accepts: with every optional
+// field off its default, the key list is the full schema, and process
+// settings never appear (so they stay out of ledger fingerprints).
+TEST(FlowConfigTest, ToJsonWritesExactlyTheAcceptedKeys) {
+  FlowConfig cfg;
+  cfg.options.atpg.fault_model = FaultModel::kTransition;
+  cfg.options.at_speed_lbist = true;
+  cfg.options.atpg.max_patterns = 77;
+  cfg.options.verify = true;
+  cfg.stages = StageMask::all().with(Stage::kVerify);  // what "verify": true implies
+  cfg.options.layout_driven_reorder = !FlowConfig{}.options.layout_driven_reorder;
+  cfg.options.timing_driven_tpi = true;
+  cfg.options.timing_exclude_slack_ps = 12.5;
+  cfg.record_trace = true;
+  cfg.bench_jobs = 3;
+  cfg.trace_dir = "traces";
+  cfg.soc.cores = 2;
+  cfg.bench_json = "out.json";
+  cfg.ledger = "runs.jsonl";
+  cfg.log_level = LogLevel::kDebug;
+  cfg.server_socket = "x.sock";
+  cfg.server_cache_mb = 8;
+  cfg.server_queue_limit = 4;
+
+  const JsonParseResult parsed = json_parse(cfg.to_json());
+  ASSERT_TRUE(parsed.ok) << parsed.error;
+  std::vector<std::string> keys;
+  for (const auto& [key, v] : parsed.value.as_object()) keys.push_back(key);
+  const std::vector<std::string> want{
+      "profile", "scale", "tp_percent", "tpi_method", "seed", "stages", "atpg_jobs",
+      "priority", "fault_model", "at_speed", "max_patterns", "verify",
+      "layout_driven_reorder", "timing_driven_tpi", "timing_exclude_slack_ps",
+      "record_trace", "bench_jobs", "trace_dir", "soc"};
+  EXPECT_EQ(keys, want);
+
+  FlowConfig back;
+  std::string error;
+  ASSERT_TRUE(FlowConfig::from_json(cfg.to_json(), FlowConfig{}, back, &error)) << error;
+  EXPECT_EQ(back.to_json(), cfg.to_json());
 }
 
 TEST(FlowConfigTest, ResolveProfileScalesAndKeepsPaperName) {

@@ -490,11 +490,12 @@ TEST(FlowServerTest, TraceRpcReturnsOnlyThatJobsSpans) {
 
 // Run ledger: a finished single-core job appends one line whose "flow" is
 // the result RPC payload byte for byte; a job cancelled as it starts
-// appends none.
+// appends none. The line's config is the job's config alone: the base
+// config's ledger path (a process setting) stays out of it.
 TEST(FlowServerTest, LedgerRecordsOnlyFinishedJobs) {
   const std::string ledger_path = ::testing::TempDir() + "tpi_server_ledger.jsonl";
   std::remove(ledger_path.c_str());
-  FlowConfig base = tiny_base();
+  FlowConfig base;
   base.ledger = ledger_path;
   FlowServer* server_ptr = nullptr;
   FlowServerOptions opts;
@@ -506,8 +507,9 @@ TEST(FlowServerTest, LedgerRecordsOnlyFinishedJobs) {
   FlowServer server(base, opts);
   server_ptr = &server;
 
-  const std::uint64_t done = submit(server, "{\"tp_percent\": 2.0}");
-  const std::uint64_t cancelled = submit(server, "{\"tp_percent\": 1.0}");
+  const std::string params = "{\"scale\": 0.01, \"atpg_jobs\": 1, \"tp_percent\": 2.0}";
+  const std::uint64_t done = submit(server, params);
+  const std::uint64_t cancelled = submit(server, params);
   ASSERT_EQ(cancelled, 2u);
   const JsonValue result = wait_result(server, done);
   ASSERT_EQ(result.find("state")->as_string(), "done");
@@ -518,6 +520,10 @@ TEST(FlowServerTest, LedgerRecordsOnlyFinishedJobs) {
   ASSERT_EQ(entries.size(), 1u);
   EXPECT_EQ(entries[0].label, "s38417/tp=2");
   EXPECT_EQ(entries[0].flow.serialise(), result.find("flow")->serialise());
+  EXPECT_EQ(entries[0].config.find("ledger"), nullptr) << entries[0].config.serialise();
+  FlowConfig job;
+  ASSERT_TRUE(FlowConfig::from_json(params, FlowConfig{}, job));
+  EXPECT_EQ(entries[0].config_fp, fnv1a_hex(job.to_json()));
   std::remove(ledger_path.c_str());
 }
 

@@ -1,24 +1,13 @@
-// Log level parsing and TPI_LOG_LEVEL environment handling.
+// Log level parsing. TPI_LOG_LEVEL itself is read by FlowConfig::from_env
+// (flow_config_test covers it).
 #include <gtest/gtest.h>
-
-#include <cstdlib>
 
 #include "util/log.hpp"
 
 namespace tpi {
 namespace {
 
-class LogLevelTest : public ::testing::Test {
- protected:
-  void SetUp() override { saved_ = log_level(); }
-  void TearDown() override {
-    unsetenv("TPI_LOG_LEVEL");
-    set_log_level(saved_);
-  }
-  LogLevel saved_ = LogLevel::kWarn;
-};
-
-TEST_F(LogLevelTest, ParsesAllNames) {
+TEST(LogLevelTest, ParsesAllNames) {
   EXPECT_EQ(parse_log_level("debug"), LogLevel::kDebug);
   EXPECT_EQ(parse_log_level("info"), LogLevel::kInfo);
   EXPECT_EQ(parse_log_level("warn"), LogLevel::kWarn);
@@ -26,24 +15,6 @@ TEST_F(LogLevelTest, ParsesAllNames) {
   EXPECT_EQ(parse_log_level("silent"), LogLevel::kSilent);
   EXPECT_EQ(parse_log_level("verbose"), std::nullopt);
   EXPECT_EQ(parse_log_level(""), std::nullopt);
-}
-
-TEST_F(LogLevelTest, EnvOverridesFallback) {
-  setenv("TPI_LOG_LEVEL", "error", 1);
-  EXPECT_EQ(set_log_level_from_env(LogLevel::kInfo), LogLevel::kError);
-  EXPECT_EQ(log_level(), LogLevel::kError);
-}
-
-TEST_F(LogLevelTest, UnsetEnvUsesFallback) {
-  unsetenv("TPI_LOG_LEVEL");
-  EXPECT_EQ(set_log_level_from_env(LogLevel::kInfo), LogLevel::kInfo);
-  EXPECT_EQ(log_level(), LogLevel::kInfo);
-}
-
-TEST_F(LogLevelTest, InvalidEnvFallsBackWithWarning) {
-  setenv("TPI_LOG_LEVEL", "loudest", 1);
-  EXPECT_EQ(set_log_level_from_env(LogLevel::kWarn), LogLevel::kWarn);
-  EXPECT_EQ(log_level(), LogLevel::kWarn);
 }
 
 }  // namespace

@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "util/json.hpp"
 #include "util/json_check.hpp"
 #include "util/thread_pool.hpp"
 #include "util/trace.hpp"
@@ -239,16 +240,27 @@ TEST_F(TraceTest, ConcurrentSinksStayIsolated) {
   EXPECT_EQ(trace_event_count(), 0u);
 }
 
+// Labels are caller-set and unbounded: quotes are escaped, and a long
+// label is not cut off mid-record (a fixed metadata buffer used to
+// truncate it into malformed JSON).
 TEST_F(TraceTest, SinkJsonEscapesLabel) {
-  TraceSink sink(9, "writer \"quoted\"");
-  {
-    ScopedTraceSink scope(sink);
-    TPI_SPAN("write.span");
+  for (const std::string label : {std::string("writer \"quoted\""),
+                                  "sweep/" + std::string(294, 'x')}) {
+    SCOPED_TRACE(label.size());
+    TraceSink sink(9, label);
+    {
+      ScopedTraceSink scope(sink);
+      TPI_SPAN("write.span");
+    }
+    const std::string contents = sink.to_json();
+    std::string error;
+    EXPECT_TRUE(json_well_formed(contents, &error)) << error;
+    EXPECT_NE(contents.find("write.span"), std::string::npos);
+    const JsonParseResult doc = json_parse(contents);
+    ASSERT_TRUE(doc.ok) << doc.error;
+    const JsonValue& meta = doc.value.find("traceEvents")->as_array().front();
+    EXPECT_EQ(meta.find("args")->find("name")->as_string(), label);
   }
-  const std::string contents = sink.to_json();
-  std::string error;
-  EXPECT_TRUE(json_well_formed(contents, &error)) << error;  // label escaping
-  EXPECT_NE(contents.find("write.span"), std::string::npos);
 }
 
 TEST_F(TraceTest, ResetClearsEventsButKeepsRecording) {

@@ -1,9 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <optional>
-#include <string>
-
 #include "../common/test_circuits.hpp"
 #include "circuits/generator.hpp"
 #include "flow/flow.hpp"
@@ -14,54 +10,13 @@ namespace tpi {
 namespace {
 
 using test::lib;
-
-/// Scoped setenv that restores the previous value (or unsets) on exit.
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    if (const char* old = std::getenv(name)) old_ = old;
-    if (value != nullptr) {
-      ::setenv(name, value, 1);
-    } else {
-      ::unsetenv(name);
-    }
-  }
-  ~ScopedEnv() {
-    if (old_.has_value()) {
-      ::setenv(name_.c_str(), old_->c_str(), 1);
-    } else {
-      ::unsetenv(name_.c_str());
-    }
-  }
-
- private:
-  std::string name_;
-  std::optional<std::string> old_;
-};
+using test::ScopedEnv;
 
 TEST(DeterminismTest, GeneratorIsBitIdenticalForSameProfileAndSeed) {
   const CircuitProfile prof = test::tiny_profile(555);
   const auto a = generate_circuit(lib(), prof);
   const auto b = generate_circuit(lib(), prof);
   EXPECT_EQ(write_bench_string(*a), write_bench_string(*b));
-}
-
-TEST(DeterminismTest, FuzzOptionsReadEnvOverrides) {
-  {
-    ScopedEnv seed("TPI_FUZZ_SEED", "0x1234");
-    ScopedEnv iters("TPI_FUZZ_ITERS", "7");
-    const FuzzOptions opts = FuzzOptions::from_env();
-    EXPECT_EQ(opts.seed, 0x1234u);
-    EXPECT_EQ(opts.iterations, 7);
-  }
-  {
-    // Invalid values warn and fall back to the defaults.
-    ScopedEnv seed("TPI_FUZZ_SEED", "not-a-number");
-    ScopedEnv iters("TPI_FUZZ_ITERS", "-3");
-    const FuzzOptions opts = FuzzOptions::from_env();
-    EXPECT_EQ(opts.seed, FuzzOptions{}.seed);
-    EXPECT_EQ(opts.iterations, FuzzOptions{}.iterations);
-  }
 }
 
 // The fuzzer digest is the determinism contract: the job-count knobs that
