@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cstdio>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "../common/test_circuits.hpp"
 #include "circuits/generator.hpp"
@@ -83,6 +86,56 @@ TEST(LbistTest, DeterministicForFixedSeed) {
   const LbistResult b = run_lbist(model, {});
   EXPECT_EQ(a.signature, b.signature);
   EXPECT_EQ(a.detected, b.detected);
+}
+
+// Every output field of a session, doubles as exact hex floats, so a pin
+// on the string is a byte-level pin on the result.
+std::string lbist_fingerprint(const LbistResult& r) {
+  std::string out;
+  char buf[96];
+  for (const auto& [patterns, pct] : r.coverage_curve) {
+    std::snprintf(buf, sizeof buf, "%d:%a ", patterns, pct);
+    out += buf;
+  }
+  std::snprintf(buf, sizeof buf, "det=%lld qual=%lld sig=%016llx",
+                static_cast<long long>(r.detected), static_cast<long long>(r.qualified),
+                static_cast<unsigned long long>(r.signature));
+  return out + buf;
+}
+
+TEST(LbistTest, StuckAtSessionPinned) {
+  auto nl = generate_circuit(lib(), test::tiny_profile(205));
+  CombModel model(*nl, SeqView::kCapture);
+  LbistOptions opts;
+  opts.max_patterns = 2048;
+  opts.report_every = 256;
+  EXPECT_EQ(lbist_fingerprint(run_lbist(model, opts)),
+            "256:0x1.5de8af5466962p+6 512:0x1.64a600eebf2f2p+6 768:0x1.6d06fe99e1396p+6 "
+            "1024:0x1.6d06fe99e1396p+6 1280:0x1.6d92e29f79b47p+6 1536:0x1.6e1ec6a5122f9p+6 "
+            "1792:0x1.6eaaaaaaaaaabp+6 2048:0x1.6f07ed5910521p+6 "
+            "det=1965 qual=2196 sig=22dba1d502f5dc45");
+}
+
+TEST(LbistTest, QualifiedTransitionSessionPinned) {
+  auto nl = generate_circuit(lib(), test::tiny_profile(206));
+  CombModel model(*nl, SeqView::kCapture);
+  // Sites with arrival > 300 ps qualify at T = 500 ps with a 200 ps defect.
+  std::vector<double> arrival(nl->num_nets());
+  for (std::size_t n = 0; n < arrival.size(); ++n) {
+    arrival[n] = 100.0 * static_cast<double>(n % 7);
+  }
+  LbistOptions opts;
+  opts.max_patterns = 2048;
+  opts.report_every = 256;
+  opts.fault_model = FaultModel::kTransition;
+  opts.capture_period_ps = 500.0;
+  opts.fault_size_ps = 200.0;
+  opts.arrival_ps = &arrival;
+  EXPECT_EQ(lbist_fingerprint(run_lbist(model, opts)),
+            "256:0x1.a6f066c45bc1ap+4 512:0x1.b824b3d7a092dp+4 768:0x1.ce5d9765d9766p+4 "
+            "1024:0x1.d2aaaaaaaaaabp+4 1280:0x1.d866c45bc19b1p+4 1536:0x1.db44d1344d134p+4 "
+            "1792:0x1.e04967af4125ap+4 2048:0x1.e1b86e1b86e1cp+4 "
+            "det=622 qual=944 sig=c6ec4fd49e6af869");
 }
 
 TEST(LbistTest, PseudoRandomResistantFaultsCapCoverage) {
