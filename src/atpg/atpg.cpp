@@ -1,7 +1,6 @@
 #include "atpg/atpg.hpp"
 
 #include <algorithm>
-#include <cassert>
 
 #include "atpg/fault_sim.hpp"
 #include "netlist/design_db.hpp"
@@ -13,29 +12,21 @@
 namespace tpi {
 namespace {
 
-// Pack up to nw*64 patterns into per-input lane words (input-major):
-// pattern k lands in bit k%64 of words[i*nw + k/64]. Lanes past the
-// pattern count stay zero (phantom all-zero vectors; callers mask them
-// out of detection words).
-void pack_batch(const std::vector<const TestPattern*>& batch, std::size_t num_inputs, int nw,
-                std::vector<Word>& words) {
+// Pack batch[0..count) (count <= nw*64) into per-input lane words
+// (input-major): pattern k lands in bit k%64 of words[i*nw + k/64]. Lanes
+// past the pattern count stay zero (phantom all-zero vectors that
+// FaultSimBank::first_detections never counts).
+void pack_batch(const std::vector<TestPattern>& batch, std::size_t count, std::size_t num_inputs,
+                int nw, std::vector<Word>& words) {
   words.assign(num_inputs * static_cast<std::size_t>(nw), 0);
-  for (std::size_t k = 0; k < batch.size(); ++k) {
-    const auto& bits = batch[k]->bits;
+  for (std::size_t k = 0; k < count; ++k) {
+    const auto& bits = batch[k].bits;
     const std::size_t j = k / kWordBits;
     const int bit = static_cast<int>(k % kWordBits);
     for (std::size_t i = 0; i < num_inputs; ++i) {
       words[i * static_cast<std::size_t>(nw) + j] |= static_cast<Word>(bits[i] & 1) << bit;
     }
   }
-}
-
-// Valid-lane mask for lane word j of a batch holding `count` patterns.
-Word lane_mask(std::size_t count, int j) {
-  const std::size_t base = static_cast<std::size_t>(j) * kWordBits;
-  if (count <= base) return 0;
-  const std::size_t lanes = count - base;
-  return lanes >= static_cast<std::size_t>(kWordBits) ? ~Word{0} : (Word{1} << lanes) - 1;
 }
 
 // Largest power-of-two word count covering `remaining` 64-pattern batches,
@@ -49,8 +40,8 @@ int super_batch_words(int remaining) {
 // Live = could still be detected by a pattern: everything but kDetected and
 // kScanTested (kRedundant/kAborted stay eligible — simulation evidence of
 // detection overrides them). Built once per phase and maintained
-// incrementally by FaultSimBank::grade_and_drop instead of rescanning the
-// whole fault list every batch.
+// incrementally by drop_first_detected instead of rescanning the whole
+// fault list every batch.
 void rebuild_live(FaultList& list, std::vector<Fault*>& live) {
   live.clear();
   for (Fault& f : list.faults) {
@@ -98,36 +89,30 @@ AtpgResult run_atpg(const CombModel& model, const TestabilityResult& testability
   }
 
   // Reusable batch scaffolding, hoisted out of the per-batch loops: the
-  // pattern slots (with their bit vectors), the packed input words and the
-  // ref array are allocated once and refilled every batch.
+  // pattern slots (with their bit vectors) and the packed input words are
+  // allocated once and refilled every batch.
   std::vector<TestPattern> batch(static_cast<std::size_t>(kWordBits) * kMaxLaneWords);
   for (TestPattern& p : batch) p.bits.resize(num_inputs);
-  std::vector<const TestPattern*> refs;
-  refs.reserve(batch.size());
   std::vector<Word> words;
+  std::vector<int> first;  ///< first detecting pattern per live fault
   std::vector<Fault*> live;
   live.reserve(res.faults.faults.size());
   rebuild_live(res.faults, live);
 
-  // Simulate batch[0..count) against the live list, drop detected faults
-  // and append the patterns to the result set.
-  auto simulate_and_keep = [&](std::size_t count) {
-    refs.clear();
-    for (std::size_t k = 0; k < count; ++k) refs.push_back(&batch[k]);
-    pack_batch(refs, num_inputs, /*nw=*/1, words);
-    bank.configure_lanes(1);
+  // Pack batch[0..count) into `nw` lane words, load them into the bank
+  // and write each live fault's first detecting pattern into `first`.
+  auto grade_batch = [&](std::size_t count, int nw) {
+    pack_batch(batch, count, num_inputs, nw, words);
+    bank.configure_lanes(nw);
     load_bank(words);
-    const FaultSimBank::DropOutcome out = bank.grade_and_drop(live);
-    ++sim_batches;
-    for (std::size_t k = 0; k < count; ++k) res.patterns.push_back(batch[k]);
-    return out;
+    bank.first_detections(live, count, first);
   };
 
   // ---- phase 1: pseudo-random warm-up ----
   // Super-batched: up to kMaxLaneWords 64-pattern batches are generated,
   // packed and graded in one wide pass (one net visit grades them all).
   // The legacy per-batch yield cutoff is replicated from the per-fault
-  // first-detecting lane word: sub-batch s's yield is the equiv count of
+  // first detecting pattern: sub-batch s's yield is the equiv count of
   // kUndetected faults first detected in lane word s, the phase stops at
   // the first sub-batch whose yield falls below random_min_yield (that
   // sub-batch's drops and patterns still count, as before), and faults
@@ -135,7 +120,6 @@ AtpgResult run_atpg(const CombModel& model, const TestabilityResult& testability
   // were never applied.
   {
     TPI_SPAN("atpg.random");
-    std::vector<Word> detect;
     int b = 0;
     bool low_yield = false;
     while (b < opts.random_batches && !low_yield) {
@@ -146,22 +130,12 @@ AtpgResult run_atpg(const CombModel& model, const TestabilityResult& testability
           bit = static_cast<std::uint8_t>(rng.next_bool() ? 1 : 0);
         }
       }
-      refs.clear();
-      for (std::size_t k = 0; k < count; ++k) refs.push_back(&batch[k]);
-      pack_batch(refs, num_inputs, nb, words);
-      bank.configure_lanes(nb);
-      load_bank(words);
-      bank.grade(live, detect);
+      grade_batch(count, nb);
 
-      // Per-sub-batch yields from first-detecting lane words.
       std::int64_t yields[kMaxLaneWords] = {};
       for (std::size_t i = 0; i < live.size(); ++i) {
-        if (live[i]->status != FaultStatus::kUndetected) continue;
-        for (int j = 0; j < nb; ++j) {
-          if (detect[i * static_cast<std::size_t>(nb) + j] != 0) {
-            yields[j] += live[i]->equiv_count;
-            break;
-          }
+        if (first[i] >= 0 && live[i]->status == FaultStatus::kUndetected) {
+          yields[first[i] / kWordBits] += live[i]->equiv_count;
         }
       }
       int applied = nb;
@@ -173,25 +147,8 @@ AtpgResult run_atpg(const CombModel& model, const TestabilityResult& testability
         }
       }
 
-      // Drop faults first detected by an applied sub-batch.
-      std::size_t w = 0;
-      for (std::size_t i = 0; i < live.size(); ++i) {
-        int fw = -1;
-        for (int j = 0; j < applied; ++j) {
-          if (detect[i * static_cast<std::size_t>(nb) + j] != 0) {
-            fw = j;
-            break;
-          }
-        }
-        if (fw < 0) {
-          live[w++] = live[i];
-          continue;
-        }
-        live[i]->status = FaultStatus::kDetected;
-      }
-      live.resize(w);
-
       const std::size_t applied_patterns = static_cast<std::size_t>(applied) * kWordBits;
+      drop_first_detected(live, first, applied_patterns);
       for (std::size_t k = 0; k < applied_patterns; ++k) res.patterns.push_back(batch[k]);
       sim_batches += static_cast<std::uint64_t>(applied);
       b += applied;
@@ -254,7 +211,10 @@ AtpgResult run_atpg(const CombModel& model, const TestabilityResult& testability
         }
       }
       if (batch_n == 0) continue;
-      simulate_and_keep(batch_n);
+      grade_batch(batch_n, /*nw=*/1);
+      drop_first_detected(live, first, batch_n);
+      ++sim_batches;
+      for (std::size_t k = 0; k < batch_n; ++k) res.patterns.push_back(batch[k]);
     }
   }
   res.patterns_before_compaction = static_cast<int>(res.patterns.size());
@@ -267,56 +227,28 @@ AtpgResult run_atpg(const CombModel& model, const TestabilityResult& testability
     }
     rebuild_live(res.faults, live);
     std::vector<char> keep(res.patterns.size(), 0);
-    std::vector<std::size_t> ids;
-    ids.reserve(static_cast<std::size_t>(kWordBits) * kMaxLaneWords);
-    std::vector<Word> detect;
     const std::size_t n = res.patterns.size();
     std::size_t processed = 0;
     while (processed < n) {
       // Super-batch: up to kMaxLaneWords x 64 patterns graded per pass.
-      // Lane j*64+k of the batch = pattern (n-1-processed-(j*64+k)), so the
-      // first detecting lane is the first detector in reverse order — the
-      // same pattern the 64-wide loop kept.
+      // Lane k of the batch = pattern last - k, so the first detecting lane
+      // is the first detector in reverse order — the same pattern the
+      // 64-wide loop kept.
       const std::size_t remaining_words = (n - processed + kWordBits - 1) / kWordBits;
       const int nw = super_batch_words(
           static_cast<int>(std::min<std::size_t>(remaining_words, kMaxLaneWords)));
       const std::size_t count =
           std::min<std::size_t>(static_cast<std::size_t>(nw) * kWordBits, n - processed);
-      refs.clear();
-      ids.clear();
-      for (std::size_t k = 0; k < count; ++k) {
-        const std::size_t idx = n - 1 - processed - k;
-        refs.push_back(&res.patterns[idx]);
-        ids.push_back(idx);
-      }
-      pack_batch(refs, num_inputs, nw, words);
-      bank.configure_lanes(nw);
-      load_bank(words);
-      bank.grade(live, detect);
+      const std::size_t last = n - 1 - processed;
+      for (std::size_t k = 0; k < count; ++k) batch[k].bits = res.patterns[last - k].bits;
+      grade_batch(count, nw);
       sim_batches += (count + kWordBits - 1) / kWordBits;
-      // Merge in fault-list order: a detected fault keeps the first pattern
-      // (in reverse order) that detects it and leaves the live list. Lanes
-      // past the pattern count hold phantom all-zero vectors and are
-      // masked out.
-      std::size_t w = 0;
-      for (std::size_t i = 0; i < live.size(); ++i) {
-        std::size_t lane = count;
-        for (int j = 0; j < nw; ++j) {
-          const Word d = detect[i * static_cast<std::size_t>(nw) + j] & lane_mask(count, j);
-          if (d != 0) {
-            lane = static_cast<std::size_t>(j) * kWordBits +
-                   static_cast<std::size_t>(first_detecting_pattern(d));
-            break;
-          }
-        }
-        if (lane >= count) {
-          live[w++] = live[i];
-          continue;
-        }
-        live[i]->status = FaultStatus::kDetected;
-        keep[ids[lane]] = 1;
+      // A detected fault keeps the first pattern (in reverse order) that
+      // detects it and leaves the live list.
+      for (const int k : first) {
+        if (k >= 0) keep[last - static_cast<std::size_t>(k)] = 1;
       }
-      live.resize(w);
+      drop_first_detected(live, first, count);
       processed += count;
     }
     std::vector<TestPattern> kept;

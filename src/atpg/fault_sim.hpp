@@ -6,21 +6,22 @@
 // keep the hot loop tight: faults whose site cannot reach any observe net
 // (CombModel::net_reaches_observe) are skipped outright, and events are
 // never scheduled into nodes whose output lies outside every observe cone.
-// Combined with fault dropping this is the workhorse of compact ATPG:
-// every generated pattern (with random fill) is graded against all
-// remaining faults.
+// Combined with fault dropping this is the workhorse of compact ATPG and
+// LBIST: every batch of patterns is graded against all remaining faults
+// through FaultSimBank::first_detections, and drop_first_detected removes
+// each fault at its first detecting pattern.
 //
 // The hot loops live in the dispatched SIMD kernels (sim/kernels.hpp): a
 // batch is lane_words() x 64 patterns wide, and each net visit grades all
-// of them. The lane width is picked algorithmically by callers (1 for the
-// legacy 64-pattern interface, up to kMaxLaneWords = 8 for super-batches),
-// never from CPU capability, so detection words are bit-identical across
-// kernel backends.
+// of them. The lane width is picked algorithmically by callers (1 for a
+// 64-pattern batch, up to kMaxLaneWords = 8 for super-batches), never from
+// CPU capability, so detection words are bit-identical across kernel
+// backends.
 //
-// FaultSimBank partitions a fault list across per-worker FaultSimulator
-// instances (shared read-only CombModel, per-worker faulty-value scratch)
-// and merges detection results in fault-list order, so the outcome is
-// bit-identical to the serial path at any worker count.
+// FaultSimBank partitions a fault list across workers (shared read-only
+// CombModel and good state, per-worker faulty-value scratch) and merges
+// detection results in fault-list order, so the outcome is bit-identical
+// to the serial path at any worker count.
 //
 // Transition faults are graded over launch-on-capture pattern pairs loaded
 // with load_batch_loc(): the launch frame V1 is simulated, the capture
@@ -33,7 +34,6 @@
 // untouched, so backend bit-identity carries over.
 #pragma once
 
-#include <bit>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -46,98 +46,15 @@ namespace tpi {
 
 class ThreadPool;
 
-/// Mask selecting the first (lowest-index) detecting pattern of a batch:
-/// pattern k lives in bit k, so the first detector is the least-significant
-/// set bit. Explicit std::countr_zero replaces the old two's-complement
-/// `d & (~d + 1)` trick (same value, without the implicit encoding
-/// assumption); shared by fault dropping and static compaction.
-inline Word first_detecting_bit(Word detect) {
-  return detect == 0 ? Word{0} : Word{1} << std::countr_zero(detect);
-}
-
-/// Index of the first detecting pattern, -1 when no pattern detects.
-inline int first_detecting_pattern(Word detect) {
-  return detect == 0 ? -1 : std::countr_zero(detect);
-}
-
 /// Resolve a fault against the model for the grading/forced kernels: find
 /// the branch's logic reader, or classify it as a direct FF-D capture or a
 /// dead branch. Shared by fault simulation and pattern replay.
 FaultTask resolve_fault_task(const CombModel& model, const Fault& fault);
 
-class FaultSimulator {
- public:
-  explicit FaultSimulator(const CombModel& model);
-
-  /// Words per net in the current batch layout (1..kMaxLaneWords).
-  int lane_words() const { return good_.lane_words(); }
-  /// Switch the batch width; resets the good state when it changes.
-  void configure_lanes(int lane_words);
-
-  /// Load the good-circuit state for a batch of lane_words() x 64 patterns
-  /// (words input-major, aligned with model.input_nets(): word
-  /// input_words[i*lane_words() + j] is input i, lane word j) and evaluate
-  /// it. With lane_words() == 1 this is the legacy 64-pattern interface.
-  void load_batch(const std::vector<Word>& input_words);
-
-  /// Launch-on-capture batch for transition faults: simulate `input_words`
-  /// as the launch frame V1, then build and simulate the capture frame
-  /// (PIs held, pseudo-inputs fed from V1's captured D observes). After
-  /// this call the good state is the capture frame and the launch frame's
-  /// values are retained for the transition launch condition.
-  void load_batch_loc(const std::vector<Word>& input_words);
-
-  /// Adopt another simulator's good-circuit state (same model, same batch)
-  /// without re-evaluating it — the parallel bank loads the batch once.
-  /// Copies the launch frame too, if the source holds one.
-  void copy_good_from(const FaultSimulator& other);
-
-  /// Resolve a fault against the model for the grading kernels.
-  FaultTask resolve(const Fault& fault) const;
-
-  /// Word with bit k set iff pattern k of the current batch detects the
-  /// fault (observable difference at a PO or pseudo-PO). Legacy single-word
-  /// view: with lane_words() > 1 this is lane word 0 only.
-  Word detects(const Fault& fault);
-
-  /// All lane words of the detection result: out[0..lane_words()).
-  void detects_wide(const Fault& fault, Word* out);
-
-  /// Grade `count` faults: detect[i*lane_words() + j] is fault i's lane
-  /// word j.
-  void grade(const Fault* const* faults, std::size_t count, Word* detect);
-
-  /// Convenience: simulate the batch against `faults`, mark newly detected
-  /// faults kDetected and return per-pattern "useful" mask (bit k set iff
-  /// pattern k was the first detector of some fault). Lane word 0 only.
-  Word drop_detected(std::vector<Fault*>& faults);
-
-  const ParallelSim& good() const { return good_; }
-
-  const FaultSimStats& stats() const { return stats_; }
-  void reset_stats() { stats_ = {}; }
-
- private:
-  /// Per-lane-word transition launch mask for `fault` (slow-to-rise: site
-  /// was 0 at launch; slow-to-fall: site was 1), ANDed into the kernel's
-  /// capture-frame detect words. Zero when no launch frame is loaded — a
-  /// transition fault cannot be detected by a single-frame batch.
-  void apply_launch_mask(const Fault& fault, Word* detect) const;
-
-  const CombModel* model_;
-  ParallelSim good_;
-  FaultScratch scratch_;
-  std::vector<FaultTask> tasks_;  ///< reused per grade() call
-  std::vector<Word> launch_values_;   ///< V1 net values (load_batch_loc)
-  std::vector<Word> capture_inputs_;  ///< scratch for the capture frame
-  bool has_launch_ = false;
-  FaultSimStats stats_;
-};
-
 /// Deterministic parallel fault grading: the live fault list is split into
 /// one contiguous chunk per worker (chunk boundaries depend only on the
 /// list length and the worker count, never on scheduling), each worker
-/// grades its chunk on its own FaultSimulator, and the caller-visible merge
+/// grades its chunk in its own scratch, and the caller-visible merge
 /// happens on the calling thread in fault-list order. Result: bit-identical
 /// to the serial path for any `jobs`.
 class FaultSimBank {
@@ -150,45 +67,61 @@ class FaultSimBank {
   FaultSimBank(const FaultSimBank&) = delete;
   FaultSimBank& operator=(const FaultSimBank&) = delete;
 
-  int jobs() const { return static_cast<int>(sims_.size()); }
+  int jobs() const { return static_cast<int>(workers_.size()); }
 
-  /// Words per net in the current batch layout.
-  int lane_words() const { return sims_.front()->lane_words(); }
-  /// Switch every worker's batch width.
+  /// Words per net in the current batch layout (1..kMaxLaneWords).
+  int lane_words() const { return good_.lane_words(); }
+  /// Switch the batch width; resets the good state when it changes.
   void configure_lanes(int lane_words);
 
-  /// Worker 0's simulator (serial helpers, tests).
-  FaultSimulator& primary() { return *sims_.front(); }
-
-  /// Load + evaluate the batch once (input-major wide layout, see
-  /// FaultSimulator::load_batch), then copy the good state to every worker.
+  /// Load + evaluate a batch of lane_words() x 64 patterns (words
+  /// input-major, aligned with model.input_nets(): word
+  /// input_words[i*lane_words() + j] is input i, lane word j). Every worker
+  /// grades against this one good state.
   void load_batch(const std::vector<Word>& input_words);
 
-  /// Launch-on-capture variant (see FaultSimulator::load_batch_loc).
+  /// Launch-on-capture batch for transition faults: simulate `input_words`
+  /// as the launch frame V1, then build and simulate the capture frame
+  /// (PIs held, pseudo-inputs fed from V1's captured D observes). The good
+  /// state is then the capture frame; the launch frame's values are kept
+  /// for the transition launch condition.
   void load_batch_loc(const std::vector<Word>& input_words);
 
-  /// Grade every fault: detect[i*lane_words() + j] = fault i, lane word j.
+  /// Good-circuit state of the loaded batch (the capture frame after
+  /// load_batch_loc).
+  const ParallelSim& good() const { return good_; }
+
+  /// Grade every fault: detect[i*lane_words() + j] is fault i's lane word
+  /// j, bit k set iff pattern j*64+k shows an observable difference at a
+  /// PO or pseudo-PO.
   void grade(const std::vector<Fault*>& faults, std::vector<Word>& detect);
 
-  struct DropOutcome {
-    Word useful = 0;  ///< bit k set iff pattern k first-detected some fault
-                      ///< (lane word 0 only; meaningful at lane_words()==1)
-    std::int64_t equiv_dropped = 0;  ///< equiv count of ex-kUndetected drops
-  };
-
-  /// Grade `live`, mark detected faults kDetected and remove them from
-  /// `live` (order preserved). Faults in other live states (kRedundant,
-  /// kAborted) stay eligible: simulation evidence overrides them. A fault
-  /// counts as detected when any lane word is nonzero.
-  DropOutcome grade_and_drop(std::vector<Fault*>& live);
+  /// Grade `live` and write first[i] = index of the first pattern among the
+  /// batch's first `patterns` that detects live[i], or -1. Lanes at or past
+  /// `patterns` (the all-zero fill of a partial batch) never count.
+  void first_detections(const std::vector<Fault*>& live, std::size_t patterns,
+                        std::vector<int>& first);
 
   /// Summed per-worker counters since the last call; resets the workers.
   FaultSimStats take_stats();
 
  private:
-  std::vector<std::unique_ptr<FaultSimulator>> sims_;
+  struct Worker;
+  const CombModel* model_;
+  ParallelSim good_;
+  std::vector<Word> launch_values_;   ///< V1 net values (load_batch_loc)
+  std::vector<Word> capture_inputs_;  ///< scratch for the capture frame
+  bool has_launch_ = false;
+  std::vector<std::unique_ptr<Worker>> workers_;
   std::unique_ptr<ThreadPool> pool_;  ///< null when jobs() == 1
   std::vector<Word> detect_buf_;
 };
+
+/// Mark kDetected and remove from `live` (order kept) every fault whose
+/// first detection first[i] lies in [0, limit). Faults in other live
+/// states (kRedundant, kAborted) are dropped too: simulation evidence
+/// overrides them.
+void drop_first_detected(std::vector<Fault*>& live, const std::vector<int>& first,
+                         std::size_t limit);
 
 }  // namespace tpi

@@ -79,7 +79,7 @@ LbistResult run_lbist(const CombModel& model, const LbistOptions& opts) {
     return arrival + delta > opts.capture_period_ps;
   };
 
-  FaultSimulator fsim(model);
+  FaultSimBank bank(model, 1);
   Lfsr lfsr(opts.lfsr_degree, opts.lfsr_seed);
   Misr misr(64);
 
@@ -97,6 +97,7 @@ LbistResult run_lbist(const CombModel& model, const LbistOptions& opts) {
   const std::size_t num_inputs = model.input_nets().size();
   std::vector<Word> words(num_inputs);
   std::vector<Word> responses;
+  std::vector<int> first;
   int applied = 0;
   while (applied < opts.max_patterns) {
     // One batch = 64 pseudo-random scan loads, phase-shifted per input by
@@ -104,23 +105,15 @@ LbistResult run_lbist(const CombModel& model, const LbistOptions& opts) {
     // each load as a launch-on-capture pair.
     for (auto& w : words) w = lfsr.next_word();
     if (transition) {
-      fsim.load_batch_loc(words);
+      bank.load_batch_loc(words);
     } else {
-      fsim.load_batch(words);
+      bank.load_batch(words);
     }
-    fsim.good().read_observes(responses);
+    bank.good().read_observes(responses);
     for (const Word r : responses) misr.absorb(r);
 
-    std::vector<Fault*> still;
-    still.reserve(live.size());
-    for (Fault* f : live) {
-      if (fsim.detects(*f) != 0) {
-        f->status = FaultStatus::kDetected;
-      } else {
-        still.push_back(f);
-      }
-    }
-    live = std::move(still);
+    bank.first_detections(live, kWordBits, first);
+    drop_first_detected(live, first, kWordBits);
     applied += kWordBits;
 
     if (applied % opts.report_every == 0 || applied >= opts.max_patterns) {

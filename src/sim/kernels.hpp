@@ -90,8 +90,8 @@ struct SimKernels {
   void (*tern_sweep)(const CombModel& model, Word* p, Word* q, int nw);
   /// Event-driven grading of `count` faults against the good state:
   /// detect[i*scratch.nw + j] accumulates per-lane observable differences
-  /// for tasks[i]. Counters accumulate into `stats` with
-  /// FaultSimulator-compatible semantics.
+  /// for tasks[i]. Counters accumulate into `stats` (one faults_graded
+  /// per task, cone_skips for tasks outside every observe cone).
   void (*grade)(const CombModel& model, FaultScratch& scratch, const Word* good,
                 const FaultTask* tasks, std::size_t count, Word* detect, FaultSimStats& stats);
   /// Forced full-sweep resimulation of one fault (replay validation):

@@ -10,9 +10,9 @@
 //  * sweep/tern_sweep evaluate model.eval_ops() in order, honouring
 //    copy_of; per-op results are computed into locals before the store, so
 //    output aliasing behaves like the historical read-then-write loop.
-//  * grade replicates FaultSimulator::detects() per 64-lane slice: the
-//    per-lane detect bits are what the historical 64-wide grader produced
-//    for that lane's batch, for any NW. The event queue is a level-bucket
+//  * grade is strictly per task, and per 64-lane slice the detect bits
+//    are what the historical 64-wide grader produced for that lane's
+//    batch, for any NW. The event queue is a level-bucket
 //    array instead of a binary heap — levelize guarantees readers sit at
 //    strictly higher levels than their fanins, so ascending-level draining
 //    is the same topological schedule with O(1) push/pop, and the set of

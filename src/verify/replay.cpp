@@ -48,7 +48,7 @@ ReplayReport replay_patterns(const CombModel& capture_model, const FaultList& fa
   // up to kMaxLaneWords x 64 patterns per sweep divides the sweep count by
   // the lane width. The confirmation for each claim is an OR over applied
   // lanes, so the grouping cannot change the verdict — semantics match
-  // FaultSimulator::detects(): a stem forces the site net everywhere; a
+  // FaultSimBank::grade: a stem forces the site net everywhere; a
   // branch forces it only at the one reading node of the faulted cell; a
   // branch on a flip-flop D pin (no logic reader) is captured directly
   // whenever the good value differs.

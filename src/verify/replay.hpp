@@ -2,7 +2,7 @@
 //
 // For every fault the ATPG marked kDetected, re-inject the fault and replay
 // the emitted pattern set with a plain full-sweep forced resimulation —
-// deliberately NOT the event-driven FaultSimulator, so a bug in its cone
+// deliberately NOT the event-driven FaultSimBank grading, so a bug in its cone
 // limiting or event scheduling cannot hide itself. Transition fault lists
 // are replayed over the same launch-on-capture frame pair the ATPG graded
 // (capture-frame forced resim, gated by the launch value at the site). A claimed

@@ -6,6 +6,8 @@
 // build doubles as a data-race check of the new path.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "../common/test_circuits.hpp"
 #include "atpg/atpg.hpp"
 #include "circuits/generator.hpp"
@@ -112,7 +114,10 @@ TEST(AtpgParallelTest, BitIdenticalOnHardBlockProfileWithTestPoints) {
   EXPECT_GT(graded->count, 0u);
 }
 
-TEST(AtpgParallelTest, BankGradeMatchesPerFaultDetects) {
+// Detect words and first detections of a batched bank equal per-fault
+// grading at any worker count, at 1 and kMaxLaneWords lane words, for a
+// partial last lane word.
+TEST(AtpgParallelTest, BankGradesIdenticalAcrossJobCounts) {
   auto nl = generate_circuit(lib(), test::tiny_profile(31));
   ScanOptions so;
   so.max_chain_length = 10;
@@ -122,23 +127,37 @@ TEST(AtpgParallelTest, BankGradeMatchesPerFaultDetects) {
   std::vector<Fault*> faults;
   for (Fault& f : fl.faults) faults.push_back(&f);
 
-  Rng rng(9);
-  std::vector<Word> words(model.input_nets().size());
-  for (auto& w : words) w = rng.next_u64();
-
-  FaultSimulator serial(model);
-  serial.load_batch(words);
-  std::vector<Word> expected;
-  for (Fault* f : faults) expected.push_back(serial.detects(*f));
-
-  for (const int jobs : {1, 2, 3}) {
-    FaultSimBank bank(model, jobs);
-    bank.load_batch(words);
-    std::vector<Word> got;
-    bank.grade(faults, got);
-    EXPECT_EQ(got, expected) << "jobs=" << jobs;
-    const FaultSimStats s = bank.take_stats();
-    EXPECT_EQ(s.faults_graded, faults.size());
+  for (const int nw : {1, kMaxLaneWords}) {
+    SCOPED_TRACE(nw);
+    Rng rng(static_cast<std::uint64_t>(8 + nw));
+    std::vector<Word> words(model.input_nets().size() * static_cast<std::size_t>(nw));
+    for (auto& w : words) w = rng.next_u64();
+    const std::size_t patterns = static_cast<std::size_t>(nw - 1) * kWordBits + 23;
+    std::vector<Word> ref_detect;
+    std::vector<int> ref_first;
+    for (const int jobs : {1, 2, 3}) {
+      FaultSimBank bank(model, jobs);
+      bank.configure_lanes(nw);
+      bank.load_batch(words);
+      std::vector<Word> detect;
+      std::vector<int> first;
+      bank.grade(faults, detect);
+      bank.first_detections(faults, patterns, first);
+      EXPECT_EQ(bank.take_stats().faults_graded, 2 * faults.size());
+      if (jobs > 1) {
+        EXPECT_EQ(detect, ref_detect) << "jobs=" << jobs;
+        EXPECT_EQ(first, ref_first) << "jobs=" << jobs;
+        continue;
+      }
+      // Reference: every fault graded on its own.
+      for (std::size_t i = 0; i < faults.size(); ++i) {
+        ASSERT_EQ(test::detect_word(bank, *faults[i]), detect[i * static_cast<std::size_t>(nw)]);
+      }
+      EXPECT_GT(std::count_if(first.begin(), first.end(), [](int k) { return k >= 0; }), 0);
+      EXPECT_LT(*std::max_element(first.begin(), first.end()), static_cast<int>(patterns));
+      ref_detect = detect;
+      ref_first = first;
+    }
   }
 }
 
@@ -160,16 +179,19 @@ TEST(AtpgParallelTest, GradeAndDropKeepsRedundantAndAbortedLive) {
   Fault redundant_like = detectable;  // same site, pre-marked redundant
   redundant_like.status = FaultStatus::kRedundant;
   redundant_like.stuck1 = true;
-  std::vector<Fault*> live{&detectable, &redundant_like};
-  const FaultSimBank::DropOutcome out = bank.grade_and_drop(live);
-  // Both faults are detectable by the exhaustive batch: the redundant mark
-  // is overridden by simulation evidence and both leave the live list.
+  Fault aborted_like = detectable;  // pre-marked aborted
+  aborted_like.status = FaultStatus::kAborted;
+  std::vector<Fault*> live{&detectable, &redundant_like, &aborted_like};
+  std::vector<int> first;
+  bank.first_detections(live, 8, first);
+  drop_first_detected(live, first, 8);
+  // All faults are detectable by the exhaustive batch: the redundant and
+  // aborted marks are overridden by simulation evidence and every fault
+  // leaves the live list.
   EXPECT_TRUE(live.empty());
   EXPECT_EQ(detectable.status, FaultStatus::kDetected);
   EXPECT_EQ(redundant_like.status, FaultStatus::kDetected);
-  EXPECT_NE(out.useful, Word{0});
-  // Only the ex-kUndetected fault counts toward the warm-up yield.
-  EXPECT_EQ(out.equiv_dropped, detectable.equiv_count);
+  EXPECT_EQ(aborted_like.status, FaultStatus::kDetected);
 }
 
 }  // namespace

@@ -56,7 +56,12 @@ TEST(AtpgTest, CompactedPatternsStillDetectEverything) {
   // Replay the final pattern set from scratch; every kDetected fault must
   // be re-detected.
   FaultList fresh = build_fault_list(model);
-  FaultSimulator fsim(model);
+  std::vector<Fault*> live;
+  for (Fault& f : fresh.faults) {
+    if (f.status == FaultStatus::kUndetected) live.push_back(&f);
+  }
+  FaultSimBank bank(model);
+  std::vector<int> first;
   const std::size_t ni = model.input_nets().size();
   for (std::size_t start = 0; start < r.patterns.size(); start += 64) {
     std::vector<Word> words(ni, 0);
@@ -66,11 +71,9 @@ TEST(AtpgTest, CompactedPatternsStillDetectEverything) {
         words[i] |= static_cast<Word>(r.patterns[k].bits[i] & 1) << (k - start);
       }
     }
-    fsim.load_batch(words);
-    for (Fault& f : fresh.faults) {
-      if (f.status != FaultStatus::kUndetected) continue;
-      if (fsim.detects(f)) f.status = FaultStatus::kDetected;
-    }
+    bank.load_batch(words);
+    bank.first_detections(live, end - start, first);
+    drop_first_detected(live, first, end - start);
   }
   EXPECT_EQ(fresh.count_equiv(FaultStatus::kDetected), r.detected);
 }

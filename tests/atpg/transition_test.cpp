@@ -75,16 +75,16 @@ TEST(TransitionGradingTest, SingleFrameBatchDetectsNothing) {
   auto nl = generate_circuit(lib(), test::tiny_profile(43));
   CombModel model(*nl, SeqView::kCapture);
   FaultList fl = build_fault_list(model, FaultModel::kTransition);
-  FaultSimulator fsim(model);
+  FaultSimBank bank(model);
   Rng rng(0xBEEF);
   std::vector<Word> words(model.input_nets().size());
   for (Word& w : words) w = rng.next_u64();
-  fsim.load_batch(words);
-  for (const Fault& f : fl.faults) EXPECT_EQ(fsim.detects(f), Word{0});
+  bank.load_batch(words);
+  for (const Fault& f : fl.faults) EXPECT_EQ(test::detect_word(bank, f), Word{0});
   // The same frame as a launch-on-capture pair does detect faults.
-  fsim.load_batch_loc(words);
+  bank.load_batch_loc(words);
   std::int64_t detecting = 0;
-  for (const Fault& f : fl.faults) detecting += fsim.detects(f) != 0;
+  for (const Fault& f : fl.faults) detecting += test::detect_word(bank, f) != 0;
   EXPECT_GT(detecting, 0);
 }
 
@@ -94,20 +94,20 @@ TEST(TransitionGradingTest, PureCombinationalCircuitHasNoLocDetections) {
   auto nl = test::make_small_comb();
   CombModel model(*nl, SeqView::kCapture);
   FaultList fl = build_fault_list(model, FaultModel::kTransition);
-  FaultSimulator fsim(model);
+  FaultSimBank bank(model);
   Rng rng(0xF00D);
   std::vector<Word> words(model.input_nets().size());
   for (Word& w : words) w = rng.next_u64();
-  fsim.load_batch_loc(words);
-  for (const Fault& f : fl.faults) EXPECT_EQ(fsim.detects(f), Word{0});
+  bank.load_batch_loc(words);
+  for (const Fault& f : fl.faults) EXPECT_EQ(test::detect_word(bank, f), Word{0});
 }
 
 TEST(TransitionGradingTest, GradesIdenticalAcrossBackendsAndWidths) {
   auto nl = generate_circuit(lib(), test::tiny_profile(44));
   CombModel model(*nl, SeqView::kCapture);
   FaultList fl = build_fault_list(model, FaultModel::kTransition);
-  std::vector<const Fault*> faults;
-  for (const Fault& f : fl.faults) {
+  std::vector<Fault*> faults;
+  for (Fault& f : fl.faults) {
     if (f.status != FaultStatus::kScanTested) faults.push_back(&f);
   }
   ASSERT_GT(faults.size(), 50u);
@@ -127,15 +127,14 @@ TEST(TransitionGradingTest, GradesIdenticalAcrossBackendsAndWidths) {
   for (const SimdBackend b : available_backends()) {
     SCOPED_TRACE(simd_backend_name(b));
     ScopedBackend pin(b);
-    FaultSimulator fsim(model);
-    fsim.load_batch_loc(narrow);
-    std::vector<Word> d1(faults.size());
-    fsim.grade(faults.data(), faults.size(), d1.data());
+    FaultSimBank bank(model);
+    bank.load_batch_loc(narrow);
+    std::vector<Word> d1, d8;
+    bank.grade(faults, d1);
 
-    fsim.configure_lanes(kMaxLaneWords);
-    fsim.load_batch_loc(wide);
-    std::vector<Word> d8(faults.size() * static_cast<std::size_t>(kMaxLaneWords));
-    fsim.grade(faults.data(), faults.size(), d8.data());
+    bank.configure_lanes(kMaxLaneWords);
+    bank.load_batch_loc(wide);
+    bank.grade(faults, d8);
 
     for (std::size_t i = 0; i < faults.size(); ++i) {
       ASSERT_EQ(d1[i], d8[i * static_cast<std::size_t>(kMaxLaneWords)])

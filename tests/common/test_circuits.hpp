@@ -1,6 +1,7 @@
 // Shared helpers for tests: hand-built netlists with known behaviour, a
 // tiny generator profile used by the cross-module tests, a file reader
-// for the trace/ledger files the flow writes, and a scoped setenv.
+// for the trace/ledger files the flow writes, a scoped setenv and a
+// one-fault view of the fault-simulation bank.
 #pragma once
 
 #include <cstdio>
@@ -8,7 +9,9 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <vector>
 
+#include "atpg/fault_sim.hpp"
 #include "circuits/generator.hpp"
 #include "circuits/profiles.hpp"
 #include "netlist/netlist.hpp"
@@ -58,6 +61,15 @@ class ScopedEnv {
 inline const CellLibrary& lib() {
   static const std::unique_ptr<CellLibrary> l = make_phl130_library();
   return *l;
+}
+
+/// Lane word 0 of `fault`'s detect words against the batch loaded in
+/// `bank`: bit k set iff pattern k detects it.
+inline Word detect_word(FaultSimBank& bank, Fault fault) {
+  std::vector<Fault*> one{&fault};
+  std::vector<Word> detect;
+  bank.grade(one, detect);
+  return detect[0];
 }
 
 /// y = NOR(a, b); z = AND(c, y); w = XOR(a, z); outputs z and w.

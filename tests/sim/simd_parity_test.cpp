@@ -53,8 +53,8 @@ TEST(SimdParityTest, FaultGradesIdenticalAcrossBackends) {
   const auto nl = generate_circuit(lib(), test::tiny_profile(31));
   const CombModel model(*nl, SeqView::kCapture);
   FaultList fl = build_fault_list(model);
-  std::vector<const Fault*> faults;
-  for (const Fault& f : fl.faults) {
+  std::vector<Fault*> faults;
+  for (Fault& f : fl.faults) {
     if (f.status != FaultStatus::kScanTested) faults.push_back(&f);
   }
   ASSERT_GT(faults.size(), 50u);
@@ -74,15 +74,14 @@ TEST(SimdParityTest, FaultGradesIdenticalAcrossBackends) {
   for (const SimdBackend b : available_backends()) {
     SCOPED_TRACE(simd_backend_name(b));
     ScopedBackend pin(b);
-    FaultSimulator fsim(model);
-    fsim.load_batch(narrow);
-    std::vector<Word> d1(faults.size());
-    fsim.grade(faults.data(), faults.size(), d1.data());
+    FaultSimBank bank(model);
+    bank.load_batch(narrow);
+    std::vector<Word> d1, d8;
+    bank.grade(faults, d1);
 
-    fsim.configure_lanes(kMaxLaneWords);
-    fsim.load_batch(wide);
-    std::vector<Word> d8(faults.size() * static_cast<std::size_t>(kMaxLaneWords));
-    fsim.grade(faults.data(), faults.size(), d8.data());
+    bank.configure_lanes(kMaxLaneWords);
+    bank.load_batch(wide);
+    bank.grade(faults, d8);
 
     for (std::size_t i = 0; i < faults.size(); ++i) {
       ASSERT_EQ(d1[i], d8[i * static_cast<std::size_t>(kMaxLaneWords)])
