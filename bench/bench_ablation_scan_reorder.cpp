@@ -18,6 +18,7 @@ int main() {
       job.label = profile.name + (reorder ? "/reorder=on" : "/reorder=off");
       job.profile = profile;
       job.options = bench_config().options;
+      job.scale = bench_scale();
       job.options.layout_driven_reorder = reorder;
       job.stages = StageMask::all()
                        .without(Stage::kReorderAtpg)

@@ -29,6 +29,7 @@ int main() {
     job.label = c.name;
     job.profile = profile;
     job.options = bench_config().options;
+    job.scale = bench_scale();
     job.options.tp_percent = c.pct;
     job.options.timing_driven_tpi = c.timing_driven;
     job.options.timing_exclude_slack_ps = 1500.0;

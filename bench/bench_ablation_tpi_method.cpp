@@ -32,6 +32,7 @@ int main() {
     job.label = std::string(profile.name) + "/method=" + mc.name;
     job.profile = profile;
     job.options = bench_config().options;
+    job.scale = bench_scale();
     job.options.tp_percent = mc.pct;
     job.options.tpi_method = mc.method;
     job.stages = StageMask::all().without(Stage::kExtract).without(Stage::kSta);

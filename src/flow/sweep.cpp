@@ -100,7 +100,9 @@ int SweepOptions::effective_jobs() const {
 std::vector<SweepJob> SweepRunner::grid(const std::vector<CircuitProfile>& circuits,
                                         const std::vector<double>& tp_percents,
                                         const FlowConfig& config) {
-  return grid(circuits, tp_percents, config.options, config.stages);
+  std::vector<SweepJob> jobs = grid(circuits, tp_percents, config.options, config.stages);
+  for (SweepJob& job : jobs) job.scale = config.scale;
+  return jobs;
 }
 
 std::vector<SweepJob> SweepRunner::grid(const std::vector<CircuitProfile>& circuits,
@@ -163,6 +165,7 @@ SweepReport SweepRunner::run(const CellLibrary& lib, std::vector<SweepJob> jobs)
         cell_cfg.profile = jobs[i].profile.name;
         cell_cfg.options = jobs[i].options;
         cell_cfg.stages = jobs[i].stages;
+        cell_cfg.scale = jobs[i].scale;
         recorder.append(jobs[i].label, cell_cfg, flow_result_to_json_value(out.result));
       }
       report.cells.push_back(

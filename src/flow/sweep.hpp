@@ -31,6 +31,7 @@ struct SweepJob {
   CircuitProfile profile;
   FlowOptions options;
   StageMask stages = StageMask::all();
+  double scale = 1.0;  ///< scale `profile` was generated at (ledger config)
 };
 
 struct SweepOptions {

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "../common/test_circuits.hpp"
+#include "flow/flow_config.hpp"
 #include "flow/sweep.hpp"
 #include "util/json_check.hpp"
 #include "util/ledger.hpp"
@@ -194,6 +195,28 @@ TEST(SweepRunnerTest, TraceDirAndLedgerRecordEveryCell) {
   }
   std::remove(ledger_path.c_str());
   ::rmdir(trace_dir.c_str());
+}
+
+// A grid built from a scaled FlowConfig records that scale in every
+// ledger line, so a scaled cell never shares a fingerprint with the
+// full-size cell of the same label.
+TEST(SweepRunnerTest, LedgerRecordsTheGridScale) {
+  const std::string ledger_path = ::testing::TempDir() + "tpi_sweep_scale_ledger.jsonl";
+  std::remove(ledger_path.c_str());
+  SweepOptions opts;
+  opts.jobs = 1;
+  opts.progress = false;
+  opts.ledger = ledger_path;
+  FlowConfig config;
+  config.scale = 0.5;
+  config.stages = StageMask::all().without(Stage::kReorderAtpg).without(Stage::kSta);
+  SweepRunner(opts).run(lib(), SweepRunner::grid({test::tiny_profile(35)}, {0.0, 2.0}, config));
+  const std::vector<LedgerEntry> entries = Ledger::read_file(ledger_path);
+  ASSERT_EQ(entries.size(), 2u);
+  for (const LedgerEntry& e : entries) {
+    EXPECT_NE(e.config.serialise().find("\"scale\":0.5"), std::string::npos) << e.label;
+  }
+  std::remove(ledger_path.c_str());
 }
 
 TEST(SweepRunnerTest, ReportAggregatesStageTotals) {
