@@ -38,11 +38,6 @@ struct Placement {
   std::vector<Point> pi_pad;
   std::vector<Point> po_pad;
 
-  /// Endpoint position of a net pin for wirelength/routing purposes.
-  Point pin_position(const PinRef& ref) const {
-    return pos[static_cast<std::size_t>(ref.cell)];
-  }
-
   /// Total half-perimeter wirelength over all nets (quality metric).
   double total_hpwl(const Netlist& nl) const;
 };

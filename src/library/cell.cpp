@@ -6,28 +6,6 @@ bool func_is_sequential(CellFunc f) {
   return f == CellFunc::kDff || f == CellFunc::kSdff || f == CellFunc::kTsff;
 }
 
-std::string_view func_name(CellFunc f) {
-  switch (f) {
-    case CellFunc::kTie0: return "TIE0";
-    case CellFunc::kTie1: return "TIE1";
-    case CellFunc::kBuf: return "BUF";
-    case CellFunc::kInv: return "INV";
-    case CellFunc::kAnd: return "AND";
-    case CellFunc::kNand: return "NAND";
-    case CellFunc::kOr: return "OR";
-    case CellFunc::kNor: return "NOR";
-    case CellFunc::kXor: return "XOR";
-    case CellFunc::kXnor: return "XNOR";
-    case CellFunc::kMux2: return "MUX2";
-    case CellFunc::kDff: return "DFF";
-    case CellFunc::kSdff: return "SDFF";
-    case CellFunc::kTsff: return "TSFF";
-    case CellFunc::kClkBuf: return "CLKBUF";
-    case CellFunc::kFiller: return "FILL";
-  }
-  return "?";
-}
-
 int CellSpec::find_pin(std::string_view pin_name) const {
   for (std::size_t i = 0; i < pins.size(); ++i) {
     if (pins[i].name == pin_name) return static_cast<int>(i);
@@ -40,14 +18,6 @@ const TimingArc* CellSpec::arc_from(int from_pin) const {
     if (arc.from_pin == from_pin) return &arc;
   }
   return nullptr;
-}
-
-int CellSpec::input_pin_count() const {
-  int n = 0;
-  for (const auto& p : pins) {
-    if (p.dir == PinDir::kInput) ++n;
-  }
-  return n;
 }
 
 }  // namespace tpi

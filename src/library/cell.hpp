@@ -31,7 +31,6 @@ enum class CellFunc {
 };
 
 bool func_is_sequential(CellFunc f);
-std::string_view func_name(CellFunc f);
 
 enum class PinDir { kInput, kOutput };
 
@@ -81,9 +80,6 @@ struct CellSpec {
 
   /// Arc from the given input pin to the (single) output, or nullptr.
   const TimingArc* arc_from(int from_pin) const;
-
-  /// Number of input pins (all non-output pins).
-  int input_pin_count() const;
 };
 
 }  // namespace tpi

@@ -72,7 +72,6 @@ class Netlist {
 
   const CellLibrary& library() const { return *lib_; }
   const std::string& name() const { return name_; }
-  void set_name(std::string n) { name_ = std::move(n); }
 
   // ---- construction ----
   NetId add_net(std::string net_name);

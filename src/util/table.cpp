@@ -70,6 +70,4 @@ std::string fmt_fixed(double v, int decimals) {
   return buf;
 }
 
-std::string fmt_pct(double v, int decimals) { return fmt_fixed(v, decimals); }
-
 }  // namespace tpi

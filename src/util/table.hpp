@@ -35,6 +35,5 @@ class TextTable {
 /// Format helpers used when building table cells.
 std::string fmt_int(long long v);              ///< with thousands separators
 std::string fmt_fixed(double v, int decimals); ///< fixed-point
-std::string fmt_pct(double v, int decimals);   ///< fixed-point (no % sign)
 
 }  // namespace tpi
