@@ -46,12 +46,6 @@ class ParallelSim {
   /// model.input_nets(): words[i*lane_words() + j] is input i, lane word j.
   void load_inputs(const std::vector<Word>& words);
 
-  /// Adopt a full per-net state previously produced by another ParallelSim
-  /// over the same model and lane width — parallel fault grading evaluates
-  /// each batch once and copies the good values into the per-worker
-  /// simulators.
-  void assign_values(const std::vector<Word>& values) { value_ = values; }
-
   /// Evaluate every node in topological order (full sweep) through the
   /// active kernel backend.
   void run();

@@ -159,22 +159,5 @@ TEST(ParallelSimTest, CombModelInputAndObserveSets) {
   EXPECT_EQ(model.boundary_ffs().size(), 2u);
 }
 
-TEST(ParallelSimTest, AssignValuesAdoptsFullState) {
-  auto nl = test::make_small_comb();
-  CombModel model(*nl, SeqView::kCapture);
-  ParallelSim src(model);
-  std::vector<Word> words{0xDEAD, 0xBEEF, 0xF00D};
-  src.load_inputs(words);
-  src.run();
-
-  ParallelSim dst(model);
-  dst.assign_values(src.values());
-  EXPECT_EQ(dst.values(), src.values());
-  std::vector<Word> src_obs, dst_obs;
-  src.read_observes(src_obs);
-  dst.read_observes(dst_obs);
-  EXPECT_EQ(dst_obs, src_obs);
-}
-
 }  // namespace
 }  // namespace tpi
