@@ -2,10 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <map>
+#include <string>
 
 #include "../common/test_circuits.hpp"
 #include "circuits/generator.hpp"
+#include "circuits/profiles.hpp"
+#include "flow/flow.hpp"
+#include "util/ledger.hpp"
 
 namespace tpi {
 namespace {
@@ -84,9 +89,60 @@ TEST(PlacementTest, BeatsNaiveSpreadOnWirelength) {
 TEST(PlacementTest, DeterministicAcrossRuns) {
   const PlacedCircuit a = make_placed(74);
   const PlacedCircuit b = make_placed(74);
-  for (std::size_t c = 0; c < a.nl->num_cells(); ++c) {
-    EXPECT_DOUBLE_EQ(a.pl.pos[c].x, b.pl.pos[c].x);
-    EXPECT_DOUBLE_EQ(a.pl.pos[c].y, b.pl.pos[c].y);
+  ASSERT_EQ(a.pl.pos.size(), b.pl.pos.size());
+  EXPECT_EQ(std::memcmp(a.pl.pos.data(), b.pl.pos.data(), a.pl.pos.size() * sizeof(Point)), 0);
+  EXPECT_EQ(a.pl.row, b.pl.row);
+  EXPECT_EQ(a.pl.row_order, b.pl.row_order);
+}
+
+template <typename T>
+void append_bytes(std::string& out, const std::vector<T>& v) {
+  out.append(reinterpret_cast<const char*>(v.data()), v.size() * sizeof(T));
+}
+
+// FNV-1a over the bytes of every Placement field place() fills.
+std::uint64_t placement_digest(const Placement& pl) {
+  std::string bytes;
+  append_bytes(bytes, pl.pos);
+  append_bytes(bytes, pl.row);
+  for (const auto& order : pl.row_order) {
+    const std::size_t n = order.size();
+    bytes.append(reinterpret_cast<const char*>(&n), sizeof n);
+    append_bytes(bytes, order);
+  }
+  append_bytes(bytes, pl.row_used_um);
+  append_bytes(bytes, pl.pi_pad);
+  append_bytes(bytes, pl.po_pad);
+  return fnv1a_64(bytes);
+}
+
+TEST(PlacementTest, PaperScaleGolden) {
+  // The tiny flow baseline places a few hundred cells; pin the placement of
+  // the three paper circuits at a quarter scale, as the flow places them
+  // after TPI and scan insertion, byte for byte.
+  struct Golden {
+    CircuitProfile profile;
+    double tp_percent;
+    std::uint64_t digest;
+  };
+  const CircuitProfile s38417 = scaled(s38417_profile(), 0.25);
+  const CircuitProfile circuit1 = scaled(circuit1_profile(), 0.25);
+  const CircuitProfile p26909 = scaled(p26909_profile(), 0.25);
+  for (const Golden& g : {Golden{s38417, 0.0, 0x996150977588ba60ull},
+                          Golden{s38417, 5.0, 0x37c546d7c20d3743ull},
+                          Golden{circuit1, 0.0, 0x757170b58bf17d38ull},
+                          Golden{circuit1, 5.0, 0xf509719627dd5b8bull},
+                          Golden{p26909, 0.0, 0x46803b05d886a737ull},
+                          Golden{p26909, 5.0, 0xd53dc89629b35bdfull}}) {
+    FlowOptions opts;
+    opts.tp_percent = g.tp_percent;
+    FlowEngine engine(lib(), g.profile, opts);
+    ASSERT_TRUE(engine.run_stage(Stage::kTpiScan));
+    EXPECT_EQ(engine.result().num_test_points > 0, g.tp_percent > 0.0) << g.profile.name;
+    ASSERT_TRUE(engine.run_stage(Stage::kFloorplanPlace));
+    const std::uint64_t d = placement_digest(*engine.placement());
+    EXPECT_EQ(d, g.digest) << g.profile.name << " @" << g.tp_percent << "% TP digest 0x"
+                           << std::hex << d;
   }
 }
 
