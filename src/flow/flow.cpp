@@ -209,9 +209,7 @@ void FlowEngine::do_floorplan_place() {
   FloorplanOptions fpo;
   fpo.target_row_utilization = profile_.target_row_utilization;
   fp_ = make_floorplan(*nl_, fpo);
-  PlacementOptions plo;
-  plo.seed = opts_.seed ^ profile_.seed;
-  pl_ = place(*nl_, *fp_, plo);
+  pl_ = place(*nl_, *fp_, PlacementOptions{});
 }
 
 // Structural part of stage 3: assign scan cells to chains (layout-driven

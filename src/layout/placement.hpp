@@ -2,15 +2,16 @@
 // (flow step 4).
 //
 // Global placement is iterative centroid attraction (a light-weight
-// quadratic-style placer) with periodic rank-based spreading to keep cell
-// density uniform, followed by row legalisation that packs cells onto
-// sites. The layouts are optimised for area/wirelength only — no timing
+// quadratic-style placer) on a flat CSR view of the netlist, with periodic
+// rank-based spreading (a radix sort, no comparisons) to keep cell density
+// uniform, followed by row legalisation that packs cells onto sites. It
+// draws no random numbers: a placement is a function of the netlist and
+// floorplan alone. The layouts are optimised for area/wirelength only — no timing
 // optimisation, matching §4.1. ECO placement inserts late cells (scan
 // reorder buffers, clock buffers) into the nearest row gap without moving
 // placed cells, as in flow step 4.
 #pragma once
 
-#include <cstdint>
 #include <vector>
 
 #include "layout/floorplan.hpp"
@@ -19,7 +20,6 @@
 namespace tpi {
 
 struct PlacementOptions {
-  std::uint64_t seed = 0x9E1;
   int global_iterations = 20;
   int spread_every = 3;
   /// Nets with more fanout than this are ignored by the placer (clock,

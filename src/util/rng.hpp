@@ -1,7 +1,7 @@
 // Deterministic pseudo-random number generation for reproducible experiments.
 //
 // All stochastic steps in the flow (circuit generation, ATPG random fill,
-// placement perturbation) draw from an Rng seeded explicitly, so a given
+// LBIST loads) draw from an Rng seeded explicitly, so a given
 // seed always reproduces the same tables.
 #pragma once
 
