@@ -7,6 +7,7 @@
 
 #include "atpg/atpg.hpp"
 #include "atpg/fault_sim.hpp"
+#include "bist/lbist.hpp"
 #include "circuits/generator.hpp"
 #include "extraction/extraction.hpp"
 #include "layout/placement.hpp"
@@ -286,6 +287,31 @@ void BM_StaFullPass(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_StaFullPass)->Unit(benchmark::kMillisecond);
+
+// One at-speed transition LBIST session as the flow runs it: clocked at
+// the post-layout t_cp with a defect of one rated period, the flow's
+// default 16384-pattern budget, fault dropping on one thread.
+void BM_LbistSession(benchmark::State& state) {
+  const Netlist& nl = scan_netlist();
+  const Floorplan fp = make_floorplan(nl, {});
+  const Placement pl = place(nl, fp, {});
+  const RoutingResult routes = route(nl, fp, pl);
+  const StaResult sta = run_sta(nl, extract(nl, routes));
+  const CombModel model(nl, SeqView::kCapture);
+  LbistOptions opts;
+  opts.fault_model = FaultModel::kTransition;
+  opts.capture_period_ps = sta.worst.t_cp_ps;
+  opts.fault_size_ps = sta.worst.t_cp_ps;
+  opts.arrival_ps = &sta.arrival_ps;
+  int patterns = 0;
+  for (auto _ : state) {
+    const LbistResult r = run_lbist(model, opts);
+    patterns = r.patterns_applied;
+    benchmark::DoNotOptimize(r.signature);
+  }
+  state.SetItemsProcessed(state.iterations() * patterns);
+}
+BENCHMARK(BM_LbistSession)->Unit(benchmark::kMillisecond);
 
 // Verification kernels: the miter's cost is two circuit copies plus the
 // XOR/OR reduction, stepped 64 lanes at a time; the bounded unroll is the
