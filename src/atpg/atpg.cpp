@@ -29,14 +29,6 @@ void pack_batch(const std::vector<TestPattern>& batch, std::size_t count, std::s
   }
 }
 
-// Largest power-of-two word count covering `remaining` 64-pattern batches,
-// capped at kMaxLaneWords (the super-batch width).
-int super_batch_words(int remaining) {
-  int nw = 1;
-  while (nw * 2 <= kMaxLaneWords && nw * 2 <= remaining) nw *= 2;
-  return nw;
-}
-
 // Live = could still be detected by a pattern: everything but kDetected and
 // kScanTested (kRedundant/kAborted stay eligible — simulation evidence of
 // detection overrides them). Built once per phase and maintained
@@ -235,8 +227,7 @@ AtpgResult run_atpg(const CombModel& model, const TestabilityResult& testability
       // is the first detector in reverse order — the same pattern the
       // 64-wide loop kept.
       const std::size_t remaining_words = (n - processed + kWordBits - 1) / kWordBits;
-      const int nw = super_batch_words(
-          static_cast<int>(std::min<std::size_t>(remaining_words, kMaxLaneWords)));
+      const int nw = super_batch_words(static_cast<std::int64_t>(remaining_words));
       const std::size_t count =
           std::min<std::size_t>(static_cast<std::size_t>(nw) * kWordBits, n - processed);
       const std::size_t last = n - 1 - processed;

@@ -9,12 +9,52 @@
 
 namespace tpi {
 
+namespace {
+
+// Faults per grading chunk of first_detections: each worker grades its
+// range in chunks this size, so its detect buffer stays at kFirstChunk x
+// lane_words() words whatever the live list's length.
+constexpr std::size_t kFirstChunk = 256;
+
+// Index of the first pattern below `patterns` whose bit is set in the
+// fault's detect words `d`, or -1. Pattern j*64 + k lives in bit k of word
+// j, so the first detector is the lowest set bit of the first nonzero
+// word; lanes at or past `patterns` are masked off.
+int first_detection(const Word* d, std::size_t patterns) {
+  for (std::size_t j = 0; j * kWordBits < patterns; ++j) {
+    Word w = d[j];
+    const std::size_t lanes = patterns - j * kWordBits;
+    if (lanes < static_cast<std::size_t>(kWordBits)) w &= (Word{1} << lanes) - 1;
+    if (w != 0) return static_cast<int>(j * kWordBits) + std::countr_zero(w);
+  }
+  return -1;
+}
+
+}  // namespace
+
 // One worker's private grading state: the faulty-value scratch the
-// kernels propagate through, the resolved tasks and the counters.
+// kernels propagate through, the resolved tasks, a detect buffer for
+// first_detections' chunks and the counters.
 struct FaultSimBank::Worker {
   FaultScratch scratch;
   std::vector<FaultTask> tasks;  ///< reused per grade() call
+  std::vector<Word> chunk;       ///< kFirstChunk faults' detect words
   FaultSimStats stats;
+
+  // Write first[i] for faults[lo, hi): grade the range kFirstChunk faults
+  // at a time into `chunk` and keep only each fault's first detection.
+  void first_detections(const FaultSimBank& bank, Fault* const* faults, std::size_t lo,
+                        std::size_t hi, std::size_t patterns, int* first) {
+    const std::size_t nw = static_cast<std::size_t>(bank.lane_words());
+    chunk.resize(kFirstChunk * nw);
+    for (std::size_t c = lo; c < hi; c += kFirstChunk) {
+      const std::size_t count = std::min(kFirstChunk, hi - c);
+      grade(bank, faults + c, count, chunk.data());
+      for (std::size_t i = 0; i < count; ++i) {
+        first[c + i] = first_detection(chunk.data() + i * nw, patterns);
+      }
+    }
+  }
 
   // Grade `count` faults against the bank's good state:
   // detect[i*lane_words() + j] is fault i's lane word j.
@@ -109,15 +149,13 @@ void FaultSimBank::load_batch_loc(const std::vector<Word>& input_words) {
   has_launch_ = true;
 }
 
-void FaultSimBank::grade(const std::vector<Fault*>& faults, std::vector<Word>& detect) {
-  const std::size_t n = faults.size();
-  const std::size_t nw = static_cast<std::size_t>(lane_words());
-  detect.resize(n * nw);
+template <class Body>
+void FaultSimBank::for_each_range(std::size_t n, const Body& body) {
   const std::size_t workers = workers_.size();
   // Tiny lists are not worth the dispatch; the result is identical either
   // way (each fault is graded exactly once, output indexed by position).
   if (pool_ == nullptr || n < static_cast<std::size_t>(kWordBits) * workers) {
-    workers_.front()->grade(*this, faults.data(), n, detect.data());
+    body(*workers_.front(), std::size_t{0}, n);
     return;
   }
   std::vector<std::future<void>> done;
@@ -126,33 +164,30 @@ void FaultSimBank::grade(const std::vector<Fault*>& faults, std::vector<Word>& d
     const std::size_t lo = n * c / workers;
     const std::size_t hi = n * (c + 1) / workers;
     if (lo == hi) continue;
-    done.push_back(pool_->submit([this, &faults, &detect, nw, c, lo, hi] {
+    done.push_back(pool_->submit([this, &body, c, lo, hi] {
       TPI_SPAN("atpg.grade_chunk");
-      workers_[c]->grade(*this, faults.data() + lo, hi - lo, detect.data() + lo * nw);
+      body(*workers_[c], lo, hi);
     }));
   }
   for (auto& f : done) f.get();
+}
+
+void FaultSimBank::grade(const std::vector<Fault*>& faults, std::vector<Word>& detect) {
+  const std::size_t nw = static_cast<std::size_t>(lane_words());
+  detect.resize(faults.size() * nw);
+  for_each_range(faults.size(), [&](Worker& w, std::size_t lo, std::size_t hi) {
+    w.grade(*this, faults.data() + lo, hi - lo, detect.data() + lo * nw);
+  });
 }
 
 void FaultSimBank::first_detections(const std::vector<Fault*>& live, std::size_t patterns,
                                     std::vector<int>& first) {
   const std::size_t nw = static_cast<std::size_t>(lane_words());
   patterns = std::min(patterns, nw * kWordBits);  // the batch holds no more
-  grade(live, detect_buf_);
-  first.assign(live.size(), -1);
-  for (std::size_t i = 0; i < live.size(); ++i) {
-    for (std::size_t j = 0; j * kWordBits < patterns; ++j) {
-      Word d = detect_buf_[i * nw + j];
-      const std::size_t lanes = patterns - j * kWordBits;
-      if (lanes < static_cast<std::size_t>(kWordBits)) d &= (Word{1} << lanes) - 1;
-      if (d != 0) {
-        // Pattern k of a lane word lives in bit k: the first detector is
-        // the lowest set bit.
-        first[i] = static_cast<int>(j * kWordBits) + std::countr_zero(d);
-        break;
-      }
-    }
-  }
+  first.resize(live.size());  // every entry is written by its range's worker
+  for_each_range(live.size(), [&](Worker& w, std::size_t lo, std::size_t hi) {
+    w.first_detections(*this, live.data(), lo, hi, patterns, first.data());
+  });
 }
 
 FaultSimStats FaultSimBank::take_stats() {

@@ -98,7 +98,9 @@ class FaultSimBank {
 
   /// Grade `live` and write first[i] = index of the first pattern among the
   /// batch's first `patterns` that detects live[i], or -1. Lanes at or past
-  /// `patterns` (the all-zero fill of a partial batch) never count.
+  /// `patterns` (the all-zero fill of a partial batch) never count. Each
+  /// worker streams its range through a fixed-size chunk of detect words,
+  /// so no live-list-sized detect buffer is ever held.
   void first_detections(const std::vector<Fault*>& live, std::size_t patterns,
                         std::vector<int>& first);
 
@@ -107,6 +109,12 @@ class FaultSimBank {
 
  private:
   struct Worker;
+  /// Run body(worker, lo, hi) over the fixed partition of [0, n): one
+  /// contiguous range per worker on the pool, or all of it on worker 0
+  /// when serial or when n is too small to be worth the dispatch.
+  template <class Body>
+  void for_each_range(std::size_t n, const Body& body);
+
   const CombModel* model_;
   ParallelSim good_;
   std::vector<Word> launch_values_;   ///< V1 net values (load_batch_loc)
@@ -114,7 +122,6 @@ class FaultSimBank {
   bool has_launch_ = false;
   std::vector<std::unique_ptr<Worker>> workers_;
   std::unique_ptr<ThreadPool> pool_;  ///< null when jobs() == 1
-  std::vector<Word> detect_buf_;
 };
 
 /// Mark kDetected and remove from `live` (order kept) every fault whose

@@ -25,9 +25,11 @@ namespace tpi {
 /// mask = coefficient of x^i, implicit x^degree term).
 class Lfsr {
  public:
-  /// Standard primitive polynomial for the given degree (8..64).
+  /// Standard primitive polynomial for the given degree: 8, 16, 24, 32, 48
+  /// or 64. Throws std::invalid_argument for any other degree.
   static std::uint64_t primitive_polynomial(int degree);
 
+  /// Throws std::invalid_argument when primitive_polynomial(degree) does.
   explicit Lfsr(int degree, std::uint64_t seed = 0xACE1u);
 
   int degree() const { return degree_; }
@@ -39,7 +41,8 @@ class Lfsr {
   /// Produce the next pseudo-random bit (LSB of the state after stepping).
   bool next_bit() { return (step() & 1u) != 0; }
 
-  /// Fill a 64-pattern word: bit k of the result is an independent draw.
+  /// Fill a 64-pattern word: bit k of the result is the k-th next_bit()
+  /// draw (64 steps, run branch-free on a copy of the state).
   Word next_word();
 
  private:
@@ -53,6 +56,7 @@ class Lfsr {
 /// signature (Galois LFSR with parallel inputs XORed into the low bits).
 class Misr {
  public:
+  /// Same degrees as Lfsr; throws std::invalid_argument for any other.
   explicit Misr(int degree = 32, std::uint64_t seed = 0);
 
   /// Absorb one observation word (e.g. a PO value across 64 patterns the
@@ -68,8 +72,9 @@ class Misr {
 };
 
 struct LbistOptions {
-  int max_patterns = 16384;     ///< pseudo-random budget
-  int report_every = 1024;      ///< granularity of the coverage curve
+  /// Pseudo-random budget (>= 0), applied in whole 64-pattern batches.
+  int max_patterns = 16384;
+  int report_every = 1024;      ///< granularity of the coverage curve (>= 1)
   std::uint64_t lfsr_seed = 0xACE1u;
   int lfsr_degree = 32;
 
@@ -109,6 +114,10 @@ struct LbistResult {
 /// Run a pseudo-random BIST session on the capture-view model: LFSR-driven
 /// scan loads, fault grading with dropping, MISR signature of the fault-free
 /// responses. Scan-tested faults count as covered (shift/flush tests).
+/// Patterns are graded in super-batches of up to kMaxLaneWords x 64; the
+/// result is that of applying them 64 at a time. Throws
+/// std::invalid_argument for report_every < 1, max_patterns < 0 or an
+/// unsupported lfsr_degree.
 LbistResult run_lbist(const CombModel& model, const LbistOptions& opts = {});
 
 class DesignDB;

@@ -13,6 +13,7 @@
 // (FlowConfig's `simd` knob, the parity tests).
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <string_view>
 
@@ -24,6 +25,17 @@ enum class SimdBackend { kScalar = 0, kAvx2 = 1, kAvx512 = 2 };
 /// kMaxLaneWords * 64 = 512 patterns/lanes per net visit, independent of
 /// the backend executing it (that is what keeps results bit-identical).
 inline constexpr int kMaxLaneWords = 8;
+
+/// Lane words of the next wide pass over `remaining` 64-pattern batches
+/// (or rounds): the largest power of two <= min(kMaxLaneWords, remaining),
+/// 1 when less than two are left. The width follows from the work left
+/// alone, never from CPU capability, so every backend groups a run's
+/// patterns the same way.
+constexpr int super_batch_words(std::int64_t remaining) {
+  int nw = 1;
+  while (nw * 2 <= kMaxLaneWords && nw * 2 <= remaining) nw *= 2;
+  return nw;
+}
 
 /// True when `b` was compiled in AND the running CPU supports it. kScalar
 /// is always available.

@@ -22,15 +22,6 @@ std::uint64_t mix_seed(std::uint64_t seed, std::uint64_t salt) {
   return z ^ (z >> 31);
 }
 
-/// Largest power of two <= min(kMaxLaneWords, remaining): the lockstep
-/// group width is picked from the round budget alone (never from CPU
-/// capability), so verdicts are bit-identical across kernel backends.
-int group_width(int remaining) {
-  int nw = 1;
-  while (nw * 2 <= kMaxLaneWords && nw * 2 <= remaining) nw *= 2;
-  return nw;
-}
-
 /// Single-lane replay of a trace; returns the first frame where any real PO
 /// of the model fires (for a miter: miter_out), or -1.
 int fail_frame_of(const CombModel& model, const CexTrace& cex) {
@@ -97,13 +88,13 @@ EquivResult EquivChecker::check() {
   CexTrace cex;
   bool found = false;
   for (int r = 0; !found && r < opts_.random_rounds;) {
-    const int nb = group_width(opts_.random_rounds - r);
+    const int nb = super_batch_words(opts_.random_rounds - r);
     found = sim_group(0x1000u, r, nb, opts_.frames_per_round, /*random_init=*/false, "random",
                       &cex, &res.frames_simulated);
     r += nb;
   }
   for (int r = 0; !found && r < opts_.unroll_rounds;) {
-    const int nb = group_width(opts_.unroll_rounds - r);
+    const int nb = super_batch_words(opts_.unroll_rounds - r);
     found = sim_group(0x2000u, r, nb, opts_.unroll_frames, /*random_init=*/true, "unroll",
                       &cex, &res.frames_simulated);
     r += nb;

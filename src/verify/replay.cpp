@@ -60,8 +60,7 @@ ReplayReport replay_patterns(const CombModel& capture_model, const FaultList& fa
   while (base < patterns.size() && !pending.empty()) {
     const std::size_t remaining = patterns.size() - base;
     const std::size_t remaining_words = (remaining + kWordBits - 1) / kWordBits;
-    int nw = 1;
-    while (nw * 2 <= kMaxLaneWords && static_cast<std::size_t>(nw) * 2 <= remaining_words) nw *= 2;
+    const int nw = super_batch_words(static_cast<std::int64_t>(remaining_words));
     const std::size_t batch = std::min<std::size_t>(static_cast<std::size_t>(nw) * kWordBits,
                                                     remaining);
     // Lanes past the pattern count hold an all-zero phantom input vector;

@@ -126,6 +126,9 @@ TEST(AtpgParallelTest, BankGradesIdenticalAcrossJobCounts) {
   FaultList fl = build_fault_list(model);
   std::vector<Fault*> faults;
   for (Fault& f : fl.faults) faults.push_back(&f);
+  // Enough faults that each of up to three workers crosses at least one
+  // boundary between the 256-fault chunks of first_detections.
+  ASSERT_GT(faults.size(), 3u * 256);
 
   for (const int nw : {1, kMaxLaneWords}) {
     SCOPED_TRACE(nw);
@@ -144,6 +147,19 @@ TEST(AtpgParallelTest, BankGradesIdenticalAcrossJobCounts) {
       bank.grade(faults, detect);
       bank.first_detections(faults, patterns, first);
       EXPECT_EQ(bank.take_stats().faults_graded, 2 * faults.size());
+      // first_detections streams each worker's range through fixed-size
+      // chunks: every entry is the lowest set bit below `patterns` of the
+      // fault's grade() words, on both sides of every chunk boundary.
+      for (std::size_t i = 0; i < faults.size(); ++i) {
+        int lowest = -1;
+        for (std::size_t k = 0; k < patterns; ++k) {
+          if ((detect[i * static_cast<std::size_t>(nw) + k / kWordBits] >> (k % kWordBits)) & 1) {
+            lowest = static_cast<int>(k);
+            break;
+          }
+        }
+        ASSERT_EQ(first[i], lowest) << "fault " << i << " jobs=" << jobs;
+      }
       if (jobs > 1) {
         EXPECT_EQ(detect, ref_detect) << "jobs=" << jobs;
         EXPECT_EQ(first, ref_first) << "jobs=" << jobs;
