@@ -9,11 +9,6 @@ void DesignDB::count_hit() {
   metrics().add("designdb.view_hits");
 }
 
-void DesignDB::count_refresh() {
-  ++counters_.view_refreshes;
-  metrics().add("designdb.view_refreshes");
-}
-
 void DesignDB::count_rebuild(std::uint64_t Counters::* kind) {
   ++counters_.rebuilds;
   ++(counters_.*kind);
@@ -25,42 +20,27 @@ void DesignDB::count_rebuild(std::uint64_t Counters::* kind) {
   }
 }
 
+template <typename T, typename Build>
+const T& DesignDB::serve(Slot<T>& slot, std::uint64_t Counters::* kind, Build build) {
+  const std::uint64_t v = nl_->version();
+  if (slot.value && slot.built == v) {
+    count_hit();
+    return *slot.value;
+  }
+  slot.value = build();
+  slot.built = v;
+  count_rebuild(kind);
+  return *slot.value;
+}
+
 const TopoOrder& DesignDB::topo(SeqView view) {
   std::lock_guard<std::mutex> lock(mu_);
   return topo_locked(view);
 }
 
 const TopoOrder& DesignDB::topo_locked(SeqView view) {
-  // With no TSFFs the views compute the same order: share the capture slot
-  // so ATPG's order can serve STA.
-  const bool aliased = topo_slots_aliased();
-  Slot<TopoOrder>& slot =
-      topo_[aliased ? static_cast<std::size_t>(SeqView::kCapture)
-                    : static_cast<std::size_t>(view)];
-  const std::uint64_t v = nl_->version();
-  if (slot.value) {
-    if (slot.built == v) {
-      count_hit();
-      return *slot.value;
-    }
-    // When the slot serves both views its content must be exact for both.
-    const std::uint64_t dirty =
-        aliased ? std::max(nl_->structure_version(SeqView::kApplication),
-                           nl_->structure_version(SeqView::kCapture))
-                : nl_->structure_version(view);
-    if (dirty <= slot.built) {
-      // Everything added since stays outside the graph: a rebuild would
-      // reproduce the same order with the level vector padded by -1.
-      slot.value->level.resize(nl_->num_cells(), -1);
-      slot.built = v;
-      count_refresh();
-      return *slot.value;
-    }
-  }
-  slot.value = std::make_unique<TopoOrder>(levelize(*nl_, view));
-  slot.built = v;
-  count_rebuild(&Counters::topo_rebuilds);
-  return *slot.value;
+  return serve(topo_[static_cast<std::size_t>(view)], &Counters::topo_rebuilds,
+               [&] { return std::make_unique<TopoOrder>(levelize(*nl_, view)); });
 }
 
 const CombModel& DesignDB::comb_model(SeqView view) {
@@ -69,61 +49,17 @@ const CombModel& DesignDB::comb_model(SeqView view) {
 }
 
 const CombModel& DesignDB::comb_locked(SeqView view) {
-  // Never aliased across views: CombModel::view() is observable.
-  Slot<CombModel>& slot = comb_[static_cast<std::size_t>(view)];
-  const std::uint64_t v = nl_->version();
-  if (slot.value) {
-    if (slot.built == v) {
-      count_hit();
-      return *slot.value;
-    }
-    // comb_version >= structure_version, so this also proves the node
-    // array is unchanged.
-    if (nl_->comb_version(view) <= slot.built) {
-      slot.value->pad_to_netlist();
-      slot.built = v;
-      count_refresh();
-      return *slot.value;
-    }
-  }
-  const TopoOrder& topo = topo_locked(view);
-  slot.value = std::make_unique<CombModel>(*nl_, view, topo);
-  slot.built = v;
-  count_rebuild(&Counters::comb_rebuilds);
-  return *slot.value;
+  return serve(comb_[static_cast<std::size_t>(view)], &Counters::comb_rebuilds, [&] {
+    return std::make_unique<CombModel>(*nl_, view, topo_locked(view));
+  });
 }
 
 const TestabilityResult& DesignDB::testability(SeqView view) {
   std::lock_guard<std::mutex> lock(mu_);
-  // Resolve the model first: a comb rebuild forces a testability rebuild.
+  // Resolve the model first (counted as its own hit or rebuild).
   const CombModel& model = comb_locked(view);
-  Slot<TestabilityResult>& slot = testab_[static_cast<std::size_t>(view)];
-  const std::uint64_t v = nl_->version();
-  if (slot.value) {
-    if (slot.built == v) {
-      count_hit();
-      return *slot.value;
-    }
-    if (nl_->comb_version(view) <= slot.built) {
-      // Model content unchanged; nets added since keep the defaults
-      // analyze_testability assigns to untouched nets.
-      const std::size_t n = model.num_nets();
-      slot.value->cc0.resize(n, kScoapInf);
-      slot.value->cc1.resize(n, kScoapInf);
-      slot.value->co.resize(n, kScoapInf);
-      slot.value->p1.resize(n, 0.5f);
-      slot.value->obs.resize(n, 0.0f);
-      slot.value->ffr_root.resize(n, kNoNet);
-      slot.value->ffr_size.resize(n, 0);
-      slot.built = v;
-      count_refresh();
-      return *slot.value;
-    }
-  }
-  slot.value = std::make_unique<TestabilityResult>(analyze_testability(model));
-  slot.built = v;
-  count_rebuild(&Counters::testability_rebuilds);
-  return *slot.value;
+  return serve(testab_[static_cast<std::size_t>(view)], &Counters::testability_rebuilds,
+               [&] { return std::make_unique<TestabilityResult>(analyze_testability(model)); });
 }
 
 DesignDB::Counters DesignDB::counters() const {

@@ -11,26 +11,16 @@
 //                       fault-reachability side table, reaches_observe)
 //   testability(view) — SCOAP/COP TestabilityResult over comb_model(view)
 //
-// Freshness is decided against the Netlist edit journal:
+// Freshness is decided against the Netlist edit version: a view is a
 //   * hit      — netlist version unchanged since the view was built;
-//   * refresh  — edits happened, but the per-view dirty version proves the
-//     view's content is still exact (e.g. fillers/clock buffers added,
-//     scan pins rewired, DFF->SDFF swaps); only per-cell/per-net arrays
-//     are padded to the new sizes — bit-identical to a rebuild;
-//   * rebuild  — the view's semantics actually changed.
+//   * rebuild  — any edit since; the view is built again from the netlist.
 // A stale view is NEVER served: CombModel::num_nets() reads the live
 // netlist, so serving stale per-net arrays would be out-of-bounds.
 //
-// When the netlist contains no TSFF cells the two SeqViews are the same
-// function of the netlist (is_boundary only differs on TSFFs), so their
-// TopoOrders share one slot — this is what lets post-ECO STA reuse the
-// capture-view order ATPG built, despite CTS/filler edits in between.
-//
 // Accesses record deterministic counters into the active MetricsRegistry
-// (designdb.view_hits / designdb.view_refreshes / designdb.rebuilds plus
-// per-kind rebuild counts). They carry no "rt." prefix: identical at any
-// TPI_BENCH_JOBS / TPI_ATPG_JOBS, so they are part of the sweep-JSON
-// determinism contract.
+// (designdb.view_hits / designdb.rebuilds plus per-kind rebuild counts).
+// They carry no "rt." prefix: identical at any TPI_BENCH_JOBS /
+// TPI_ATPG_JOBS, so they are part of the sweep-JSON determinism contract.
 //
 // Thread safety: all view accessors serialise on an internal mutex, so
 // concurrent read-only access from pool workers is safe. Returned
@@ -77,7 +67,6 @@ class DesignDB {
   /// Lifetime cache statistics (also mirrored into metrics()).
   struct Counters {
     std::uint64_t view_hits = 0;
-    std::uint64_t view_refreshes = 0;
     std::uint64_t rebuilds = 0;  ///< sum of the per-kind rebuilds below
     std::uint64_t topo_rebuilds = 0;
     std::uint64_t comb_rebuilds = 0;
@@ -89,8 +78,8 @@ class DesignDB {
   /// netlist was copied from (Netlist copies preserve the edit journal, so
   /// the adopted built-versions stay meaningful against the copy). Views
   /// `warm` has built are deep-copied — CombModels rebound to this DB's
-  /// netlist — and served as ordinary hits/refreshes afterwards; slots
-  /// `warm` never built stay empty. Adoption itself records no counters.
+  /// netlist — and served as ordinary hits afterwards; slots `warm` never
+  /// built stay empty. Adoption itself records no counters.
   /// Used by the flow server's design cache to let repeat requests for the
   /// same profile skip topo/comb/testability rebuilds.
   void adopt_views_from(const DesignDB& warm);
@@ -99,15 +88,18 @@ class DesignDB {
   template <typename T>
   struct Slot {
     std::unique_ptr<T> value;
-    std::uint64_t built = 0;  ///< netlist version at build/refresh time
+    std::uint64_t built = 0;  ///< netlist version at build time
   };
+
+  /// Hit when `slot` was built at the current netlist version, else a
+  /// rebuild through `build` (returns the new std::unique_ptr<T>).
+  template <typename T, typename Build>
+  const T& serve(Slot<T>& slot, std::uint64_t Counters::* kind, Build build);
 
   // Unlocked implementations (mu_ held by the public accessors).
   const TopoOrder& topo_locked(SeqView view);
   const CombModel& comb_locked(SeqView view);
-  bool topo_slots_aliased() const { return nl_->num_tsff_cells() == 0; }
   void count_hit();
-  void count_refresh();
   void count_rebuild(std::uint64_t Counters::* kind);
 
   std::unique_ptr<Netlist> owned_nl_;

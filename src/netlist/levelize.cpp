@@ -11,6 +11,11 @@ bool is_boundary(const Netlist& nl, CellId cell_id, SeqView view) {
   return true;
 }
 
+namespace {
+
+/// Whether a cell of `spec` computes logic in the combinational graph of
+/// `view`. Boundaries, clock buffers, fillers and ties stay out (ties have
+/// no inputs and are handled as constant sources by consumers).
 bool in_comb_graph(const CellSpec& spec, SeqView view) {
   switch (spec.func) {
     case CellFunc::kFiller:
@@ -26,6 +31,8 @@ bool in_comb_graph(const CellSpec& spec, SeqView view) {
   return !spec.sequential;
 }
 
+/// Whether `pin` feeds the cell's combinational function: an input that is
+/// neither a clock nor a scan pin (TI/TE/TR); for a TSFF only D qualifies.
 bool is_logic_input_pin(const CellSpec& spec, int pin) {
   if (spec.func == CellFunc::kTsff) return pin == spec.d_pin;
   const PinSpec& ps = spec.pins[static_cast<std::size_t>(pin)];
@@ -33,8 +40,6 @@ bool is_logic_input_pin(const CellSpec& spec, int pin) {
   // Scan pins of regular flip-flops are not part of the logic function.
   return pin != spec.ti_pin && pin != spec.te_pin && pin != spec.tr_pin;
 }
-
-namespace {
 
 bool in_graph(const Netlist& nl, CellId cell_id, SeqView view) {
   return in_comb_graph(*nl.cell(cell_id).spec, view);

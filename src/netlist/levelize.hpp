@@ -15,21 +15,11 @@
 
 namespace tpi {
 
-// SeqView itself is defined in netlist.hpp (the edit journal classifies
-// mutations per view); this header owns the view semantics helpers.
+// SeqView itself is defined in netlist.hpp; this header owns the view
+// semantics helpers.
 
 /// Whether `cell` acts as a sequential boundary in the given view.
 bool is_boundary(const Netlist& nl, CellId cell, SeqView view);
-
-/// Whether a cell of `spec` computes logic in the combinational graph of
-/// `view`. Boundaries, clock buffers, fillers and ties stay out (ties have
-/// no inputs and are handled as constant sources by consumers). Shared by
-/// levelize() and the Netlist edit journal's dirty classification.
-bool in_comb_graph(const CellSpec& spec, SeqView view);
-
-/// Whether `pin` feeds the cell's combinational function: an input that is
-/// neither a clock nor a scan pin (TI/TE/TR); for a TSFF only D qualifies.
-bool is_logic_input_pin(const CellSpec& spec, int pin);
 
 struct TopoOrder {
   /// Combinational cells (including transparent TSFFs in kApplication view)

@@ -4,8 +4,6 @@
 #include <cassert>
 #include <sstream>
 
-#include "netlist/levelize.hpp"
-
 namespace tpi {
 namespace {
 
@@ -23,17 +21,6 @@ Netlist::Netlist(const CellLibrary* lib, std::string name)
 
 void Netlist::commit_edit() {
   ++version_;
-  // A structure (topo) change always implies a comb-model change: the
-  // CombModel's node array is derived from the topological order.
-  unsigned bits = pending_dirty_;
-  if (bits & kDirtyTopoApp) bits |= kDirtyCombApp;
-  if (bits & kDirtyTopoCap) bits |= kDirtyCombCap;
-  if (bits & kDirtyTopoApp) structure_version_[0] = version_;
-  if (bits & kDirtyTopoCap) structure_version_[1] = version_;
-  if (bits & kDirtyCombApp) comb_version_[0] = version_;
-  if (bits & kDirtyCombCap) comb_version_[1] = version_;
-  pending_dirty_ = 0;
-
   for (const NetId n : pending_nets_) journal_.push_back(NetEdit{version_, n});
   pending_nets_.clear();
   if (journal_.size() > kEditJournalCap) {
@@ -54,46 +41,11 @@ bool Netlist::nets_changed_since(std::uint64_t since, std::vector<NetId>& out) c
   return true;
 }
 
-// Classify a connect/disconnect on `pin` of a cell with `spec`. Mirrors
-// exactly what levelize()/CombModel read from the netlist:
-//  * clock pins never carry logic edges, but clock routing conservatively
-//    invalidates comb models (input_nets excludes clock PI nets);
-//  * scan pins (TI/TE/TR) are invisible to both views;
-//  * pins of cells inside the graph change the topological order;
-//  * D/Q pins of boundary FFs are pseudo-PO/pseudo-PI nets of the comb
-//    model but do not affect the order;
-//  * tie outputs feed the comb model's constant lists;
-//  * clock-buffer and filler pins are invisible (levelize only follows
-//    edges whose driver is in the graph).
-unsigned Netlist::pin_edit_dirty_bits(const CellSpec& spec, int pin) const {
-  const PinSpec& ps = spec.pins[static_cast<std::size_t>(pin)];
-  if (ps.is_clock) return kDirtyCombApp | kDirtyCombCap;
-  if (pin == spec.ti_pin || pin == spec.te_pin || pin == spec.tr_pin) return 0;
-  const bool is_out = ps.dir == PinDir::kOutput;
-  unsigned bits = 0;
-  for (const SeqView view : {SeqView::kApplication, SeqView::kCapture}) {
-    const unsigned topo_bit =
-        view == SeqView::kApplication ? kDirtyTopoApp : kDirtyTopoCap;
-    const unsigned comb_bit =
-        view == SeqView::kApplication ? kDirtyCombApp : kDirtyCombCap;
-    if (in_comb_graph(spec, view)) {
-      if (is_out || is_logic_input_pin(spec, pin)) bits |= topo_bit;
-    } else if (spec.sequential) {
-      if (is_out || pin == spec.d_pin) bits |= comb_bit;
-    } else if (spec.func == CellFunc::kTie0 || spec.func == CellFunc::kTie1) {
-      if (is_out) bits |= comb_bit;
-    }
-  }
-  return bits;
-}
-
 NetId Netlist::add_net(std::string net_name) {
   EditScope edit(*this);
   const NetId id = static_cast<NetId>(nets_.size());
   net_index_.emplace(net_name, id);
   nets_.push_back(Net{std::move(net_name), {}, -1, {}, {}});
-  // A fresh net is invisible to every view until something connects to it:
-  // cached views only need padding, not a rebuild.
   return id;
 }
 
@@ -107,30 +59,6 @@ CellId Netlist::add_cell(const CellSpec* spec, std::string cell_name) {
   inst.spec = spec;
   inst.conn.assign(spec->pins.size(), kNoNet);
   cells_.push_back(std::move(inst));
-  switch (spec->func) {
-    case CellFunc::kFiller:
-    case CellFunc::kClkBuf:
-    case CellFunc::kTie0:
-    case CellFunc::kTie1:
-      // Outside both graphs (a tie only matters once its output connects).
-      break;
-    case CellFunc::kTsff:
-      ++num_tsffs_;
-      // Transparent (in-graph) in application view, boundary in capture.
-      mark_dirty(kDirtyTopoApp | kDirtyCombCap);
-      break;
-    default:
-      if (spec->sequential) {
-        // Boundary in both views; CombModel::boundary_ffs() lists every
-        // sequential cell, connected or not.
-        mark_dirty(kDirtyCombApp | kDirtyCombCap);
-      } else {
-        // A combinational cell enters the order immediately (level 0 while
-        // unconnected).
-        mark_dirty(kDirtyTopoApp | kDirtyTopoCap);
-      }
-      break;
-  }
   return id;
 }
 
@@ -147,7 +75,6 @@ void Netlist::connect(CellId cell_id, int pin, NetId net_id) {
   } else {
     n.sinks.push_back(PinRef{cell_id, pin});
   }
-  mark_dirty(pin_edit_dirty_bits(*inst.spec, pin));
   touch_net(net_id);
 }
 
@@ -164,7 +91,6 @@ void Netlist::disconnect(CellId cell_id, int pin) {
   } else {
     n.sinks.erase(std::remove(n.sinks.begin(), n.sinks.end(), ref), n.sinks.end());
   }
-  mark_dirty(pin_edit_dirty_bits(*inst.spec, pin));
   touch_net(net_id);
 }
 
@@ -175,9 +101,6 @@ int Netlist::add_primary_input(std::string pi_name) {
   net(n).pi_index = idx;
   pi_names_.push_back(std::move(pi_name));
   pi_nets_.push_back(n);
-  // New controllable input: CombModel::input_nets() changes; the
-  // topological order does not (no cell edges involved).
-  mark_dirty(kDirtyCombApp | kDirtyCombCap);
   touch_net(n);
   return idx;
 }
@@ -188,8 +111,6 @@ int Netlist::add_primary_output(std::string po_name, NetId net_id) {
   po_names_.push_back(std::move(po_name));
   po_nets_.push_back(net_id);
   net(net_id).po_sinks.push_back(idx);
-  // New observe point: observe_nets()/reaches_observe change, order doesn't.
-  mark_dirty(kDirtyCombApp | kDirtyCombCap);
   touch_net(net_id);
   return idx;
 }
@@ -197,8 +118,6 @@ int Netlist::add_primary_output(std::string po_name, NetId net_id) {
 void Netlist::mark_clock(int pi_index) {
   EditScope edit(*this);
   clock_pis_.push_back(pi_index);
-  // Clock PI nets are excluded from input_nets(); the order ignores clocks.
-  mark_dirty(kDirtyCombApp | kDirtyCombCap);
 }
 
 bool Netlist::is_clock_net(NetId net_id) const {
@@ -219,32 +138,6 @@ void Netlist::replace_spec(CellId cell_id, const CellSpec* new_spec) {
   const CellSpec* old_spec = inst.spec;
   std::vector<NetId> old_conn = inst.conn;
 
-  // Classify the swap as a whole (the internal disconnect/reconnect churn
-  // would wrongly look like boundary-FF rewiring): a sequential-to-
-  // sequential swap that carries every connection over by pin name (the
-  // DFF -> SDFF scan replacement) is invisible to both views — same
-  // boundary status, same D/Q/clock nets. Anything else conservatively
-  // invalidates everything.
-  bool carried_all = true;
-  for (std::size_t p = 0; p < old_conn.size(); ++p) {
-    if (old_conn[p] != kNoNet && new_spec->find_pin(old_spec->pins[p].name) < 0) {
-      carried_all = false;
-    }
-  }
-  const bool view_invariant = carried_all && old_spec->sequential &&
-                              new_spec->sequential &&
-                              old_spec->func != CellFunc::kTsff &&
-                              new_spec->func != CellFunc::kTsff;
-  if (!view_invariant) {
-    force_dirty(kDirtyAll);
-    for (const NetId n : old_conn) {
-      if (n != kNoNet) touch_net(n);
-    }
-  }
-  if (old_spec->func == CellFunc::kTsff) --num_tsffs_;
-  if (new_spec->func == CellFunc::kTsff) ++num_tsffs_;
-
-  ClassifySuppress suppress(*this);
   // Detach everything, swap the spec, reattach by pin name.
   for (std::size_t p = 0; p < old_conn.size(); ++p) {
     if (old_conn[p] != kNoNet) disconnect(cell_id, static_cast<int>(p));
@@ -261,11 +154,7 @@ void Netlist::replace_spec(CellId cell_id, const CellSpec* new_spec) {
 NetId Netlist::insert_cell_in_net(NetId net_id, CellId new_cell, int in_pin,
                                   const std::vector<PinRef>& sink_subset) {
   EditScope edit(*this);
-  // Splitting a net moves logic loads onto a fresh net behind a new cell:
-  // both views change structurally.
-  force_dirty(kDirtyAll);
   touch_net(net_id);
-  ClassifySuppress suppress(*this);
   NetId fresh = add_net(net(net_id).name + "_tp" + std::to_string(new_cell));
   touch_net(fresh);
   // Move sinks first (so the new cell's input doesn't get moved).

@@ -7,7 +7,6 @@
 // stitching/reordering scan chains, and adding buffer trees.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -148,33 +147,13 @@ class Netlist {
   //
   // Every public mutator bumps `version()` exactly once, even the composite
   // ones (replace_spec / insert_cell_in_net / add_primary_input call other
-  // mutators internally; a reentrancy-depth guard folds the nested bumps).
-  // Alongside the version the mutators classify what the edit can affect:
-  //  * structure_version(view) — last version at which the combinational
-  //    graph of `view` changed (topological order / levels). Adding cells
-  //    that stay outside the graph (fillers, clock buffers, boundary FFs),
-  //    rewiring clock or scan pins, and adding PIs/POs do NOT advance it.
-  //  * comb_version(view) — last version at which a compiled CombModel of
-  //    `view` would differ (superset of structure changes: also PI/PO
-  //    additions, boundary-FF D/Q rewires, tie outputs, clock edits).
-  // A cached view built at version B is still exact at version V>B when the
-  // relevant dirty version is <= B; only per-cell/per-net array *padding*
-  // is needed (cells and nets are never removed).
+  // mutators internally; a reentrancy-depth guard folds the nested bumps),
+  // and records the nets it touched in a bounded journal. A cached view
+  // built at version B is exact while version() == B; any edit since means
+  // a rebuild.
 
   /// Monotonically increasing edit version; 0 = freshly constructed.
   std::uint64_t version() const { return version_; }
-  /// Last version at which the combinational graph of `view` changed.
-  std::uint64_t structure_version(SeqView view) const {
-    return structure_version_[static_cast<std::size_t>(view)];
-  }
-  /// Last version at which a compiled comb model of `view` changed
-  /// (always >= structure_version(view)).
-  std::uint64_t comb_version(SeqView view) const {
-    return comb_version_[static_cast<std::size_t>(view)];
-  }
-  /// Number of TSFF cells currently in the netlist (cheap; maintained by
-  /// the mutators). With zero TSFFs the two SeqViews are interchangeable.
-  int num_tsff_cells() const { return num_tsffs_; }
 
   /// Nets touched by edits with version > `since`, deduplicated ascending.
   /// Returns false (out untouched) when the bounded journal no longer
@@ -182,17 +161,8 @@ class Netlist {
   bool nets_changed_since(std::uint64_t since, std::vector<NetId>& out) const;
 
  private:
-  /// Dirty-classification bits accumulated while a public mutator runs.
-  enum : unsigned {
-    kDirtyTopoApp = 1u << 0,
-    kDirtyTopoCap = 1u << 1,
-    kDirtyCombApp = 1u << 2,
-    kDirtyCombCap = 1u << 3,
-    kDirtyAll = 0xFu,
-  };
-
   /// RAII reentrancy guard: the outermost scope commits exactly one version
-  /// bump plus the accumulated dirty bits and touched nets.
+  /// bump plus the touched nets.
   class EditScope {
    public:
     explicit EditScope(Netlist& nl) : nl_(nl) { ++nl_.edit_depth_; }
@@ -205,25 +175,8 @@ class Netlist {
    private:
     Netlist& nl_;
   };
-  /// Composite mutators (replace_spec, insert_cell_in_net) classify the
-  /// whole edit themselves and suppress the per-connect classification of
-  /// the primitive mutators they call.
-  class ClassifySuppress {
-   public:
-    explicit ClassifySuppress(Netlist& nl) : nl_(nl) { ++nl_.classify_suppress_; }
-    ~ClassifySuppress() { --nl_.classify_suppress_; }
-
-   private:
-    Netlist& nl_;
-  };
-
-  void mark_dirty(unsigned bits) {
-    if (classify_suppress_ == 0) pending_dirty_ |= bits;
-  }
-  void force_dirty(unsigned bits) { pending_dirty_ |= bits; }
   void touch_net(NetId net) { pending_nets_.push_back(net); }
   void commit_edit();
-  unsigned pin_edit_dirty_bits(const CellSpec& spec, int pin) const;
 
   const CellLibrary* lib_;
   std::string name_;
@@ -239,12 +192,7 @@ class Netlist {
 
   // ---- edit journal state ----
   std::uint64_t version_ = 0;
-  std::array<std::uint64_t, 2> structure_version_{0, 0};
-  std::array<std::uint64_t, 2> comb_version_{0, 0};
-  int num_tsffs_ = 0;
   int edit_depth_ = 0;
-  int classify_suppress_ = 0;
-  unsigned pending_dirty_ = 0;
   std::vector<NetId> pending_nets_;
   struct NetEdit {
     std::uint64_t version;

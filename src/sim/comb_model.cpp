@@ -45,16 +45,6 @@ struct NodeKeyHash {
 CombModel::CombModel(const Netlist& nl, SeqView view)
     : CombModel(nl, view, levelize(nl, view)) {}
 
-void CombModel::pad_to_netlist() {
-  // New nets since the build are driven by nothing the model knows about:
-  // no producer, no readers, outside every observe cone. Identical to what
-  // a full rebuild assigns them.
-  producer_.resize(nl_->num_nets(), -1);
-  reader_begin_.resize(nl_->num_nets() + 1, reader_begin_.back());
-  reaches_observe_.resize(nl_->num_nets(), 0);
-  observed_.resize(nl_->num_nets(), 0);
-}
-
 CombModel::CombModel(const Netlist& nl, SeqView view, const TopoOrder& topo)
     : nl_(&nl), view_(view) {
   acyclic_ = topo.acyclic;

@@ -56,12 +56,6 @@ class CombModel {
   /// to a job's private netlist copy without recompiling.
   CombModel(const CombModel& other, const Netlist& nl) : CombModel(other) { nl_ = &nl; }
 
-  /// Internal hook for DesignDB's cached-view refresh: when the netlist
-  /// only grew nets that no logic touches since this model was built
-  /// (comb_version unchanged), extend the per-net tables to num_nets() —
-  /// the exact arrays a rebuild would produce. Not for general use.
-  void pad_to_netlist();
-
   const Netlist& netlist() const { return *nl_; }
   SeqView view() const { return view_; }
   bool acyclic() const { return acyclic_; }

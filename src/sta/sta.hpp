@@ -62,8 +62,8 @@ StaResult run_sta(const Netlist& nl, const ExtractionResult& parasitics,
                   const StaOptions& opts = {});
 
 /// Same analysis, pulling the application-view TopoOrder from the design
-/// database's cache instead of levelizing (post-ECO the order is usually a
-/// cheap refresh of the one ATPG already built).
+/// database's cache instead of levelizing, so analyses of one netlist
+/// version share one order.
 StaResult run_sta(DesignDB& db, const ExtractionResult& parasitics,
                   const StaOptions& opts = {});
 
