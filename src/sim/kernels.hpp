@@ -21,8 +21,8 @@
 
 namespace tpi {
 
-/// Event counters accumulated by fault grading; the ATPG kernel profile
-/// sums them per phase. Totals are independent of the worker count because
+/// Event counters accumulated by fault grading; ATPG and LBIST publish
+/// them as the atpg.sim.* / lbist.sim.* metrics. Totals are independent of the worker count because
 /// each fault is graded exactly once (they do depend on the logical batch
 /// width, which is fixed algorithmically — see simd.hpp).
 struct FaultSimStats {
@@ -85,7 +85,7 @@ struct SimKernels {
   /// Full-sweep good-value evaluation of model.eval_ops() (honours
   /// copy_of dedup) over `values` (num_nets * nw words).
   void (*sweep)(const CombModel& model, Word* values, int nw);
-  /// Full-sweep two-plane ternary evaluation (build-selected encoding;
+  /// Full-sweep two-plane ternary evaluation (value/care planes, EncVC;
   /// honours copy_of) over plane arrays p/q (num_nets * nw words each).
   void (*tern_sweep)(const CombModel& model, Word* p, Word* q, int nw);
   /// Event-driven grading of `count` faults against the good state:

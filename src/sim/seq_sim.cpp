@@ -17,12 +17,6 @@ SequentialSim::SequentialSim(const CombModel& model, int lane_words)
   reset();
 }
 
-void SequentialSim::configure_lanes(int lane_words) {
-  if (lane_words == sim_.lane_words()) return;
-  sim_.configure_lanes(lane_words);
-  reset();
-}
-
 void SequentialSim::reset() {
   state_.assign(model_->boundary_ffs().size() * static_cast<std::size_t>(sim_.lane_words()), 0);
 }

@@ -32,9 +32,6 @@ class SequentialSim {
 
   /// Words per signal (1..kMaxLaneWords); lanes = 64 * lane_words().
   int lane_words() const { return sim_.lane_words(); }
-  /// Switch the instance width. Resets all flip-flops (a lane relayout
-  /// cannot preserve per-lane state meaningfully).
-  void configure_lanes(int lane_words);
 
   /// Reset all flip-flops to 0.
   void reset();

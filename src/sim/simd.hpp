@@ -10,7 +10,7 @@
 // are bit-identical across backends by construction — only the wall clock
 // moves. Runtime dispatch picks the widest backend the CPU supports,
 // overridable by TPI_SIMD={auto,scalar,avx2,avx512} or programmatically
-// (FlowConfig's `simd` knob, the parity tests).
+// (set_simd_backend, used by the parity tests).
 #pragma once
 
 #include <cstdint>
@@ -48,8 +48,8 @@ bool simd_backend_available(SimdBackend b);
 SimdBackend simd_backend();
 
 /// Install (or clear, with nullopt) the process-wide backend override.
-/// Takes effect on the next kernel dispatch; intended for FlowConfig and
-/// the cross-backend parity tests. Not meant to be flipped while
+/// Takes effect on the next kernel dispatch; intended for the
+/// cross-backend parity tests. Not meant to be flipped while
 /// simulations are in flight on other threads.
 void set_simd_backend(std::optional<SimdBackend> backend);
 

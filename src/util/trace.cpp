@@ -112,8 +112,6 @@ void record(const char* name, std::uint64_t begin_ns, std::uint64_t end_ns) {
   thread_log().append(name, begin_ns, end_ns);
 }
 
-std::uint32_t thread_tid() { return thread_log().tid; }
-
 }  // namespace trace_detail
 
 void set_trace_enabled(bool enabled) {

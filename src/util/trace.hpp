@@ -49,9 +49,6 @@ std::uint64_t now_ns();
 /// the thread's global log.
 void record(const char* name, std::uint64_t begin_ns, std::uint64_t end_ns);
 
-/// Stable id of the calling thread in trace exports (registers on first use).
-std::uint32_t thread_tid();
-
 }  // namespace trace_detail
 
 /// Global on/off switch read by every span on construction.

@@ -160,10 +160,6 @@ std::vector<FuzzTransform> default_fuzz_transforms() {
 TransformFuzzer::TransformFuzzer(const CellLibrary& lib, FuzzOptions opts)
     : lib_(&lib), opts_(std::move(opts)), transforms_(default_fuzz_transforms()) {}
 
-void TransformFuzzer::set_transforms(std::vector<FuzzTransform> transforms) {
-  transforms_ = std::move(transforms);
-}
-
 void TransformFuzzer::add_transform(FuzzTransform transform) {
   transforms_.push_back(std::move(transform));
 }

@@ -77,8 +77,7 @@ class TransformFuzzer {
  public:
   explicit TransformFuzzer(const CellLibrary& lib, FuzzOptions opts = {});
 
-  /// Replace / extend the transform set (tests inject broken mutators).
-  void set_transforms(std::vector<FuzzTransform> transforms);
+  /// Extend the transform set (tests inject broken mutators).
   void add_transform(FuzzTransform transform);
   const std::vector<FuzzTransform>& transforms() const { return transforms_; }
 
