@@ -77,7 +77,9 @@ TEST_F(SmallCombFaultSim, BranchFaultNarrowerThanStem) {
   EXPECT_NE(stem_d, Word{0});
   EXPECT_NE(branch_d, Word{0});
   for (int row = 0; row < 8; ++row) {
-    if (row & 1) EXPECT_EQ((branch_d >> row) & 1, 0u) << "activation requires a=0";
+    if (row & 1) {
+      EXPECT_EQ((branch_d >> row) & 1, 0u) << "activation requires a=0";
+    }
   }
 }
 

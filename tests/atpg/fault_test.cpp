@@ -43,9 +43,10 @@ TEST(FaultListTest, BufferChainCollapsesToOneRepresentativePerPolarity) {
   const CellSpec* buf = lib().gate(CellFunc::kBuf, 1);
   NetId prev = nl.pi_net(a);
   for (int i = 0; i < 3; ++i) {
-    const CellId b = nl.add_cell(buf, "b" + std::to_string(i));
+    // std::string(...) + ...: GCC 12 warns -Wrestrict on "literal" + rvalue.
+    const CellId b = nl.add_cell(buf, std::string("b") + std::to_string(i));
     nl.connect(b, 0, prev);
-    const NetId out = nl.add_net("n" + std::to_string(i));
+    const NetId out = nl.add_net(std::string("n") + std::to_string(i));
     nl.connect(b, buf->output_pin, out);
     prev = out;
   }
@@ -104,7 +105,9 @@ TEST(FaultListTest, ScanInfrastructureClassified) {
   EXPECT_GT(scan, 0);
   // Clock-net faults are scan-classified.
   for (const Fault& f : fl.faults) {
-    if (nl->is_clock_net(f.net)) EXPECT_EQ(f.status, FaultStatus::kScanTested);
+    if (nl->is_clock_net(f.net)) {
+      EXPECT_EQ(f.status, FaultStatus::kScanTested);
+    }
   }
 }
 

@@ -521,8 +521,11 @@ TEST(FlowServerTest, LedgerRecordsOnlyFinishedJobs) {
   EXPECT_EQ(entries[0].label, "s38417/tp=2");
   EXPECT_EQ(entries[0].flow.serialise(), result.find("flow")->serialise());
   EXPECT_EQ(entries[0].config.find("ledger"), nullptr) << entries[0].config.serialise();
+  // Named, not a FlowConfig{} temporary: GCC 12 warns -Wmaybe-uninitialized
+  // about a temporary's strings inside ASSERT_TRUE.
+  const FlowConfig defaults;
   FlowConfig job;
-  ASSERT_TRUE(FlowConfig::from_json(params, FlowConfig{}, job));
+  ASSERT_TRUE(FlowConfig::from_json(params, defaults, job));
   EXPECT_EQ(entries[0].config_fp, fnv1a_hex(job.to_json()));
   std::remove(ledger_path.c_str());
 }

@@ -181,7 +181,9 @@ TEST(TpiInsertionTest, InsertionImprovesTestability) {
       ++count;
     }
   }
-  if (count > 0) EXPECT_GT(sum_after, sum_before);
+  if (count > 0) {
+    EXPECT_GT(sum_after, sum_before);
+  }
 }
 
 std::uint64_t digest(const std::vector<NetId>& nets) {
@@ -256,7 +258,8 @@ TEST(TpiInsertionTest, PrunedTopKMatchesFullRanking) {
 struct Crafted {
   std::unique_ptr<Netlist> nl = std::make_unique<Netlist>(&lib(), "crafted");
   int id = 0;
-  std::string name() { return "n" + std::to_string(id++); }
+  // std::string(...) + ...: GCC 12 warns -Wrestrict on "literal" + rvalue.
+  std::string name() { return std::string("n") + std::to_string(id++); }
   NetId pi() { return nl->pi_net(nl->add_primary_input(name())); }
   NetId gate(const std::vector<NetId>& ins) {
     const CellSpec* spec = lib().gate(CellFunc::kAnd, static_cast<int>(ins.size()));
