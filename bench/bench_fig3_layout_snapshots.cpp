@@ -27,7 +27,7 @@ int main() {
   ScanOptions scan_opts;
   scan_opts.max_chain_length = profile.max_chain_length;
   scan_opts.max_chains = profile.max_chains;
-  insert_scan(*nl, scan_opts);
+  insert_scan(*nl);
 
   FloorplanOptions fpo;
   fpo.target_row_utilization = profile.target_row_utilization;

@@ -46,7 +46,8 @@ int main() {
         insert_test_points(db, tpi_opts);
         std::fprintf(stderr, "[bench] LBIST with %d test points...\n",
                      tpi_opts.num_test_points);
-        return Session{tpi_opts.num_test_points, run_lbist(db, lbist)};
+        return Session{tpi_opts.num_test_points,
+                       run_lbist(db.comb_model(SeqView::kCapture), lbist)};
       }));
     }
   }

@@ -85,7 +85,7 @@ int main(int argc, char** argv) {
 
   ScanOptions scan_opts;
   scan_opts.max_chain_length = 100;
-  insert_scan(nl, scan_opts);
+  insert_scan(nl);
   const ChainPlan plan = plan_chains(nl, scan_opts, {});
   stitch_chains(nl, plan);
   std::printf("scan: %d chain(s), l_max = %d\n", plan.num_chains, plan.max_length);

@@ -12,6 +12,13 @@
 namespace tpi {
 namespace {
 
+// Pure-random warm-up batches of 64 patterns (dropped again by static
+// compaction when useless).
+constexpr int kRandomBatches = 10;
+// Stop the random warm-up early when a batch detects fewer equivalent
+// faults than this.
+constexpr int kRandomMinYield = 8;
+
 // Pack batch[0..count) (count <= nw*64) into per-input lane words
 // (input-major): pattern k lands in bit k%64 of words[i*nw + k/64]. Lanes
 // past the pattern count stay zero (phantom all-zero vectors that
@@ -106,7 +113,7 @@ AtpgResult run_atpg(const CombModel& model, const TestabilityResult& testability
   // The legacy per-batch yield cutoff is replicated from the per-fault
   // first detecting pattern: sub-batch s's yield is the equiv count of
   // kUndetected faults first detected in lane word s, the phase stops at
-  // the first sub-batch whose yield falls below random_min_yield (that
+  // the first sub-batch whose yield falls below kRandomMinYield (that
   // sub-batch's drops and patterns still count, as before), and faults
   // first detected after the cutoff stay live — their detecting patterns
   // were never applied.
@@ -114,8 +121,8 @@ AtpgResult run_atpg(const CombModel& model, const TestabilityResult& testability
     TPI_SPAN("atpg.random");
     int b = 0;
     bool low_yield = false;
-    while (b < opts.random_batches && !low_yield) {
-      const int nb = super_batch_words(opts.random_batches - b);
+    while (b < kRandomBatches && !low_yield) {
+      const int nb = super_batch_words(kRandomBatches - b);
       const std::size_t count = static_cast<std::size_t>(nb) * kWordBits;
       for (std::size_t k = 0; k < count; ++k) {
         for (auto& bit : batch[k].bits) {
@@ -132,7 +139,7 @@ AtpgResult run_atpg(const CombModel& model, const TestabilityResult& testability
       }
       int applied = nb;
       for (int s = 0; s < nb; ++s) {
-        if (yields[s] < opts.random_min_yield) {
+        if (yields[s] < kRandomMinYield) {
           applied = s + 1;
           low_yield = true;
           break;

@@ -26,12 +26,6 @@ struct AtpgOptions {
   /// cycles, pseudo-inputs fed from the launch frame's captured state).
   FaultModel fault_model = FaultModel::kStuckAt;
   PodemOptions podem;
-  /// Pure-random warm-up batches of 64 patterns (dropped again by static
-  /// compaction when useless).
-  int random_batches = 10;
-  /// Stop the random warm-up early when a batch detects fewer equivalent
-  /// faults than this.
-  int random_min_yield = 8;
   bool static_compaction = true;
   int max_patterns = 200000;
   /// Fault-simulation worker threads (FaultSimBank): 1 = serial, <= 0 =

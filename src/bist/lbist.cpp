@@ -4,7 +4,6 @@
 #include <string>
 
 #include "atpg/fault_sim.hpp"
-#include "netlist/design_db.hpp"
 #include "util/metrics.hpp"
 
 namespace tpi {
@@ -99,7 +98,7 @@ LbistResult run_lbist(const CombModel& model, const LbistOptions& opts) {
   };
 
   FaultSimBank bank(model, 1);
-  Lfsr lfsr(opts.lfsr_degree, opts.lfsr_seed);
+  Lfsr lfsr(opts.lfsr_degree);  // every session starts from the default seed
   Misr misr(64);
 
   std::vector<Fault*> live;
@@ -196,10 +195,6 @@ LbistResult run_lbist(const CombModel& model, const LbistOptions& opts) {
   m.add("lbist.sim.node_evals", sim.node_evals);
   m.add("lbist.sim.events", sim.events);
   return res;
-}
-
-LbistResult run_lbist(DesignDB& db, const LbistOptions& opts) {
-  return run_lbist(db.comb_model(SeqView::kCapture), opts);
 }
 
 }  // namespace tpi

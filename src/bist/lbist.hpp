@@ -75,7 +75,6 @@ struct LbistOptions {
   /// Pseudo-random budget (>= 0), applied in whole 64-pattern batches.
   int max_patterns = 16384;
   int report_every = 1024;      ///< granularity of the coverage curve (>= 1)
-  std::uint64_t lfsr_seed = 0xACE1u;
   int lfsr_degree = 32;
 
   /// kStuckAt grades each scan load in a single capture cycle (the seed
@@ -119,10 +118,5 @@ struct LbistResult {
 /// std::invalid_argument for report_every < 1, max_patterns < 0 or an
 /// unsupported lfsr_degree.
 LbistResult run_lbist(const CombModel& model, const LbistOptions& opts = {});
-
-class DesignDB;
-
-/// Same session over the design database's cached capture-view model.
-LbistResult run_lbist(DesignDB& db, const LbistOptions& opts = {});
 
 }  // namespace tpi

@@ -62,8 +62,7 @@ std::shared_ptr<DesignCache::Entry> DesignCache::build(const CircuitProfile& pro
   auto entry = std::make_shared<Entry>(generate_circuit(lib_, profile));
   // Warm exactly what the flow's first stage asks for: capture-view
   // testability, which forces the capture TopoOrder and CombModel. The
-  // golden netlist has no TSFFs yet, so the topo slot also serves the
-  // application view.
+  // application view is built on first use, like any other view.
   entry->db_.testability(SeqView::kCapture);
   entry->bytes_ = estimate_bytes(entry->netlist());
   return entry;

@@ -160,7 +160,7 @@ class Generator {
   }
 
   NetId emit_gate(const CellSpec* spec, const std::vector<Sig>& ins, Sig* out_sig) {
-    const CellId c = nl_->add_cell(spec, "g" + std::to_string(gates_made_));
+    const CellId c = nl_->add_cell(spec, std::string("g").append(std::to_string(gates_made_)));
     static const char* kNames[] = {"A", "B", "C", "D"};
     int level = 0;
     for (std::size_t i = 0; i < ins.size(); ++i) {
@@ -168,7 +168,7 @@ class Generator {
       nl_->connect(c, spec->find_pin(pin), ins[i].net);
       level = std::max(level, ins[i].level);
     }
-    const NetId out = nl_->add_net("n" + std::to_string(gates_made_));
+    const NetId out = nl_->add_net(std::string("n").append(std::to_string(gates_made_)));
     nl_->connect(c, spec->output_pin, out);
     ++gates_made_;
     if (out_sig != nullptr) *out_sig = Sig{out, level + 1};

@@ -3,6 +3,13 @@
 #include <algorithm>
 
 namespace tpi {
+namespace {
+
+// Thick upper-metal class (long nets).
+constexpr double kRLongOhmPerUm = 0.25;
+constexpr double kCLongFfPerUm = 0.22;
+
+}  // namespace
 
 ExtractionResult extract(const Netlist& nl, const RoutingResult& routes,
                          const ExtractionOptions& opts) {
@@ -16,13 +23,13 @@ ExtractionResult extract(const Netlist& nl, const RoutingResult& routes,
 
     // Layer class by net length: long nets are promoted to thick metal.
     const bool long_net = tree.length_um >= opts.long_net_threshold_um;
-    const double r_per_um = long_net ? opts.r_long_ohm_per_um : opts.r_short_ohm_per_um;
-    const double c_per_um = long_net ? opts.c_long_ff_per_um : opts.c_short_ff_per_um;
+    const double r_per_um = long_net ? kRLongOhmPerUm : kRShortOhmPerUm;
+    const double c_per_um = long_net ? kCLongFfPerUm : kCShortFfPerUm;
 
     for (const PinRef& s : net.sinks) {
       p.pin_cap_ff += nl.cell(s.cell).spec->pins[static_cast<std::size_t>(s.pin)].cap_ff;
     }
-    p.pin_cap_ff += opts.po_pad_cap_ff * static_cast<double>(net.po_sinks.size());
+    p.pin_cap_ff += kPoPadCapFf * static_cast<double>(net.po_sinks.size());
     p.wire_cap_ff = c_per_um * tree.length_um;
     p.total_cap_ff = p.wire_cap_ff + p.pin_cap_ff;
     res.total_wire_cap_ff += p.wire_cap_ff;
@@ -41,7 +48,7 @@ ExtractionResult extract(const Netlist& nl, const RoutingResult& routes,
         const PinRef& s = net.sinks[sink_idx];
         down_cap[v] += nl.cell(s.cell).spec->pins[static_cast<std::size_t>(s.pin)].cap_ff;
       } else {
-        down_cap[v] += opts.po_pad_cap_ff;
+        down_cap[v] += kPoPadCapFf;
       }
       down_cap[v] += c_per_um * tree.edge_um[v] / 2.0;  // near half of own edge
     }

@@ -14,15 +14,15 @@
 
 namespace tpi {
 
+// Thin lower-metal class (short nets); the thick upper-metal constants of
+// long nets live in extraction.cpp.
+inline constexpr double kRShortOhmPerUm = 0.80;
+inline constexpr double kCShortFfPerUm = 0.18;
+inline constexpr double kPoPadCapFf = 40.0;  ///< load of an output pad
+
 struct ExtractionOptions {
-  // Thin lower-metal class (short nets).
-  double r_short_ohm_per_um = 0.80;
-  double c_short_ff_per_um = 0.18;
-  // Thick upper-metal class (long nets).
-  double r_long_ohm_per_um = 0.25;
-  double c_long_ff_per_um = 0.22;
+  /// Nets at least this long are promoted to the thick upper-metal class.
   double long_net_threshold_um = 400.0;
-  double po_pad_cap_ff = 40.0;  ///< load of an output pad
 };
 
 struct NetParasitics {

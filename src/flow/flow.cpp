@@ -55,16 +55,6 @@ std::optional<Stage> stage_from_name(std::string_view name) {
   return std::nullopt;
 }
 
-std::string StageMask::to_string() const {
-  std::string out;
-  for (const Stage s : kAllStages) {
-    if (!has(s)) continue;
-    if (!out.empty()) out += '|';
-    out += stage_name(s);
-  }
-  return out.empty() ? "none" : out;
-}
-
 FlowEngine::FlowEngine(Netlist& nl, const CircuitProfile& profile, const FlowOptions& opts)
     : nl_(&nl), profile_(profile), opts_(opts) {
   db_.emplace(*nl_);
@@ -200,7 +190,7 @@ void FlowEngine::do_tpi_scan() {
   const TpiReport tpi_report = insert_test_points(*db_, tpi_opts);
   res_.num_test_points = static_cast<int>(tpi_report.test_points.size());
 
-  insert_scan(nl, scan_opts_);
+  insert_scan(nl);
   res_.num_ffs = static_cast<int>(nl.flip_flops().size());
 }
 
@@ -356,7 +346,7 @@ void FlowEngine::do_verify() {
     return;
   }
   v.matched_pos = m.matched_pos;
-  EquivChecker checker(*m.netlist, opts_.verify_equiv);
+  EquivChecker checker(*m.netlist);
   const EquivResult equiv = checker.check();
   v.equivalent = equiv.equivalent;
   v.proven_x_init = equiv.proven_x_init;

@@ -56,7 +56,6 @@ struct FlowOptions {
   /// the ATPG pattern set against every claimed fault detection. The stage
   /// runs when the mask also carries Stage::kVerify.
   bool verify = false;
-  EquivOptions verify_equiv;
 
   /// Opt-in at-speed LBIST experiment, run at the end of the sta stage: a
   /// transition-fault BIST session clocked at the post-TPI netlist's F_max

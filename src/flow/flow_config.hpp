@@ -72,7 +72,7 @@ struct FlowConfig {
   /// Uniform profile scale factor (TPI_BENCH_SCALE); 1.0 = paper-sized.
   double scale = 1.0;
   /// Typed flow options: tp_percent, TPI method, seeds, AtpgOptions
-  /// (including atpg.jobs), verify budget.
+  /// (including atpg.jobs), the verify and at-speed LBIST switches.
   FlowOptions options;
   /// Stages to run.
   StageMask stages = StageMask::all();

@@ -7,7 +7,6 @@
 #include <array>
 #include <cstdint>
 #include <optional>
-#include <string>
 #include <string_view>
 
 namespace tpi {
@@ -84,9 +83,6 @@ class StageMask {
 
   constexpr bool operator==(const StageMask& o) const { return bits_ == o.bits_; }
   constexpr bool operator!=(const StageMask& o) const { return bits_ != o.bits_; }
-
-  /// "tpi_scan|floorplan_place|..." ("none" when empty).
-  std::string to_string() const;
 
  private:
   explicit constexpr StageMask(unsigned bits) : bits_(bits) {}

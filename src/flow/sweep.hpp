@@ -101,7 +101,7 @@ class SweepRunner {
                                     StageMask stages = StageMask::all());
 
   /// Same grid from a unified FlowConfig: cells inherit config.options
-  /// (atpg jobs, seeds, verify budget) and run config.stages.
+  /// (atpg jobs, seeds, verify switch) and run config.stages.
   static std::vector<SweepJob> grid(const std::vector<CircuitProfile>& circuits,
                                     const std::vector<double>& tp_percents,
                                     const FlowConfig& config);

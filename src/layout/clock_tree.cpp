@@ -7,6 +7,9 @@
 namespace tpi {
 namespace {
 
+constexpr int kLeafBufferDrive = 4;   // CLKBUF_X4 at the leaves
+constexpr int kTrunkBufferDrive = 8;  // CLKBUF_X8 above
+
 struct SinkRef {
   PinRef pin;
   Point pos;
@@ -43,10 +46,8 @@ void kd_cluster(std::vector<SinkRef>& pts, std::size_t lo, std::size_t hi, std::
 CtsReport synthesize_clock_trees(Netlist& nl, const Floorplan& fp, Placement& pl,
                                  const CtsOptions& opts) {
   CtsReport report;
-  const CellSpec* leaf_buf =
-      nl.library().gate(CellFunc::kClkBuf, 1, opts.leaf_buffer_drive);
-  const CellSpec* trunk_buf =
-      nl.library().gate(CellFunc::kClkBuf, 1, opts.trunk_buffer_drive);
+  const CellSpec* leaf_buf = nl.library().gate(CellFunc::kClkBuf, 1, kLeafBufferDrive);
+  const CellSpec* trunk_buf = nl.library().gate(CellFunc::kClkBuf, 1, kTrunkBufferDrive);
   assert(leaf_buf != nullptr && trunk_buf != nullptr);
 
   for (const int clock_pi : nl.clock_pis()) {

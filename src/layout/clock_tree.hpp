@@ -16,9 +16,7 @@
 namespace tpi {
 
 struct CtsOptions {
-  int max_fanout = 18;          ///< sinks per buffer stage
-  int leaf_buffer_drive = 4;    ///< CLKBUF_X4 at the leaves
-  int trunk_buffer_drive = 8;   ///< CLKBUF_X8 above
+  int max_fanout = 18;  ///< sinks per buffer stage
 };
 
 struct CtsReport {

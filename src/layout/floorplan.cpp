@@ -4,6 +4,15 @@
 #include <cmath>
 
 namespace tpi {
+namespace {
+
+// Rings between the core rows and the chip edge, inside out.
+constexpr double kCoreToRingMarginUm = 10.0;
+constexpr double kGroundRingWidthUm = 12.0;
+constexpr double kPowerRingWidthUm = 12.0;
+constexpr double kIoRingWidthUm = 50.0;
+
+}  // namespace
 
 int Floorplan::nearest_row(double y) const {
   const int row = static_cast<int>(std::floor((y - core_box.ly) / row_height_um));
@@ -50,8 +59,8 @@ Floorplan make_floorplan(const Netlist& nl, const FloorplanOptions& opts) {
   const double core_h = fp.num_rows * fp.row_height_um;
   fp.core_box = Rect{0.0, 0.0, core_w, core_h};
 
-  const double margin = opts.core_to_ring_margin_um + opts.ground_ring_width_um +
-                        opts.power_ring_width_um + opts.io_ring_width_um;
+  const double margin =
+      kCoreToRingMarginUm + kGroundRingWidthUm + kPowerRingWidthUm + kIoRingWidthUm;
   // Chip outline forced square around the (possibly rectangular) core.
   const double chip_side = std::max(core_w, core_h) + 2.0 * margin;
   const double cx = core_w / 2.0, cy = core_h / 2.0;

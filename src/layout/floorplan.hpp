@@ -16,10 +16,6 @@ namespace tpi {
 
 struct FloorplanOptions {
   double target_row_utilization = 0.97;
-  double io_ring_width_um = 50.0;
-  double power_ring_width_um = 12.0;
-  double ground_ring_width_um = 12.0;
-  double core_to_ring_margin_um = 10.0;
 };
 
 struct Floorplan {

@@ -12,6 +12,12 @@
 namespace tpi {
 namespace {
 
+// Global placement spreads the cells every kSpreadEvery iterations.
+constexpr int kSpreadEvery = 3;
+// Nets with more fanout than this are ignored by the placer (clock, scan
+// enable); they would otherwise pull everything to one point.
+constexpr std::size_t kNetFanoutLimit = 48;
+
 bool placeable(const Netlist& nl, CellId c) {
   return nl.cell(c).spec->func != CellFunc::kFiller;
 }
@@ -102,7 +108,7 @@ void repack_row(const Netlist& nl, const Floorplan& fp, Placement& pl, int row) 
 // The global phase's flat physical view, built once per place() call from
 // the netlist structure. Pins index one position array: the cells by
 // CellId, then the PI pads, then the PO pads. Only the nets the placer
-// weighs get a row: fanout within opts.net_fanout_limit and two or more
+// weighs get a row: fanout within kNetFanoutLimit and two or more
 // pins.
 struct GlobalView {
   std::vector<Point> xy;
@@ -115,8 +121,7 @@ struct GlobalView {
 
   // Takes over pl.pos (place() reserves room for the pads in it) until
   // release() hands the cell positions back.
-  GlobalView(const Netlist& nl, const PlacementOptions& opts,
-             const std::vector<CellId>& movable, Placement& pl)
+  GlobalView(const Netlist& nl, const std::vector<CellId>& movable, Placement& pl)
       : xy(std::move(pl.pos)) {
     const std::size_t n_cells = xy.size();
     const std::size_t po_base = n_cells + pl.pi_pad.size();
@@ -130,7 +135,7 @@ struct GlobalView {
     std::size_t pins = 0;
     for (std::size_t n = 0; n < nl.num_nets(); ++n) {
       const Net& net = nl.net(static_cast<NetId>(n));
-      if (net.fanout() > opts.net_fanout_limit) continue;
+      if (net.fanout() > kNetFanoutLimit) continue;
       const std::size_t k = std::size_t{net.driver.valid()} + std::size_t{net.driven_by_pi()} +
                             net.fanout();
       if (k < 2) continue;
@@ -184,14 +189,14 @@ struct GlobalView {
   }
 };
 
-// Centroid attraction with rank spreading every opts.spread_every
+// Centroid attraction with rank spreading every kSpreadEvery
 // iterations (and after the last): each iteration moves every movable cell
 // to the weighted mean of its nets' centroids (pads included: they anchor
 // the placement to the ring), weighting a net by 1 / pins; spreading keeps
 // the cells' x and y orders and restores uniform density across the core.
 void global_place(const Netlist& nl, const Floorplan& fp, const PlacementOptions& opts,
                   const std::vector<CellId>& movable, Placement& pl) {
-  GlobalView v(nl, opts, movable, pl);
+  GlobalView v(nl, movable, pl);
   // Each net's centroid times its weight: a cell's pull sums these.
   std::vector<Point> pull(v.net_weight.size());
   auto spread = [&](double Point::*axis, double lo, double extent) {
@@ -222,7 +227,7 @@ void global_place(const Netlist& nl, const Floorplan& fp, const PlacementOptions
       v.xy[static_cast<std::size_t>(movable[i])] =
           Point{nx / v.cell_weight[i], ny / v.cell_weight[i]};
     }
-    if ((iter + 1) % opts.spread_every == 0 || iter + 1 == opts.global_iterations) {
+    if ((iter + 1) % kSpreadEvery == 0 || iter + 1 == opts.global_iterations) {
       spread(&Point::x, fp.core_box.lx, fp.core_box.width());
       spread(&Point::y, fp.core_box.ly, fp.core_box.height());
     }

@@ -21,10 +21,6 @@ namespace tpi {
 
 struct PlacementOptions {
   int global_iterations = 20;
-  int spread_every = 3;
-  /// Nets with more fanout than this are ignored by the placer (clock,
-  /// scan enable); they would otherwise pull everything to one point.
-  std::size_t net_fanout_limit = 48;
 };
 
 struct Placement {

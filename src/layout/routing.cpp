@@ -10,6 +10,11 @@
 namespace tpi {
 namespace {
 
+constexpr double kGcellUm = 30.0;
+// Extra length per overflowing crossing (ripped up and re-routed around the
+// hotspot).
+constexpr double kDetourPerOverflowUm = 18.0;
+
 // Endpoint positions of a net: driver first, then cell sinks, then POs.
 void net_endpoints(const Netlist& nl, const Placement& pl, NetId net_id,
                    std::vector<Point>& pts) {
@@ -103,7 +108,7 @@ RoutingResult route(const Netlist& nl, const Floorplan& fp, const Placement& pl,
   res.nets.resize(nl.num_nets());
 
   Grid grid;
-  grid.gcell = opts.gcell_um;
+  grid.gcell = kGcellUm;
   grid.ox = fp.chip_box.lx;
   grid.oy = fp.chip_box.ly;
   grid.nx = std::max(1, static_cast<int>(std::ceil(fp.chip_box.width() / grid.gcell)));
@@ -145,7 +150,7 @@ RoutingResult route(const Netlist& nl, const Floorplan& fp, const Placement& pl,
       if (edge_overflows > 0) {
         // One detour route skirts a contiguous hotspot; cap the charge so a
         // long edge through a congested region is not billed per gcell.
-        const double extra = opts.detour_per_overflow_um * std::min(edge_overflows, 3);
+        const double extra = kDetourPerOverflowUm * std::min(edge_overflows, 3);
         tree.edge_um[v] += extra;
         tree.length_um += extra;
         res.detour_length_um += extra;

@@ -14,13 +14,9 @@
 namespace tpi {
 
 struct RoutingOptions {
-  double gcell_um = 30.0;
   /// Routing tracks per gcell boundary per direction (6-metal stack:
   /// ~3 layers per direction at ~0.5 µm average pitch, minus blockage).
   double tracks_per_gcell = 165.0;
-  /// Extra length per overflowing crossing (ripped up and re-routed around
-  /// the hotspot).
-  double detour_per_overflow_um = 18.0;
 };
 
 /// Routed topology of one net: node 0 is the driver; every other node

@@ -4,32 +4,17 @@
 
 namespace tpi {
 
-void DesignDB::count_hit() {
-  ++counters_.view_hits;
-  metrics().add("designdb.view_hits");
-}
-
-void DesignDB::count_rebuild(std::uint64_t Counters::* kind) {
-  ++counters_.rebuilds;
-  ++(counters_.*kind);
-  metrics().add("designdb.rebuilds");
-  if (kind == &Counters::topo_rebuilds) metrics().add("designdb.rebuilds.topo");
-  if (kind == &Counters::comb_rebuilds) metrics().add("designdb.rebuilds.comb");
-  if (kind == &Counters::testability_rebuilds) {
-    metrics().add("designdb.rebuilds.testability");
-  }
-}
-
 template <typename T, typename Build>
-const T& DesignDB::serve(Slot<T>& slot, std::uint64_t Counters::* kind, Build build) {
+const T& DesignDB::serve(Slot<T>& slot, const char* rebuild_metric, Build build) {
   const std::uint64_t v = nl_->version();
   if (slot.value && slot.built == v) {
-    count_hit();
+    metrics().add("designdb.view_hits");
     return *slot.value;
   }
   slot.value = build();
   slot.built = v;
-  count_rebuild(kind);
+  metrics().add("designdb.rebuilds");
+  metrics().add(rebuild_metric);
   return *slot.value;
 }
 
@@ -39,7 +24,7 @@ const TopoOrder& DesignDB::topo(SeqView view) {
 }
 
 const TopoOrder& DesignDB::topo_locked(SeqView view) {
-  return serve(topo_[static_cast<std::size_t>(view)], &Counters::topo_rebuilds,
+  return serve(topo_[static_cast<std::size_t>(view)], "designdb.rebuilds.topo",
                [&] { return std::make_unique<TopoOrder>(levelize(*nl_, view)); });
 }
 
@@ -49,7 +34,7 @@ const CombModel& DesignDB::comb_model(SeqView view) {
 }
 
 const CombModel& DesignDB::comb_locked(SeqView view) {
-  return serve(comb_[static_cast<std::size_t>(view)], &Counters::comb_rebuilds, [&] {
+  return serve(comb_[static_cast<std::size_t>(view)], "designdb.rebuilds.comb", [&] {
     return std::make_unique<CombModel>(*nl_, view, topo_locked(view));
   });
 }
@@ -58,13 +43,8 @@ const TestabilityResult& DesignDB::testability(SeqView view) {
   std::lock_guard<std::mutex> lock(mu_);
   // Resolve the model first (counted as its own hit or rebuild).
   const CombModel& model = comb_locked(view);
-  return serve(testab_[static_cast<std::size_t>(view)], &Counters::testability_rebuilds,
+  return serve(testab_[static_cast<std::size_t>(view)], "designdb.rebuilds.testability",
                [&] { return std::make_unique<TestabilityResult>(analyze_testability(model)); });
-}
-
-DesignDB::Counters DesignDB::counters() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return counters_;
 }
 
 void DesignDB::adopt_views_from(const DesignDB& warm) {

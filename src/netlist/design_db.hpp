@@ -64,16 +64,6 @@ class DesignDB {
   /// edit.
   const TestabilityResult& testability(SeqView view);
 
-  /// Lifetime cache statistics (also mirrored into metrics()).
-  struct Counters {
-    std::uint64_t view_hits = 0;
-    std::uint64_t rebuilds = 0;  ///< sum of the per-kind rebuilds below
-    std::uint64_t topo_rebuilds = 0;
-    std::uint64_t comb_rebuilds = 0;
-    std::uint64_t testability_rebuilds = 0;
-  };
-  Counters counters() const;
-
   /// Seed this DB's view slots from `warm`, a DB whose netlist this DB's
   /// netlist was copied from (Netlist copies preserve the edit journal, so
   /// the adopted built-versions stay meaningful against the copy). Views
@@ -92,15 +82,14 @@ class DesignDB {
   };
 
   /// Hit when `slot` was built at the current netlist version, else a
-  /// rebuild through `build` (returns the new std::unique_ptr<T>).
+  /// rebuild through `build` (returns the new std::unique_ptr<T>), counted
+  /// under designdb.rebuilds and `rebuild_metric`.
   template <typename T, typename Build>
-  const T& serve(Slot<T>& slot, std::uint64_t Counters::* kind, Build build);
+  const T& serve(Slot<T>& slot, const char* rebuild_metric, Build build);
 
   // Unlocked implementations (mu_ held by the public accessors).
   const TopoOrder& topo_locked(SeqView view);
   const CombModel& comb_locked(SeqView view);
-  void count_hit();
-  void count_rebuild(std::uint64_t Counters::* kind);
 
   std::unique_ptr<Netlist> owned_nl_;
   Netlist* nl_;
@@ -108,7 +97,6 @@ class DesignDB {
   Slot<TopoOrder> topo_[2];
   Slot<CombModel> comb_[2];
   Slot<TestabilityResult> testab_[2];
-  Counters counters_;
 };
 
 }  // namespace tpi

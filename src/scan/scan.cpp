@@ -10,6 +10,9 @@
 namespace tpi {
 namespace {
 
+// The shared scan-enable primary input (created on first use).
+constexpr const char* kScanEnablePi = "scan_en";
+
 std::vector<CellId> scan_cells(const Netlist& nl) {
   std::vector<CellId> out;
   for (std::size_t c = 0; c < nl.num_cells(); ++c) {
@@ -21,14 +24,14 @@ std::vector<CellId> scan_cells(const Netlist& nl) {
 
 }  // namespace
 
-ScanInsertReport insert_scan(Netlist& nl, const ScanOptions& opts) {
+ScanInsertReport insert_scan(Netlist& nl) {
   ScanInsertReport report;
   const CellSpec* sdff = nl.library().by_name("SDFF_X1");
   assert(sdff != nullptr);
 
-  NetId se = nl.find_net(opts.scan_enable_pi);
+  NetId se = nl.find_net(kScanEnablePi);
   if (se == kNoNet) {
-    const int pi = nl.add_primary_input(opts.scan_enable_pi);
+    const int pi = nl.add_primary_input(kScanEnablePi);
     se = nl.pi_net(pi);
   }
   report.scan_enable_net = se;

@@ -20,7 +20,6 @@ struct ScanOptions {
   int max_chain_length = 100;
   /// Upper bound on the number of chains (0 = unlimited).
   int max_chains = 0;
-  std::string scan_enable_pi = "scan_en";
 };
 
 struct ScanInsertReport {
@@ -32,7 +31,7 @@ struct ScanInsertReport {
 /// Replace DFFs with SDFFs and connect every scan cell's TE to the shared
 /// scan-enable PI (TSFFs already own a TE from TPI; they are rehomed to the
 /// shared net so one enable drives the whole scan path).
-ScanInsertReport insert_scan(Netlist& nl, const ScanOptions& opts);
+ScanInsertReport insert_scan(Netlist& nl);
 
 struct ChainPlan {
   std::vector<std::vector<CellId>> chains;  ///< scan cells per chain, in shift order

@@ -80,14 +80,16 @@ struct FaultScratch {
 };
 
 /// One backend's kernel entry points. `nw` must be 1, 2, 4 or 8
-/// (kMaxLaneWords); arrays are net-major with stride nw.
+/// (kMaxLaneWords); arrays are net-major with stride nw (kMaxLaneWords for
+/// tern_sweep).
 struct SimKernels {
   /// Full-sweep good-value evaluation of model.eval_ops() (honours
   /// copy_of dedup) over `values` (num_nets * nw words).
   void (*sweep)(const CombModel& model, Word* values, int nw);
   /// Full-sweep two-plane ternary evaluation (value/care planes, EncVC;
-  /// honours copy_of) over plane arrays p/q (num_nets * nw words each).
-  void (*tern_sweep)(const CombModel& model, Word* p, Word* q, int nw);
+  /// honours copy_of) over plane arrays p/q (num_nets * kMaxLaneWords
+  /// words each).
+  void (*tern_sweep)(const CombModel& model, Word* p, Word* q);
   /// Event-driven grading of `count` faults against the good state:
   /// detect[i*scratch.nw + j] accumulates per-lane observable differences
   /// for tasks[i]. Counters accumulate into `stats` (one faults_graded

@@ -115,9 +115,11 @@ void sweep_impl(const CombModel& model, Word* v) {
   }
 }
 
-template <int NW>
-void tern_sweep_impl(const CombModel& model, Word* p, Word* q) {
+// Always kMaxLaneWords wide: the equivalence checker's ternary pass is its
+// only caller.
+void tern_sweep_entry(const CombModel& model, Word* p, Word* q) {
   using Enc = EncVC;
+  constexpr int NW = kMaxLaneWords;
   for (const EvalOp& op : model.eval_ops()) {
     if (op.out == kNoNet) continue;
     const std::size_t ob = static_cast<std::size_t>(op.out) * NW;
@@ -376,23 +378,6 @@ void sweep_entry(const CombModel& model, Word* values, int nw) {
       return;
     default:
       sweep_impl<8>(model, values);
-      return;
-  }
-}
-
-void tern_sweep_entry(const CombModel& model, Word* p, Word* q, int nw) {
-  switch (nw) {
-    case 1:
-      tern_sweep_impl<1>(model, p, q);
-      return;
-    case 2:
-      tern_sweep_impl<2>(model, p, q);
-      return;
-    case 4:
-      tern_sweep_impl<4>(model, p, q);
-      return;
-    default:
-      tern_sweep_impl<8>(model, p, q);
       return;
   }
 }

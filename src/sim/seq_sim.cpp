@@ -49,12 +49,4 @@ void SequentialSim::step(const std::vector<Word>& pi_words, std::vector<Word>& p
   }
 }
 
-void SequentialSim::step_launch_capture(const std::vector<Word>& pi_words,
-                                        std::vector<Word>& po_capture,
-                                        std::vector<Word>* po_launch) {
-  std::vector<Word> launch_po;
-  step(pi_words, po_launch != nullptr ? *po_launch : launch_po);
-  step(pi_words, po_capture);
-}
-
 }  // namespace tpi

@@ -42,13 +42,6 @@ class SequentialSim {
   /// po_words is resized to num_po_observes() * lane_words().
   void step(const std::vector<Word>& pi_words, std::vector<Word>& po_words);
 
-  /// Launch-on-capture pair: two back-to-back step() calls with the PIs
-  /// held. po_capture receives the second (capture) cycle's POs; when
-  /// po_launch is non-null it receives the first (launch) cycle's POs.
-  /// Mirrors the at-speed frame sequence transition ATPG grades against.
-  void step_launch_capture(const std::vector<Word>& pi_words, std::vector<Word>& po_capture,
-                           std::vector<Word>* po_launch = nullptr);
-
   /// State vector aligned with application-view boundary FFs, word-major
   /// per flip-flop (size num_state_bits() * lane_words()).
   const std::vector<Word>& state() const { return state_; }

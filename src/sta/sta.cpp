@@ -14,6 +14,10 @@ namespace tpi {
 namespace {
 
 constexpr double kNegInf = -1.0e30;
+// Transition times at the timing sources: every non-clock primary input
+// and every clock root.
+constexpr double kPiInputSlewPs = 100.0;
+constexpr double kClockRootSlewPs = 80.0;
 
 struct NetArrival {
   double arrival_ps = kNegInf;
@@ -34,14 +38,13 @@ class StaEngine {
  public:
   /// `topo` must be levelize(nl, SeqView::kApplication); both the forward
   /// arrival pass and the backward slack pass walk the same order.
-  StaEngine(const Netlist& nl, const ExtractionResult& px, const StaOptions& opts,
-            const TopoOrder& topo)
-      : nl_(nl), px_(px), opts_(opts), topo_(topo) {}
+  StaEngine(const Netlist& nl, const ExtractionResult& px, const TopoOrder& topo)
+      : nl_(nl), px_(px), topo_(topo) {}
 
   StaResult run() {
     net_.assign(nl_.num_nets(), NetArrival{});
     ck_arrival_.assign(nl_.num_cells(), 0.0);
-    ck_slew_.assign(nl_.num_cells(), opts_.clock_root_slew_ps);
+    ck_slew_.assign(nl_.num_cells(), kClockRootSlewPs);
     ck_domain_.assign(nl_.num_cells(), -1);
     slow_cell_.assign(nl_.num_cells(), 0);
 
@@ -91,7 +94,7 @@ class StaEngine {
     };
     std::queue<Item> q;
     for (const int pi : nl_.clock_pis()) {
-      q.push(Item{nl_.pi_net(pi), 0.0, opts_.clock_root_slew_ps});
+      q.push(Item{nl_.pi_net(pi), 0.0, kClockRootSlewPs});
       clock_root_of_[nl_.pi_net(pi)] = pi;
     }
     while (!q.empty()) {
@@ -129,7 +132,7 @@ class StaEngine {
       const NetId n = nl_.pi_net(static_cast<int>(i));
       if (nl_.is_clock_net(n)) continue;
       net_[static_cast<std::size_t>(n)].arrival_ps = 0.0;
-      net_[static_cast<std::size_t>(n)].slew_ps = opts_.pi_input_slew_ps;
+      net_[static_cast<std::size_t>(n)].slew_ps = kPiInputSlewPs;
     }
     for (std::size_t c = 0; c < nl_.num_cells(); ++c) {
       const CellId cid = static_cast<CellId>(c);
@@ -297,7 +300,6 @@ class StaEngine {
 
   const Netlist& nl_;
   const ExtractionResult& px_;
-  StaOptions opts_;
   const TopoOrder& topo_;
   std::vector<NetArrival> net_;
   std::vector<double> ck_arrival_;
@@ -315,9 +317,9 @@ class StaEngine {
 namespace {
 
 StaResult run_sta_with(const Netlist& nl, const TopoOrder& topo,
-                       const ExtractionResult& parasitics, const StaOptions& opts) {
+                       const ExtractionResult& parasitics) {
   TPI_SPAN("sta.run");
-  StaEngine engine(nl, parasitics, opts, topo);
+  StaEngine engine(nl, parasitics, topo);
   StaResult res = engine.run();
   MetricsRegistry& m = metrics();
   m.add("sta.runs");
@@ -328,16 +330,14 @@ StaResult run_sta_with(const Netlist& nl, const TopoOrder& topo,
 
 }  // namespace
 
-StaResult run_sta(const Netlist& nl, const ExtractionResult& parasitics,
-                  const StaOptions& opts) {
+StaResult run_sta(const Netlist& nl, const ExtractionResult& parasitics) {
   // One levelize shared by the forward and backward passes.
   const TopoOrder topo = levelize(nl, SeqView::kApplication);
-  return run_sta_with(nl, topo, parasitics, opts);
+  return run_sta_with(nl, topo, parasitics);
 }
 
-StaResult run_sta(DesignDB& db, const ExtractionResult& parasitics,
-                  const StaOptions& opts) {
-  return run_sta_with(db.netlist(), db.topo(SeqView::kApplication), parasitics, opts);
+StaResult run_sta(DesignDB& db, const ExtractionResult& parasitics) {
+  return run_sta_with(db.netlist(), db.topo(SeqView::kApplication), parasitics);
 }
 
 }  // namespace tpi

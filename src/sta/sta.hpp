@@ -22,11 +22,6 @@ namespace tpi {
 
 class DesignDB;
 
-struct StaOptions {
-  double pi_input_slew_ps = 100.0;
-  double clock_root_slew_ps = 80.0;
-};
-
 struct CriticalPath {
   bool valid = false;
   int clock_pi = -1;     ///< capture domain (index of the clock PI)
@@ -58,13 +53,11 @@ struct StaResult {
   std::vector<double> arrival_ps;
 };
 
-StaResult run_sta(const Netlist& nl, const ExtractionResult& parasitics,
-                  const StaOptions& opts = {});
+StaResult run_sta(const Netlist& nl, const ExtractionResult& parasitics);
 
 /// Same analysis, pulling the application-view TopoOrder from the design
 /// database's cache instead of levelizing, so analyses of one netlist
 /// version share one order.
-StaResult run_sta(DesignDB& db, const ExtractionResult& parasitics,
-                  const StaOptions& opts = {});
+StaResult run_sta(DesignDB& db, const ExtractionResult& parasitics);
 
 }  // namespace tpi

@@ -94,6 +94,10 @@ NetId nearest_clock(const Netlist& nl, NetId site, NearestClockScratch& scratch)
   return kNoNet;
 }
 
+// Shared test-control primary inputs of every TSFF (created on first use).
+constexpr const char* kTePiName = "tp_te";
+constexpr const char* kTrPiName = "tp_tr";
+
 NetId get_or_create_control_pi(Netlist& nl, const std::string& name) {
   const NetId existing = nl.find_net(name);
   if (existing != kNoNet) return existing;
@@ -377,8 +381,8 @@ TpiReport insert_test_points(DesignDB& db, const TpiOptions& opts) {
   const CellSpec* tsff = nl.library().by_name("TSFF_X1");
   assert(tsff != nullptr);
 
-  const NetId te = get_or_create_control_pi(nl, opts.te_pi_name);
-  const NetId tr = get_or_create_control_pi(nl, opts.tr_pi_name);
+  const NetId te = get_or_create_control_pi(nl, kTePiName);
+  const NetId tr = get_or_create_control_pi(nl, kTrPiName);
 
   // BFS scratch shared across every site of every round.
   NearestClockScratch scratch;

@@ -16,7 +16,6 @@
 // small-slack paths, cf. Cheng & Lin and §5).
 #pragma once
 
-#include <string>
 #include <unordered_set>
 #include <vector>
 
@@ -38,9 +37,6 @@ struct TpiOptions {
   int rounds = 5;  ///< testability analyses are recomputed each round
   /// Nets on which no test point may be inserted (timing-driven TPI).
   std::unordered_set<NetId> excluded_nets;
-  /// Shared test-control primary inputs (created on first use).
-  std::string te_pi_name = "tp_te";
-  std::string tr_pi_name = "tp_tr";
 };
 
 struct TpiReport {

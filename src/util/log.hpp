@@ -49,9 +49,7 @@ class LogStream {
 
 }  // namespace detail
 
-inline detail::LogStream log_debug() { return detail::LogStream(LogLevel::kDebug); }
 inline detail::LogStream log_info() { return detail::LogStream(LogLevel::kInfo); }
 inline detail::LogStream log_warn() { return detail::LogStream(LogLevel::kWarn); }
-inline detail::LogStream log_error() { return detail::LogStream(LogLevel::kError); }
 
 }  // namespace tpi

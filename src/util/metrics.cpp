@@ -149,11 +149,6 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
   return snap;  // map iteration order is sorted by name already
 }
 
-void MetricsRegistry::clear() {
-  std::lock_guard<std::mutex> lock(impl_->mu);
-  impl_->map.clear();
-}
-
 MetricsRegistry& MetricsRegistry::global() {
   static MetricsRegistry* g = new MetricsRegistry;  // never destroyed
   return *g;
@@ -233,8 +228,10 @@ std::string MetricsSnapshot::to_json(Runtime runtime) const {
           if (m.hist.buckets[static_cast<std::size_t>(b)] == 0) continue;
           if (!first_bucket) out += ", ";
           first_bucket = false;
-          out += "\"" + std::to_string(b) +
-                 "\": " + std::to_string(m.hist.buckets[static_cast<std::size_t>(b)]);
+          out += '"';
+          out += std::to_string(b);
+          out += "\": ";
+          out += std::to_string(m.hist.buckets[static_cast<std::size_t>(b)]);
         }
         out += "}}";
         break;

@@ -115,7 +115,6 @@ class MetricsRegistry {
   void record_histogram(std::string_view name, const HistogramData& data);
 
   MetricsSnapshot snapshot() const;
-  void clear();
 
   /// Process-wide registry (thread-pool latencies, anything unscoped).
   static MetricsRegistry& global();

@@ -68,10 +68,4 @@ bool Rng::next_bool(double p) {
   return next_double() < p;
 }
 
-double Rng::next_gaussian(double mu, double sigma) {
-  double acc = 0.0;
-  for (int i = 0; i < 12; ++i) acc += next_double();
-  return mu + sigma * (acc - 6.0);
-}
-
 }  // namespace tpi

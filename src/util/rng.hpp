@@ -34,9 +34,6 @@ class Rng {
   /// Bernoulli trial with probability p (clamped to [0,1]).
   bool next_bool(double p = 0.5);
 
-  /// Approximately normal(mu, sigma) via sum of uniforms (Irwin-Hall, n=12).
-  double next_gaussian(double mu = 0.0, double sigma = 1.0);
-
   /// Fisher-Yates shuffle of a random-access container.
   template <typename Container>
   void shuffle(Container& c) {

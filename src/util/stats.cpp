@@ -1,28 +1,8 @@
 #include "util/stats.hpp"
 
-#include <cmath>
+#include <algorithm>
 
 namespace tpi {
-
-void RunningStats::add(double x) {
-  if (n_ == 0) {
-    min_ = max_ = x;
-  } else {
-    if (x < min_) min_ = x;
-    if (x > max_) max_ = x;
-  }
-  ++n_;
-  sum_ += x;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (x - mean_);
-}
-
-double RunningStats::variance() const {
-  return n_ ? m2_ / static_cast<double>(n_) : 0.0;
-}
-
-double RunningStats::stddev() const { return std::sqrt(variance()); }
 
 LinearFit fit_linear(const std::vector<double>& x, const std::vector<double>& y) {
   LinearFit fit;

@@ -1,32 +1,9 @@
 // Small statistics helpers shared by the analysis and reporting code.
 #pragma once
 
-#include <cstddef>
 #include <vector>
 
 namespace tpi {
-
-/// Streaming accumulator for min/max/mean/variance (Welford's algorithm).
-class RunningStats {
- public:
-  void add(double x);
-
-  std::size_t count() const { return n_; }
-  double mean() const { return n_ ? mean_ : 0.0; }
-  double variance() const;  ///< population variance
-  double stddev() const;
-  double min() const { return n_ ? min_ : 0.0; }
-  double max() const { return n_ ? max_ : 0.0; }
-  double sum() const { return sum_; }
-
- private:
-  std::size_t n_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-  double sum_ = 0.0;
-};
 
 /// Ordinary least-squares fit y = a + b*x; used by benches to check the
 /// paper's "increases nearly linearly" claims (R^2 close to 1).

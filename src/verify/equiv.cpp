@@ -262,7 +262,7 @@ bool EquivChecker::ternary_round(std::uint64_t round_seed, int frames, bool* pro
         plane_q[base + j] = state_q[i * nw + j];
       }
     }
-    kernels.tern_sweep(model_, plane_p.data(), plane_q.data(), static_cast<int>(nw));
+    kernels.tern_sweep(model_, plane_p.data(), plane_q.data());
     ++*frames_simulated;
     int fail_j = -1;
     Word fail = 0;

@@ -95,9 +95,10 @@ std::vector<FuzzTransform> default_fuzz_transforms() {
 
   // DFF -> SDFF conversion with the shared scan enable.
   t.push_back({"scan_insert", [](DesignDB& db, Rng& rng) {
-                 ScanOptions opts;
-                 opts.max_chain_length = static_cast<int>(rng.next_range(4, 16));
-                 insert_scan(db.netlist(), opts);
+                 // The draw once sized chains; it stays so a seed replays the
+                 // same transform sequence.
+                 rng.next_range(4, 16);
+                 insert_scan(db.netlist());
                }});
 
   // Scan-chain stitching (insert scan first when it has not run yet);
@@ -107,7 +108,7 @@ std::vector<FuzzTransform> default_fuzz_transforms() {
                  if (nl.find_net("si0") != kNoNet) return;
                  ScanOptions opts;
                  opts.max_chain_length = static_cast<int>(rng.next_range(4, 16));
-                 if (nl.find_net("scan_en") == kNoNet) insert_scan(nl, opts);
+                 if (nl.find_net("scan_en") == kNoNet) insert_scan(nl);
                  const ChainPlan plan = plan_chains(nl, opts, {});
                  stitch_chains(nl, plan);
                }});

@@ -108,7 +108,7 @@ MiterResult build_miter(const Netlist& a, const Netlist& b, const MiterOptions& 
   const auto po_key = [&opts](const Netlist& nl, int i,
                               std::unordered_map<std::string, int>& seen) {
     std::string key = opts.match_pos_by_net ? nl.net(nl.po_net(i)).name : nl.po_name(i);
-    if (const int k = seen[key]++; k > 0) key += "#" + std::to_string(k);
+    if (const int k = seen[key]++; k > 0) key.append("#").append(std::to_string(k));
     return key;
   };
   std::unordered_map<std::string, NetId> b_pos;

@@ -39,9 +39,7 @@ AtpgRun run_with_jobs(const CircuitProfile& profile, int jobs, int test_points =
     DesignDB db(*nl);
     insert_test_points(db, to);
   }
-  ScanOptions so;
-  so.max_chain_length = 16;
-  insert_scan(*nl, so);
+  insert_scan(*nl);
   CombModel model(*nl, SeqView::kCapture);
   const TestabilityResult t = analyze_testability(model);
   AtpgOptions opts;
@@ -119,9 +117,7 @@ TEST(AtpgParallelTest, BitIdenticalOnHardBlockProfileWithTestPoints) {
 // partial last lane word.
 TEST(AtpgParallelTest, BankGradesIdenticalAcrossJobCounts) {
   auto nl = generate_circuit(lib(), test::tiny_profile(31));
-  ScanOptions so;
-  so.max_chain_length = 10;
-  insert_scan(*nl, so);
+  insert_scan(*nl);
   CombModel model(*nl, SeqView::kCapture);
   FaultList fl = build_fault_list(model);
   std::vector<Fault*> faults;

@@ -15,9 +15,7 @@ using test::lib;
 
 AtpgResult run_on_tiny(std::uint64_t seed, const AtpgOptions& opts = {}) {
   auto nl = generate_circuit(lib(), test::tiny_profile(seed));
-  ScanOptions so;
-  so.max_chain_length = 10;
-  insert_scan(*nl, so);
+  insert_scan(*nl);
   CombModel model(*nl, SeqView::kCapture);
   const TestabilityResult t = analyze_testability(model);
   return run_atpg(model, t, opts);
@@ -46,9 +44,7 @@ TEST(AtpgTest, StaticCompactionShrinksPatternSet) {
 
 TEST(AtpgTest, CompactedPatternsStillDetectEverything) {
   auto nl = generate_circuit(lib(), test::tiny_profile(3));
-  ScanOptions so;
-  so.max_chain_length = 10;
-  insert_scan(*nl, so);
+  insert_scan(*nl);
   CombModel model(*nl, SeqView::kCapture);
   const TestabilityResult t = analyze_testability(model);
   const AtpgResult r = run_atpg(model, t, {});
@@ -103,9 +99,7 @@ TEST(AtpgTest, TestPointsReducePatternsOnHardCircuit) {
     to.num_test_points = tps;
     DesignDB db(*nl);
     insert_test_points(db, to);
-    ScanOptions so;
-    so.max_chain_length = 16;
-    insert_scan(*nl, so);
+    insert_scan(*nl);
     CombModel model(*nl, SeqView::kCapture);
     const TestabilityResult t = analyze_testability(model);
     return run_atpg(model, t, {});

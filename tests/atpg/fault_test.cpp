@@ -96,7 +96,7 @@ TEST(FaultListTest, ScanInfrastructureClassified) {
   auto nl = test::make_shift_register();
   ScanOptions so;
   so.max_chain_length = 4;
-  insert_scan(*nl, so);
+  insert_scan(*nl);
   const ChainPlan plan = plan_chains(*nl, so, {});
   stitch_chains(*nl, plan);
   CombModel model(*nl, SeqView::kCapture);
@@ -113,9 +113,7 @@ TEST(FaultListTest, ScanInfrastructureClassified) {
 
 TEST(FaultListTest, ScanEnableBufferTreeIsScanTested) {
   auto nl = generate_circuit(lib(), test::tiny_profile(8));
-  ScanOptions so;
-  so.max_chain_length = 8;
-  insert_scan(*nl, so);
+  insert_scan(*nl);
   const NetId se = nl->find_net("scan_en");
   ASSERT_NE(se, kNoNet);
   const int buffers = buffer_high_fanout_net(*nl, se, 4);

@@ -97,7 +97,7 @@ TEST(PodemTest, SolvesWideDecodeStructures) {
   while (lits.size() > 1) {
     std::vector<NetId> next;
     for (std::size_t i = 0; i + 1 < lits.size(); i += 2) {
-      const CellId g = nl.add_cell(and2, "t" + std::to_string(id));
+      const CellId g = nl.add_cell(and2, std::string("t").append(std::to_string(id)));
       nl.connect(g, 0, lits[i]);
       nl.connect(g, 1, lits[i + 1]);
       const NetId y = nl.add_net("ty" + std::to_string(id++));

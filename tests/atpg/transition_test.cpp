@@ -179,9 +179,7 @@ TEST(TransitionGradingTest, BankMatchesSerialAtAnyJobs) {
 
 AtpgResult run_transition_atpg(std::uint64_t seed, int jobs) {
   auto nl = generate_circuit(lib(), test::tiny_profile(seed));
-  ScanOptions so;
-  so.max_chain_length = 10;
-  insert_scan(*nl, so);
+  insert_scan(*nl);
   CombModel model(*nl, SeqView::kCapture);
   const TestabilityResult t = analyze_testability(model);
   AtpgOptions opts;
@@ -215,9 +213,7 @@ TEST(TransitionAtpgTest, TransitionCoverageBelowStuckAt) {
   // launch condition on top of capture-frame observability, so transition
   // coverage is strictly harder than stuck-at on the same circuit.
   auto nl = generate_circuit(lib(), test::tiny_profile(47));
-  ScanOptions so;
-  so.max_chain_length = 10;
-  insert_scan(*nl, so);
+  insert_scan(*nl);
   CombModel model(*nl, SeqView::kCapture);
   const TestabilityResult t = analyze_testability(model);
   AtpgOptions tr_opts;

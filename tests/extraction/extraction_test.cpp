@@ -31,15 +31,14 @@ TEST(ExtractionTest, TwoPinNetElmoreHandComputed) {
   const Floorplan fp = make_floorplan(nl, {});
   const Placement pl = place(nl, fp, {});
   const RoutingResult routes = route(nl, fp, pl);
-  ExtractionOptions opts;
-  const ExtractionResult px = extract(nl, routes, opts);
+  const ExtractionResult px = extract(nl, routes);
 
   const auto n = static_cast<std::size_t>(out);
   const RouteTree& tree = routes.nets[n];
   ASSERT_EQ(tree.node.size(), 2u);
   const double len = tree.length_um;
   const double pin_cap = inv->pins[0].cap_ff;
-  const double r = opts.r_short_ohm_per_um, c = opts.c_short_ff_per_um;
+  const double r = kRShortOhmPerUm, c = kCShortFfPerUm;
   EXPECT_NEAR(px.nets[n].wire_cap_ff, c * len, 1e-9);
   EXPECT_NEAR(px.nets[n].pin_cap_ff, pin_cap, 1e-9);
   EXPECT_NEAR(px.nets[n].total_cap_ff, c * len + pin_cap, 1e-9);
@@ -72,8 +71,7 @@ TEST(ExtractionTest, TotalCapIncludesAllSinkPins) {
   const Floorplan fp = make_floorplan(*nl, {});
   const Placement pl = place(*nl, fp, {});
   const RoutingResult routes = route(*nl, fp, pl);
-  ExtractionOptions opts;
-  const ExtractionResult px = extract(*nl, routes, opts);
+  const ExtractionResult px = extract(*nl, routes);
   // Net "a" feeds NOR.A and XOR.A.
   const NetId a = nl->pi_net(0);
   const double nor_a = lib().gate(CellFunc::kNor, 2)->pins[0].cap_ff;
@@ -82,8 +80,7 @@ TEST(ExtractionTest, TotalCapIncludesAllSinkPins) {
   // Net "z" feeds XOR.B and the PO pad.
   const NetId z = nl->find_net("z");
   const double xor_b = lib().gate(CellFunc::kXor, 2)->pins[1].cap_ff;
-  EXPECT_NEAR(px.nets[static_cast<std::size_t>(z)].pin_cap_ff, xor_b + opts.po_pad_cap_ff,
-              1e-9);
+  EXPECT_NEAR(px.nets[static_cast<std::size_t>(z)].pin_cap_ff, xor_b + kPoPadCapFf, 1e-9);
 }
 
 TEST(ExtractionTest, ElmoreMonotoneAlongPath) {

@@ -41,9 +41,6 @@ TEST(StageMaskTest, NamedStageAlgebra) {
   EXPECT_TRUE(upto.has(Stage::kFloorplanPlace));
   EXPECT_FALSE(upto.has(Stage::kReorderAtpg));
 
-  EXPECT_EQ(StageMask::all().to_string(),
-            "tpi_scan|floorplan_place|reorder_atpg|eco|extract|sta");
-  EXPECT_EQ(StageMask::none().to_string(), "none");
   EXPECT_FALSE(StageMask::all().has(Stage::kVerify));  // verify is opt-in
 }
 

@@ -136,7 +136,7 @@ TEST(BenchIoTest, DftNetlistRoundTripsAndStaysEquivalent) {
     insert_test_points(db, tpi);
   }
   const ScanOptions sopts;
-  insert_scan(*nl, sopts);
+  insert_scan(*nl);
   stitch_chains(*nl, plan_chains(*nl, sopts, {}));
   ASSERT_TRUE(nl->validate().empty()) << nl->validate();
 

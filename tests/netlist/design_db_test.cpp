@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -12,11 +13,19 @@
 #include "flow/flow.hpp"
 #include "netlist/levelize.hpp"
 #include "tpi/tpi.hpp"
+#include "util/metrics.hpp"
 
 namespace tpi {
 namespace {
 
 using test::lib;
+
+// Value of the counter `name` in `reg` (0 when never touched).
+std::uint64_t count_of(const MetricsRegistry& reg, std::string_view name) {
+  const MetricsSnapshot snap = reg.snapshot();
+  const MetricValue* v = snap.find(name);
+  return v != nullptr ? v->count : 0;
+}
 
 // ---- edit journal: version semantics ----
 
@@ -118,22 +127,24 @@ TEST(EditJournalTest, JournalOverflowReportsUncovered) {
 // ---- DesignDB: view caching ----
 
 TEST(DesignDbTest, ViewIdentityStableAcrossReadOnlyCalls) {
+  MetricsRegistry reg;
+  ScopedMetricsRegistry scope(reg);
   auto nl = test::make_shift_register();
   DesignDB db(*nl);
 
   const TopoOrder* topo = &db.topo(SeqView::kCapture);
   const CombModel* model = &db.comb_model(SeqView::kCapture);
   const TestabilityResult* t = &db.testability(SeqView::kCapture);
-  const auto after_build = db.counters();
+  const std::uint64_t rebuilds = count_of(reg, "designdb.rebuilds");
+  const std::uint64_t hits = count_of(reg, "designdb.view_hits");
 
   EXPECT_EQ(&db.topo(SeqView::kCapture), topo);
   EXPECT_EQ(&db.comb_model(SeqView::kCapture), model);
   EXPECT_EQ(&db.testability(SeqView::kCapture), t);
 
-  const auto c = db.counters();
-  EXPECT_EQ(c.rebuilds, after_build.rebuilds);  // no extra construction
+  EXPECT_EQ(count_of(reg, "designdb.rebuilds"), rebuilds);  // no extra construction
   // 4 hits: topo, comb, then testability resolves comb (hit) + its own.
-  EXPECT_EQ(c.view_hits, after_build.view_hits + 4);
+  EXPECT_EQ(count_of(reg, "designdb.view_hits"), hits + 4);
 }
 
 // Reference reader lists rebuilt from nodes(): ascending node index, one
@@ -198,6 +209,8 @@ TEST(CombModelTest, ReadersMatchReferenceWithDuplicatePinsAndSelect) {
 // fillers, DFF->SDFF swaps, unconnected nets); the rebuilt views equal a
 // fresh build from the edited netlist.
 TEST(DesignDbTest, EcoLikeEditsRebuildEveryViewToAFreshBuild) {
+  MetricsRegistry reg;
+  ScopedMetricsRegistry scope(reg);
   auto nl = generate_circuit(lib(), test::tiny_profile());
   DesignDB db(*nl);
   TpiOptions tpi_opts;
@@ -205,7 +218,10 @@ TEST(DesignDbTest, EcoLikeEditsRebuildEveryViewToAFreshBuild) {
   ASSERT_EQ(insert_test_points(db, tpi_opts).test_points.size(), 3u);  // views differ
   constexpr SeqView kViews[] = {SeqView::kApplication, SeqView::kCapture};
   for (const SeqView view : kViews) db.testability(view);
-  const auto before = db.counters();
+  const std::uint64_t topo_before = count_of(reg, "designdb.rebuilds.topo");
+  const std::uint64_t comb_before = count_of(reg, "designdb.rebuilds.comb");
+  const std::uint64_t testab_before = count_of(reg, "designdb.rebuilds.testability");
+  const std::uint64_t hits_before = count_of(reg, "designdb.view_hits");
 
   // Clock-buffer splice: a CLKBUF on the clock root drives one FF's clock.
   const CellSpec* clkbuf = lib().by_name("CLKBUF_X2");
@@ -247,13 +263,12 @@ TEST(DesignDbTest, EcoLikeEditsRebuildEveryViewToAFreshBuild) {
     EXPECT_EQ(t.ffr_root, fresh.ffr_root);
     EXPECT_EQ(t.ffr_size, fresh.ffr_size);
   }
-  const auto after = db.counters();
-  EXPECT_EQ(after.topo_rebuilds, before.topo_rebuilds + 2);
-  EXPECT_EQ(after.comb_rebuilds, before.comb_rebuilds + 2);
-  EXPECT_EQ(after.testability_rebuilds, before.testability_rebuilds + 2);
+  EXPECT_EQ(count_of(reg, "designdb.rebuilds.topo"), topo_before + 2);
+  EXPECT_EQ(count_of(reg, "designdb.rebuilds.comb"), comb_before + 2);
+  EXPECT_EQ(count_of(reg, "designdb.rebuilds.testability"), testab_before + 2);
   // Per view: the comb build reads the fresh topo and the testability
   // access reads the fresh model, both at the current version.
-  EXPECT_EQ(after.view_hits, before.view_hits + 4);
+  EXPECT_EQ(count_of(reg, "designdb.view_hits"), hits_before + 4);
 }
 
 TEST(DesignDbTest, StaleViewNeverServedAfterStructuralEdit) {
@@ -279,9 +294,12 @@ TEST(DesignDbTest, ConcurrentReadOnlyViewAccess) {
   auto nl = generate_circuit(lib(), test::tiny_profile());
   DesignDB db(*nl);
 
+  // Registries are scoped per thread: each worker records into the test's.
+  MetricsRegistry reg;
   std::vector<std::thread> workers;
   for (int w = 0; w < 4; ++w) {
-    workers.emplace_back([&db] {
+    workers.emplace_back([&db, &reg] {
+      ScopedMetricsRegistry scope(reg);
       for (int i = 0; i < 50; ++i) {
         const TopoOrder& topo = db.topo(SeqView::kApplication);
         const CombModel& model = db.comb_model(SeqView::kCapture);
@@ -292,10 +310,9 @@ TEST(DesignDbTest, ConcurrentReadOnlyViewAccess) {
     });
   }
   for (std::thread& t : workers) t.join();
-  const auto c = db.counters();
-  EXPECT_EQ(c.topo_rebuilds, 2u);  // one per view, each built once
-  EXPECT_EQ(c.comb_rebuilds, 1u);
-  EXPECT_EQ(c.testability_rebuilds, 1u);
+  EXPECT_EQ(count_of(reg, "designdb.rebuilds.topo"), 2u);  // one per view, each built once
+  EXPECT_EQ(count_of(reg, "designdb.rebuilds.comb"), 1u);
+  EXPECT_EQ(count_of(reg, "designdb.rebuilds.testability"), 1u);
 }
 
 // ---- TPI over the DB ----
@@ -339,8 +356,6 @@ TEST(DesignDbFlowTest, FlowReusesViewsAcrossStages) {
   EXPECT_EQ(topo->count, 2u);  // capture (ATPG) + application (STA)
   EXPECT_EQ(comb->count, 1u);  // ATPG's capture model; pre-refactor: 2
   EXPECT_EQ(hits->count, 1u);
-  // The engine-owned DB agrees with the metrics snapshot.
-  EXPECT_EQ(engine.design_db().counters().topo_rebuilds, topo->count);
 }
 
 }  // namespace

@@ -18,8 +18,7 @@ using test::lib;
 TEST(ScanInsertTest, ReplacesAllDffsWithScanCells) {
   auto nl = generate_circuit(lib(), test::tiny_profile(41));
   const std::size_t ffs = nl->flip_flops().size();
-  ScanOptions opts;
-  const ScanInsertReport report = insert_scan(*nl, opts);
+  const ScanInsertReport report = insert_scan(*nl);
   EXPECT_EQ(report.converted_ffs, static_cast<int>(ffs));
   EXPECT_EQ(report.scan_cells, static_cast<int>(ffs));
   for (const CellId ff : nl->flip_flops()) {
@@ -30,8 +29,7 @@ TEST(ScanInsertTest, ReplacesAllDffsWithScanCells) {
 
 TEST(ScanInsertTest, ScanEnableDrivesEveryScanCell) {
   auto nl = generate_circuit(lib(), test::tiny_profile(42));
-  ScanOptions opts;
-  const ScanInsertReport report = insert_scan(*nl, opts);
+  const ScanInsertReport report = insert_scan(*nl);
   ASSERT_NE(report.scan_enable_net, kNoNet);
   for (const CellId ff : nl->flip_flops()) {
     const CellInst& inst = nl->cell(ff);
@@ -46,8 +44,7 @@ TEST(ScanInsertTest, TsffsRehomedToSharedEnable) {
   tpi.num_test_points = 3;
   DesignDB db(*nl);
   insert_test_points(db, tpi);
-  ScanOptions opts;
-  const ScanInsertReport report = insert_scan(*nl, opts);
+  const ScanInsertReport report = insert_scan(*nl);
   for (const CellId tp : nl->test_points()) {
     const CellInst& inst = nl->cell(tp);
     EXPECT_EQ(inst.conn[static_cast<std::size_t>(inst.spec->te_pin)],
@@ -57,7 +54,7 @@ TEST(ScanInsertTest, TsffsRehomedToSharedEnable) {
 
 TEST(ChainPlanTest, BalancedChainsRespectMaxLength) {
   auto nl = generate_circuit(lib(), test::tiny_profile(44));
-  insert_scan(*nl, {});
+  insert_scan(*nl);
   ScanOptions opts;
   opts.max_chain_length = 7;
   const ChainPlan plan = plan_chains(*nl, opts, {});
@@ -73,7 +70,7 @@ TEST(ChainPlanTest, BalancedChainsRespectMaxLength) {
 
 TEST(ChainPlanTest, MaxChainsCapRespected) {
   auto nl = generate_circuit(lib(), test::tiny_profile(45));
-  insert_scan(*nl, {});
+  insert_scan(*nl);
   ScanOptions opts;
   opts.max_chain_length = 0;
   opts.max_chains = 3;
@@ -88,7 +85,7 @@ TEST(ChainPlanTest, ChainsNeverMixClockDomains) {
   p.num_clock_domains = 2;
   p.domain_fraction = {0.6, 0.4};
   auto nl = generate_circuit(lib(), p);
-  insert_scan(*nl, {});
+  insert_scan(*nl);
   ScanOptions opts;
   opts.max_chain_length = 6;
   const ChainPlan plan = plan_chains(*nl, opts, {});
@@ -104,7 +101,7 @@ TEST(ChainPlanTest, ChainsNeverMixClockDomains) {
 
 TEST(ScanStitchTest, ShiftPathIsFullyConnected) {
   auto nl = generate_circuit(lib(), test::tiny_profile(47));
-  insert_scan(*nl, {});
+  insert_scan(*nl);
   ScanOptions opts;
   opts.max_chain_length = 9;
   const ChainPlan plan = plan_chains(*nl, opts, {});
@@ -131,7 +128,7 @@ TEST(ScanStitchTest, ShiftActuallyShiftsBits) {
   // Functional check: in shift mode (scan_en=1) data moves one position
   // per clock along the chain.
   auto nl = test::make_shift_register();
-  insert_scan(*nl, {});
+  insert_scan(*nl);
   ScanOptions opts;
   opts.max_chain_length = 2;
   const ChainPlan plan = plan_chains(*nl, opts, {});
@@ -156,7 +153,7 @@ TEST(ScanStitchTest, ShiftActuallyShiftsBits) {
 
 TEST(ScanReorderTest, NearestNeighbourReducesWireLength) {
   auto nl = generate_circuit(lib(), test::tiny_profile(48));
-  insert_scan(*nl, {});
+  insert_scan(*nl);
   ScanOptions opts;
   opts.max_chain_length = 12;
   // Synthetic placement: pseudo-random positions keyed by cell id.
@@ -182,7 +179,7 @@ TEST(ScanReorderTest, NearestNeighbourReducesWireLength) {
 
 TEST(BufferTreeTest, LimitsFanoutAndPreservesLoads) {
   auto nl = generate_circuit(lib(), test::tiny_profile(49));
-  insert_scan(*nl, {});
+  insert_scan(*nl);
   const NetId se = nl->find_net("scan_en");
   ASSERT_NE(se, kNoNet);
   const std::size_t loads = nl->net(se).fanout();
@@ -209,7 +206,7 @@ TEST(BufferTreeTest, LimitsFanoutAndPreservesLoads) {
 
 TEST(BufferTreeTest, SmallNetUntouched) {
   auto nl = test::make_shift_register();
-  insert_scan(*nl, {});
+  insert_scan(*nl);
   const NetId se = nl->find_net("scan_en");
   EXPECT_EQ(buffer_high_fanout_net(*nl, se, 24), 0);
 }

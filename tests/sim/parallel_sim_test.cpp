@@ -27,7 +27,7 @@ TEST_P(GateTruthTest, MatchesTruthTable) {
   ASSERT_NE(spec, nullptr);
   std::vector<NetId> ins;
   for (int i = 0; i < gc.inputs; ++i) {
-    ins.push_back(nl.pi_net(nl.add_primary_input("i" + std::to_string(i))));
+    ins.push_back(nl.pi_net(nl.add_primary_input(std::string("i").append(std::to_string(i)))));
   }
   const CellId g = nl.add_cell(spec, "g");
   static const char* kNames[] = {"A", "B", "C", "D"};

@@ -75,34 +75,6 @@ TEST(SeqSimTest, TsffIsTransparentInApplicationMode) {
   EXPECT_EQ(sim.state()[0], ~Word{0});
 }
 
-TEST(SeqSimTest, StepLaunchCaptureMatchesTwoHeldPiSteps) {
-  // The launch-on-capture primitive is exactly two step() calls with the
-  // PIs held — same capture PO word, same resulting state, and the
-  // optional launch observation equals the first cycle's PO.
-  auto a = generate_circuit(lib(), test::tiny_profile(77));
-  auto b = generate_circuit(lib(), test::tiny_profile(77));
-  SequentialSim loc(*a), manual(*b);
-  std::vector<Word> pis(loc.model().num_pi_inputs(), 0x00FF00FF00FF00FFULL);
-
-  std::vector<Word> po_launch, po_capture;
-  loc.step_launch_capture(pis, po_capture, &po_launch);
-
-  std::vector<Word> ref_launch, ref_capture;
-  manual.step(pis, ref_launch);
-  manual.step(pis, ref_capture);
-
-  EXPECT_EQ(po_launch, ref_launch);
-  EXPECT_EQ(po_capture, ref_capture);
-  EXPECT_EQ(loc.state(), manual.state());
-
-  // The two-argument form skips the launch observation but steps the same.
-  SequentialSim c(*a);
-  std::vector<Word> po_only;
-  c.step_launch_capture(pis, po_only);
-  EXPECT_EQ(po_only, ref_capture);
-  EXPECT_EQ(c.state(), manual.state());
-}
-
 TEST(SeqSimTest, GeneratedCircuitRunsAndSettles) {
   auto nl = generate_circuit(lib(), test::tiny_profile());
   SequentialSim sim(*nl);

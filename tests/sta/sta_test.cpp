@@ -151,10 +151,10 @@ TEST(StaTest, SlowNodesFlaggedOnOverloadedNets) {
   const NetId hub_out = nl.add_net("hub_out");
   nl.connect(hub, inv->output_pin, hub_out);
   for (int i = 0; i < 64; ++i) {
-    const CellId f = nl.add_cell(dff, "f" + std::to_string(i));
+    const CellId f = nl.add_cell(dff, std::string("f").append(std::to_string(i)));
     nl.connect(f, dff->d_pin, hub_out);
     nl.connect(f, dff->clock_pin, nl.pi_net(clk));
-    const NetId q = nl.add_net("q" + std::to_string(i));
+    const NetId q = nl.add_net(std::string("q").append(std::to_string(i)));
     nl.connect(f, dff->output_pin, q);
     nl.add_primary_output("po" + std::to_string(i), q);
   }

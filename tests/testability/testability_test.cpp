@@ -106,9 +106,9 @@ TEST(TestabilityTest, FfrChainCollapsesToRoot) {
   NetId prev = nl.pi_net(a);
   NetId last = kNoNet;
   for (int i = 0; i < 3; ++i) {
-    const CellId b = nl.add_cell(buf, "b" + std::to_string(i));
+    const CellId b = nl.add_cell(buf, std::string("b").append(std::to_string(i)));
     nl.connect(b, 0, prev);
-    last = nl.add_net("n" + std::to_string(i));
+    last = nl.add_net(std::string("n").append(std::to_string(i)));
     nl.connect(b, buf->output_pin, last);
     prev = last;
   }
@@ -116,7 +116,8 @@ TEST(TestabilityTest, FfrChainCollapsesToRoot) {
   CombModel model(nl, SeqView::kCapture);
   const TestabilityResult t = analyze_testability(model);
   for (int i = 0; i < 3; ++i) {
-    const auto n = static_cast<std::size_t>(nl.find_net("n" + std::to_string(i)));
+    const NetId net = nl.find_net(std::string("n").append(std::to_string(i)));
+    const auto n = static_cast<std::size_t>(net);
     EXPECT_EQ(t.ffr_root[n], last);
   }
   EXPECT_EQ(t.ffr_size[static_cast<std::size_t>(last)], 3);

@@ -268,12 +268,5 @@ TEST(MetricsTest, PeakRssIsPositiveOnSupportedPlatforms) {
 #endif
 }
 
-TEST(MetricsTest, ClearEmptiesTheRegistry) {
-  MetricsRegistry reg;
-  reg.add("gone");
-  reg.clear();
-  EXPECT_TRUE(reg.snapshot().empty());
-}
-
 }  // namespace
 }  // namespace tpi

@@ -80,21 +80,6 @@ TEST(RngTest, BoolRespectsProbability) {
   EXPECT_TRUE(rng.next_bool(1.0));
 }
 
-TEST(RngTest, GaussianMoments) {
-  Rng rng(17);
-  double sum = 0, sq = 0;
-  const int n = 20000;
-  for (int i = 0; i < n; ++i) {
-    const double g = rng.next_gaussian(2.0, 3.0);
-    sum += g;
-    sq += g * g;
-  }
-  const double mean = sum / n;
-  const double var = sq / n - mean * mean;
-  EXPECT_NEAR(mean, 2.0, 0.1);
-  EXPECT_NEAR(var, 9.0, 0.5);
-}
-
 TEST(RngTest, ShuffleIsPermutation) {
   Rng rng(23);
   std::vector<int> v(100);

@@ -25,14 +25,16 @@ namespace {
 std::atomic<std::uint64_t> g_allocations{0};
 }  // namespace
 
-void* operator new(std::size_t size) {
+// noinline keeps GCC from pairing an inlined malloc with a free it can
+// see (-Wmismatched-new-delete at every new/delete in this file).
+[[gnu::noinline]] void* operator new(std::size_t size) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(size)) return p;
   throw std::bad_alloc();
 }
 
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace tpi {
 namespace {
@@ -244,7 +246,7 @@ TEST_F(TraceTest, ConcurrentSinksStayIsolated) {
 // label is not cut off mid-record (a fixed metadata buffer used to
 // truncate it into malformed JSON).
 TEST_F(TraceTest, SinkJsonEscapesLabel) {
-  for (const std::string label : {std::string("writer \"quoted\""),
+  for (const std::string& label : {std::string("writer \"quoted\""),
                                   "sweep/" + std::string(294, 'x')}) {
     SCOPED_TRACE(label.size());
     TraceSink sink(9, label);

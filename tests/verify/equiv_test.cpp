@@ -44,7 +44,7 @@ TEST(EquivTest, CombSelfMiterProvenSilent) {
 TEST(EquivTest, ScanInsertionIsMissionModeEquivalent) {
   const auto golden = generate_circuit(lib(), test::tiny_profile(601));
   Netlist mutant = *golden;
-  insert_scan(mutant, ScanOptions{});
+  insert_scan(mutant);
   const MiterResult m = build_miter(*golden, mutant);
   ASSERT_TRUE(m.ok()) << m.error;
   const EquivResult res = EquivChecker(*m.netlist).check();
@@ -64,7 +64,7 @@ TEST(EquivTest, TpiScanStitchIsMissionModeEquivalent) {
     insert_test_points(db, tpi);
   }
   const ScanOptions sopts;
-  insert_scan(mutant, sopts);
+  insert_scan(mutant);
   stitch_chains(mutant, plan_chains(mutant, sopts, {}));
   ASSERT_TRUE(mutant.validate().empty()) << mutant.validate();
 
@@ -138,7 +138,7 @@ TEST(EquivTest, StatePathBugIsCaughtAndShrunk) {
 TEST(EquivTest, CheckIsDeterministicInSeed) {
   const auto golden = generate_circuit(lib(), test::tiny_profile(603));
   Netlist mutant = *golden;
-  insert_scan(mutant, ScanOptions{});
+  insert_scan(mutant);
   const MiterResult m = build_miter(*golden, mutant);
   ASSERT_TRUE(m.ok()) << m.error;
   EquivOptions opts;

@@ -41,7 +41,7 @@ TEST(MiterTest, ConstructionIsDeterministic) {
 TEST(MiterTest, OneSidedControlInputsAreTiedLow) {
   const auto golden = test::make_shift_register();
   Netlist mutant = *golden;
-  insert_scan(mutant, ScanOptions{});  // adds scan_en (and SDFF TI wiring)
+  insert_scan(mutant);  // adds scan_en (and SDFF TI wiring)
   const MiterResult m = build_miter(*golden, mutant);
   ASSERT_TRUE(m.ok()) << m.error;
   EXPECT_TRUE(m.netlist->validate().empty()) << m.netlist->validate();
@@ -61,7 +61,7 @@ TEST(MiterTest, OneSidedControlInputsAreTiedLow) {
 TEST(MiterTest, FreeModeExposesOneSidedInputs) {
   const auto golden = test::make_shift_register();
   Netlist mutant = *golden;
-  insert_scan(mutant, ScanOptions{});
+  insert_scan(mutant);
   MiterOptions opts;
   opts.tie_unmatched_pis_low = false;
   const MiterResult m = build_miter(*golden, mutant, opts);
