@@ -114,19 +114,6 @@ inline std::vector<SweepResult> run_grid(StageMask stages, SweepReport* report_o
   return out;
 }
 
-/// Run the sweep for one circuit (kept for single-circuit benches; the
-/// percentages of one circuit still run in parallel).
-inline SweepResult run_sweep(const CircuitProfile& profile, StageMask stages,
-                             const std::vector<double>& percentages = tp_percentages()) {
-  FlowConfig base = bench_config();
-  base.stages = stages;
-  const SweepReport report = run_jobs(SweepRunner::grid({profile}, percentages, base));
-  SweepResult out;
-  out.profile = profile;
-  for (const SweepCellResult& cell : report.cells) out.runs.push_back(cell.result);
-  return out;
-}
-
 /// Per-stage wall-clock totals + parallel speedup, as a printable table.
 inline std::string stage_totals_table(const SweepReport& report) {
   TextTable table({"stage", "total wall(s)", "share(%)"});

@@ -373,8 +373,8 @@ void BM_BoundedUnroll(benchmark::State& state) {
 BENCHMARK(BM_BoundedUnroll)->Unit(benchmark::kMillisecond);
 
 // Observability overhead guards: a disabled span must cost about one
-// branch (< 5 ns), an enabled one a couple of clock reads plus a
-// lock-free append (< 100 ns).
+// branch (< 5 ns), an enabled one a couple of clock reads plus a locked
+// append to the process sink.
 void BM_SpanOverheadDisabled(benchmark::State& state) {
   set_trace_enabled(false);
   for (auto _ : state) {
@@ -392,10 +392,11 @@ void BM_SpanOverheadEnabled(benchmark::State& state) {
     benchmark::ClobberMemory();
   }
   set_trace_enabled(false);
-  trace_reset();  // ~48 B/event: cap the resident growth across repetitions
+  trace_reset();  // 32 B/event: cap the resident growth across repetitions
 }
-// Fixed iteration count bounds the event log (~2M * 48 B ≈ 96 MB peak)
-// instead of letting the auto-tuner scale a ns-range op into the billions.
+// Fixed iteration count bounds the event log (~2M * 32 B ≈ 64 MB, up to
+// twice that while the buffer grows) instead of letting the auto-tuner
+// scale a ns-range op into the billions.
 BENCHMARK(BM_SpanOverheadEnabled)->Iterations(2'000'000);
 
 }  // namespace

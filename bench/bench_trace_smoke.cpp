@@ -126,7 +126,7 @@ int main() {
           ScopedTraceSink scope(*sinks[static_cast<std::size_t>(j)]);
           trace_instant(kMarkers[j]);
           FlowOptions o = opts;
-          o.atpg.jobs = 1;  // inner-pool spans would land in the global log
+          o.atpg.jobs = 1;  // inner-pool spans would land in the process sink
           FlowEngine e(*lib, small, o);
           e.run();
         }));

@@ -2,7 +2,7 @@
 //
 // Generates a scaled-down version of the paper's s38417 test case, runs the
 // Fig. 2 flow twice through the staged FlowEngine — without test points and
-// with 2% test points — narrating each stage through a FlowObserver, and
+// with 2% test points — stepping it one stage at a time to narrate each, and
 // prints the headline metrics of all three tables side by side plus the
 // per-stage wall-clock breakdown.
 //
@@ -13,19 +13,6 @@
 #include "flow/flow.hpp"
 #include "util/log.hpp"
 
-namespace {
-
-// Progress narrator: one line per completed stage.
-class PrintProgress : public tpi::FlowObserver {
- public:
-  void on_stage_end(const tpi::StageEvent& ev) override {
-    std::printf("  [%d/6] %-15s %7.1f ms  (%zu cells)\n",
-                static_cast<int>(ev.stage) + 1, ev.name, ev.wall_ms, ev.num_cells);
-  }
-};
-
-}  // namespace
-
 int main() {
   using namespace tpi;
   set_log_level(LogLevel::kWarn);
@@ -34,14 +21,17 @@ int main() {
   CircuitProfile profile = scaled(s38417_profile(), 0.10);
   profile.name = "s38417_mini";
 
-  PrintProgress progress;
   auto run_at = [&](double tp_percent) {
     FlowOptions opts;
     opts.tp_percent = tp_percent;
     std::printf("%s @ %.0f%% test points:\n", profile.name.c_str(), tp_percent);
     FlowEngine engine(*lib, profile, opts);
-    engine.set_observer(&progress);
-    return engine.run();  // all six stages
+    for (const Stage s : kAllStages) {  // the six stages, one line each
+      if (!StageMask::all().has(s) || !engine.run_stage(s)) continue;
+      std::printf("  [%d/6] %-15s %7.1f ms  (%zu cells)\n", static_cast<int>(s) + 1,
+                  stage_name(s), engine.result().timings[s], engine.netlist().num_cells());
+    }
+    return engine.result();
   };
 
   const FlowResult base = run_at(0.0);

@@ -25,8 +25,7 @@ CircuitProfile s38417_profile() {
   p.max_chain_length = 100;
   p.max_chains = 0;
   p.target_row_utilization = 0.97;
-  p.clock_period_ps = 0.0;  // no application frequency target
-  p.domain_period_ps = {0.0};
+  p.domain_period_ps = {0.0};  // no application frequency target
   p.seed = 0x5384171ULL;
   return p;
 }
@@ -51,7 +50,6 @@ CircuitProfile circuit1_profile() {
   p.max_chain_length = 100;
   p.max_chains = 0;
   p.target_row_utilization = 0.97;
-  p.clock_period_ps = 0.0;   // both domains run far above requirement
   p.domain_period_ps = {125000.0, 15625.0};  // 8 MHz, 64 MHz requirements
   p.seed = 0xC1C1C1ULL;
   return p;
@@ -77,8 +75,7 @@ CircuitProfile p26909_profile() {
   p.max_chain_length = 0;    // derived from the 32-chain cap
   p.max_chains = 32;
   p.target_row_utilization = 0.50;  // §4.3: 50% to avoid routing congestion
-  p.clock_period_ps = 7142.9;       // 140 MHz target (§4.4)
-  p.domain_period_ps = {7142.9};
+  p.domain_period_ps = {7142.9};    // 140 MHz target (§4.4)
   p.seed = 0x26909ULL;
   return p;
 }

@@ -48,8 +48,7 @@ struct CircuitProfile {
   int max_chain_length = 100;   ///< balanced-chain target (0 = unlimited)
   int max_chains = 0;           ///< cap on chain count (0 = unlimited)
   double target_row_utilization = 0.97;
-  double clock_period_ps = 0.0;      ///< application target (0 = none)
-  std::vector<double> domain_period_ps;  ///< per-domain target period
+  std::vector<double> domain_period_ps;  ///< per-domain target period (0 = none)
 
   std::uint64_t seed = 1;
 };

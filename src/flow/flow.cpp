@@ -2,11 +2,9 @@
 
 #include <chrono>
 #include <cmath>
-#include <stdexcept>
 
 #include "bist/lbist.hpp"
 #include "circuits/generator.hpp"
-#include "flow/flow_config.hpp"
 #include "layout/placement.hpp"
 #include "sim/simd.hpp"
 #include "util/log.hpp"
@@ -75,18 +73,6 @@ FlowEngine::FlowEngine(const CellLibrary& lib, const CircuitProfile& profile,
   scan_opts_.max_chains = profile_.max_chains;
 }
 
-namespace {
-CircuitProfile resolve_or_throw(const FlowConfig& config) {
-  CircuitProfile profile;
-  std::string error;
-  if (!config.resolve_profile(profile, &error)) throw std::invalid_argument(error);
-  return profile;
-}
-}  // namespace
-
-FlowEngine::FlowEngine(const CellLibrary& lib, const FlowConfig& config)
-    : FlowEngine(lib, resolve_or_throw(config), config.options) {}
-
 FlowEngine::~FlowEngine() = default;
 
 bool FlowEngine::prerequisites_ok(Stage stage) const {
@@ -107,17 +93,6 @@ bool FlowEngine::prerequisites_ok(Stage stage) const {
   return false;
 }
 
-StageEvent FlowEngine::make_event(Stage stage, double wall_ms) const {
-  StageEvent ev;
-  ev.stage = stage;
-  ev.name = stage_name(stage);
-  ev.wall_ms = wall_ms;
-  ev.num_cells = nl_->num_cells();
-  ev.num_nets = nl_->num_nets();
-  ev.result = &res_;
-  return ev;
-}
-
 bool FlowEngine::run_stage(Stage stage) {
   const std::size_t idx = static_cast<std::size_t>(stage);
   if (ran_[idx]) return false;
@@ -126,7 +101,6 @@ bool FlowEngine::run_stage(Stage stage) {
                << " skipped (prerequisite stage did not run)";
     return false;
   }
-  if (observer_ != nullptr) observer_->on_stage_begin(make_event(stage, 0.0));
   const auto t0 = std::chrono::steady_clock::now();
   {
     // Everything a stage records through metrics() lands in this engine's
@@ -156,7 +130,6 @@ bool FlowEngine::run_stage(Stage stage) {
   res_.timings.ran[idx] = true;
   res_.timings.wall_ms[idx] = wall_ms;
   res_.metrics = metrics_.snapshot();
-  if (observer_ != nullptr) observer_->on_stage_end(make_event(stage, wall_ms));
   return true;
 }
 

@@ -11,9 +11,9 @@
 // in §4.1, with identical floorplan policy (square core, same target row
 // utilisation) so the comparison across TP percentages is fair.
 //
-// FlowEngine runs the stages one by one, times each, and reports progress
-// through an optional FlowObserver. Callers pick the stages they need with
-// a StageMask (partial flows, ablations).
+// FlowEngine runs the stages one by one and times each. Callers pick the
+// stages they need with a StageMask (partial flows, ablations), or step
+// with run_stage to act between stages.
 #pragma once
 
 #include <atomic>
@@ -158,8 +158,6 @@ struct FlowResult {
 /// over one netlist; construct a fresh engine per (circuit, tp_percent)
 /// grid cell. Stages can be run all at once (run), or one at a time
 /// (run_stage) with intermediate layout state inspected in between.
-struct FlowConfig;  // flow_config.hpp
-
 class FlowEngine {
  public:
   /// Engine over a caller-supplied netlist (consumed/modified in place).
@@ -167,19 +165,10 @@ class FlowEngine {
   /// Generates a fresh circuit for `profile` and owns it.
   FlowEngine(const CellLibrary& lib, const CircuitProfile& profile,
              const FlowOptions& opts);
-  /// Engine from a unified FlowConfig: generates config.profile at
-  /// config.scale and adopts config.options. Run with
-  /// engine.run(config.stages). Throws std::invalid_argument for an
-  /// unknown profile name.
-  FlowEngine(const CellLibrary& lib, const FlowConfig& config);
   ~FlowEngine();
 
   FlowEngine(const FlowEngine&) = delete;
   FlowEngine& operator=(const FlowEngine&) = delete;
-
-  /// Observer receiving on_stage_begin/end callbacks (nullptr = none).
-  /// Not owned; must outlive the run.
-  void set_observer(FlowObserver* observer) { observer_ = observer; }
 
   /// Cooperative cancellation: run() re-checks the token before every
   /// stage and stops at the next stage boundary once it reads true, so a
@@ -227,7 +216,6 @@ class FlowEngine {
   /// of stage 3, needed by eco even when ATPG is masked off.
   void stitch_scan_chains();
   bool prerequisites_ok(Stage stage) const;
-  StageEvent make_event(Stage stage, double wall_ms) const;
 
   std::unique_ptr<Netlist> owned_nl_;  ///< set by the generating constructor
   Netlist* nl_;
@@ -236,7 +224,6 @@ class FlowEngine {
   std::optional<DesignDB> db_;  ///< wraps *nl_, set in the constructors
   CircuitProfile profile_;
   FlowOptions opts_;
-  FlowObserver* observer_ = nullptr;
   const std::atomic<bool>* cancel_ = nullptr;
 
   FlowResult res_;

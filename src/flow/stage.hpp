@@ -1,7 +1,7 @@
 // Stage model for the Fig. 2 flow (§3.2): the six named stages the
-// FlowEngine executes, a bitset type for selecting them, per-stage wall
-// clock records, and the observer interface through which callers watch a
-// run progress (progress bars, per-stage profiling, ablation harnesses).
+// FlowEngine executes, a bitset type for selecting them, and per-stage wall
+// clock records. Callers that act between stages (progress lines, tests)
+// step the engine with FlowEngine::run_stage.
 #pragma once
 
 #include <array>
@@ -10,8 +10,6 @@
 #include <string_view>
 
 namespace tpi {
-
-struct FlowResult;  // flow.hpp
 
 /// The six stages of the paper's tool flow, in execution order, plus the
 /// optional post-flow verification stage (miter-based equivalence against
@@ -103,29 +101,6 @@ struct StageTimings {
     for (double v : wall_ms) t += v;
     return t;
   }
-};
-
-/// Snapshot handed to FlowObserver callbacks. `result` points at the
-/// engine-owned partial FlowResult: fields produced by earlier stages are
-/// final, later ones still zero. Valid only for the duration of the call.
-struct StageEvent {
-  Stage stage = Stage::kTpiScan;
-  const char* name = "";
-  double wall_ms = 0.0;  ///< 0 in on_stage_begin
-  std::size_t num_cells = 0;
-  std::size_t num_nets = 0;
-  const FlowResult* result = nullptr;
-};
-
-/// Observer hook for FlowEngine: progress reporting, per-stage profiling,
-/// intermediate-state assertions in tests. Callbacks run on the thread
-/// executing the flow. Sweeps and server jobs are observed through their
-/// stage spans (RunRecorder) instead.
-class FlowObserver {
- public:
-  virtual ~FlowObserver() = default;
-  virtual void on_stage_begin(const StageEvent& /*event*/) {}
-  virtual void on_stage_end(const StageEvent& /*event*/) {}
 };
 
 }  // namespace tpi

@@ -1,11 +1,8 @@
 #include "util/trace.hpp"
 
-#include <array>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <mutex>
-#include <vector>
 
 #include "util/json.hpp"
 #include "util/log.hpp"
@@ -24,49 +21,11 @@ std::uint64_t now_ns() {
 
 namespace {
 
-struct TraceEvent {
-  const char* name;
-  std::uint64_t begin_ns;
-  std::uint64_t end_ns;
-};
-
-// Single-writer append log: only the owning thread writes events; readers
-// (export) synchronise through the release-store of `n` / `next`. A chunk
-// is never shrunk or freed while its owner may still append — trace_reset
-// documents the quiescence requirement.
-struct Chunk {
-  static constexpr std::size_t kCapacity = 4096;
-  std::array<TraceEvent, kCapacity> events;
-  std::atomic<std::uint32_t> n{0};
-  std::atomic<Chunk*> next{nullptr};
-};
-
-struct ThreadLog {
-  std::uint32_t tid = 0;
-  Chunk head;
-  Chunk* tail = &head;  ///< owner-thread only
-
-  void append(const char* name, std::uint64_t begin_ns, std::uint64_t end_ns) {
-    Chunk* c = tail;
-    std::uint32_t i = c->n.load(std::memory_order_relaxed);
-    if (i == Chunk::kCapacity) {
-      Chunk* grown = new Chunk;
-      c->next.store(grown, std::memory_order_release);
-      tail = grown;
-      c = grown;
-      i = 0;
-    }
-    c->events[i] = TraceEvent{name, begin_ns, end_ns};
-    c->n.store(i + 1, std::memory_order_release);
-  }
-};
-
 struct Registry {
-  std::mutex mu;
-  std::vector<ThreadLog*> logs;       ///< leaked on purpose: process lifetime
-  std::uint64_t epoch_ns = 0;         ///< ts origin of the JSON export
-  std::string atexit_path;            ///< TPI_TRACE target ("" = none)
-  bool manual_enabled = false;        ///< the set_trace_enabled contribution
+  TraceSink sink{1, "tpi"};     ///< the process sink
+  std::atomic<bool> on{false};  ///< the set_trace_enabled switch
+  std::mutex mu;                ///< guards atexit_path
+  std::string atexit_path;      ///< TPI_TRACE target ("" = none)
 };
 
 Registry& registry() {
@@ -74,20 +33,15 @@ Registry& registry() {
   return *r;
 }
 
-ThreadLog& thread_log() {
-  thread_local ThreadLog* log = nullptr;
-  if (log == nullptr) {
-    log = new ThreadLog;
-    Registry& reg = registry();
-    std::lock_guard<std::mutex> lock(reg.mu);
-    log->tid = static_cast<std::uint32_t>(reg.logs.size() + 1);
-    reg.logs.push_back(log);
-  }
-  return *log;
-}
-
 // Innermost scoped sink on this thread; spans route here when non-null.
 thread_local TraceSink* t_sink = nullptr;
+
+// Chrome-trace "tid" of the calling thread: 1, 2, ... in order of first span.
+std::uint32_t thread_id() {
+  static std::atomic<std::uint32_t> next{1};
+  thread_local const std::uint32_t tid = next.fetch_add(1, std::memory_order_relaxed);
+  return tid;
+}
 
 void append_event_json(std::string& out, const char* name, std::uint64_t begin_ns,
                        std::uint64_t end_ns, std::uint32_t tid, std::uint64_t pid,
@@ -104,89 +58,38 @@ void append_event_json(std::string& out, const char* name, std::uint64_t begin_n
 
 }  // namespace
 
-void record(const char* name, std::uint64_t begin_ns, std::uint64_t end_ns) {
-  if (TraceSink* sink = t_sink; sink != nullptr) {
-    sink->append(name, begin_ns, end_ns, thread_log().tid);
-    return;
-  }
-  thread_log().append(name, begin_ns, end_ns);
+TraceSink* target() {
+  if (t_sink != nullptr) return t_sink;
+  Registry& reg = registry();
+  return reg.on.load(std::memory_order_relaxed) ? &reg.sink : nullptr;
 }
 
 }  // namespace trace_detail
 
 void set_trace_enabled(bool enabled) {
   using namespace trace_detail;
-  Registry& reg = registry();
-  std::lock_guard<std::mutex> lock(reg.mu);
-  if (enabled == reg.manual_enabled) return;  // idempotent: one refcount share
-  reg.manual_enabled = enabled;
-  if (enabled) {
-    if (reg.epoch_ns == 0) reg.epoch_ns = now_ns();
-    g_enabled.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    g_enabled.fetch_sub(1, std::memory_order_relaxed);
-  }
+  // Only the call that flips the switch moves the count: one share at most.
+  if (registry().on.exchange(enabled) == enabled) return;
+  g_enabled.fetch_add(enabled ? 1 : -1, std::memory_order_relaxed);
 }
 
 void trace_instant(const char* name) {
   if (!trace_enabled()) return;
-  const std::uint64_t t = trace_detail::now_ns();
-  trace_detail::record(name, t, t);
+  if (TraceSink* sink = trace_detail::target(); sink != nullptr) {
+    const std::uint64_t t = trace_detail::now_ns();
+    sink->append(name, t, t);
+  }
 }
 
-std::size_t trace_event_count() {
-  using namespace trace_detail;
-  Registry& reg = registry();
-  std::lock_guard<std::mutex> lock(reg.mu);
-  std::size_t total = 0;
-  for (const ThreadLog* log : reg.logs) {
-    for (const Chunk* c = &log->head; c != nullptr;
-         c = c->next.load(std::memory_order_acquire)) {
-      total += c->n.load(std::memory_order_acquire);
-    }
-  }
-  return total;
-}
+std::size_t trace_event_count() { return trace_detail::registry().sink.event_count(); }
 
 void trace_reset() {
-  using namespace trace_detail;
-  Registry& reg = registry();
-  std::lock_guard<std::mutex> lock(reg.mu);
-  for (ThreadLog* log : reg.logs) {
-    // Free the overflow chunks; the inline head stays (its owner thread
-    // caches `tail`, which we reset through the same quiescence contract).
-    Chunk* c = log->head.next.exchange(nullptr, std::memory_order_acq_rel);
-    while (c != nullptr) {
-      Chunk* next = c->next.load(std::memory_order_acquire);
-      delete c;
-      c = next;
-    }
-    log->tail = &log->head;
-    log->head.n.store(0, std::memory_order_release);
-  }
+  TraceSink& sink = trace_detail::registry().sink;
+  std::lock_guard<std::mutex> lock(sink.mu_);
+  std::vector<TraceSink::Event>().swap(sink.events_);  // frees the buffer too
 }
 
-std::string trace_to_json() {
-  using namespace trace_detail;
-  Registry& reg = registry();
-  std::lock_guard<std::mutex> lock(reg.mu);
-  std::string out = "{\"displayTimeUnit\": \"ms\", \"traceEvents\": [\n";
-  bool first = true;
-  for (const ThreadLog* log : reg.logs) {
-    for (const Chunk* c = &log->head; c != nullptr;
-         c = c->next.load(std::memory_order_acquire)) {
-      const std::uint32_t n = c->n.load(std::memory_order_acquire);
-      for (std::uint32_t i = 0; i < n; ++i) {
-        if (!first) out += ",\n";
-        first = false;
-        const TraceEvent& e = c->events[i];
-        append_event_json(out, e.name, e.begin_ns, e.end_ns, log->tid, 1, reg.epoch_ns);
-      }
-    }
-  }
-  out += "\n]}\n";
-  return out;
-}
+std::string trace_to_json() { return trace_detail::registry().sink.to_json(); }
 
 bool trace_write_json(const std::string& path) {
   return write_text_file(path, trace_to_json(), "trace");
@@ -219,8 +122,8 @@ const char* trace_init_from_env() {
 TraceSink::TraceSink(std::uint64_t job_id, std::string label)
     : job_id_(job_id), label_(std::move(label)), epoch_ns_(trace_detail::now_ns()) {}
 
-void TraceSink::append(const char* name, std::uint64_t begin_ns, std::uint64_t end_ns,
-                       std::uint32_t tid) {
+void TraceSink::append(const char* name, std::uint64_t begin_ns, std::uint64_t end_ns) {
+  const std::uint32_t tid = trace_detail::thread_id();
   std::lock_guard<std::mutex> lock(mu_);
   events_.push_back(Event{name, begin_ns, end_ns, tid});
 }

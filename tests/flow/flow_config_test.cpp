@@ -162,7 +162,9 @@ TEST(FlowConfigTest, AtpgJobsExplicitConfigBeatsEnv) {
   EXPECT_EQ(cfg.options.atpg.jobs, 2);
 
   // And the engine actually runs with the explicit value.
-  FlowEngine engine(test::lib(), cfg);
+  CircuitProfile profile;
+  ASSERT_TRUE(cfg.resolve_profile(profile, &error)) << error;
+  FlowEngine engine(test::lib(), profile, cfg.options);
   const FlowResult& res = engine.run(StageMask::through(Stage::kReorderAtpg));
   const MetricValue* jobs = res.metrics.find("rt.atpg.sim.jobs");
   ASSERT_NE(jobs, nullptr);
@@ -411,12 +413,6 @@ TEST(FlowConfigTest, ResolveProfileScalesAndKeepsPaperName) {
   cfg.profile = "nonesuch";
   EXPECT_FALSE(cfg.resolve_profile(p, &error));
   EXPECT_NE(error.find("nonesuch"), std::string::npos);
-}
-
-TEST(FlowConfigTest, EngineCtorRejectsUnknownProfile) {
-  FlowConfig cfg;
-  cfg.profile = "nonesuch";
-  EXPECT_THROW(FlowEngine(test::lib(), cfg), std::invalid_argument);
 }
 
 }  // namespace

@@ -1,8 +1,6 @@
-// FlowEngine stage-model tests: observer callbacks, stage masks and
+// FlowEngine stage-model tests: stage masks, stepping with run_stage and
 // per-stage timings.
 #include <gtest/gtest.h>
-
-#include <vector>
 
 #include "../common/test_circuits.hpp"
 #include "circuits/generator.hpp"
@@ -12,19 +10,6 @@ namespace tpi {
 namespace {
 
 using test::lib;
-
-class RecordingObserver : public FlowObserver {
- public:
-  void on_stage_begin(const StageEvent& ev) override { begins.push_back(ev.stage); }
-  void on_stage_end(const StageEvent& ev) override {
-    ends.push_back(ev.stage);
-    wall_ms.push_back(ev.wall_ms);
-    cells_at_end.push_back(ev.num_cells);
-  }
-  std::vector<Stage> begins, ends;
-  std::vector<double> wall_ms;
-  std::vector<std::size_t> cells_at_end;
-};
 
 TEST(StageMaskTest, NamedStageAlgebra) {
   EXPECT_TRUE(StageMask::all().has(Stage::kSta));
@@ -51,30 +36,6 @@ TEST(StageMaskTest, StageNamesRoundTrip) {
     EXPECT_EQ(*parsed, s);
   }
   EXPECT_FALSE(stage_from_name("no_such_stage").has_value());
-}
-
-TEST(FlowEngineTest, ObserverSeesAllSixStagesInOrder) {
-  FlowOptions opts;
-  opts.tp_percent = 5.0;
-  FlowEngine engine(lib(), test::tiny_profile(21), opts);
-  RecordingObserver obs;
-  engine.set_observer(&obs);
-  engine.run();
-
-  // run() defaults to StageMask::all() — the six paper stages; the opt-in
-  // verify stage stays off.
-  std::vector<Stage> expected;
-  for (const Stage s : kAllStages) {
-    if (StageMask::all().has(s)) expected.push_back(s);
-  }
-  EXPECT_EQ(expected.size(), static_cast<std::size_t>(kNumFlowStages));
-  EXPECT_EQ(obs.begins, expected);
-  EXPECT_EQ(obs.ends, expected);
-  for (const double ms : obs.wall_ms) EXPECT_GE(ms, 0.0);
-  // Cell count only grows along the flow (TPI, scan, buffers, CTS, fillers).
-  for (std::size_t i = 1; i < obs.cells_at_end.size(); ++i) {
-    EXPECT_GE(obs.cells_at_end[i], obs.cells_at_end[i - 1]);
-  }
 }
 
 TEST(FlowEngineTest, RecordsPerStageTimings) {
@@ -120,12 +81,21 @@ TEST(FlowEngineTest, StagesCanBeRunOneAtATime) {
   opts.tp_percent = 5.0;
   FlowEngine engine(lib(), test::tiny_profile(25), opts);
   EXPECT_FALSE(engine.run_stage(Stage::kEco));  // prerequisites missing
-  EXPECT_TRUE(engine.run_stage(Stage::kTpiScan));
+  // Cell count only grows along the flow (TPI, scan, buffers, CTS, fillers).
+  std::size_t cells = engine.netlist().num_cells();
+  const auto step = [&](Stage s) {
+    const bool ran = engine.run_stage(s);
+    EXPECT_GE(engine.netlist().num_cells(), cells) << stage_name(s);
+    cells = engine.netlist().num_cells();
+    return ran;
+  };
+  EXPECT_TRUE(step(Stage::kTpiScan));
   EXPECT_FALSE(engine.run_stage(Stage::kTpiScan));  // already ran
-  EXPECT_TRUE(engine.run_stage(Stage::kFloorplanPlace));
-  EXPECT_TRUE(engine.run_stage(Stage::kEco));
-  EXPECT_TRUE(engine.run_stage(Stage::kExtract));
-  EXPECT_TRUE(engine.run_stage(Stage::kSta));
+  EXPECT_TRUE(step(Stage::kFloorplanPlace));
+  EXPECT_TRUE(step(Stage::kReorderAtpg));
+  EXPECT_TRUE(step(Stage::kEco));
+  EXPECT_TRUE(step(Stage::kExtract));
+  EXPECT_TRUE(step(Stage::kSta));
   EXPECT_TRUE(engine.result().sta.worst.valid);
 }
 

@@ -21,6 +21,7 @@
 #include "circuits/design_cache.hpp"
 #include "util/json.hpp"
 #include "util/ledger.hpp"
+#include "util/trace.hpp"
 
 namespace tpi {
 namespace {
@@ -118,7 +119,9 @@ TEST(FlowServerTest, SoakResultsBitIdenticalToSingleShot) {
     FlowConfig cfg;
     std::string error;
     ASSERT_TRUE(FlowConfig::from_json(p, base, cfg, &error)) << error;
-    FlowEngine engine(test::lib(), cfg);
+    CircuitProfile profile;
+    ASSERT_TRUE(cfg.resolve_profile(profile, &error)) << error;
+    FlowEngine engine(test::lib(), profile, cfg.options);
     const std::string json = flow_result_to_json(engine.run(cfg.stages));
     const JsonParseResult parsed = json_parse(json);
     ASSERT_TRUE(parsed.ok) << parsed.error;
@@ -303,27 +306,17 @@ TEST(FlowServerTest, SubmitRejectedWhenQueueFull) {
 }
 
 // The engine-level cancellation contract the cancel RPC builds on: a token
-// flipped mid-run stops the flow at the next stage boundary, keeping
+// set between two stages stops run() at the next stage boundary, keeping
 // finished stages' results.
 TEST(FlowServerTest, CancelTokenStopsAtStageBoundary) {
-  class CancelAfterPlace : public FlowObserver {
-   public:
-    explicit CancelAfterPlace(std::atomic<bool>* token) : token_(token) {}
-    void on_stage_end(const StageEvent& event) override {
-      if (event.stage == Stage::kFloorplanPlace) token_->store(true);
-    }
-
-   private:
-    std::atomic<bool>* token_;
-  };
-
   std::atomic<bool> cancel{false};
-  CancelAfterPlace observer(&cancel);
   FlowOptions fopts;
   fopts.tp_percent = 2.0;
   FlowEngine engine(test::lib(), test::tiny_profile(99), fopts);
-  engine.set_observer(&observer);
   engine.set_cancel_token(&cancel);
+  ASSERT_TRUE(engine.run_stage(Stage::kTpiScan));
+  ASSERT_TRUE(engine.run_stage(Stage::kFloorplanPlace));
+  cancel.store(true);
   const FlowResult& res = engine.run(StageMask::all());
 
   EXPECT_TRUE(res.cancelled);
@@ -486,6 +479,37 @@ TEST(FlowServerTest, TraceRpcReturnsOnlyThatJobsSpans) {
   const JsonValue* err = resp.find("error");
   ASSERT_NE(err, nullptr);
   EXPECT_NE(err->as_string().find("record_trace"), std::string::npos);
+}
+
+// A span is kept only where someone reads it. The fault-sim workers of a
+// traced job and an untraced job running beside it have no sink of their
+// own; with the process switch off they record nothing (the server never
+// exports the process sink, so spans there would only pile up).
+TEST(FlowServerTest, UnscopedThreadsOfTracedJobsRecordNoSpans) {
+  trace_reset();
+  FlowServerOptions opts;
+  opts.workers = 2;
+  FlowServer server(tiny_base(), opts);
+  const std::uint64_t traced =
+      submit(server, "{\"tp_percent\": 2.0, \"record_trace\": true, \"atpg_jobs\": 2}");
+  const std::uint64_t untraced = submit(server, "{\"tp_percent\": 4.0}");
+  for (const std::uint64_t job : {traced, untraced}) {
+    ASSERT_EQ(wait_result(server, job).find("state")->as_string(), "done");
+  }
+  EXPECT_EQ(trace_event_count(), 0u);
+
+  const JsonValue result = rpc_result(
+      server, "{\"id\": 8, \"method\": \"trace\", \"params\": {\"job\": " +
+                  std::to_string(traced) + "}}");
+  const JsonValue* trace = result.find("trace");
+  ASSERT_NE(trace, nullptr);
+  const std::string serialised = trace->serialise();
+  for (const Stage s : kAllStages) {
+    if (!StageMask::all().has(s)) continue;
+    EXPECT_NE(serialised.find(std::string("\"name\":\"") + stage_name(s) + "\""),
+              std::string::npos)
+        << stage_name(s);
+  }
 }
 
 // Run ledger: a finished single-core job appends one line whose "flow" is
