@@ -3,7 +3,9 @@
 // envelope that keeps the full Tables 1-3 sweeps tractable.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "atpg/atpg.hpp"
 #include "atpg/fault_sim.hpp"
@@ -256,6 +258,37 @@ void BM_PodemPerFault(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PodemPerFault)->Unit(benchmark::kMicrosecond);
+
+// Abort-heavy PODEM: the 3,000 hardest undetected faults of the scaled
+// s38417 in run_atpg's hardest-first order (lowest detection probability
+// first), one pass per iteration through one reused Podem. Where
+// BM_PodemPerFault cycles through mostly easy faults, this one spends its
+// time in backtracking and in aborted searches.
+void BM_PodemHardFaults(benchmark::State& state) {
+  const CombModel model(scan_netlist(), SeqView::kCapture);
+  const TestabilityResult t = analyze_testability(model);
+  const FaultList fl = build_fault_list(model);
+  std::vector<const Fault*> order;
+  for (const Fault& f : fl.faults) {
+    if (f.status == FaultStatus::kUndetected) order.push_back(&f);
+  }
+  const auto hardness = [&](const Fault* f) {
+    return f->stuck1 ? t.detect_prob_sa0(f->net) : t.detect_prob_sa1(f->net);
+  };
+  std::stable_sort(order.begin(), order.end(),
+                   [&](const Fault* a, const Fault* b) { return hardness(a) < hardness(b); });
+  order.resize(std::min<std::size_t>(order.size(), 3000));
+  Podem podem(model, t, {});
+  int aborted = 0;
+  for (auto _ : state) {
+    aborted = 0;
+    for (const Fault* f : order) aborted += podem.generate(*f).outcome == PodemOutcome::kAborted;
+    benchmark::DoNotOptimize(aborted);
+  }
+  state.counters["faults"] = static_cast<double>(order.size());
+  state.counters["aborted"] = aborted;
+}
+BENCHMARK(BM_PodemHardFaults)->Unit(benchmark::kMillisecond);
 
 void BM_GlobalPlacement(benchmark::State& state) {
   const Netlist& nl = scan_netlist();

@@ -1,25 +1,102 @@
 #include "atpg/podem.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
+#include <span>
 
 namespace tpi {
 namespace {
 
 Tern tern_of(bool b) { return b ? Tern::k1 : Tern::k0; }
 
+using CodeTable = std::array<std::array<TernCode, 9>, 9>;
+
+/// ImplyNode::fold values: an index into kFolds, or kGeneric.
+constexpr std::uint8_t kFoldAnd = 0, kFoldOr = 1, kFoldXor = 2, kGeneric = 3;
+constexpr const CodeTable* kFolds[] = {&kTernCodeTables.and_, &kTernCodeTables.or_,
+                                       &kTernCodeTables.xor_};
+
+/// Row 0 maps every code to itself, row 1 is NOT.
+constexpr std::array<std::array<TernCode, 9>, 2> kPost = [] {
+  std::array<std::array<TernCode, 9>, 2> t{};
+  for (std::size_t c = 0; c < 9; ++c) {
+    t[0][c] = static_cast<TernCode>(c);
+    t[1][c] = kTernCodeTables.not_[c];
+  }
+  return t;
+}();
+
+// Padding a fold with (1,1) for AND and (0,0) for OR/XOR leaves every code
+// unchanged, so a padded four-input fold equals eval_node_code's.
+constexpr bool pads_are_identities() {
+  const TernCode zero = tern_code(Tern::k0, Tern::k0), one = tern_code(Tern::k1, Tern::k1);
+  for (TernCode c = 0; c < 9; ++c) {
+    if (kTernCodeTables.and_[c][one] != c || kTernCodeTables.or_[c][zero] != c ||
+        kTernCodeTables.xor_[c][zero] != c) {
+      return false;
+    }
+  }
+  return true;
+}
+static_assert(pads_are_identities());
+
+struct Fold {
+  std::uint8_t fold, invert;
+};
+
+constexpr Fold fold_of(CellFunc func) {
+  switch (func) {
+    case CellFunc::kBuf:
+    case CellFunc::kAnd:
+      return {kFoldAnd, 0};
+    case CellFunc::kInv:
+    case CellFunc::kNand:
+      return {kFoldAnd, 1};
+    case CellFunc::kOr:
+      return {kFoldOr, 0};
+    case CellFunc::kNor:
+      return {kFoldOr, 1};
+    case CellFunc::kXor:
+      return {kFoldXor, 0};
+    case CellFunc::kXnor:
+      return {kFoldXor, 1};
+    default:
+      return {kGeneric, 0};  // MUX2: eval_node_code from the CombNode
+  }
+}
+
 }  // namespace
 
 Podem::Podem(const CombModel& model, const TestabilityResult& scoap, PodemOptions opts)
     : model_(model), scoap_(scoap), opts_(opts) {
   const std::size_t n = model.num_nets();
+  const std::size_t num_nodes = model.nodes().size();
   v_.assign(n, kCodeXX);
+  const auto zero = static_cast<NetId>(n), one = static_cast<NetId>(n + 1);
+  v_.push_back(tern_code(Tern::k0, Tern::k0));
+  v_.push_back(tern_code(Tern::k1, Tern::k1));
+  imply_nodes_.resize(num_nodes);
+  for (std::size_t i = 0; i < num_nodes; ++i) {
+    const CombNode& node = model.nodes()[i];
+    const Fold f = fold_of(node.func);
+    ImplyNode& op = imply_nodes_[i];
+    for (int k = 0; k < 4; ++k) {
+      op.in[k] = k < node.num_inputs ? node.in[k] : f.fold == kFoldAnd ? one : zero;
+    }
+    op.out = node.out != kNoNet ? node.out : zero;
+    op.fold = f.fold;
+    op.invert = f.invert;
+  }
   is_input_.assign(n, 0);
   input_index_.assign(n, 0);
   observed_.assign(n, 0);
-  pending_.assign((model.nodes().size() + 63) / 64, 0);
+  first_pos_.assign(n, 0);
+  pending_.assign((num_nodes + 63) / 64, 0);
+  skipped_.assign(pending_.size(), 0);
+  trail_.resize(256);  // assign_and_imply doubles it when full
   // Sized once: growing these mid-run fragments the heap (peak RSS).
-  candidates_.reserve(model.nodes().size());
+  candidates_.reserve(num_nodes);
   decisions_.reserve(model.input_nets().size());
   const auto& inputs = model.input_nets();
   for (std::size_t i = 0; i < inputs.size(); ++i) {
@@ -30,10 +107,7 @@ Podem::Podem(const CombModel& model, const TestabilityResult& scoap, PodemOption
 }
 
 void Podem::reset_state() {
-  for (auto it = trail_.rbegin(); it != trail_.rend(); ++it) {
-    v_[static_cast<std::size_t>(it->net)] = it->old;
-  }
-  trail_.clear();
+  undo_to(0);
   d_frontier_.clear();
   detected_ = false;
   implications_ = 0;
@@ -46,89 +120,123 @@ void Podem::reset_state() {
   }
 }
 
-void Podem::set_net(NetId net, TernCode code) {
-  const auto i = static_cast<std::size_t>(net);
-  if (v_[i] == code) return;
-  trail_.push_back(TrailEntry{net, v_[i]});
-  v_[i] = code;
-  if (observed_[i] && code_is_d(code)) detected_ = true;
-}
-
-void Podem::eval_node(int node_index) {
-  const CombNode& node = model_.nodes()[static_cast<std::size_t>(node_index)];
-  if (node.out == kNoNet) return;
-  const auto out = static_cast<std::size_t>(node.out);
-  // Implication only refines X values and evaluation is monotone, so an
-  // output known in both circuits would evaluate to itself.
-  if (code_known(v_[out])) return;
-  TernCode in[4];
-  for (int i = 0; i < node.num_inputs; ++i) in[i] = v_[static_cast<std::size_t>(node.in[i])];
-  TernCode sel = node.sel != kNoNet ? v_[static_cast<std::size_t>(node.sel)] : kCodeXX;
-  const Tern stuck = tern_of(fault_->stuck1);
-  if (node_index == branch_reader_) {
-    for (int i = 0; i < node.num_inputs; ++i) {
-      if (node.in[i] == fault_->net) in[i] = code_with_faulty(in[i], stuck);
-    }
-    if (node.sel == fault_->net) sel = code_with_faulty(sel, stuck);
-  }
-  TernCode c = eval_node_code(node.func, node.num_inputs, in, sel);
-  // Stem fault: the faulty circuit's value at the site is pinned.
-  if (fault_->is_stem() && node.out == fault_->net) c = code_with_faulty(c, stuck);
-
-  if (c == v_[out]) return;
-  set_net(node.out, c);
-  // D-frontier bookkeeping: the node's readers may now have a D input.
-  if (code_is_d(c)) {
-    for (const int reader : model_.readers_of(node.out)) d_frontier_.push_back(reader);
-  }
-  schedule_readers(node.out);
-}
-
-void Podem::schedule_readers(NetId net) {
-  for (const int reader : model_.readers_of(net)) {
-    const auto r = static_cast<std::size_t>(reader);
-    pending_[r / 64] |= std::uint64_t{1} << (r % 64);
-    pending_lo_ = std::min(pending_lo_, r / 64);
-    pending_hi_ = std::max(pending_hi_, r / 64 + 1);
+void Podem::undo_to(std::size_t trail_mark) {
+  // Reverse order restores every intermediate composite value exactly. The
+  // entry that gave a net its D is that net's last, and D nets were pushed
+  // in trail order, so each one popped here is the stack's top.
+  while (trail_len_ > trail_mark) {
+    const TrailEntry e = trail_[--trail_len_];
+    TernCode& code = v_[static_cast<std::size_t>(e.net)];
+    if (code_is_d(code)) d_nets_.pop_back();
+    code = e.old;
   }
 }
 
-int Podem::pop_pending() {
-  for (; pending_lo_ < pending_hi_; ++pending_lo_) {
-    std::uint64_t& word = pending_[pending_lo_];
-    if (word == 0) continue;
-    const int bit = std::countr_zero(word);
-    word &= word - 1;
-    return static_cast<int>(pending_lo_ * 64) + bit;
-  }
-  clear_pending();
-  return -1;
-}
-
-void Podem::clear_pending() {
-  for (std::size_t w = pending_lo_; w < pending_hi_; ++w) pending_[w] = 0;
-  pending_lo_ = ~std::size_t{0};
-  pending_hi_ = 0;
-}
-
+// Set `net` to `value` and imply forward until nothing changes. Nodes are
+// evaluated in ascending index order, readers after their producers
+// (levelize leaves cycles out of the model), so each node is evaluated at
+// most once per call. A reader whose output is already known in both
+// circuits would evaluate to itself (implication only refines X values and
+// evaluation is monotone), so it is never queued; it is counted once per
+// call all the same, and implications_ stays the number of nodes the call
+// touched. Returns false once implications_ passes the per-fault limit.
 bool Podem::assign_and_imply(NetId net, Tern value) {
+  // The hot state lives in locals: TernCode stores are uint8_t, which may
+  // alias any member, so member reads after a store would be reloaded.
+  TernCode* const v = v_.data();
+  const ImplyNode* const imply = imply_nodes_.data();
+  const CombNode* const nodes = model_.nodes().data();
+  std::uint64_t* const pending = pending_.data();
+  std::uint64_t* const skipped = skipped_.data();
+  const char* const observed = observed_.data();
+  std::uint32_t* const first_pos = first_pos_.data();
+  TrailEntry* trail = trail_.data();
+  std::size_t trail_len = trail_len_;
+  std::size_t trail_cap = trail_.size();
+  bool detected = detected_;
+  const int inject = inject_node_;
+  const NetId site = fault_->net;
   const Tern stuck = tern_of(fault_->stuck1);
-  const Tern f = (fault_->is_stem() && net == fault_->net) ? stuck : value;
-  set_net(net, tern_code(value, f));
-  if (fault_->is_stem() && net == fault_->net && value != Tern::kX && value != stuck) {
-    if (observed_[static_cast<std::size_t>(net)]) detected_ = true;
-    // The activated site carries a D: its readers join the D-frontier.
-    for (const int reader : model_.readers_of(net)) d_frontier_.push_back(reader);
-  }
-  schedule_readers(net);
-  for (int ni = pop_pending(); ni >= 0; ni = pop_pending()) {
-    if (++implications_ > opts_.implication_limit) {
-      clear_pending();  // the next assignment must start from an empty queue
-      return false;
+
+  const auto set = [&](NetId n, TernCode code) {
+    const auto i = static_cast<std::size_t>(n);
+    const TernCode old = v[i];
+    if (trail_len == trail_cap) {
+      trail_.resize(2 * trail_cap);
+      trail = trail_.data();
+      trail_cap = trail_.size();
     }
-    eval_node(ni);
+    if (old == kCodeXX) first_pos[i] = static_cast<std::uint32_t>(trail_len);
+    trail[trail_len++] = TrailEntry{n, old};
+    v[i] = code;
+    if (code_is_d(code)) {
+      detected = detected || observed[i] != 0;
+      d_nets_.push_back(n);
+      // D-frontier bookkeeping: the net's readers may now propagate it.
+      for (const int reader : model_.readers_of(n)) d_frontier_.push_back(reader);
+    }
+  };
+  // Queue the readers of `n` whose output is still unknown, mark the rest.
+  // readers_of is ascending, so the last reader bounds the scan.
+  std::size_t hi = 0;
+  const auto schedule = [&](NetId n) {
+    const std::span<const int> readers = model_.readers_of(n);
+    if (readers.empty()) return;
+    for (const int reader : readers) {
+      const auto r = static_cast<std::size_t>(reader);
+      std::uint64_t* const bits = code_known(v[imply[r].out]) ? skipped : pending;
+      bits[r / 64] |= std::uint64_t{1} << (r % 64);
+    }
+    hi = std::max(hi, static_cast<std::size_t>(readers.back()) / 64 + 1);
+  };
+
+  const TernCode assigned =
+      tern_code(value, fault_->is_stem() && net == site ? stuck : value);
+  if (v[static_cast<std::size_t>(net)] != assigned) set(net, assigned);
+  schedule(net);
+
+  std::int64_t touched = 0;
+  const std::span<const int> first = model_.readers_of(net);
+  for (std::size_t w = first.empty() ? 0 : static_cast<std::size_t>(first.front()) / 64; w < hi;
+       ++w) {
+    for (std::uint64_t word = pending[w]; word != 0; word = pending[w]) {
+      pending[w] = word & (word - 1);
+      const int ni = static_cast<int>(w * 64) + std::countr_zero(word);
+      ++touched;
+      const ImplyNode& op = imply[static_cast<std::size_t>(ni)];
+      TernCode c;
+      if (op.fold != kGeneric && ni != inject) {
+        const CodeTable& t = *kFolds[op.fold];
+        c = kPost[op.invert][t[t[t[v[op.in[0]]][v[op.in[1]]]][v[op.in[2]]]][v[op.in[3]]]];
+      } else {
+        const CombNode& node = nodes[static_cast<std::size_t>(ni)];
+        TernCode in[4];
+        for (int i = 0; i < node.num_inputs; ++i) in[i] = v[static_cast<std::size_t>(node.in[i])];
+        TernCode sel = node.sel != kNoNet ? v[static_cast<std::size_t>(node.sel)] : kCodeXX;
+        if (ni == inject && branch_reader_ >= 0) {
+          // The branch reader sees the stuck value on its faulty input pin.
+          for (int i = 0; i < node.num_inputs; ++i) {
+            if (node.in[i] == site) in[i] = code_with_faulty(in[i], stuck);
+          }
+          if (node.sel == site) sel = code_with_faulty(sel, stuck);
+        }
+        c = eval_node_code(node.func, node.num_inputs, in, sel);
+        // Stem fault: the faulty circuit's value at the site is pinned.
+        if (ni == inject && branch_reader_ < 0) c = code_with_faulty(c, stuck);
+      }
+      if (c == v[static_cast<std::size_t>(op.out)]) continue;
+      set(op.out, c);
+      schedule(op.out);
+    }
+    // Later nodes only mark later words: this word's marks are final.
+    touched += std::popcount(skipped[w]);
+    skipped[w] = 0;
   }
-  return true;
+
+  trail_len_ = trail_len;
+  detected_ = detected;
+  implications_ += touched;
+  return implications_ <= opts_.implication_limit;
 }
 
 void Podem::rebuild_d_frontier() {
@@ -136,27 +244,31 @@ void Podem::rebuild_d_frontier() {
   // The branch reader carries the injected D on its faulty input; it never
   // appears as a D on a real net, so it is always a frontier candidate.
   if (branch_reader_ >= 0) d_frontier_.push_back(branch_reader_);
-  for (const TrailEntry& e : trail_) {
-    if (code_is_d(v_[static_cast<std::size_t>(e.net)])) {
-      for (const int reader : model_.readers_of(e.net)) d_frontier_.push_back(reader);
-    }
+  // The readers of every D net, nets in the order they left (X,X). A scan
+  // of the trail pushing the readers of each entry whose net now holds a D
+  // meets each such net first at that point, so every node first appears
+  // in the same order in both lists. The repeats the scan adds change
+  // nothing, since trying a frontier node is a pure function of the state.
+  // O(#D nets) instead of O(trail).
+  d_order_.assign(d_nets_.begin(), d_nets_.end());
+  std::sort(d_order_.begin(), d_order_.end(), [&](NetId a, NetId b) {
+    return first_pos_[static_cast<std::size_t>(a)] < first_pos_[static_cast<std::size_t>(b)];
+  });
+  for (const NetId net : d_order_) {
+    for (const int reader : model_.readers_of(net)) d_frontier_.push_back(reader);
   }
 }
 
-int Podem::pick_d_frontier() {
-  // Lazily filter stale candidates; pick the gate whose output is closest
-  // to an observation point (minimum SCOAP CO).
-  int best = -1;
-  float best_co = kScoapInf + 1.0f;
+void Podem::filter_d_frontier() {
+  // Lazily drop stale candidates, keeping the order.
   std::size_t w = 0;
   for (std::size_t i = 0; i < d_frontier_.size(); ++i) {
     const int ni = d_frontier_[i];
     const CombNode& node = model_.nodes()[static_cast<std::size_t>(ni)];
     if (node.out == kNoNet) continue;
-    const auto out = static_cast<std::size_t>(node.out);
     // Resolved only when BOTH circuits know the output; a known good value
     // with an unknown faulty value can still become a D.
-    if (code_known(v_[out])) continue;
+    if (code_known(v_[static_cast<std::size_t>(node.out)])) continue;
     if (ni == branch_reader_) {
       // Keep the injection node alive even before the fault is activated:
       // its D is virtual and appears once the site gets its value.
@@ -171,16 +283,9 @@ int Podem::pick_d_frontier() {
         break;
       }
     }
-    if (!has_d) continue;
-    d_frontier_[w++] = ni;
-    const float co = scoap_.co[out];
-    if (co < best_co) {
-      best_co = co;
-      best = ni;
-    }
+    if (has_d) d_frontier_[w++] = ni;
   }
   d_frontier_.resize(w);
-  return best;
 }
 
 // Enumerate the propagation objectives a D-frontier node offers; calls
@@ -249,8 +354,8 @@ bool Podem::find_decision(NetId* in_net, Tern* in_val) {
     return false;
   }
   if (good(fault_->net) != want) return false;  // activation conflict: genuine dead end
-  // Refresh the frontier list order (best first) and walk every candidate.
-  pick_d_frontier();
+  // Drop stale frontier entries, then walk every candidate best first.
+  filter_d_frontier();
   candidates_.assign(d_frontier_.begin(), d_frontier_.end());
   std::stable_sort(candidates_.begin(), candidates_.end(), [&](int a, int b) {
     const NetId oa = model_.nodes()[static_cast<std::size_t>(a)].out;
@@ -400,6 +505,9 @@ PodemResult Podem::generate(const Fault& fault) {
       }
     }
   }
+  inject_node_ = branch_reader_ >= 0 ? branch_reader_
+                 : fault.is_stem()    ? model_.producer_of(fault.net)
+                                      : -1;
   reset_state();
   truncated_ = false;
   if (branch_reader_ >= 0) d_frontier_.push_back(branch_reader_);
@@ -426,7 +534,7 @@ PodemResult Podem::generate(const Fault& fault) {
       Decision d;
       d.input_index = input_index_[static_cast<std::size_t>(in_net)];
       d.value = in_val;
-      d.trail_mark = trail_.size();
+      d.trail_mark = trail_len_;
       decisions_.push_back(d);
       if (!assign_and_imply(in_net, in_val)) {
         res.outcome = PodemOutcome::kAborted;  // implication budget blown
@@ -439,13 +547,7 @@ PodemResult Podem::generate(const Fault& fault) {
     bool flipped = false;
     while (!decisions_.empty()) {
       Decision& d = decisions_.back();
-      // Undo its implications (reverse order restores every intermediate
-      // composite value exactly).
-      while (trail_.size() > d.trail_mark) {
-        const TrailEntry e = trail_.back();
-        trail_.pop_back();
-        v_[static_cast<std::size_t>(e.net)] = e.old;
-      }
+      undo_to(d.trail_mark);  // its implications
       detected_ = false;
       if (!d.flipped) {
         d.flipped = true;

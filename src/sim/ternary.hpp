@@ -91,10 +91,12 @@ constexpr Tern code_faulty(TernCode c) { return static_cast<Tern>(c % 3); }
 constexpr TernCode code_with_faulty(TernCode c, Tern faulty) {
   return tern_code(code_good(c), faulty);
 }
-/// Both circuits know the value.
-constexpr bool code_known(TernCode c) { return c < 6 && c % 3 != 2; }
-/// The circuits disagree on known values: the net carries a fault effect.
-constexpr bool code_is_d(TernCode c) { return c == 1 || c == 3; }
+/// Both circuits know the value: codes 0, 1, 3 and 4 (a bit test, since
+/// PODEM asks this of every reader it visits).
+constexpr bool code_known(TernCode c) { return ((0x1Bu >> c) & 1u) != 0; }
+/// The circuits disagree on known values: the net carries a fault effect
+/// (codes 1 and 3).
+constexpr bool code_is_d(TernCode c) { return ((0x0Au >> c) & 1u) != 0; }
 
 /// Lookup tables over composite codes, each entry the scalar op applied to
 /// the good parts and to the faulty parts, so the algebra stays defined once.

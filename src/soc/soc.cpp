@@ -3,7 +3,10 @@
 #include <algorithm>
 #include <future>
 #include <memory>
+#include <optional>
 #include <utility>
+
+#include "util/trace.hpp"
 
 namespace tpi {
 namespace {
@@ -60,11 +63,15 @@ SocResult SocRunner::run(const CellLibrary& lib, ThreadPool* pool, DesignCache* 
 
   // Fan the per-core flows out; collect strictly in core order so the
   // merged result is independent of scheduling. future::get() rethrows a
-  // core's exception here.
+  // core's exception here. Each core task scopes the caller's trace sink,
+  // so a traced chip keeps every core's stage spans.
+  TraceSink* const sink = scoped_trace_sink();
   std::vector<std::future<FlowResult>> futures;
   futures.reserve(specs.size());
   for (const SocCoreSpec& spec : specs) {
-    futures.push_back(pool->submit([&lib, &spec, cache, cancel, this] {
+    futures.push_back(pool->submit([&lib, &spec, cache, cancel, sink, this] {
+      std::optional<ScopedTraceSink> scope;
+      if (sink != nullptr) scope.emplace(*sink);
       const std::shared_ptr<DesignCache::Entry> entry = cache->acquire(spec.profile);
       Netlist nl = entry->netlist();  // private copy; the journal survives
       FlowEngine engine(nl, spec.profile, config_.options);

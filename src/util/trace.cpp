@@ -149,6 +149,8 @@ std::string TraceSink::to_json() const {
   return out;
 }
 
+TraceSink* scoped_trace_sink() { return trace_detail::t_sink; }
+
 ScopedTraceSink::ScopedTraceSink(TraceSink& sink) : prev_(trace_detail::t_sink) {
   trace_detail::t_sink = &sink;
   trace_detail::g_enabled.fetch_add(1, std::memory_order_relaxed);

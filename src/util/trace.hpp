@@ -142,6 +142,10 @@ class ScopedTraceSink {
   TraceSink* prev_;
 };
 
+/// The calling thread's innermost scoped sink, or nullptr. Work handed to
+/// another thread scopes the same sink there to stay in the job's trace.
+TraceSink* scoped_trace_sink();
+
 /// RAII span. Prefer the TPI_SPAN macro; construct directly only when the
 /// name is computed (it must still outlive the export). The sink is
 /// chosen when the span opens and must outlive the span.

@@ -213,11 +213,13 @@ TEST(PodemTest, BacktrackLimitYieldsAborted) {
 }
 
 // Paper-scale golden: the first 1500 undetected faults in run_atpg's
-// hardest-first order on two scaled paper circuits, run through one reused
-// Podem (as run_atpg does) with the default limits and with an implication
-// limit low enough to take the abort path. The digest covers every result's
-// outcome, backtrack count and cube, so any change to the implication
-// order, the D-frontier order or the decision order shows up here.
+// hardest-first order on the three scaled paper circuits, run through one
+// reused Podem (as run_atpg does) with the default limits and with
+// implication limits low enough to take the abort path. At 500 most faults
+// abort within their first few assignments, which pins the number of nodes
+// each implication call counts. The digest covers every result's outcome,
+// backtrack count and cube, so any change to the implication order, the
+// D-frontier order or the decision order shows up here.
 TEST(PodemTest, PaperScaleGolden) {
   struct Golden {
     CircuitProfile profile;
@@ -228,10 +230,15 @@ TEST(PodemTest, PaperScaleGolden) {
   const std::int64_t kDefault = PodemOptions{}.implication_limit;
   const CircuitProfile s38417 = scaled(s38417_profile(), 0.12);
   const CircuitProfile p26909 = scaled(p26909_profile(), 0.12);
+  const CircuitProfile circuit1 = scaled(circuit1_profile(), 0.12);
   for (const Golden& g : {Golden{s38417, kDefault, 156, 113, 18840, 0x384c4cd8a3277ac5ull},
                           Golden{s38417, 3000, 601, 17, 3185, 0x9577a2b572906d42ull},
                           Golden{p26909, kDefault, 95, 101, 14776, 0x84be20976ddfd33full},
-                          Golden{p26909, 3000, 553, 1, 3008, 0xa319ee931935b931ull}}) {
+                          Golden{p26909, 3000, 553, 1, 3008, 0xa319ee931935b931ull},
+                          Golden{circuit1, kDefault, 75, 122, 10924, 0x31ba524e5486d0b8ull},
+                          Golden{s38417, 500, 1377, 1, 122, 0x3200f66226d793b4ull},
+                          Golden{circuit1, 500, 1402, 1, 49, 0x485b691d01d50435ull},
+                          Golden{p26909, 500, 1419, 0, 86, 0xdb283d26d01918cbull}}) {
     auto nl = generate_circuit(lib(), g.profile);
     CombModel model(*nl, SeqView::kCapture);
     const TestabilityResult t = analyze_testability(model);

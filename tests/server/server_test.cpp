@@ -512,6 +512,29 @@ TEST(FlowServerTest, UnscopedThreadsOfTracedJobsRecordNoSpans) {
   }
 }
 
+// A traced SOC job runs its per-core flows on pool threads; each core task
+// scopes the job's sink, so the trace holds every core's stage spans.
+TEST(FlowServerTest, TracedSocJobKeepsPerCoreSpans) {
+  FlowServer server(tiny_base(), {});
+  const std::uint64_t job = submit(
+      server, "{\"tp_percent\": 1.0, \"scale\": 0.02, \"record_trace\": true, "
+              "\"soc\": {\"cores\": 4, \"tam_width\": 8}}");
+  ASSERT_EQ(wait_result(server, job).find("state")->as_string(), "done");
+  const JsonValue result = rpc_result(
+      server, "{\"id\": 8, \"method\": \"trace\", \"params\": {\"job\": " +
+                  std::to_string(job) + "}}");
+  const JsonValue* trace = result.find("trace");
+  ASSERT_NE(trace, nullptr);
+  const std::string serialised = trace->serialise();
+  const std::string needle = "\"name\":\"tpi_scan\"";
+  int tpi_scan_spans = 0;
+  for (std::size_t at = serialised.find(needle); at != std::string::npos;
+       at = serialised.find(needle, at + needle.size())) {
+    ++tpi_scan_spans;
+  }
+  EXPECT_GE(tpi_scan_spans, 4);
+}
+
 // Run ledger: a finished single-core job appends one line whose "flow" is
 // the result RPC payload byte for byte; a job cancelled as it starts
 // appends none. The line's config is the job's config alone: the base
