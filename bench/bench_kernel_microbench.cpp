@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 #include <vector>
 
 #include "atpg/atpg.hpp"
@@ -59,6 +60,23 @@ void BM_GenerateCircuit(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_GenerateCircuit)->Unit(benchmark::kMillisecond);
+
+// Copy and destroy the full-size s38417, circuit1 and p26909 netlists: what
+// each flow cell and server job pays to get its own netlist and free it.
+void BM_NetlistCopy(benchmark::State& state) {
+  static const std::vector<std::unique_ptr<Netlist>> originals = [] {
+    std::vector<std::unique_ptr<Netlist>> v;
+    for (const CircuitProfile& p : paper_profiles()) v.push_back(generate_circuit(lib(), p));
+    return v;
+  }();
+  for (auto _ : state) {
+    for (const auto& nl : originals) {
+      const Netlist copy(*nl);
+      benchmark::DoNotOptimize(copy.num_cells());
+    }
+  }
+}
+BENCHMARK(BM_NetlistCopy)->Unit(benchmark::kMillisecond);
 
 void BM_TestabilityAnalysis(benchmark::State& state) {
   const CombModel model(scan_netlist(), SeqView::kCapture);

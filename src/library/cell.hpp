@@ -1,6 +1,7 @@
 // Standard-cell specifications: logic function, geometry, pins, timing arcs.
 #pragma once
 
+#include <cstddef>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -31,6 +32,11 @@ enum class CellFunc {
 };
 
 bool func_is_sequential(CellFunc f);
+
+/// Most pins a cell may have: the TSFF's six (D, TI, TE, TR, CK, Q). A
+/// netlist stores each cell's pin nets inline in this many slots, and
+/// CellLibrary::add_cell rejects a wider spec.
+inline constexpr std::size_t kMaxCellPins = 6;
 
 enum class PinDir { kInput, kOutput };
 

@@ -1,6 +1,7 @@
 #include "library/library.hpp"
 
 #include <cassert>
+#include <stdexcept>
 
 namespace tpi {
 
@@ -8,6 +9,11 @@ CellLibrary::CellLibrary(std::string name, double site_width_um, double row_heig
     : name_(std::move(name)), site_width_um_(site_width_um), row_height_um_(row_height_um) {}
 
 CellSpec* CellLibrary::add_cell(CellSpec spec, int width_sites) {
+  if (spec.pins.size() > kMaxCellPins) {
+    throw std::invalid_argument("cell " + spec.name + " has " + std::to_string(spec.pins.size()) +
+                                " pins, more than the " + std::to_string(kMaxCellPins) +
+                                " a netlist stores");
+  }
   spec.width_um = width_sites * site_width_um_;
   spec.height_um = row_height_um_;
   // Cache pin roles.

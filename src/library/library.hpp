@@ -29,7 +29,8 @@ class CellLibrary {
   double site_width_um() const { return site_width_um_; }
   double row_height_um() const { return row_height_um_; }
 
-  /// Add a cell; width is given in sites. Returns the stored spec.
+  /// Add a cell; width is given in sites. Returns the stored spec. Throws
+  /// std::invalid_argument when the spec has more than kMaxCellPins pins.
   CellSpec* add_cell(CellSpec spec, int width_sites);
 
   /// Lookup by exact name ("NAND2_X1"); nullptr when absent.

@@ -4,6 +4,7 @@
 #include <cctype>
 #include <fstream>
 #include <sstream>
+#include <unordered_map>
 
 namespace tpi {
 namespace {
@@ -102,21 +103,40 @@ class BenchParser {
     return false;
   }
 
+  // The parser's own name index over the nets it made (first net of a name
+  // wins, like Netlist::find_net), so a parse stays linear in its size.
+  NetId find_net(const std::string& name) const {
+    const auto it = net_ids_.find(name);
+    return it == net_ids_.end() ? kNoNet : it->second;
+  }
+
+  NetId add_net(const std::string& name) {
+    const NetId n = nl_->add_net(name);
+    net_ids_.emplace(name, n);
+    return n;
+  }
+
+  int add_primary_input(const std::string& name) {
+    const int pi = nl_->add_primary_input(name);
+    net_ids_.emplace(name, nl_->pi_net(pi));
+    return pi;
+  }
+
   NetId net_for(const std::string& sig) {
-    const NetId existing = nl_->find_net(sig);
+    const NetId existing = find_net(sig);
     if (existing != kNoNet) return existing;
-    return nl_->add_net(sig);
+    return add_net(sig);
   }
 
   NetId clock_net() {
     if (clock_net_ == kNoNet) {
       // Reuse a declared CLK input (round-tripped netlists carry one).
-      const NetId existing = nl_->find_net("CLK");
+      const NetId existing = find_net("CLK");
       if (existing != kNoNet && nl_->net(existing).driven_by_pi()) {
         nl_->mark_clock(nl_->net(existing).pi_index);
         clock_net_ = existing;
       } else {
-        const int pi = nl_->add_primary_input("CLK");
+        const int pi = add_primary_input("CLK");
         nl_->mark_clock(pi);
         clock_net_ = nl_->pi_net(pi);
       }
@@ -137,7 +157,7 @@ class BenchParser {
         const CellId c = nl_->add_cell(spec, name);
         nl_->connect(c, spec->find_pin("A"), level[i]);
         nl_->connect(c, spec->find_pin("B"), level[i + 1]);
-        const NetId out = nl_->add_net(name + "_y");
+        const NetId out = add_net(name + "_y");
         nl_->connect(c, spec->output_pin, out);
         next.push_back(out);
       }
@@ -256,17 +276,18 @@ class BenchParser {
 
   bool build() {
     for (const auto& name : inputs_) {
-      const int pi = nl_->add_primary_input(name);
+      const int pi = add_primary_input(name);
       (void)pi;
     }
     for (const auto& a : assigns_) {
-      if (nl_->find_net(a.lhs) != kNoNet && nl_->net(nl_->find_net(a.lhs)).driven_by_pi()) {
+      const NetId lhs = find_net(a.lhs);
+      if (lhs != kNoNet && nl_->net(lhs).driven_by_pi()) {
         return set_error(a.line, "signal " + a.lhs + " is both INPUT and assigned");
       }
       if (!emit_gate(a)) return false;
     }
     for (const auto& name : outputs_) {
-      const NetId n = nl_->find_net(name);
+      const NetId n = find_net(name);
       if (n == kNoNet) {
         error_ = "OUTPUT " + name + " is never defined";
         return false;
@@ -281,6 +302,7 @@ class BenchParser {
   std::vector<std::string> inputs_;
   std::vector<std::string> outputs_;
   std::vector<Assignment> assigns_;
+  std::unordered_map<std::string, NetId> net_ids_;
   NetId clock_net_ = kNoNet;
   std::string error_;
 };

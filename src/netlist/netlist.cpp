@@ -44,7 +44,6 @@ bool Netlist::nets_changed_since(std::uint64_t since, std::vector<NetId>& out) c
 NetId Netlist::add_net(std::string net_name) {
   EditScope edit(*this);
   const NetId id = static_cast<NetId>(nets_.size());
-  net_index_.emplace(net_name, id);
   nets_.push_back(Net{std::move(net_name), {}, -1, {}, {}});
   return id;
 }
@@ -53,7 +52,6 @@ CellId Netlist::add_cell(const CellSpec* spec, std::string cell_name) {
   assert(spec != nullptr);
   EditScope edit(*this);
   const CellId id = static_cast<CellId>(cells_.size());
-  cell_index_.emplace(cell_name, id);
   CellInst inst;
   inst.name = std::move(cell_name);
   inst.spec = spec;
@@ -136,7 +134,7 @@ void Netlist::replace_spec(CellId cell_id, const CellSpec* new_spec) {
   EditScope edit(*this);
   CellInst& inst = cell(cell_id);
   const CellSpec* old_spec = inst.spec;
-  std::vector<NetId> old_conn = inst.conn;
+  const PinNets old_conn = inst.conn;
 
   // Detach everything, swap the spec, reattach by pin name.
   for (std::size_t p = 0; p < old_conn.size(); ++p) {
@@ -180,27 +178,23 @@ NetId Netlist::insert_cell_in_net(NetId net_id, CellId new_cell, int in_pin,
 }
 
 CellId Netlist::find_cell(std::string_view cell_name) const {
-  const auto it = cell_index_.find(std::string(cell_name));
-  return it == cell_index_.end() ? kNoCell : it->second;
+  for (std::size_t i = 0; i < cells_.size(); ++i) {
+    if (cells_[i].name == cell_name) return static_cast<CellId>(i);
+  }
+  return kNoCell;
 }
 
 NetId Netlist::find_net(std::string_view net_name) const {
-  const auto it = net_index_.find(std::string(net_name));
-  return it == net_index_.end() ? kNoNet : it->second;
+  for (std::size_t i = 0; i < nets_.size(); ++i) {
+    if (nets_[i].name == net_name) return static_cast<NetId>(i);
+  }
+  return kNoNet;
 }
 
 std::vector<CellId> Netlist::flip_flops() const {
   std::vector<CellId> out;
   for (std::size_t i = 0; i < cells_.size(); ++i) {
     if (cells_[i].spec->sequential) out.push_back(static_cast<CellId>(i));
-  }
-  return out;
-}
-
-std::vector<CellId> Netlist::test_points() const {
-  std::vector<CellId> out;
-  for (std::size_t i = 0; i < cells_.size(); ++i) {
-    if (cells_[i].spec->func == CellFunc::kTsff) out.push_back(static_cast<CellId>(i));
   }
   return out;
 }

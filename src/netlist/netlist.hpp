@@ -7,10 +7,12 @@
 // stitching/reordering scan chains, and adding buffer trees.
 #pragma once
 
+#include <algorithm>
+#include <array>
+#include <cassert>
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "library/library.hpp"
@@ -44,10 +46,48 @@ struct PinRef {
   friend bool operator==(const PinRef&, const PinRef&) = default;
 };
 
+/// A cell's pin nets, one per spec pin (kNoNet = unconnected), held inline
+/// in kMaxCellPins slots so that adding, copying or freeing a cell costs no
+/// heap allocation. Reads like a vector: size(), [], range-for, ==.
+class PinNets {
+ public:
+  using iterator = NetId*;
+  using const_iterator = const NetId*;
+
+  std::size_t size() const { return size_; }
+  NetId& operator[](std::size_t i) {
+    assert(i < size());
+    return nets_[i];
+  }
+  const NetId& operator[](std::size_t i) const {
+    assert(i < size());
+    return nets_[i];
+  }
+  iterator begin() { return nets_.data(); }
+  iterator end() { return nets_.data() + size_; }
+  const_iterator begin() const { return nets_.data(); }
+  const_iterator end() const { return nets_.data() + size_; }
+
+  /// Make it `n` pins, each on `net`.
+  void assign(std::size_t n, NetId net) {
+    assert(n <= kMaxCellPins);
+    nets_.fill(net);
+    size_ = static_cast<std::uint8_t>(n);
+  }
+
+  friend bool operator==(const PinNets& a, const PinNets& b) {
+    return std::equal(a.begin(), a.end(), b.begin(), b.end());
+  }
+
+ private:
+  std::array<NetId, kMaxCellPins> nets_{};
+  std::uint8_t size_ = 0;
+};
+
 struct CellInst {
   std::string name;
   const CellSpec* spec = nullptr;
-  std::vector<NetId> conn;  ///< one entry per spec pin; kNoNet = unconnected
+  PinNets conn;
 
   NetId output_net() const {
     return spec->output_pin >= 0 ? conn[static_cast<std::size_t>(spec->output_pin)] : kNoNet;
@@ -117,13 +157,14 @@ class Netlist {
   const std::string& po_name(int i) const { return po_names_[static_cast<std::size_t>(i)]; }
   NetId po_net(int i) const { return po_nets_[static_cast<std::size_t>(i)]; }
 
+  /// Lowest id with that name, or kNoCell / kNoNet. A linear scan: the
+  /// netlist keeps no name index, so a caller that looks up many names
+  /// (the .bench parser) builds its own.
   CellId find_cell(std::string_view cell_name) const;
   NetId find_net(std::string_view net_name) const;
 
   /// All sequential cells (DFF/SDFF/TSFF), ascending id.
   std::vector<CellId> flip_flops() const;
-  /// Sequential cells whose spec is TSFF.
-  std::vector<CellId> test_points() const;
 
   // ---- statistics ----
   struct Stats {
@@ -187,8 +228,6 @@ class Netlist {
   std::vector<std::string> po_names_;
   std::vector<NetId> po_nets_;
   std::vector<int> clock_pis_;
-  std::unordered_map<std::string, CellId> cell_index_;
-  std::unordered_map<std::string, NetId> net_index_;
 
   // ---- edit journal state ----
   std::uint64_t version_ = 0;

@@ -474,11 +474,6 @@ void FlowServer::wait_until_shutdown() {
   shutdown_cv_.wait(lock, [&] { return shutdown_requested_ || stopping_; });
 }
 
-bool FlowServer::shutdown_requested() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return shutdown_requested_;
-}
-
 void FlowServer::stop() {
   {
     std::lock_guard<std::mutex> lock(mu_);

@@ -108,7 +108,6 @@ class FlowServer {
   void wait_until_shutdown();
   /// Stop the socket front end and drain queued jobs. Idempotent.
   void stop();
-  bool shutdown_requested() const;
 
   const std::string& socket_path() const { return opts_.socket_path; }
   const CellLibrary& library() const { return *lib_; }

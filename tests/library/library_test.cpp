@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 namespace tpi {
@@ -15,6 +18,30 @@ class Phl130Test : public ::testing::Test {
   static const CellLibrary* lib_;
 };
 const CellLibrary* Phl130Test::lib_ = nullptr;
+
+// A netlist holds each cell's pin nets in kMaxCellPins inline slots: the
+// library's widest cell fills them exactly, and a wider spec is refused.
+TEST(LibraryTest, RejectsSpecWiderThanInlinePins) {
+  const auto phl = make_phl130_library();
+  std::size_t widest = 0;
+  for (const auto& c : phl->cells()) widest = std::max(widest, c->pins.size());
+  EXPECT_EQ(widest, kMaxCellPins);
+
+  CellLibrary lib("wide", 0.4, 3.6);
+  CellSpec spec;
+  spec.name = "WIDE";
+  spec.func = CellFunc::kAnd;
+  for (std::size_t i = 0; i < kMaxCellPins; ++i) {
+    spec.pins.push_back(PinSpec{"I" + std::to_string(i), PinDir::kInput, 1.0, false});
+  }
+  spec.pins.push_back(PinSpec{"Y", PinDir::kOutput, 0.0, false});
+  spec.num_inputs = static_cast<int>(kMaxCellPins);
+  EXPECT_THROW(lib.add_cell(spec, 4), std::invalid_argument);
+  EXPECT_TRUE(lib.cells().empty());
+  spec.pins.erase(spec.pins.begin());
+  spec.num_inputs -= 1;
+  EXPECT_NE(lib.add_cell(spec, 4), nullptr);
+}
 
 TEST_F(Phl130Test, BasicGeometry) {
   EXPECT_EQ(lib_->name(), "phl130");

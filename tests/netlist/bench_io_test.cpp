@@ -120,7 +120,7 @@ TEST(BenchIoTest, ScanCellsRoundTripWithExtendedDialect) {
   EXPECT_NE(text.find("TSFF("), std::string::npos);
   const BenchReadResult back = read_bench_string(text, lib(), "t");
   ASSERT_TRUE(back.ok()) << back.error;
-  EXPECT_EQ(back.netlist->test_points().size(), 1u);
+  EXPECT_EQ(back.netlist->stats().test_points, 1u);
 }
 
 // A DfT-modified netlist (TSFF test points, scan cells, stitched chains)
@@ -148,7 +148,7 @@ TEST(BenchIoTest, DftNetlistRoundTripsAndStaysEquivalent) {
   const Netlist& rt = *back.netlist;
   EXPECT_TRUE(rt.validate().empty()) << rt.validate();
   EXPECT_EQ(rt.flip_flops().size(), nl->flip_flops().size());
-  EXPECT_EQ(rt.test_points().size(), nl->test_points().size());
+  EXPECT_EQ(rt.stats().test_points, nl->stats().test_points);
   EXPECT_EQ(rt.num_pos(), nl->num_pos());
   EXPECT_EQ(rt.stats().combinational, nl->stats().combinational);
 
@@ -162,6 +162,46 @@ TEST(BenchIoTest, DftNetlistRoundTripsAndStaysEquivalent) {
   const EquivResult res = EquivChecker(*m.netlist).check();
   EXPECT_TRUE(res.equivalent) << "round-trip changed behaviour: cex from "
                               << res.cex.source << " at frame " << res.cex.fail_frame;
+}
+
+// A generated paper circuit keeps every cell, every pin's net and every
+// port through write -> parse. The parser resolves names through its own
+// index, so a wrong lookup there shows up as a pin on the wrong net.
+TEST(BenchIoTest, PaperCircuitRoundTripsPinForPin) {
+  const auto nl = generate_circuit(lib(), scaled(s38417_profile(), 0.1));
+  const BenchReadResult back = read_bench_string(write_bench_string(*nl), lib(), "roundtrip");
+  ASSERT_TRUE(back.ok()) << back.error;
+  const Netlist& rt = *back.netlist;
+  EXPECT_TRUE(rt.validate().empty()) << rt.validate();
+
+  ASSERT_EQ(rt.num_cells(), nl->num_cells());
+  for (std::size_t c = 0; c < nl->num_cells(); ++c) {
+    const CellInst& a = nl->cell(static_cast<CellId>(c));
+    const CellInst& b = rt.cell(static_cast<CellId>(c));
+    ASSERT_EQ(a.spec, b.spec) << "cell " << c;
+    for (std::size_t p = 0; p < a.conn.size(); ++p) {
+      // The format carries no clock pins: the reader wires every flop to
+      // its own "CLK" input.
+      if (a.spec->pins[p].is_clock) continue;
+      ASSERT_EQ(a.conn[p] == kNoNet, b.conn[p] == kNoNet) << a.name << " pin " << p;
+      if (a.conn[p] == kNoNet) continue;
+      EXPECT_EQ(nl->net(a.conn[p]).name, rt.net(b.conn[p]).name) << a.name << " pin " << p;
+    }
+  }
+
+  // Every input keeps its name and place; the synthesised clock comes last.
+  ASSERT_EQ(rt.num_pis(), nl->num_pis() + 1);
+  for (std::size_t i = 0; i < nl->num_pis(); ++i) {
+    EXPECT_EQ(rt.pi_name(static_cast<int>(i)), nl->pi_name(static_cast<int>(i)));
+  }
+  EXPECT_EQ(rt.pi_name(static_cast<int>(nl->num_pis())), "CLK");
+  // OUTPUT() names the net that feeds the port.
+  ASSERT_EQ(rt.num_pos(), nl->num_pos());
+  for (std::size_t i = 0; i < nl->num_pos(); ++i) {
+    const int po = static_cast<int>(i);
+    EXPECT_EQ(rt.po_name(po), nl->net(nl->po_net(po)).name);
+    EXPECT_EQ(rt.net(rt.po_net(po)).name, nl->net(nl->po_net(po)).name);
+  }
 }
 
 TEST(BenchIoTest, CommentsAndBlankLinesIgnored) {

@@ -106,10 +106,10 @@ TEST(NetlistTest, ClockMarking) {
 TEST(NetlistTest, FlipFlopAndTestPointQueries) {
   auto nl = test::make_shift_register();
   EXPECT_EQ(nl->flip_flops().size(), 2u);
-  EXPECT_TRUE(nl->test_points().empty());
+  EXPECT_EQ(nl->stats().test_points, 0u);
   const CellId f0 = nl->find_cell("f0");
   nl->replace_spec(f0, lib().by_name("TSFF_X1"));
-  EXPECT_EQ(nl->test_points().size(), 1u);
+  EXPECT_EQ(nl->stats().test_points, 1u);
   EXPECT_EQ(nl->flip_flops().size(), 2u);
 }
 
@@ -120,6 +120,22 @@ TEST(NetlistTest, StatsAggregates) {
   EXPECT_EQ(s.flip_flops, 2u);
   EXPECT_EQ(s.combinational, 1u);
   EXPECT_GT(s.cell_area_um2, 0.0);
+}
+
+// Names need not be unique; a lookup returns the lowest id with the name.
+TEST(NetlistTest, FindReturnsLowestIdOfSharedName) {
+  Netlist nl(&lib());
+  const CellSpec* buf = lib().gate(CellFunc::kBuf, 1);
+  const NetId first_net = nl.add_net("n");
+  nl.add_net("m");
+  nl.add_net("n");
+  const CellId first_cell = nl.add_cell(buf, "u");
+  nl.add_cell(buf, "v");
+  nl.add_cell(buf, "u");
+  EXPECT_EQ(nl.find_net("n"), first_net);
+  EXPECT_EQ(nl.find_cell("u"), first_cell);
+  EXPECT_EQ(nl.find_net("m"), 1);
+  EXPECT_EQ(nl.find_cell("v"), 1);
 }
 
 TEST(NetlistTest, FindMissingReturnsSentinels) {

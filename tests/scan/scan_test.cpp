@@ -43,9 +43,10 @@ TEST(ScanInsertTest, TsffsRehomedToSharedEnable) {
   TpiOptions tpi;
   tpi.num_test_points = 3;
   DesignDB db(*nl);
-  insert_test_points(db, tpi);
+  const TpiReport tpi_report = insert_test_points(db, tpi);
   const ScanInsertReport report = insert_scan(*nl);
-  for (const CellId tp : nl->test_points()) {
+  ASSERT_EQ(tpi_report.test_points.size(), 3u);
+  for (const CellId tp : tpi_report.test_points) {
     const CellInst& inst = nl->cell(tp);
     EXPECT_EQ(inst.conn[static_cast<std::size_t>(inst.spec->te_pin)],
               report.scan_enable_net);

@@ -700,7 +700,11 @@ TEST(FlowServerTest, SocketRoundTrip) {
 
   ASSERT_TRUE(client.rpc("shutdown", "", &response, &error)) << error;
   EXPECT_TRUE(parse_response(response).find("result")->find("ok")->as_bool());
-  EXPECT_TRUE(server.shutdown_requested());
+  // Once shut down, the server takes no more jobs.
+  const JsonValue refused = parse_response(server.handle_request(
+      "{\"id\": 9, \"method\": \"submit\", \"params\": {\"tp_percent\": 2.0}}"));
+  ASSERT_NE(refused.find("error"), nullptr);
+  EXPECT_EQ(refused.find("error")->as_string(), "server is shutting down");
   client.close();
   server.stop();
 }

@@ -184,6 +184,35 @@ TEST(SocSweepTest, CellsBitIdenticalAcrossJobCountsWithLedger) {
   std::remove(ledger_path.c_str());
 }
 
+// A traced sweep cell hands its cores to the sweep's pool; each core task
+// scopes the cell's sink, so the cell's trace file holds every core's
+// stage spans.
+TEST(SocSweepTest, TracedCellKeepsPerCoreSpans) {
+  SweepOptions opts;
+  opts.jobs = 2;
+  opts.progress = false;
+  opts.trace_dir = ::testing::TempDir() + "tpi_soc_core_traces";
+  const auto jobs = SocSweepRunner::grid({4}, {8}, {1.0}, tiny_soc(4, 8));
+  ASSERT_EQ(jobs.size(), 1u);
+  const SocSweepReport report = SocSweepRunner(opts).run(lib(), jobs);
+  ASSERT_EQ(report.cells.size(), 1u);
+
+  const std::string path =
+      opts.trace_dir + "/" + sanitize_trace_label(jobs[0].label) + ".trace.json";
+  const JsonParseResult trace = json_parse(test::read_text_file(path));
+  ASSERT_TRUE(trace.ok) << path << ": " << trace.error;
+  const std::string serialised = trace.value.serialise();
+  const std::string needle = "\"name\":\"tpi_scan\"";
+  int tpi_scan_spans = 0;
+  for (std::size_t at = serialised.find(needle); at != std::string::npos;
+       at = serialised.find(needle, at + needle.size())) {
+    ++tpi_scan_spans;
+  }
+  EXPECT_GE(tpi_scan_spans, 4);
+  std::remove(path.c_str());
+  ::rmdir(opts.trace_dir.c_str());
+}
+
 // A caller-set label is escaped in the report JSON, as SweepReport does.
 TEST(SocSweepTest, ReportJsonEscapesLabels) {
   SocSweepReport report;

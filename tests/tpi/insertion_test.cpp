@@ -25,7 +25,7 @@ TEST(TpiInsertionTest, InsertsRequestedCount) {
   DesignDB db(*nl);
   const TpiReport report = insert_test_points(db, opts);
   EXPECT_EQ(report.test_points.size(), 5u);
-  EXPECT_EQ(nl->test_points().size(), 5u);
+  EXPECT_EQ(nl->stats().test_points, 5u);
   EXPECT_TRUE(nl->validate().empty()) << nl->validate();
 }
 
