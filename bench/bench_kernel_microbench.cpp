@@ -108,6 +108,40 @@ void BM_TpiRankRound(benchmark::State& state) {
 }
 BENCHMARK(BM_TpiRankRound)->Unit(benchmark::kMillisecond);
 
+// Collapsed fault list of the full-size scanned s38417: what every ATPG
+// run and LBIST session pays before grading. Arg 0 = stuck-at, 1 =
+// transition (buffer/inverter folds only, so more representatives).
+void BM_BuildFaultList(benchmark::State& state) {
+  static const std::unique_ptr<Netlist> nl = [] {
+    auto n = generate_circuit(lib(), s38417_profile());
+    insert_scan(*n);
+    return n;
+  }();
+  const CombModel model(*nl, SeqView::kCapture);
+  const FaultModel fm = state.range(0) == 0 ? FaultModel::kStuckAt : FaultModel::kTransition;
+  std::size_t faults = 0;
+  for (auto _ : state) {
+    const FaultList fl = build_fault_list(model, fm);
+    faults = fl.faults.size();
+    benchmark::DoNotOptimize(fl.faults.data());
+  }
+  state.counters["faults"] = static_cast<double>(faults);
+}
+BENCHMARK(BM_BuildFaultList)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+
+// PRPG draws of an LBIST session: 4096 64-pattern words per iteration
+// from the default degree-32 register.
+void BM_LfsrWords(benchmark::State& state) {
+  Lfsr lfsr(32);
+  for (auto _ : state) {
+    Word acc = 0;
+    for (int i = 0; i < 4096; ++i) acc ^= lfsr.next_word();
+    benchmark::DoNotOptimize(acc);
+  }
+  state.SetItemsProcessed(state.iterations() * 4096);
+}
+BENCHMARK(BM_LfsrWords)->Unit(benchmark::kMicrosecond);
+
 void BM_GoodSimulationBatch(benchmark::State& state) {
   const CombModel model(scan_netlist(), SeqView::kCapture);
   ParallelSim sim(model);
@@ -126,6 +160,9 @@ void BM_FaultSimulationBatch(benchmark::State& state) {
   const CombModel model(scan_netlist(), SeqView::kCapture);
   FaultSimBank bank(model);
   FaultList fl = build_fault_list(model);
+  std::vector<Fault*> all;
+  for (Fault& f : fl.faults) all.push_back(&f);
+  const std::vector<FaultTask> all_tasks = resolve_fault_tasks(model, all);
   Rng rng(2);
   std::vector<Word> words(model.input_nets().size());
   for (auto& w : words) w = rng.next_u64();
@@ -133,13 +170,15 @@ void BM_FaultSimulationBatch(benchmark::State& state) {
   // Grade a rotating window of 256 faults per iteration.
   std::size_t cursor = 0;
   std::vector<Fault*> window(256);
+  std::vector<FaultTask> tasks(256);
   std::vector<Word> detect;
   for (auto _ : state) {
-    for (Fault*& f : window) {
-      f = &fl.faults[cursor];
-      cursor = (cursor + 1) % fl.faults.size();
+    for (std::size_t i = 0; i < window.size(); ++i) {
+      window[i] = all[cursor];
+      tasks[i] = all_tasks[cursor];
+      cursor = (cursor + 1) % all.size();
     }
-    bank.grade(window, detect);
+    bank.grade(window, tasks, detect);
     benchmark::DoNotOptimize(detect.data());
     benchmark::ClobberMemory();
   }
@@ -191,6 +230,7 @@ void BM_FaultGradeLive(benchmark::State& state) {
   for (Fault& f : fl.faults) {
     if (f.status != FaultStatus::kScanTested) live.push_back(&f);
   }
+  const std::vector<FaultTask> tasks = resolve_fault_tasks(model, live);
   Rng rng(2);
   std::vector<Word> words(model.input_nets().size() *
                           static_cast<std::size_t>(kMaxLaneWords));
@@ -198,7 +238,7 @@ void BM_FaultGradeLive(benchmark::State& state) {
   for (auto _ : state) {
     for (auto& w : words) w = rng.next_u64();
     bank.load_batch(words);
-    bank.grade(live, detect);
+    bank.grade(live, tasks, detect);
     benchmark::DoNotOptimize(detect.data());
   }
   state.SetItemsProcessed(state.iterations() * kMaxLaneWords *

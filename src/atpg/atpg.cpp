@@ -38,16 +38,19 @@ void pack_batch(const std::vector<TestPattern>& batch, std::size_t count, std::s
 
 // Live = could still be detected by a pattern: everything but kDetected and
 // kScanTested (kRedundant/kAborted stay eligible — simulation evidence of
-// detection overrides them). Built once per phase and maintained
-// incrementally by drop_first_detected instead of rescanning the whole
-// fault list every batch.
-void rebuild_live(FaultList& list, std::vector<Fault*>& live) {
+// detection overrides them). Built, with each live fault's resolved task,
+// once for the random and PODEM phases and once for static compaction, and
+// maintained incrementally by drop_first_detected instead of rescanning
+// the whole fault list every batch.
+void rebuild_live(const CombModel& model, FaultList& list, std::vector<Fault*>& live,
+                  std::vector<FaultTask>& tasks) {
   live.clear();
   for (Fault& f : list.faults) {
     if (f.status != FaultStatus::kDetected && f.status != FaultStatus::kScanTested) {
       live.push_back(&f);
     }
   }
+  tasks = resolve_fault_tasks(model, live);
 }
 
 }  // namespace
@@ -96,7 +99,8 @@ AtpgResult run_atpg(const CombModel& model, const TestabilityResult& testability
   std::vector<int> first;  ///< first detecting pattern per live fault
   std::vector<Fault*> live;
   live.reserve(res.faults.faults.size());
-  rebuild_live(res.faults, live);
+  std::vector<FaultTask> tasks;  ///< live[i] resolved, kept aligned with it
+  rebuild_live(model, res.faults, live, tasks);
 
   // Pack batch[0..count) into `nw` lane words, load them into the bank
   // and write each live fault's first detecting pattern into `first`.
@@ -104,7 +108,7 @@ AtpgResult run_atpg(const CombModel& model, const TestabilityResult& testability
     pack_batch(batch, count, num_inputs, nw, words);
     bank.configure_lanes(nw);
     load_bank(words);
-    bank.first_detections(live, count, first);
+    bank.first_detections(live, tasks, count, first);
   };
 
   // ---- phase 1: pseudo-random warm-up ----
@@ -147,7 +151,7 @@ AtpgResult run_atpg(const CombModel& model, const TestabilityResult& testability
       }
 
       const std::size_t applied_patterns = static_cast<std::size_t>(applied) * kWordBits;
-      drop_first_detected(live, first, applied_patterns);
+      drop_first_detected(live, tasks, first, applied_patterns);
       for (std::size_t k = 0; k < applied_patterns; ++k) res.patterns.push_back(batch[k]);
       sim_batches += static_cast<std::uint64_t>(applied);
       b += applied;
@@ -211,7 +215,7 @@ AtpgResult run_atpg(const CombModel& model, const TestabilityResult& testability
       }
       if (batch_n == 0) continue;
       grade_batch(batch_n, /*nw=*/1);
-      drop_first_detected(live, first, batch_n);
+      drop_first_detected(live, tasks, first, batch_n);
       ++sim_batches;
       for (std::size_t k = 0; k < batch_n; ++k) res.patterns.push_back(batch[k]);
     }
@@ -224,7 +228,7 @@ AtpgResult run_atpg(const CombModel& model, const TestabilityResult& testability
     for (Fault& f : res.faults.faults) {
       if (f.status == FaultStatus::kDetected) f.status = FaultStatus::kUndetected;
     }
-    rebuild_live(res.faults, live);
+    rebuild_live(model, res.faults, live, tasks);
     std::vector<char> keep(res.patterns.size(), 0);
     const std::size_t n = res.patterns.size();
     std::size_t processed = 0;
@@ -246,7 +250,7 @@ AtpgResult run_atpg(const CombModel& model, const TestabilityResult& testability
       for (const int k : first) {
         if (k >= 0) keep[last - static_cast<std::size_t>(k)] = 1;
       }
-      drop_first_detected(live, first, count);
+      drop_first_detected(live, tasks, first, count);
       processed += count;
     }
     std::vector<TestPattern> kept;

@@ -1,6 +1,6 @@
 #include "atpg/fault.hpp"
 
-#include <unordered_map>
+#include <cassert>
 
 namespace tpi {
 namespace {
@@ -12,24 +12,6 @@ bool is_scan_pin(const Netlist& nl, const PinRef& ref) {
   if (spec->pins[static_cast<std::size_t>(ref.pin)].is_clock) return true;
   return ref.pin == spec->ti_pin || ref.pin == spec->te_pin || ref.pin == spec->tr_pin;
 }
-
-struct Key {
-  NetId net;
-  int sink;  // -1 = stem, else index into net.sinks
-  bool stuck1;
-  bool operator==(const Key&) const = default;
-};
-
-struct KeyHash {
-  std::size_t operator()(const Key& k) const {
-    return (static_cast<std::size_t>(k.net) * 2654435761u) ^
-           (static_cast<std::size_t>(k.sink + 1) << 1) ^ static_cast<std::size_t>(k.stuck1);
-  }
-};
-
-}  // namespace
-
-namespace {
 
 // Transitive closure of "feeds only scan/clock infrastructure": a net whose
 // every load is a scan pin, or the input of a buffer/inverter whose output
@@ -102,8 +84,10 @@ FaultList build_fault_list(const CombModel& model, FaultModel fault_model) {
 
   // Representatives: stem faults per driven net; branch faults per sink pin
   // of multi-fanout nets. equiv_count starts with the pins each represents.
+  // A net's faults are contiguous from its stem SA0 entry, stem_at[net]:
+  // the stem at +0 (SA0) and +1 (SA1), branch s at +2+2s and +3+2s.
   std::vector<Fault> faults;
-  std::unordered_map<Key, int, KeyHash> index;
+  std::vector<int> stem_at(nl.num_nets(), -1);  // -1 = undriven, no faults
   auto add_fault = [&](NetId net, int sink, bool stuck1, int equiv, bool scan_tested) {
     Fault f;
     f.net = net;
@@ -112,7 +96,6 @@ FaultList build_fault_list(const CombModel& model, FaultModel fault_model) {
     f.model = fault_model;
     f.equiv_count = equiv;
     if (scan_tested) f.status = FaultStatus::kScanTested;
-    index.emplace(Key{net, sink, stuck1}, static_cast<int>(faults.size()));
     faults.push_back(f);
   };
 
@@ -137,6 +120,7 @@ FaultList build_fault_list(const CombModel& model, FaultModel fault_model) {
       for (const PinRef& s : net.sinks) all_scan = all_scan && is_scan_pin(nl, s);
       stem_scan = stem_scan || all_scan;
     }
+    stem_at[ni] = static_cast<int>(faults.size());
     add_fault(net_id, -1, false, stem_equiv, stem_scan);
     add_fault(net_id, -1, true, stem_equiv, stem_scan);
     if (multi) {
@@ -150,9 +134,14 @@ FaultList build_fault_list(const CombModel& model, FaultModel fault_model) {
 
   // Gate-level equivalence collapsing, forward in topo order so chains of
   // folds accumulate into the furthest-downstream representative.
+  // `sink` >= 0 only on multi-fanout nets (input_key), which hold every
+  // sink's branch pair.
   auto find = [&](NetId net, int sink, bool stuck1) -> Fault* {
-    const auto it = index.find(Key{net, sink, stuck1});
-    return it == index.end() ? nullptr : &faults[static_cast<std::size_t>(it->second)];
+    const int stem = stem_at[static_cast<std::size_t>(net)];
+    if (stem < 0) return nullptr;
+    const std::size_t at = static_cast<std::size_t>(stem + (sink < 0 ? 0 : 2 + 2 * sink) + stuck1);
+    assert(at < faults.size() && faults[at].net == net && faults[at].stuck1 == stuck1);
+    return &faults[at];
   };
   auto fold = [&](NetId in_net, int in_sink, bool in_stuck1, NetId out_net, bool out_stuck1) {
     Fault* src = find(in_net, in_sink, in_stuck1);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cassert>
 #include <future>
 
 #include "util/thread_pool.hpp"
@@ -33,36 +34,33 @@ int first_detection(const Word* d, std::size_t patterns) {
 }  // namespace
 
 // One worker's private grading state: the faulty-value scratch the
-// kernels propagate through, the resolved tasks, a detect buffer for
-// first_detections' chunks and the counters.
+// kernels propagate through, a detect buffer for first_detections' chunks
+// and the counters.
 struct FaultSimBank::Worker {
   FaultScratch scratch;
-  std::vector<FaultTask> tasks;  ///< reused per grade() call
-  std::vector<Word> chunk;       ///< kFirstChunk faults' detect words
+  std::vector<Word> chunk;  ///< kFirstChunk faults' detect words
   FaultSimStats stats;
 
   // Write first[i] for faults[lo, hi): grade the range kFirstChunk faults
   // at a time into `chunk` and keep only each fault's first detection.
-  void first_detections(const FaultSimBank& bank, Fault* const* faults, std::size_t lo,
-                        std::size_t hi, std::size_t patterns, int* first) {
+  void first_detections(const FaultSimBank& bank, Fault* const* faults, const FaultTask* tasks,
+                        std::size_t lo, std::size_t hi, std::size_t patterns, int* first) {
     const std::size_t nw = static_cast<std::size_t>(bank.lane_words());
     chunk.resize(kFirstChunk * nw);
     for (std::size_t c = lo; c < hi; c += kFirstChunk) {
       const std::size_t count = std::min(kFirstChunk, hi - c);
-      grade(bank, faults + c, count, chunk.data());
+      grade(bank, faults + c, tasks + c, count, chunk.data());
       for (std::size_t i = 0; i < count; ++i) {
         first[c + i] = first_detection(chunk.data() + i * nw, patterns);
       }
     }
   }
 
-  // Grade `count` faults against the bank's good state:
-  // detect[i*lane_words() + j] is fault i's lane word j.
-  void grade(const FaultSimBank& bank, Fault* const* faults, std::size_t count, Word* detect) {
-    tasks.resize(count);
-    const CombModel& model = *bank.model_;
-    for (std::size_t i = 0; i < count; ++i) tasks[i] = resolve_fault_task(model, *faults[i]);
-    sim_kernels().grade(model, scratch, bank.good_.values().data(), tasks.data(), count, detect,
+  // Grade `count` faults, resolved as `tasks`, against the bank's good
+  // state: detect[i*lane_words() + j] is fault i's lane word j.
+  void grade(const FaultSimBank& bank, Fault* const* faults, const FaultTask* tasks,
+             std::size_t count, Word* detect) {
+    sim_kernels().grade(*bank.model_, scratch, bank.good_.values().data(), tasks, count, detect,
                         stats);
     const std::size_t nw = static_cast<std::size_t>(bank.lane_words());
     for (std::size_t i = 0; i < count; ++i) {
@@ -102,6 +100,14 @@ FaultTask resolve_fault_task(const CombModel& model, const Fault& fault) {
     task.dead_branch = true;
   }
   return task;
+}
+
+std::vector<FaultTask> resolve_fault_tasks(const CombModel& model,
+                                           const std::vector<Fault*>& faults) {
+  std::vector<FaultTask> tasks;
+  tasks.reserve(faults.size());
+  for (const Fault* f : faults) tasks.push_back(resolve_fault_task(model, *f));
+  return tasks;
 }
 
 FaultSimBank::FaultSimBank(const CombModel& model, int jobs) : model_(&model), good_(model) {
@@ -172,21 +178,25 @@ void FaultSimBank::for_each_range(std::size_t n, const Body& body) {
   for (auto& f : done) f.get();
 }
 
-void FaultSimBank::grade(const std::vector<Fault*>& faults, std::vector<Word>& detect) {
+void FaultSimBank::grade(const std::vector<Fault*>& faults, const std::vector<FaultTask>& tasks,
+                         std::vector<Word>& detect) {
+  assert(tasks.size() == faults.size());
   const std::size_t nw = static_cast<std::size_t>(lane_words());
   detect.resize(faults.size() * nw);
   for_each_range(faults.size(), [&](Worker& w, std::size_t lo, std::size_t hi) {
-    w.grade(*this, faults.data() + lo, hi - lo, detect.data() + lo * nw);
+    w.grade(*this, faults.data() + lo, tasks.data() + lo, hi - lo, detect.data() + lo * nw);
   });
 }
 
-void FaultSimBank::first_detections(const std::vector<Fault*>& live, std::size_t patterns,
+void FaultSimBank::first_detections(const std::vector<Fault*>& live,
+                                    const std::vector<FaultTask>& tasks, std::size_t patterns,
                                     std::vector<int>& first) {
+  assert(tasks.size() == live.size());
   const std::size_t nw = static_cast<std::size_t>(lane_words());
   patterns = std::min(patterns, nw * kWordBits);  // the batch holds no more
   first.resize(live.size());  // every entry is written by its range's worker
   for_each_range(live.size(), [&](Worker& w, std::size_t lo, std::size_t hi) {
-    w.first_detections(*this, live.data(), lo, hi, patterns, first.data());
+    w.first_detections(*this, live.data(), tasks.data(), lo, hi, patterns, first.data());
   });
 }
 
@@ -199,17 +209,20 @@ FaultSimStats FaultSimBank::take_stats() {
   return total;
 }
 
-void drop_first_detected(std::vector<Fault*>& live, const std::vector<int>& first,
-                         std::size_t limit) {
+void drop_first_detected(std::vector<Fault*>& live, std::vector<FaultTask>& tasks,
+                         const std::vector<int>& first, std::size_t limit) {
+  assert(tasks.size() == live.size());
   std::size_t w = 0;
   for (std::size_t i = 0; i < live.size(); ++i) {
     if (first[i] >= 0 && static_cast<std::size_t>(first[i]) < limit) {
       live[i]->status = FaultStatus::kDetected;
     } else {
-      live[w++] = live[i];
+      live[w] = live[i];
+      tasks[w++] = tasks[i];
     }
   }
   live.resize(w);
+  tasks.resize(w);
 }
 
 }  // namespace tpi

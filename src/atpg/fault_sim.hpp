@@ -9,7 +9,9 @@
 // Combined with fault dropping this is the workhorse of compact ATPG and
 // LBIST: every batch of patterns is graded against all remaining faults
 // through FaultSimBank::first_detections, and drop_first_detected removes
-// each fault at its first detecting pattern.
+// each fault at its first detecting pattern. Callers resolve each live
+// fault's FaultTask once (resolve_fault_tasks) and keep the tasks aligned
+// with the live list; grading never resolves a fault itself.
 //
 // The hot loops live in the dispatched SIMD kernels (sim/kernels.hpp): a
 // batch is lane_words() x 64 patterns wide, and each net visit grades all
@@ -50,6 +52,9 @@ class ThreadPool;
 /// the branch's logic reader, or classify it as a direct FF-D capture or a
 /// dead branch. Shared by fault simulation and pattern replay.
 FaultTask resolve_fault_task(const CombModel& model, const Fault& fault);
+/// resolve_fault_task of every fault, in order.
+std::vector<FaultTask> resolve_fault_tasks(const CombModel& model,
+                                           const std::vector<Fault*>& faults);
 
 /// Deterministic parallel fault grading: the live fault list is split into
 /// one contiguous chunk per worker (chunk boundaries depend only on the
@@ -68,6 +73,8 @@ class FaultSimBank {
   FaultSimBank& operator=(const FaultSimBank&) = delete;
 
   int jobs() const { return static_cast<int>(workers_.size()); }
+  /// The model every fault task must be resolved against.
+  const CombModel& model() const { return *model_; }
 
   /// Words per net in the current batch layout (1..kMaxLaneWords).
   int lane_words() const { return good_.lane_words(); }
@@ -91,18 +98,21 @@ class FaultSimBank {
   /// load_batch_loc).
   const ParallelSim& good() const { return good_; }
 
-  /// Grade every fault: detect[i*lane_words() + j] is fault i's lane word
-  /// j, bit k set iff pattern j*64+k shows an observable difference at a
-  /// PO or pseudo-PO.
-  void grade(const std::vector<Fault*>& faults, std::vector<Word>& detect);
+  /// Grade every fault, tasks[i] being faults[i] resolved against the
+  /// bank's model: detect[i*lane_words() + j] is fault i's lane word j,
+  /// bit k set iff pattern j*64+k shows an observable difference at a PO
+  /// or pseudo-PO.
+  void grade(const std::vector<Fault*>& faults, const std::vector<FaultTask>& tasks,
+             std::vector<Word>& detect);
 
-  /// Grade `live` and write first[i] = index of the first pattern among the
-  /// batch's first `patterns` that detects live[i], or -1. Lanes at or past
-  /// `patterns` (the all-zero fill of a partial batch) never count. Each
-  /// worker streams its range through a fixed-size chunk of detect words,
-  /// so no live-list-sized detect buffer is ever held.
-  void first_detections(const std::vector<Fault*>& live, std::size_t patterns,
-                        std::vector<int>& first);
+  /// Grade `live` (tasks[i] resolving live[i]) and write first[i] = index
+  /// of the first pattern among the batch's first `patterns` that detects
+  /// live[i], or -1. Lanes at or past `patterns` (the all-zero fill of a
+  /// partial batch) never count. Each worker streams its range through a
+  /// fixed-size chunk of detect words, so no live-list-sized detect buffer
+  /// is ever held.
+  void first_detections(const std::vector<Fault*>& live, const std::vector<FaultTask>& tasks,
+                        std::size_t patterns, std::vector<int>& first);
 
   /// Summed per-worker counters since the last call; resets the workers.
   FaultSimStats take_stats();
@@ -124,11 +134,11 @@ class FaultSimBank {
   std::unique_ptr<ThreadPool> pool_;  ///< null when jobs() == 1
 };
 
-/// Mark kDetected and remove from `live` (order kept) every fault whose
-/// first detection first[i] lies in [0, limit). Faults in other live
-/// states (kRedundant, kAborted) are dropped too: simulation evidence
-/// overrides them.
-void drop_first_detected(std::vector<Fault*>& live, const std::vector<int>& first,
-                         std::size_t limit);
+/// Mark kDetected and remove from `live` and its aligned `tasks` (order
+/// kept) every fault whose first detection first[i] lies in [0, limit).
+/// Faults in other live states (kRedundant, kAborted) are dropped too:
+/// simulation evidence overrides them.
+void drop_first_detected(std::vector<Fault*>& live, std::vector<FaultTask>& tasks,
+                         const std::vector<int>& first, std::size_t limit);
 
 }  // namespace tpi

@@ -1,5 +1,7 @@
 #include "bist/lbist.hpp"
 
+#include <array>
+#include <bit>
 #include <stdexcept>
 #include <string>
 
@@ -26,30 +28,81 @@ std::uint64_t Lfsr::primitive_polynomial(int degree) {
   }
 }
 
+namespace {
+
+// One Galois step: shift right and, when the shifted-out bit was set, XOR
+// in the feedback polynomial (-(s & 1) is all ones exactly then).
+std::uint64_t galois_step(std::uint64_t s, std::uint64_t fb) { return (s >> 1) ^ (-(s & 1) & fb); }
+
+// The 64-step jump tables of one degree: entry [b][v] is the jump of the
+// start state v << 8b. They are filled from the jumps of the `degree`
+// basis states 1 << i, each run through 64 steps of step()'s recurrence; an
+// entry is then the XOR of the basis jumps of its set bits (the step is
+// linear over GF(2)), so every table lookup reproduces the bit-serial
+// register exactly. Every degree divides into whole bytes.
+std::vector<Lfsr::Jump> build_jump_tables(int degree) {
+  const std::uint64_t fb = Lfsr::primitive_polynomial(degree);
+  std::vector<Lfsr::Jump> basis(static_cast<std::size_t>(degree));
+  for (int i = 0; i < degree; ++i) {
+    Lfsr::Jump& j = basis[static_cast<std::size_t>(i)];
+    std::uint64_t s = std::uint64_t{1} << i;
+    for (int k = 0; k < kWordBits; ++k) {
+      s = galois_step(s, fb);
+      j.word |= (s & 1) << k;
+    }
+    j.state = s;
+  }
+  std::vector<Lfsr::Jump> tables(static_cast<std::size_t>(degree / 8) * 256);
+  for (std::size_t b = 0; b < tables.size() / 256; ++b) {
+    Lfsr::Jump* t = tables.data() + b * 256;
+    for (unsigned v = 1; v < 256; ++v) {
+      // v's jump = (v without its lowest bit)'s jump ^ the lowest bit's.
+      const Lfsr::Jump& rest = t[v & (v - 1)];
+      const Lfsr::Jump& low = basis[b * 8 + static_cast<std::size_t>(std::countr_zero(v))];
+      t[v] = {rest.word ^ low.word, rest.state ^ low.state};
+    }
+  }
+  return tables;
+}
+
+const Lfsr::Jump* jump_tables(int degree) {
+  // One set per supported degree, built on first use (thread-safe static
+  // initialisation); 8, 16, 24, 32, 48 and 64 map to slots 0..7. A set is
+  // degree/8 x 256 x 16 bytes: 16 KB at the LBIST default of 32, 32 KB at 64.
+  static const std::array<std::vector<Lfsr::Jump>, 8> all = [] {
+    std::array<std::vector<Lfsr::Jump>, 8> t;
+    for (const int d : {8, 16, 24, 32, 48, 64}) {
+      t[static_cast<std::size_t>(d / 8 - 1)] = build_jump_tables(d);
+    }
+    return t;
+  }();
+  return all[static_cast<std::size_t>(degree / 8 - 1)].data();
+}
+
+}  // namespace
+
 Lfsr::Lfsr(int degree, std::uint64_t seed)
-    : degree_(degree), poly_(primitive_polynomial(degree)) {
+    : degree_(degree), poly_(primitive_polynomial(degree)), jump_(jump_tables(degree)) {
   mask_ = degree == 64 ? ~std::uint64_t{0} : ((std::uint64_t{1} << degree) - 1);
   state_ = (seed & mask_) != 0 ? (seed & mask_) : 1;  // never all-zero
 }
 
 std::uint64_t Lfsr::step() {
-  const bool lsb = (state_ & 1u) != 0;
-  state_ >>= 1;
-  if (lsb) state_ ^= poly_ & mask_;
+  state_ = galois_step(state_, poly_);
   return state_;
 }
 
 Word Lfsr::next_word() {
-  // 64 steps of step() on a local copy, the feedback applied branch-free:
-  // -(s & 1) is all ones exactly when the shifted-out bit was set.
-  const std::uint64_t fb = poly_ & mask_;
-  std::uint64_t s = state_;
   Word w = 0;
-  for (int k = 0; k < kWordBits; ++k) {
-    s = (s >> 1) ^ (-(s & 1) & fb);
-    w |= (s & 1) << k;
+  std::uint64_t next = 0;
+  std::uint64_t s = state_;
+  const int bytes = degree_ / 8;
+  for (int b = 0; b < bytes; ++b, s >>= 8) {
+    const Jump& j = jump_[b * 256 + static_cast<int>(s & 0xFF)];
+    w ^= j.word;
+    next ^= j.state;
   }
-  state_ = s;
+  state_ = next;
   return w;
 }
 
@@ -59,10 +112,7 @@ Misr::Misr(int degree, std::uint64_t seed) : poly_(Lfsr::primitive_polynomial(de
 }
 
 void Misr::absorb(std::uint64_t value) {
-  const bool lsb = (state_ & 1u) != 0;
-  state_ >>= 1;
-  if (lsb) state_ ^= poly_ & mask_;
-  state_ = (state_ ^ value) & mask_;
+  state_ = (galois_step(state_, poly_) ^ value) & mask_;
 }
 
 LbistResult run_lbist(const CombModel& model, const LbistOptions& opts) {
@@ -111,6 +161,8 @@ LbistResult run_lbist(const CombModel& model, const LbistOptions& opts) {
   } else {
     res.qualified = res.total_faults;
   }
+  // Resolved once for the session; drop_first_detected keeps them aligned.
+  std::vector<FaultTask> tasks = resolve_fault_tasks(model, live);
 
   // Covered equivalent faults (detected or scan-tested) behind the
   // coverage curve: the count at the start plus every fault dropped since.
@@ -151,7 +203,7 @@ LbistResult run_lbist(const CombModel& model, const LbistOptions& opts) {
       bank.load_batch(words);
     }
     bank.good().read_observes(responses);
-    bank.first_detections(live, nwz * kWordBits, first);
+    bank.first_detections(live, tasks, nwz * kWordBits, first);
 
     // Per batch: live faults first detected there, and their equiv count.
     std::size_t drops[kMaxLaneWords] = {};
@@ -177,7 +229,7 @@ LbistResult run_lbist(const CombModel& model, const LbistOptions& opts) {
       }
       if (left == 0) break;
     }
-    drop_first_detected(live, first, used * kWordBits);
+    drop_first_detected(live, tasks, first, used * kWordBits);
     batches += static_cast<std::int64_t>(used);
     if (live.empty()) break;
   }

@@ -42,12 +42,24 @@ class Lfsr {
   bool next_bit() { return (step() & 1u) != 0; }
 
   /// Fill a 64-pattern word: bit k of the result is the k-th next_bit()
-  /// draw (64 steps, run branch-free on a copy of the state).
+  /// draw. The 64 steps are applied as one jump through per-byte tables of
+  /// the state (see Jump), so the word and the state left behind equal 64
+  /// next_bit() calls bit for bit.
   Word next_word();
+
+  /// One table entry of the 64-step jump: the output word and the state
+  /// 64 steps later, for a start state with one byte set. A Galois step is
+  /// linear over GF(2), so both are XORs of the entries of the state's
+  /// bytes.
+  struct Jump {
+    Word word = 0;
+    std::uint64_t state = 0;
+  };
 
  private:
   int degree_;
   std::uint64_t poly_;
+  const Jump* jump_;  ///< [degree/8][256] entries shared by every register of this degree
   std::uint64_t mask_;
   std::uint64_t state_;
 };

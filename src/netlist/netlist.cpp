@@ -87,7 +87,10 @@ void Netlist::disconnect(CellId cell_id, int pin) {
   if (n.driver == ref) {
     n.driver = PinRef{};
   } else {
-    n.sinks.erase(std::remove(n.sinks.begin(), n.sinks.end(), ref), n.sinks.end());
+    // connect() asserts the pin is free, so the pair is in the sinks once.
+    const auto it = std::find(n.sinks.begin(), n.sinks.end(), ref);
+    assert(it != n.sinks.end());
+    n.sinks.erase(it);
   }
   touch_net(net_id);
 }

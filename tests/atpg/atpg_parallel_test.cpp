@@ -122,6 +122,7 @@ TEST(AtpgParallelTest, BankGradesIdenticalAcrossJobCounts) {
   FaultList fl = build_fault_list(model);
   std::vector<Fault*> faults;
   for (Fault& f : fl.faults) faults.push_back(&f);
+  const std::vector<FaultTask> tasks = resolve_fault_tasks(model, faults);
   // Enough faults that each of up to three workers crosses at least one
   // boundary between the 256-fault chunks of first_detections.
   ASSERT_GT(faults.size(), 3u * 256);
@@ -140,8 +141,8 @@ TEST(AtpgParallelTest, BankGradesIdenticalAcrossJobCounts) {
       bank.load_batch(words);
       std::vector<Word> detect;
       std::vector<int> first;
-      bank.grade(faults, detect);
-      bank.first_detections(faults, patterns, first);
+      bank.grade(faults, tasks, detect);
+      bank.first_detections(faults, tasks, patterns, first);
       EXPECT_EQ(bank.take_stats().faults_graded, 2 * faults.size());
       // first_detections streams each worker's range through fixed-size
       // chunks: every entry is the lowest set bit below `patterns` of the
@@ -194,13 +195,15 @@ TEST(AtpgParallelTest, GradeAndDropKeepsRedundantAndAbortedLive) {
   Fault aborted_like = detectable;  // pre-marked aborted
   aborted_like.status = FaultStatus::kAborted;
   std::vector<Fault*> live{&detectable, &redundant_like, &aborted_like};
+  std::vector<FaultTask> tasks = resolve_fault_tasks(model, live);
   std::vector<int> first;
-  bank.first_detections(live, 8, first);
-  drop_first_detected(live, first, 8);
+  bank.first_detections(live, tasks, 8, first);
+  drop_first_detected(live, tasks, first, 8);
   // All faults are detectable by the exhaustive batch: the redundant and
   // aborted marks are overridden by simulation evidence and every fault
   // leaves the live list.
   EXPECT_TRUE(live.empty());
+  EXPECT_TRUE(tasks.empty());
   EXPECT_EQ(detectable.status, FaultStatus::kDetected);
   EXPECT_EQ(redundant_like.status, FaultStatus::kDetected);
   EXPECT_EQ(aborted_like.status, FaultStatus::kDetected);

@@ -57,6 +57,7 @@ TEST(AtpgTest, CompactedPatternsStillDetectEverything) {
     if (f.status == FaultStatus::kUndetected) live.push_back(&f);
   }
   FaultSimBank bank(model);
+  std::vector<FaultTask> tasks = resolve_fault_tasks(model, live);
   std::vector<int> first;
   const std::size_t ni = model.input_nets().size();
   for (std::size_t start = 0; start < r.patterns.size(); start += 64) {
@@ -68,8 +69,8 @@ TEST(AtpgTest, CompactedPatternsStillDetectEverything) {
       }
     }
     bank.load_batch(words);
-    bank.first_detections(live, end - start, first);
-    drop_first_detected(live, first, end - start);
+    bank.first_detections(live, tasks, end - start, first);
+    drop_first_detected(live, tasks, first, end - start);
   }
   EXPECT_EQ(fresh.count_equiv(FaultStatus::kDetected), r.detected);
 }

@@ -89,6 +89,7 @@ TEST_F(SmallCombFaultSim, FirstDetectionsIgnoreLanesPastPatternCount) {
   // is the all-zero fill, which detects the fault but is not a pattern.
   Fault c_sa1 = stem("c", true);
   std::vector<Fault*> live{&c_sa1};
+  std::vector<FaultTask> tasks = resolve_fault_tasks(*model_, live);
   std::vector<int> first;
   for (const int nw : {1, kMaxLaneWords}) {
     SCOPED_TRACE(nw);
@@ -99,13 +100,14 @@ TEST_F(SmallCombFaultSim, FirstDetectionsIgnoreLanesPastPatternCount) {
     }
     bank_->load_batch(words);
     ASSERT_EQ(detect_word(*bank_, c_sa1), ~Word{0b111});  // the fill detects
-    bank_->first_detections(live, 3, first);
+    bank_->first_detections(live, tasks, 3, first);
     EXPECT_EQ(first, std::vector<int>{-1});
     // Counting lane 3 as a pattern makes it the first detector.
-    bank_->first_detections(live, 4, first);
+    bank_->first_detections(live, tasks, 4, first);
     EXPECT_EQ(first, std::vector<int>{3});
-    drop_first_detected(live, first, 3);
+    drop_first_detected(live, tasks, first, 3);
     EXPECT_EQ(live.size(), 1u);
+    EXPECT_EQ(tasks.size(), 1u);
     EXPECT_EQ(c_sa1.status, FaultStatus::kUndetected);
   }
 }
@@ -193,7 +195,7 @@ TEST(FaultSimConeTest, ConeSkipStatsNonzeroAndJobInvariant) {
     for (auto& w : words) w = rng.next_u64();
     bank.load_batch(words);
     std::vector<Word> detect;
-    bank.grade(live, detect);
+    bank.grade(live, resolve_fault_tasks(model, live), detect);
     by_jobs[idx++] = bank.take_stats();
   }
   EXPECT_GT(by_jobs[0].cone_skips, 0u);

@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+
 #include "../common/test_circuits.hpp"
+#include "circuits/generator.hpp"
+#include "circuits/profiles.hpp"
 #include "scan/scan.hpp"
+#include "util/ledger.hpp"
 
 namespace tpi {
 namespace {
@@ -129,6 +135,56 @@ TEST(FaultListTest, ScanEnableBufferTreeIsScanTested) {
     if (in_tree) {
       EXPECT_EQ(f.status, FaultStatus::kScanTested) << net.name;
     }
+  }
+}
+
+TEST(FaultListTest, PaperScaleDigestPinned) {
+  // The collapsed list of each paper circuit at a quarter scale, scanned,
+  // stitched and with a buffered scan-enable tree, for both fault models.
+  // The digest covers every representative's site, polarity, equivalence
+  // count and status in list order, so a change to the fault order, the
+  // collapse folds or the scan classification shows up here.
+  struct Golden {
+    CircuitProfile profile;
+    FaultModel model;
+    std::size_t faults;
+    std::int64_t total;
+    std::uint64_t digest;
+  };
+  const CircuitProfile s38417 = scaled(s38417_profile(), 0.25);
+  const CircuitProfile circuit1 = scaled(circuit1_profile(), 0.25);
+  const CircuitProfile p26909 = scaled(p26909_profile(), 0.25);
+  const FaultModel sa = FaultModel::kStuckAt;
+  const FaultModel tr = FaultModel::kTransition;
+  for (const Golden& g : {Golden{s38417, sa, 22615, 39264, 0x892ce29da2d755cbull},
+                          Golden{s38417, tr, 30444, 39264, 0xcbf1180b1139ba7dull},
+                          Golden{circuit1, sa, 32770, 56728, 0x361070e44d5f724cull},
+                          Golden{circuit1, tr, 43732, 56728, 0xef8598cab04a4b05ull},
+                          Golden{p26909, sa, 31635, 55744, 0x95038b4ff36e20dfull},
+                          Golden{p26909, tr, 42504, 55744, 0x67150f1a274f7b0dull}}) {
+    std::ostringstream label;
+    label << g.profile.name << " " << fault_model_name(g.model);
+    SCOPED_TRACE(label.str());
+    auto nl = generate_circuit(lib(), g.profile);
+    insert_scan(*nl);
+    ScanOptions so;
+    stitch_chains(*nl, plan_chains(*nl, so, {}));
+    buffer_high_fanout_net(*nl, nl->find_net("scan_en"));
+    CombModel model(*nl, SeqView::kCapture);
+    const FaultList fl = build_fault_list(model, g.model);
+    std::string bytes;
+    for (const Fault& f : fl.faults) {
+      const std::int32_t branch[2] = {f.branch.cell, f.branch.pin};
+      bytes.append(reinterpret_cast<const char*>(&f.net), sizeof f.net);
+      bytes.append(reinterpret_cast<const char*>(branch), sizeof branch);
+      bytes.push_back(static_cast<char>(f.stuck1));
+      bytes.append(reinterpret_cast<const char*>(&f.equiv_count), sizeof f.equiv_count);
+      bytes.push_back(static_cast<char>(f.status));
+    }
+    EXPECT_GT(fl.count(FaultStatus::kScanTested), 0u);
+    EXPECT_EQ(fl.faults.size(), g.faults);
+    EXPECT_EQ(fl.total_uncollapsed, g.total);
+    EXPECT_EQ(fnv1a_64(bytes), g.digest) << "digest 0x" << std::hex << fnv1a_64(bytes);
   }
 }
 

@@ -111,6 +111,7 @@ TEST(TransitionGradingTest, GradesIdenticalAcrossBackendsAndWidths) {
     if (f.status != FaultStatus::kScanTested) faults.push_back(&f);
   }
   ASSERT_GT(faults.size(), 50u);
+  const std::vector<FaultTask> tasks = resolve_fault_tasks(model, faults);
 
   Rng rng(0xA5A5);
   const std::size_t ni = model.input_nets().size();
@@ -130,11 +131,11 @@ TEST(TransitionGradingTest, GradesIdenticalAcrossBackendsAndWidths) {
     FaultSimBank bank(model);
     bank.load_batch_loc(narrow);
     std::vector<Word> d1, d8;
-    bank.grade(faults, d1);
+    bank.grade(faults, tasks, d1);
 
     bank.configure_lanes(kMaxLaneWords);
     bank.load_batch_loc(wide);
-    bank.grade(faults, d8);
+    bank.grade(faults, tasks, d8);
 
     for (std::size_t i = 0; i < faults.size(); ++i) {
       ASSERT_EQ(d1[i], d8[i * static_cast<std::size_t>(kMaxLaneWords)])
@@ -158,6 +159,7 @@ TEST(TransitionGradingTest, BankMatchesSerialAtAnyJobs) {
   for (Fault& f : fl.faults) {
     if (f.status != FaultStatus::kScanTested) faults.push_back(&f);
   }
+  const std::vector<FaultTask> tasks = resolve_fault_tasks(model, faults);
   Rng rng(0x5EED);
   std::vector<Word> words(model.input_nets().size());
   for (Word& w : words) w = rng.next_u64();
@@ -168,7 +170,7 @@ TEST(TransitionGradingTest, BankMatchesSerialAtAnyJobs) {
     FaultSimBank bank(model, jobs);
     bank.load_batch_loc(words);
     std::vector<Word> detect;
-    bank.grade(faults, detect);
+    bank.grade(faults, tasks, detect);
     if (jobs == 1) {
       serial = detect;
     } else {

@@ -50,14 +50,21 @@ TEST(LfsrTest, WordsLookBalanced) {
 }
 
 TEST(LfsrTest, NextWordMatchesBitSerial) {
-  // next_word() packs 64 steps into one word; next_bit() is the one-step
-  // reference. Both must leave the same state behind.
+  // next_word() jumps 64 steps through its tables; next_bit() is the
+  // one-step reference. Both must draw the same words and leave the same
+  // state behind, from every byte pattern of the state: the all-ones seed
+  // reads the last entry of every byte table. The LBIST default (degree
+  // 32) runs 65,536 words.
   for (const int degree : {8, 16, 24, 32, 48, 64}) {
+    const std::uint64_t all_ones =
+        degree == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << degree) - 1;
+    const int words = degree == 32 ? 65536 : 300;
     for (const std::uint64_t seed : {std::uint64_t{1}, std::uint64_t{0xACE1},
-                                     std::uint64_t{0x9E3779B97F4A7C15}}) {
+                                     std::uint64_t{0x9E3779B97F4A7C15}, all_ones}) {
       SCOPED_TRACE(testing::Message() << "degree " << degree << " seed " << seed);
       Lfsr word(degree, seed), bits(degree, seed);
-      for (int n = 0; n < 300; ++n) {
+      ASSERT_EQ(word.state(), bits.state());
+      for (int n = 0; n < words; ++n) {
         Word ref = 0;
         for (int k = 0; k < kWordBits; ++k) {
           if (bits.next_bit()) ref |= Word{1} << k;
@@ -65,6 +72,7 @@ TEST(LfsrTest, NextWordMatchesBitSerial) {
         ASSERT_EQ(word.next_word(), ref) << "word " << n;
         ASSERT_EQ(word.state(), bits.state()) << "word " << n;
       }
+      EXPECT_EQ(word.state(), bits.state());
     }
   }
 }

@@ -68,7 +68,7 @@ inline const CellLibrary& lib() {
 inline Word detect_word(FaultSimBank& bank, Fault fault) {
   std::vector<Fault*> one{&fault};
   std::vector<Word> detect;
-  bank.grade(one, detect);
+  bank.grade(one, resolve_fault_tasks(bank.model(), one), detect);
   return detect[0];
 }
 

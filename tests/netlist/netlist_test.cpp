@@ -53,6 +53,30 @@ TEST(NetlistTest, DisconnectRemovesSink) {
   EXPECT_TRUE(nl->validate().empty());
 }
 
+TEST(NetlistTest, DisconnectMiddleSinkKeepsOrder) {
+  // One PI net read by four inverters: dropping the second load keeps the
+  // other three in their connect order, and a free pin is a no-op.
+  Netlist nl(&lib(), "fanout4");
+  const NetId a = nl.pi_net(nl.add_primary_input("a"));
+  const CellSpec* inv = lib().gate(CellFunc::kInv, 1);
+  const int in_pin = inv->find_pin("A");
+  std::vector<CellId> g;
+  for (const char* name : {"g0", "g1", "g2", "g3"}) {
+    g.push_back(nl.add_cell(inv, name));
+    nl.connect(g.back(), in_pin, a);
+  }
+  nl.disconnect(g[1], in_pin);
+  const std::vector<PinRef> left{{g[0], in_pin}, {g[2], in_pin}, {g[3], in_pin}};
+  EXPECT_EQ(nl.net(a).sinks, left);
+  EXPECT_EQ(nl.cell(g[1]).conn[static_cast<std::size_t>(in_pin)], kNoNet);
+
+  const std::uint64_t version = nl.version();
+  nl.disconnect(g[1], in_pin);
+  nl.disconnect(g[0], inv->output_pin);
+  EXPECT_EQ(nl.version(), version);
+  EXPECT_EQ(nl.net(a).sinks, left);
+}
+
 TEST(NetlistTest, ReplaceSpecCarriesPinsByName) {
   auto nl = test::make_shift_register();
   const CellId f0 = nl->find_cell("f0");

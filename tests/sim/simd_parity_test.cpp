@@ -58,6 +58,7 @@ TEST(SimdParityTest, FaultGradesIdenticalAcrossBackends) {
     if (f.status != FaultStatus::kScanTested) faults.push_back(&f);
   }
   ASSERT_GT(faults.size(), 50u);
+  const std::vector<FaultTask> tasks = resolve_fault_tasks(model, faults);
 
   Rng rng(0xC0DE);
   const std::size_t ni = model.input_nets().size();
@@ -77,11 +78,11 @@ TEST(SimdParityTest, FaultGradesIdenticalAcrossBackends) {
     FaultSimBank bank(model);
     bank.load_batch(narrow);
     std::vector<Word> d1, d8;
-    bank.grade(faults, d1);
+    bank.grade(faults, tasks, d1);
 
     bank.configure_lanes(kMaxLaneWords);
     bank.load_batch(wide);
-    bank.grade(faults, d8);
+    bank.grade(faults, tasks, d8);
 
     for (std::size_t i = 0; i < faults.size(); ++i) {
       ASSERT_EQ(d1[i], d8[i * static_cast<std::size_t>(kMaxLaneWords)])
