@@ -14,7 +14,7 @@
 // a DesignDB whose capture-view slots were warmed once at build time.
 //
 // A job checks out a *copy* of the golden netlist (Netlist copies preserve
-// the edit journal), constructs its FlowEngine over the copy, and adopts
+// the edit version), constructs its FlowEngine over the copy, and adopts
 // the warm views via DesignDB::adopt_views_from — so repeat requests skip
 // regeneration and the first topo/comb/testability rebuild while every job
 // still edits a private netlist.

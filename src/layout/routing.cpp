@@ -115,8 +115,6 @@ RoutingResult route(const Netlist& nl, const Floorplan& fp, const Placement& pl,
   grid.ny = std::max(1, static_cast<int>(std::ceil(fp.chip_box.height() / grid.gcell)));
   grid.h_use.assign(static_cast<std::size_t>(grid.nx) * grid.ny, 0.0f);
   grid.v_use.assign(static_cast<std::size_t>(grid.nx) * grid.ny, 0.0f);
-  res.gcells_x = grid.nx;
-  res.gcells_y = grid.ny;
 
   // Pass 1: build trees, accumulate demand.
   std::vector<Point> pts;

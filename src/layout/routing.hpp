@@ -43,7 +43,6 @@ struct RoutingResult {
   double total_wire_length_um = 0.0;
   double detour_length_um = 0.0;
   int overflowed_crossings = 0;
-  int gcells_x = 0, gcells_y = 0;
 };
 
 RoutingResult route(const Netlist& nl, const Floorplan& fp, const Placement& pl,

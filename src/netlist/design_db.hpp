@@ -54,7 +54,6 @@ class DesignDB {
 
   Netlist& netlist() { return *nl_; }
   const Netlist& netlist() const { return *nl_; }
-  std::uint64_t version() const { return nl_->version(); }
 
   /// Cached topological order of `view`; valid until the next edit.
   const TopoOrder& topo(SeqView view);
@@ -65,7 +64,7 @@ class DesignDB {
   const TestabilityResult& testability(SeqView view);
 
   /// Seed this DB's view slots from `warm`, a DB whose netlist this DB's
-  /// netlist was copied from (Netlist copies preserve the edit journal, so
+  /// netlist was copied from (Netlist copies preserve the edit version, so
   /// the adopted built-versions stay meaningful against the copy). Views
   /// `warm` has built are deep-copied — CombModels rebound to this DB's
   /// netlist — and served as ordinary hits afterwards; slots `warm` never

@@ -5,40 +5,10 @@
 #include <sstream>
 
 namespace tpi {
-namespace {
-
-/// Journal capacity: enough to cover many TPI rounds of edits between two
-/// nets_changed_since() queries, small enough (~100 KB) to keep the journal
-/// an O(1) memory feature even across full circuit generation.
-constexpr std::size_t kEditJournalCap = 8192;
-
-}  // namespace
 
 Netlist::Netlist(const CellLibrary* lib, std::string name)
     : lib_(lib), name_(std::move(name)) {
   assert(lib_ != nullptr);
-}
-
-void Netlist::commit_edit() {
-  ++version_;
-  for (const NetId n : pending_nets_) journal_.push_back(NetEdit{version_, n});
-  pending_nets_.clear();
-  if (journal_.size() > kEditJournalCap) {
-    const std::size_t drop = journal_.size() / 2;
-    journal_floor_ = journal_[drop - 1].version;
-    journal_.erase(journal_.begin(), journal_.begin() + static_cast<std::ptrdiff_t>(drop));
-  }
-}
-
-bool Netlist::nets_changed_since(std::uint64_t since, std::vector<NetId>& out) const {
-  if (since < journal_floor_) return false;
-  out.clear();
-  for (const NetEdit& e : journal_) {
-    if (e.version > since) out.push_back(e.net);
-  }
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
-  return true;
 }
 
 NetId Netlist::add_net(std::string net_name) {
@@ -73,7 +43,6 @@ void Netlist::connect(CellId cell_id, int pin, NetId net_id) {
   } else {
     n.sinks.push_back(PinRef{cell_id, pin});
   }
-  touch_net(net_id);
 }
 
 void Netlist::disconnect(CellId cell_id, int pin) {
@@ -92,7 +61,6 @@ void Netlist::disconnect(CellId cell_id, int pin) {
     assert(it != n.sinks.end());
     n.sinks.erase(it);
   }
-  touch_net(net_id);
 }
 
 int Netlist::add_primary_input(std::string pi_name) {
@@ -102,7 +70,6 @@ int Netlist::add_primary_input(std::string pi_name) {
   net(n).pi_index = idx;
   pi_names_.push_back(std::move(pi_name));
   pi_nets_.push_back(n);
-  touch_net(n);
   return idx;
 }
 
@@ -112,7 +79,6 @@ int Netlist::add_primary_output(std::string po_name, NetId net_id) {
   po_names_.push_back(std::move(po_name));
   po_nets_.push_back(net_id);
   net(net_id).po_sinks.push_back(idx);
-  touch_net(net_id);
   return idx;
 }
 
@@ -155,9 +121,7 @@ void Netlist::replace_spec(CellId cell_id, const CellSpec* new_spec) {
 NetId Netlist::insert_cell_in_net(NetId net_id, CellId new_cell, int in_pin,
                                   const std::vector<PinRef>& sink_subset) {
   EditScope edit(*this);
-  touch_net(net_id);
   NetId fresh = add_net(net(net_id).name + "_tp" + std::to_string(new_cell));
-  touch_net(fresh);
   // Move sinks first (so the new cell's input doesn't get moved).
   std::vector<PinRef> to_move = sink_subset.empty() ? net(net_id).sinks : sink_subset;
   for (const PinRef& ref : to_move) {

@@ -184,31 +184,24 @@ class Netlist {
   /// string when valid, else a description of the first violation.
   std::string validate() const;
 
-  // ---- edit journal (consumed by DesignDB's cached derived views) ----
+  // ---- edit version (consumed by DesignDB's cached derived views) ----
   //
   // Every public mutator bumps `version()` exactly once, even the composite
   // ones (replace_spec / insert_cell_in_net / add_primary_input call other
-  // mutators internally; a reentrancy-depth guard folds the nested bumps),
-  // and records the nets it touched in a bounded journal. A cached view
-  // built at version B is exact while version() == B; any edit since means
-  // a rebuild.
+  // mutators internally; a reentrancy-depth guard folds the nested bumps).
+  // A cached view built at version B is exact while version() == B; any
+  // edit since means a rebuild.
 
   /// Monotonically increasing edit version; 0 = freshly constructed.
   std::uint64_t version() const { return version_; }
 
-  /// Nets touched by edits with version > `since`, deduplicated ascending.
-  /// Returns false (out untouched) when the bounded journal no longer
-  /// covers `since`; callers must then assume anything changed.
-  bool nets_changed_since(std::uint64_t since, std::vector<NetId>& out) const;
-
  private:
-  /// RAII reentrancy guard: the outermost scope commits exactly one version
-  /// bump plus the touched nets.
+  /// RAII reentrancy guard: the outermost scope bumps the version once.
   class EditScope {
    public:
     explicit EditScope(Netlist& nl) : nl_(nl) { ++nl_.edit_depth_; }
     ~EditScope() {
-      if (--nl_.edit_depth_ == 0) nl_.commit_edit();
+      if (--nl_.edit_depth_ == 0) ++nl_.version_;
     }
     EditScope(const EditScope&) = delete;
     EditScope& operator=(const EditScope&) = delete;
@@ -216,8 +209,6 @@ class Netlist {
    private:
     Netlist& nl_;
   };
-  void touch_net(NetId net) { pending_nets_.push_back(net); }
-  void commit_edit();
 
   const CellLibrary* lib_;
   std::string name_;
@@ -229,19 +220,9 @@ class Netlist {
   std::vector<NetId> po_nets_;
   std::vector<int> clock_pis_;
 
-  // ---- edit journal state ----
+  // ---- edit version state ----
   std::uint64_t version_ = 0;
   int edit_depth_ = 0;
-  std::vector<NetId> pending_nets_;
-  struct NetEdit {
-    std::uint64_t version;
-    NetId net;
-  };
-  /// Bounded ring of (version, net) records; oldest half is dropped when
-  /// the cap is hit and `journal_floor_` remembers the highest version no
-  /// longer fully covered.
-  std::vector<NetEdit> journal_;
-  std::uint64_t journal_floor_ = 0;
 };
 
 }  // namespace tpi

@@ -128,7 +128,7 @@ void FlowServer::run_job(const std::shared_ptr<Job>& job) {
       std::string perr;
       if (!cfg.resolve_profile(profile, &perr)) throw std::invalid_argument(perr);
       const std::shared_ptr<DesignCache::Entry> entry = cache_->acquire(profile);
-      Netlist nl = entry->netlist();  // private copy; the journal survives
+      Netlist nl = entry->netlist();  // private copy; the edit version survives
       FlowEngine engine(nl, profile, cfg.options);
       engine.design_db().adopt_views_from(entry->db());
       engine.set_cancel_token(&job->cancel);

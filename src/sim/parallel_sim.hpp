@@ -20,7 +20,7 @@ using Word = std::uint64_t;
 inline constexpr int kWordBits = 64;
 
 /// Evaluate one combinational node given packed input words (reference
-/// single-word path, kept for tests and PODEM's forward implication).
+/// single-word path, kept for tests).
 Word eval_node_word(const CombNode& node, const Word* in, Word sel);
 
 class ParallelSim {

@@ -73,7 +73,7 @@ SocResult SocRunner::run(const CellLibrary& lib, ThreadPool* pool, DesignCache* 
       std::optional<ScopedTraceSink> scope;
       if (sink != nullptr) scope.emplace(*sink);
       const std::shared_ptr<DesignCache::Entry> entry = cache->acquire(spec.profile);
-      Netlist nl = entry->netlist();  // private copy; the journal survives
+      Netlist nl = entry->netlist();  // private copy; the edit version survives
       FlowEngine engine(nl, spec.profile, config_.options);
       engine.design_db().adopt_views_from(entry->db());
       engine.set_cancel_token(cancel);

@@ -386,7 +386,6 @@ TpiReport insert_test_points(DesignDB& db, const TpiOptions& opts) {
 
   // BFS scratch shared across every site of every round.
   NearestClockScratch scratch;
-  std::vector<NetId> changed_nets;
 
   const int rounds = std::max(1, opts.rounds);
   int remaining = opts.num_test_points;
@@ -395,14 +394,12 @@ TpiReport insert_test_points(DesignDB& db, const TpiOptions& opts) {
     // pulled from the design database, so a round that follows an
     // edit-free round reuses the previous views instead of rebuilding
     // (previously inserted TSFFs are scan-cell boundaries in this view).
-    const std::uint64_t round_start = nl.version();
     const CombModel& model = db.comb_model(SeqView::kCapture);
     const TestabilityResult& t = db.testability(SeqView::kCapture);
 
     const int batch = std::min(remaining, (opts.num_test_points + rounds - 1) / rounds);
-    RankStats stats;
     const auto ranked = rank_tpi_candidates(nl, t, model, opts.method, opts.excluded_nets,
-                                            static_cast<std::size_t>(batch), &stats);
+                                            static_cast<std::size_t>(batch));
     if (ranked.empty()) break;
 
     for (const NetId site : ranked) {
@@ -421,13 +418,6 @@ TpiReport insert_test_points(DesignDB& db, const TpiOptions& opts) {
       if (remaining == 0) break;
     }
     ++report.rounds_run;
-    // Journal what this round touched: -1 when the bounded edit journal
-    // overflowed and the precise net set is gone.
-    changed_nets.clear();
-    const bool complete = nl.nets_changed_since(round_start, changed_nets);
-    report.nets_changed_per_round.push_back(
-        complete ? static_cast<int>(changed_nets.size()) : -1);
-    report.gain_evals_per_round.push_back(static_cast<int>(stats.gain_evals));
   }
   log_info() << "TPI: inserted " << report.test_points.size() << " test points in "
              << report.rounds_run << " rounds";

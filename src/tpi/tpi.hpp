@@ -43,14 +43,6 @@ struct TpiReport {
   std::vector<CellId> test_points;  ///< inserted TSFF cells
   std::vector<NetId> sites;         ///< original nets that were split
   int rounds_run = 0;
-  /// Per round: how many distinct nets the round's insertions touched
-  /// (from the Netlist edit journal; -1 when the bounded journal
-  /// overflowed mid-round). A round that inserted nothing records 0 and
-  /// leaves the cached testability views untouched for the next consumer.
-  std::vector<int> nets_changed_per_round;
-  /// Per round: how many exact gain evaluations the hybrid ranking made
-  /// (0 for the COP-only and SCOAP-only methods). Not serialised.
-  std::vector<int> gain_evals_per_round;
 };
 
 /// Insert `opts.num_test_points` TSFFs into the netlist. The TSFFs' TI pins
@@ -58,7 +50,7 @@ struct TpiReport {
 /// PIs; CK connects to the clock of the nearest flip-flop (§3.1 step 2).
 /// Each round pulls the capture CombModel + testability from the design
 /// database (§3.1 step 1 — a rebuild only when the previous round edited
-/// the netlist) and journals which nets its insertions changed.
+/// the netlist).
 TpiReport insert_test_points(DesignDB& db, const TpiOptions& opts);
 
 /// Work counters of one rank_tpi_candidates call.

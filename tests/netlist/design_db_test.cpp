@@ -1,6 +1,6 @@
-// DesignDB tests: the Netlist edit journal (version bumps + touched nets),
-// the cached derived views (hit / rebuild), and the flow-level construction
-// savings the cache was built for.
+// DesignDB tests: the Netlist edit version (one bump per mutator), the
+// cached derived views (hit / rebuild, adoption into a copy), and the
+// flow-level construction savings the cache was built for.
 #include "netlist/design_db.hpp"
 
 #include <gtest/gtest.h>
@@ -27,7 +27,7 @@ std::uint64_t count_of(const MetricsRegistry& reg, std::string_view name) {
   return v != nullptr ? v->count : 0;
 }
 
-// ---- edit journal: version semantics ----
+// ---- edit version semantics ----
 
 TEST(EditJournalTest, EveryMutatorBumpsVersionExactlyOnce) {
   Netlist nl(&lib());
@@ -76,52 +76,6 @@ TEST(EditJournalTest, CompositeMutatorsBumpVersionExactlyOnce) {
   EXPECT_EQ(nl->version(), v0 + 2);
   nl->insert_cell_in_net(nl->find_net("q0"), b, buf->find_pin("A"));
   EXPECT_EQ(nl->version(), v0 + 3);
-}
-
-TEST(EditJournalTest, NetsChangedSinceReportsTouchedNets) {
-  auto nl = test::make_small_comb();
-  const NetId y = nl->find_net("y");
-  const NetId z = nl->find_net("z");
-  const CellId g2 = nl->find_cell("g2");
-  const std::uint64_t v = nl->version();
-
-  nl->disconnect(g2, 1);  // was y
-  nl->connect(g2, 1, y);
-  std::vector<NetId> changed;
-  ASSERT_TRUE(nl->nets_changed_since(v, changed));
-  ASSERT_EQ(changed.size(), 1u);  // deduplicated
-  EXPECT_EQ(changed[0], y);
-
-  // Nothing after the current version.
-  ASSERT_TRUE(nl->nets_changed_since(nl->version(), changed));
-  EXPECT_TRUE(changed.empty());
-
-  // A later edit on another net shows up; the earlier window still holds.
-  const std::uint64_t v2 = nl->version();
-  nl->disconnect(nl->find_cell("g3"), 1);  // was z
-  ASSERT_TRUE(nl->nets_changed_since(v2, changed));
-  ASSERT_EQ(changed.size(), 1u);
-  EXPECT_EQ(changed[0], z);
-  ASSERT_TRUE(nl->nets_changed_since(v, changed));
-  EXPECT_EQ(changed.size(), 2u);
-}
-
-TEST(EditJournalTest, JournalOverflowReportsUncovered) {
-  auto nl = test::make_small_comb();
-  const NetId y = nl->find_net("y");
-  const CellId g2 = nl->find_cell("g2");
-  const std::uint64_t v0 = nl->version();
-
-  // Far beyond the bounded journal cap (8192 records).
-  for (int i = 0; i < 6000; ++i) {
-    nl->disconnect(g2, 1);
-    nl->connect(g2, 1, y);
-  }
-  std::vector<NetId> changed;
-  EXPECT_FALSE(nl->nets_changed_since(v0, changed));  // window truncated
-  ASSERT_TRUE(nl->nets_changed_since(nl->version() - 10, changed));
-  ASSERT_EQ(changed.size(), 1u);
-  EXPECT_EQ(changed[0], y);
 }
 
 // ---- DesignDB: view caching ----
@@ -204,6 +158,28 @@ TEST(CombModelTest, ReadersMatchReferenceWithDuplicatePinsAndSelect) {
   EXPECT_EQ(readers_table(big), reference_readers(big));
 }
 
+// The DB's topo, comb and testability views of `view` equal a fresh build
+// from its netlist.
+void expect_views_equal_fresh_build(DesignDB& db, SeqView view) {
+  const TopoOrder& topo = db.topo(view);
+  const CombModel& model = db.comb_model(view);
+  const TestabilityResult& t = db.testability(view);
+
+  const TopoOrder fresh_topo = levelize(db.netlist(), view);
+  EXPECT_EQ(topo.order, fresh_topo.order);
+  EXPECT_EQ(topo.level, fresh_topo.level);
+  const CombModel fresh_model(db.netlist(), view);
+  EXPECT_EQ(readers_table(model), readers_table(fresh_model));
+  const TestabilityResult fresh = analyze_testability(fresh_model);
+  EXPECT_EQ(t.cc0, fresh.cc0);
+  EXPECT_EQ(t.cc1, fresh.cc1);
+  EXPECT_EQ(t.co, fresh.co);
+  EXPECT_EQ(t.p1, fresh.p1);
+  EXPECT_EQ(t.obs, fresh.obs);
+  EXPECT_EQ(t.ffr_root, fresh.ffr_root);
+  EXPECT_EQ(t.ffr_size, fresh.ffr_size);
+}
+
 // Every edit since a view was built means a rebuild, including the ECO
 // edits that leave the combinational graph alone (clock-tree buffers,
 // fillers, DFF->SDFF swaps, unconnected nets); the rebuilt views equal a
@@ -244,31 +220,49 @@ TEST(DesignDbTest, EcoLikeEditsRebuildEveryViewToAFreshBuild) {
   nl->replace_spec(dff, lib().by_name("SDFF_X1"));
   nl->add_net("spare");
 
-  for (const SeqView view : kViews) {
-    const TopoOrder& topo = db.topo(view);
-    const CombModel& model = db.comb_model(view);
-    const TestabilityResult& t = db.testability(view);
-
-    const TopoOrder fresh_topo = levelize(*nl, view);
-    EXPECT_EQ(topo.order, fresh_topo.order);
-    EXPECT_EQ(topo.level, fresh_topo.level);
-    const CombModel fresh_model(*nl, view);
-    EXPECT_EQ(readers_table(model), readers_table(fresh_model));
-    const TestabilityResult fresh = analyze_testability(fresh_model);
-    EXPECT_EQ(t.cc0, fresh.cc0);
-    EXPECT_EQ(t.cc1, fresh.cc1);
-    EXPECT_EQ(t.co, fresh.co);
-    EXPECT_EQ(t.p1, fresh.p1);
-    EXPECT_EQ(t.obs, fresh.obs);
-    EXPECT_EQ(t.ffr_root, fresh.ffr_root);
-    EXPECT_EQ(t.ffr_size, fresh.ffr_size);
-  }
+  for (const SeqView view : kViews) expect_views_equal_fresh_build(db, view);
   EXPECT_EQ(count_of(reg, "designdb.rebuilds.topo"), topo_before + 2);
   EXPECT_EQ(count_of(reg, "designdb.rebuilds.comb"), comb_before + 2);
   EXPECT_EQ(count_of(reg, "designdb.rebuilds.testability"), testab_before + 2);
   // Per view: the comb build reads the fresh topo and the testability
   // access reads the fresh model, both at the current version.
   EXPECT_EQ(count_of(reg, "designdb.view_hits"), hits_before + 4);
+}
+
+// The design cache's pattern: a DB over a copy of a warm DB's netlist
+// adopts the warm views and serves them as hits until the copy's first
+// edit, then rebuilds them from the copy; the warm DB is left untouched.
+TEST(DesignDbTest, AdoptedViewsServeACopyUntilItsFirstEdit) {
+  MetricsRegistry reg;
+  ScopedMetricsRegistry scope(reg);
+  auto golden = generate_circuit(lib(), test::tiny_profile());
+  DesignDB warm(*golden);
+  warm.testability(SeqView::kCapture);
+
+  Netlist copy = *golden;
+  DesignDB db(copy);
+  db.adopt_views_from(warm);
+  EXPECT_EQ(copy.version(), golden->version());
+  const std::uint64_t rebuilds = count_of(reg, "designdb.rebuilds");
+  const std::uint64_t hits = count_of(reg, "designdb.view_hits");
+  db.topo(SeqView::kCapture);
+  EXPECT_EQ(&db.comb_model(SeqView::kCapture).netlist(), &copy);
+  db.testability(SeqView::kCapture);
+  EXPECT_EQ(count_of(reg, "designdb.rebuilds"), rebuilds);
+  // topo, comb, then testability resolves comb (hit) + its own.
+  EXPECT_EQ(count_of(reg, "designdb.view_hits"), hits + 4);
+
+  copy.add_cell(lib().by_name("FILL1"), "fill0");
+  EXPECT_NE(copy.version(), golden->version());
+  expect_views_equal_fresh_build(db, SeqView::kCapture);
+  EXPECT_EQ(count_of(reg, "designdb.rebuilds"), rebuilds + 3);
+
+  const std::uint64_t warm_hits = count_of(reg, "designdb.view_hits");
+  warm.topo(SeqView::kCapture);
+  warm.comb_model(SeqView::kCapture);
+  warm.testability(SeqView::kCapture);
+  EXPECT_EQ(count_of(reg, "designdb.rebuilds"), rebuilds + 3);
+  EXPECT_EQ(count_of(reg, "designdb.view_hits"), warm_hits + 4);
 }
 
 TEST(DesignDbTest, StaleViewNeverServedAfterStructuralEdit) {
@@ -313,24 +307,6 @@ TEST(DesignDbTest, ConcurrentReadOnlyViewAccess) {
   EXPECT_EQ(count_of(reg, "designdb.rebuilds.topo"), 2u);  // one per view, each built once
   EXPECT_EQ(count_of(reg, "designdb.rebuilds.comb"), 1u);
   EXPECT_EQ(count_of(reg, "designdb.rebuilds.testability"), 1u);
-}
-
-// ---- TPI over the DB ----
-
-TEST(DesignDbTest, TpiReportsNetsChangedPerRound) {
-  auto nl = generate_circuit(lib(), test::tiny_profile());
-  DesignDB db(*nl);
-  TpiOptions opts;
-  opts.num_test_points = 4;
-  opts.rounds = 2;
-  const TpiReport report = insert_test_points(db, opts);
-  ASSERT_EQ(report.test_points.size(), 4u);
-  ASSERT_EQ(report.nets_changed_per_round.size(),
-            static_cast<std::size_t>(report.rounds_run));
-  for (const int n : report.nets_changed_per_round) {
-    // Each inserted TSFF touches at least its site and the fresh net.
-    EXPECT_GE(n, 2);
-  }
 }
 
 // ---- flow-level construction savings (the tentpole's acceptance bar) ----
