@@ -38,14 +38,10 @@ int main() {
   write_layout_svg("fig3a_floorplan.svg", *nl, fp, nullptr, nullptr,
                    LayoutStage::kFloorplan);
 
-  Placement pl = place(*nl, fp, {});
-  const ChainPlan plan = plan_chains(*nl, scan_opts, [&] {
-    std::vector<std::pair<double, double>> pos(nl->num_cells());
-    for (std::size_t c = 0; c < pos.size(); ++c) pos[c] = {pl.pos[c].x, pl.pos[c].y};
-    return pos;
-  }());
+  Placement pl = place(*nl, fp);
+  const ChainPlan plan = plan_chains(*nl, scan_opts, pl.pos);
   stitch_chains(*nl, plan);
-  synthesize_clock_trees(*nl, fp, pl, {});
+  synthesize_clock_trees(*nl, fp, pl);
   const FillerReport fillers = insert_fillers(*nl, fp, pl);
   std::printf("(b) placement: %zu cells placed, HPWL %.0f um, %d filler cells\n",
               nl->num_cells(), pl.total_hpwl(*nl), fillers.cells_added);

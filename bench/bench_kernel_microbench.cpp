@@ -352,7 +352,7 @@ void BM_GlobalPlacement(benchmark::State& state) {
   const Netlist& nl = scan_netlist();
   const Floorplan fp = make_floorplan(nl, {});
   for (auto _ : state) {
-    const Placement pl = place(nl, fp, {});
+    const Placement pl = place(nl, fp);
     benchmark::DoNotOptimize(pl.row_used_um.size());
   }
 }
@@ -361,7 +361,7 @@ BENCHMARK(BM_GlobalPlacement)->Unit(benchmark::kMillisecond);
 void BM_GlobalRouting(benchmark::State& state) {
   const Netlist& nl = scan_netlist();
   const Floorplan fp = make_floorplan(nl, {});
-  const Placement pl = place(nl, fp, {});
+  const Placement pl = place(nl, fp);
   for (auto _ : state) {
     const RoutingResult r = route(nl, fp, pl);
     benchmark::DoNotOptimize(r.total_wire_length_um);
@@ -372,7 +372,7 @@ BENCHMARK(BM_GlobalRouting)->Unit(benchmark::kMillisecond);
 void BM_StaFullPass(benchmark::State& state) {
   const Netlist& nl = scan_netlist();
   const Floorplan fp = make_floorplan(nl, {});
-  const Placement pl = place(nl, fp, {});
+  const Placement pl = place(nl, fp);
   const RoutingResult routes = route(nl, fp, pl);
   const ExtractionResult px = extract(nl, routes);
   for (auto _ : state) {
@@ -388,7 +388,7 @@ BENCHMARK(BM_StaFullPass)->Unit(benchmark::kMillisecond);
 void BM_LbistSession(benchmark::State& state) {
   const Netlist& nl = scan_netlist();
   const Floorplan fp = make_floorplan(nl, {});
-  const Placement pl = place(nl, fp, {});
+  const Placement pl = place(nl, fp);
   const RoutingResult routes = route(nl, fp, pl);
   const StaResult sta = run_sta(nl, extract(nl, routes));
   const CombModel model(nl, SeqView::kCapture);

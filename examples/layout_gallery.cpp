@@ -51,13 +51,11 @@ int main(int argc, char** argv) {
   write_layout_svg(base + "_floorplan.svg", *nl, fp, nullptr, nullptr,
                    LayoutStage::kFloorplan);
 
-  Placement pl = place(*nl, fp, {});
-  std::vector<std::pair<double, double>> pos(nl->num_cells());
-  for (std::size_t c = 0; c < pos.size(); ++c) pos[c] = {pl.pos[c].x, pl.pos[c].y};
-  ChainPlan plan = plan_chains(*nl, scan_opts, pos);
-  reorder_chains(plan, pos);
+  Placement pl = place(*nl, fp);
+  ChainPlan plan = plan_chains(*nl, scan_opts, pl.pos);
+  reorder_chains(plan, pl.pos);
   stitch_chains(*nl, plan);
-  const CtsReport cts = synthesize_clock_trees(*nl, fp, pl, {});
+  const CtsReport cts = synthesize_clock_trees(*nl, fp, pl);
   const FillerReport fillers = insert_fillers(*nl, fp, pl);
   write_layout_svg(base + "_placement.svg", *nl, fp, &pl, nullptr,
                    LayoutStage::kPlacement);

@@ -223,7 +223,7 @@ AtpgResult run_atpg(const CombModel& model, const TestabilityResult& testability
   res.patterns_before_compaction = static_cast<int>(res.patterns.size());
 
   // ---- phase 3: reverse-order static compaction ----
-  if (opts.static_compaction && !res.patterns.empty()) {
+  if (!res.patterns.empty()) {
     TPI_SPAN("atpg.static_compaction");
     for (Fault& f : res.faults.faults) {
       if (f.status == FaultStatus::kDetected) f.status = FaultStatus::kUndetected;
@@ -305,11 +305,6 @@ AtpgResult run_atpg(DesignDB& db, const AtpgOptions& opts) {
 std::int64_t test_data_volume(int num_chains, int max_chain_length, int num_patterns) {
   const std::int64_t n = num_chains, l = max_chain_length, p = num_patterns;
   return 2 * n * ((l + 1) * p + l);
-}
-
-std::int64_t test_application_time(int max_chain_length, int num_patterns) {
-  const std::int64_t l = max_chain_length, p = num_patterns;
-  return (l + 1) * p + l;
 }
 
 std::int64_t test_application_time(int max_chain_length, int num_patterns, int capture_cycles) {

@@ -26,7 +26,6 @@ struct AtpgOptions {
   /// cycles, pseudo-inputs fed from the launch frame's captured state).
   FaultModel fault_model = FaultModel::kStuckAt;
   PodemOptions podem;
-  bool static_compaction = true;
   int max_patterns = 200000;
   /// Fault-simulation worker threads (FaultSimBank): 1 = serial, <= 0 =
   /// hardware concurrency. The AtpgResult is bit-identical for any value.
@@ -78,12 +77,11 @@ AtpgResult run_atpg(DesignDB& db, const AtpgOptions& opts = {});
 /// Test data volume in scan bits, eq. (1): TDV = 2n((l_max+1)p + l_max).
 std::int64_t test_data_volume(int num_chains, int max_chain_length, int num_patterns);
 
-/// Test application time in clock cycles, eq. (2): TAT = (l_max+1)p + l_max.
-std::int64_t test_application_time(int max_chain_length, int num_patterns);
-
-/// Generalized eq. (2) for multi-cycle capture: TAT = (l_max+c)p + l_max
-/// with c capture cycles per pattern (c = 2 for launch-on-capture
-/// transition test; c = 1 reproduces the paper's formula).
-std::int64_t test_application_time(int max_chain_length, int num_patterns, int capture_cycles);
+/// Test application time in clock cycles, eq. (2) generalized to multi-cycle
+/// capture: TAT = (l_max+c)p + l_max with c capture cycles per pattern
+/// (c = 2 for launch-on-capture transition test; c = 1 is the paper's
+/// formula).
+std::int64_t test_application_time(int max_chain_length, int num_patterns,
+                                   int capture_cycles = 1);
 
 }  // namespace tpi

@@ -30,6 +30,9 @@ std::uint64_t Lfsr::primitive_polynomial(int degree) {
 
 namespace {
 
+// Degree of the PRPG of every LBIST session.
+constexpr int kLfsrDegree = 32;
+
 // One Galois step: shift right and, when the shifted-out bit was set, XOR
 // in the feedback polynomial (-(s & 1) is all ones exactly then).
 std::uint64_t galois_step(std::uint64_t s, std::uint64_t fb) { return (s >> 1) ^ (-(s & 1) & fb); }
@@ -148,7 +151,7 @@ LbistResult run_lbist(const CombModel& model, const LbistOptions& opts) {
   };
 
   FaultSimBank bank(model, 1);
-  Lfsr lfsr(opts.lfsr_degree);  // every session starts from the default seed
+  Lfsr lfsr(kLfsrDegree);  // every session starts from the default seed
   Misr misr(64);
 
   std::vector<Fault*> live;

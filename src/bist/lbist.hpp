@@ -87,7 +87,6 @@ struct LbistOptions {
   /// Pseudo-random budget (>= 0), applied in whole 64-pattern batches.
   int max_patterns = 16384;
   int report_every = 1024;      ///< granularity of the coverage curve (>= 1)
-  int lfsr_degree = 32;
 
   /// kStuckAt grades each scan load in a single capture cycle (the seed
   /// behavior); kTransition grades launch-on-capture pattern pairs.
@@ -122,13 +121,12 @@ struct LbistResult {
   std::int64_t qualified = 0;
 };
 
-/// Run a pseudo-random BIST session on the capture-view model: LFSR-driven
-/// scan loads, fault grading with dropping, MISR signature of the fault-free
-/// responses. Scan-tested faults count as covered (shift/flush tests).
-/// Patterns are graded in super-batches of up to kMaxLaneWords x 64; the
-/// result is that of applying them 64 at a time. Throws
-/// std::invalid_argument for report_every < 1, max_patterns < 0 or an
-/// unsupported lfsr_degree.
+/// Run a pseudo-random BIST session on the capture-view model: degree-32
+/// LFSR-driven scan loads, fault grading with dropping, MISR signature of
+/// the fault-free responses. Scan-tested faults count as covered
+/// (shift/flush tests). Patterns are graded in super-batches of up to
+/// kMaxLaneWords x 64; the result is that of applying them 64 at a time. Throws
+/// std::invalid_argument for report_every < 1 or max_patterns < 0.
 LbistResult run_lbist(const CombModel& model, const LbistOptions& opts = {});
 
 }  // namespace tpi

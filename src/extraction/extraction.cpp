@@ -8,11 +8,12 @@ namespace {
 // Thick upper-metal class (long nets).
 constexpr double kRLongOhmPerUm = 0.25;
 constexpr double kCLongFfPerUm = 0.22;
+// Nets at least this long are promoted to the thick upper-metal class.
+constexpr double kLongNetThresholdUm = 400.0;
 
 }  // namespace
 
-ExtractionResult extract(const Netlist& nl, const RoutingResult& routes,
-                         const ExtractionOptions& opts) {
+ExtractionResult extract(const Netlist& nl, const RoutingResult& routes) {
   ExtractionResult res;
   res.nets.resize(nl.num_nets());
 
@@ -22,7 +23,7 @@ ExtractionResult extract(const Netlist& nl, const RoutingResult& routes,
     NetParasitics& p = res.nets[ni];
 
     // Layer class by net length: long nets are promoted to thick metal.
-    const bool long_net = tree.length_um >= opts.long_net_threshold_um;
+    const bool long_net = tree.length_um >= kLongNetThresholdUm;
     const double r_per_um = long_net ? kRLongOhmPerUm : kRShortOhmPerUm;
     const double c_per_um = long_net ? kCLongFfPerUm : kCShortFfPerUm;
 

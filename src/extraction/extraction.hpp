@@ -15,15 +15,11 @@
 namespace tpi {
 
 // Thin lower-metal class (short nets); the thick upper-metal constants of
-// long nets live in extraction.cpp.
+// long nets and the length that promotes a net (400 µm) live in
+// extraction.cpp.
 inline constexpr double kRShortOhmPerUm = 0.80;
 inline constexpr double kCShortFfPerUm = 0.18;
 inline constexpr double kPoPadCapFf = 40.0;  ///< load of an output pad
-
-struct ExtractionOptions {
-  /// Nets at least this long are promoted to the thick upper-metal class.
-  double long_net_threshold_um = 400.0;
-};
 
 struct NetParasitics {
   double wire_cap_ff = 0.0;
@@ -43,7 +39,6 @@ struct ExtractionResult {
   double total_wire_cap_ff = 0.0;
 };
 
-ExtractionResult extract(const Netlist& nl, const RoutingResult& routes,
-                         const ExtractionOptions& opts = {});
+ExtractionResult extract(const Netlist& nl, const RoutingResult& routes);
 
 }  // namespace tpi

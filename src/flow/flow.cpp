@@ -15,14 +15,6 @@
 namespace tpi {
 namespace {
 
-std::vector<std::pair<double, double>> cell_positions(const Netlist& nl, const Placement& pl) {
-  std::vector<std::pair<double, double>> pos(nl.num_cells(), {0.0, 0.0});
-  for (std::size_t c = 0; c < nl.num_cells() && c < pl.pos.size(); ++c) {
-    pos[c] = {pl.pos[c].x, pl.pos[c].y};
-  }
-  return pos;
-}
-
 // Pre-TPI timing pass for timing-driven TPI (§5): quick layout + STA on the
 // unmodified netlist to find the small-slack nets.
 std::unordered_set<NetId> small_slack_nets(DesignDB& db, const CircuitProfile& profile,
@@ -33,7 +25,7 @@ std::unordered_set<NetId> small_slack_nets(DesignDB& db, const CircuitProfile& p
   FloorplanOptions fpo;
   fpo.target_row_utilization = profile.target_row_utilization;
   const Floorplan fp = make_floorplan(nl, fpo);
-  const Placement pl = place(nl, fp, PlacementOptions{});
+  const Placement pl = place(nl, fp);
   const RoutingResult routes = route(nl, fp, pl);
   const ExtractionResult px = extract(nl, routes);
   const StaResult sta = run_sta(db, px);
@@ -118,7 +110,7 @@ bool FlowEngine::run_stage(Stage stage) {
     }
     metrics_.add("flow.stages_run");
     metrics_.set_max("rt.flow.peak_rss_kb", peak_rss_kb());
-    // Physical datapath width of the active kernel backend (64/256/512).
+    // Physical datapath width of the active kernel backend (64 or 512).
     // Runtime-prefixed: it varies by host CPU and TPI_SIMD, never the
     // simulated results, so it stays out of the deterministic snapshot.
     metrics_.set("rt.sim.lane_width", simd_lane_bits());
@@ -172,7 +164,7 @@ void FlowEngine::do_floorplan_place() {
   FloorplanOptions fpo;
   fpo.target_row_utilization = profile_.target_row_utilization;
   fp_ = make_floorplan(*nl_, fpo);
-  pl_ = place(*nl_, *fp_, PlacementOptions{});
+  pl_ = place(*nl_, *fp_);
 }
 
 // Structural part of stage 3: assign scan cells to chains (layout-driven
@@ -186,12 +178,12 @@ void FlowEngine::stitch_scan_chains() {
 
   ChainPlan plan;
   if (opts_.layout_driven_reorder) {
-    plan = plan_chains(nl, scan_opts_, cell_positions(nl, *pl_));
-    reorder_chains(plan, cell_positions(nl, *pl_));
+    plan = plan_chains(nl, scan_opts_, pl_->pos);
+    reorder_chains(plan, pl_->pos);
   } else {
     plan = plan_chains(nl, scan_opts_, {});
   }
-  res_.scan_wire_length_um = chain_wire_length(plan, cell_positions(nl, *pl_));
+  res_.scan_wire_length_um = chain_wire_length(plan, pl_->pos);
   stitch_chains(nl, plan);
   res_.num_chains = plan.num_chains;
   res_.max_chain_length = plan.max_length;

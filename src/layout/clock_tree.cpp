@@ -9,6 +9,7 @@ namespace {
 
 constexpr int kLeafBufferDrive = 4;   // CLKBUF_X4 at the leaves
 constexpr int kTrunkBufferDrive = 8;  // CLKBUF_X8 above
+constexpr int kMaxFanout = 18;        // sinks per buffer stage
 
 struct SinkRef {
   PinRef pin;
@@ -43,8 +44,7 @@ void kd_cluster(std::vector<SinkRef>& pts, std::size_t lo, std::size_t hi, std::
 
 }  // namespace
 
-CtsReport synthesize_clock_trees(Netlist& nl, const Floorplan& fp, Placement& pl,
-                                 const CtsOptions& opts) {
+CtsReport synthesize_clock_trees(Netlist& nl, const Floorplan& fp, Placement& pl) {
   CtsReport report;
   const CellSpec* leaf_buf = nl.library().gate(CellFunc::kClkBuf, 1, kLeafBufferDrive);
   const CellSpec* trunk_buf = nl.library().gate(CellFunc::kClkBuf, 1, kTrunkBufferDrive);
@@ -53,7 +53,7 @@ CtsReport synthesize_clock_trees(Netlist& nl, const Floorplan& fp, Placement& pl
   for (const int clock_pi : nl.clock_pis()) {
     const NetId root = nl.pi_net(clock_pi);
     const std::vector<PinRef> sinks = nl.net(root).sinks;  // copy; we re-home them
-    if (static_cast<int>(sinks.size()) <= opts.max_fanout) continue;
+    if (static_cast<int>(sinks.size()) <= kMaxFanout) continue;
     ++report.domains;
 
     std::vector<SinkRef> level;
@@ -64,9 +64,9 @@ CtsReport synthesize_clock_trees(Netlist& nl, const Floorplan& fp, Placement& pl
     }
 
     int depth = 0;
-    while (static_cast<int>(level.size()) > opts.max_fanout) {
+    while (static_cast<int>(level.size()) > kMaxFanout) {
       std::vector<std::pair<std::size_t, std::size_t>> groups;
-      kd_cluster(level, 0, level.size(), static_cast<std::size_t>(opts.max_fanout), groups);
+      kd_cluster(level, 0, level.size(), static_cast<std::size_t>(kMaxFanout), groups);
       std::vector<SinkRef> next;
       next.reserve(groups.size());
       for (const auto& [lo, hi] : groups) {

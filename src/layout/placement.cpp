@@ -12,7 +12,9 @@
 namespace tpi {
 namespace {
 
-// Global placement spreads the cells every kSpreadEvery iterations.
+// Centroid-attraction iterations of global placement; it spreads the
+// cells every kSpreadEvery iterations.
+constexpr int kGlobalIterations = 20;
 constexpr int kSpreadEvery = 3;
 // Nets with more fanout than this are ignored by the placer (clock, scan
 // enable); they would otherwise pull everything to one point.
@@ -194,8 +196,8 @@ struct GlobalView {
 // to the weighted mean of its nets' centroids (pads included: they anchor
 // the placement to the ring), weighting a net by 1 / pins; spreading keeps
 // the cells' x and y orders and restores uniform density across the core.
-void global_place(const Netlist& nl, const Floorplan& fp, const PlacementOptions& opts,
-                  const std::vector<CellId>& movable, Placement& pl) {
+void global_place(const Netlist& nl, const Floorplan& fp, const std::vector<CellId>& movable,
+                  Placement& pl) {
   GlobalView v(nl, movable, pl);
   // Each net's centroid times its weight: a cell's pull sums these.
   std::vector<Point> pull(v.net_weight.size());
@@ -206,7 +208,7 @@ void global_place(const Netlist& nl, const Floorplan& fp, const PlacementOptions
           lo + (static_cast<double>(r) + 0.5) / static_cast<double>(order.size()) * extent;
     }
   };
-  for (int iter = 0; iter < opts.global_iterations; ++iter) {
+  for (int iter = 0; iter < kGlobalIterations; ++iter) {
     for (std::size_t j = 0; j < pull.size(); ++j) {
       double sx = 0, sy = 0;
       for (std::uint32_t p = v.net_begin[j]; p < v.net_begin[j + 1]; ++p) {
@@ -227,7 +229,7 @@ void global_place(const Netlist& nl, const Floorplan& fp, const PlacementOptions
       v.xy[static_cast<std::size_t>(movable[i])] =
           Point{nx / v.cell_weight[i], ny / v.cell_weight[i]};
     }
-    if ((iter + 1) % kSpreadEvery == 0 || iter + 1 == opts.global_iterations) {
+    if ((iter + 1) % kSpreadEvery == 0 || iter + 1 == kGlobalIterations) {
       spread(&Point::x, fp.core_box.lx, fp.core_box.width());
       spread(&Point::y, fp.core_box.ly, fp.core_box.height());
     }
@@ -251,7 +253,7 @@ double Placement::total_hpwl(const Netlist& nl) const {
   return total;
 }
 
-Placement place(const Netlist& nl, const Floorplan& fp, const PlacementOptions& opts) {
+Placement place(const Netlist& nl, const Floorplan& fp) {
   Placement pl;
   const std::size_t n_cells = nl.num_cells();
   pl.pos.reserve(n_cells + nl.num_pis() + nl.num_pos());  // GlobalView appends the pads
@@ -291,10 +293,9 @@ Placement place(const Netlist& nl, const Floorplan& fp, const PlacementOptions& 
   // the global/legalise phases share straight-line code without nesting.
   std::optional<TraceSpan> phase_span;
   phase_span.emplace("placement.global");
-  global_place(nl, fp, opts, movable, pl);
+  global_place(nl, fp, movable, pl);
   phase_span.reset();
-  metrics().add("placement.global_iterations",
-                static_cast<std::uint64_t>(opts.global_iterations));
+  metrics().add("placement.global_iterations", static_cast<std::uint64_t>(kGlobalIterations));
 
   // ---- legalisation: assign rows by y with balanced fill ----
   phase_span.emplace("placement.legalize");

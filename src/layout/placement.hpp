@@ -19,10 +19,6 @@
 
 namespace tpi {
 
-struct PlacementOptions {
-  int global_iterations = 20;
-};
-
 struct Placement {
   /// Cell centre positions, indexed by CellId (valid for placed cells).
   std::vector<Point> pos;
@@ -38,7 +34,7 @@ struct Placement {
   double total_hpwl(const Netlist& nl) const;
 };
 
-Placement place(const Netlist& nl, const Floorplan& fp, const PlacementOptions& opts);
+Placement place(const Netlist& nl, const Floorplan& fp);
 
 /// (Re)distribute IO pads around the chip boundary. Must be called again
 /// before routing whenever netlist edits added PIs/POs after placement

@@ -11,6 +11,9 @@ namespace tpi {
 namespace {
 
 constexpr double kGcellUm = 30.0;
+// Routing tracks per gcell boundary per direction (6-metal stack: ~3
+// layers per direction at ~0.5 µm average pitch, minus blockage).
+constexpr float kTracksPerGcell = 165.0f;
 // Extra length per overflowing crossing (ripped up and re-routed around the
 // hotspot).
 constexpr double kDetourPerOverflowUm = 18.0;
@@ -101,8 +104,7 @@ void walk_l_route(const Grid& g, const Point& a, const Point& b, F&& f) {
 
 }  // namespace
 
-RoutingResult route(const Netlist& nl, const Floorplan& fp, const Placement& pl,
-                    const RoutingOptions& opts) {
+RoutingResult route(const Netlist& nl, const Floorplan& fp, const Placement& pl) {
   TPI_SPAN("routing.route");
   RoutingResult res;
   res.nets.resize(nl.num_nets());
@@ -133,7 +135,6 @@ RoutingResult route(const Netlist& nl, const Floorplan& fp, const Placement& pl,
   }
 
   // Pass 2: detour charge for crossings through over-capacity gcells.
-  const float cap = static_cast<float>(opts.tracks_per_gcell);
   for (std::size_t n = 0; n < nl.num_nets(); ++n) {
     RouteTree& tree = res.nets[n];
     int overflows = 0;
@@ -143,7 +144,7 @@ RoutingResult route(const Netlist& nl, const Floorplan& fp, const Placement& pl,
       int edge_overflows = 0;
       walk_l_route(grid, a, b, [&](bool horiz, int x, int y) {
         const std::size_t idx = static_cast<std::size_t>(y) * grid.nx + x;
-        if ((horiz ? grid.h_use : grid.v_use)[idx] > cap) ++edge_overflows;
+        if ((horiz ? grid.h_use : grid.v_use)[idx] > kTracksPerGcell) ++edge_overflows;
       });
       if (edge_overflows > 0) {
         // One detour route skirts a contiguous hotspot; cap the charge so a

@@ -13,12 +13,6 @@
 
 namespace tpi {
 
-struct RoutingOptions {
-  /// Routing tracks per gcell boundary per direction (6-metal stack:
-  /// ~3 layers per direction at ~0.5 µm average pitch, minus blockage).
-  double tracks_per_gcell = 165.0;
-};
-
 /// Routed topology of one net: node 0 is the driver; every other node
 /// links to its parent. Sinks appear in net order (cell sinks, then POs).
 struct RouteTree {
@@ -45,7 +39,6 @@ struct RoutingResult {
   int overflowed_crossings = 0;
 };
 
-RoutingResult route(const Netlist& nl, const Floorplan& fp, const Placement& pl,
-                    const RoutingOptions& opts = {});
+RoutingResult route(const Netlist& nl, const Floorplan& fp, const Placement& pl);
 
 }  // namespace tpi

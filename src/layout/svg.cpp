@@ -6,6 +6,9 @@
 namespace tpi {
 namespace {
 
+constexpr double kScale = 2.0;              // SVG pixels per µm
+constexpr std::size_t kMaxDrawnNets = 400;  // routed-net sample size (Fig. 3c)
+
 const char* cell_color(const CellSpec& spec) {
   switch (spec.func) {
     case CellFunc::kTsff: return "#d62728";    // test points: red
@@ -20,10 +23,9 @@ const char* cell_color(const CellSpec& spec) {
 }  // namespace
 
 std::string render_layout_svg(const Netlist& nl, const Floorplan& fp, const Placement* pl,
-                              const RoutingResult* routes, LayoutStage stage,
-                              const SvgOptions& opts) {
+                              const RoutingResult* routes, LayoutStage stage) {
   const Rect& chip = fp.chip_box;
-  const double s = opts.scale;
+  const double s = kScale;
   const double w = chip.width() * s, h = chip.height() * s;
   auto X = [&](double x) { return (x - chip.lx) * s; };
   auto Y = [&](double y) { return (chip.hy - y) * s; };  // flip: SVG y grows down
@@ -69,9 +71,8 @@ std::string render_layout_svg(const Netlist& nl, const Floorplan& fp, const Plac
   if (stage == LayoutStage::kRouted && routes != nullptr && pl != nullptr) {
     // Draw a sample of nets as L-routes (all of them would be solid ink).
     std::size_t drawn = 0;
-    const std::size_t step =
-        std::max<std::size_t>(1, routes->nets.size() / std::max<std::size_t>(1, opts.max_drawn_nets));
-    for (std::size_t n = 0; n < routes->nets.size() && drawn < opts.max_drawn_nets; n += step) {
+    const std::size_t step = std::max<std::size_t>(1, routes->nets.size() / kMaxDrawnNets);
+    for (std::size_t n = 0; n < routes->nets.size() && drawn < kMaxDrawnNets; n += step) {
       const RouteTree& tree = routes->nets[n];
       if (tree.node.size() < 2) continue;
       ++drawn;
@@ -90,11 +91,10 @@ std::string render_layout_svg(const Netlist& nl, const Floorplan& fp, const Plac
 }
 
 bool write_layout_svg(const std::string& path, const Netlist& nl, const Floorplan& fp,
-                      const Placement* pl, const RoutingResult* routes, LayoutStage stage,
-                      const SvgOptions& opts) {
+                      const Placement* pl, const RoutingResult* routes, LayoutStage stage) {
   std::ofstream out(path);
   if (!out) return false;
-  out << render_layout_svg(nl, fp, pl, routes, stage, opts);
+  out << render_layout_svg(nl, fp, pl, routes, stage);
   return static_cast<bool>(out);
 }
 

@@ -15,20 +15,14 @@ enum class LayoutStage {
   kRouted,     ///< + a sample of routed nets (Fig. 3c)
 };
 
-struct SvgOptions {
-  double scale = 2.0;           ///< SVG pixels per µm
-  std::size_t max_drawn_nets = 400;  ///< routed-net sample size (Fig. 3c)
-};
-
-/// Render one stage to an SVG string. `pl` may be null for kFloorplan;
-/// `routes` may be null except for kRouted.
+/// Render one stage to an SVG string at 2 px per µm, drawing at most 400
+/// routed nets. `pl` may be null for kFloorplan; `routes` may be null
+/// except for kRouted.
 std::string render_layout_svg(const Netlist& nl, const Floorplan& fp, const Placement* pl,
-                              const RoutingResult* routes, LayoutStage stage,
-                              const SvgOptions& opts = {});
+                              const RoutingResult* routes, LayoutStage stage);
 
 /// Convenience: render and write to a file; returns false on I/O failure.
 bool write_layout_svg(const std::string& path, const Netlist& nl, const Floorplan& fp,
-                      const Placement* pl, const RoutingResult* routes, LayoutStage stage,
-                      const SvgOptions& opts = {});
+                      const Placement* pl, const RoutingResult* routes, LayoutStage stage);
 
 }  // namespace tpi

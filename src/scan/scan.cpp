@@ -59,7 +59,7 @@ ScanInsertReport insert_scan(Netlist& nl) {
 }
 
 ChainPlan plan_chains(const Netlist& nl, const ScanOptions& opts,
-                      const std::vector<std::pair<double, double>>& position) {
+                      const std::vector<Point>& position) {
   ChainPlan plan;
   const std::vector<CellId> cells = scan_cells(nl);
   if (cells.empty()) return plan;
@@ -93,12 +93,12 @@ ChainPlan plan_chains(const Netlist& nl, const ScanOptions& opts,
       // into contiguous chains, so each chain occupies a compact region.
       const double band = 200.0;  // µm
       std::stable_sort(group.begin(), group.end(), [&](CellId a, CellId b) {
-        const auto& pa = position[static_cast<std::size_t>(a)];
-        const auto& pb = position[static_cast<std::size_t>(b)];
-        const int ba = static_cast<int>(pa.second / band);
-        const int bb = static_cast<int>(pb.second / band);
+        const Point& pa = position[static_cast<std::size_t>(a)];
+        const Point& pb = position[static_cast<std::size_t>(b)];
+        const int ba = static_cast<int>(pa.y / band);
+        const int bb = static_cast<int>(pb.y / band);
         if (ba != bb) return ba < bb;
-        return (ba % 2 == 0) ? pa.first < pb.first : pa.first > pb.first;
+        return (ba % 2 == 0) ? pa.x < pb.x : pa.x > pb.x;
       });
     }
     const int n = static_cast<int>(group.size());
@@ -120,7 +120,7 @@ ChainPlan plan_chains(const Netlist& nl, const ScanOptions& opts,
   return plan;
 }
 
-void reorder_chains(ChainPlan& plan, const std::vector<std::pair<double, double>>& position) {
+void reorder_chains(ChainPlan& plan, const std::vector<Point>& position) {
   for (auto& chain : plan.chains) {
     if (chain.size() < 3) continue;
     // Nearest-neighbour tour starting from the cell nearest the core edge
@@ -130,8 +130,8 @@ void reorder_chains(ChainPlan& plan, const std::vector<std::pair<double, double>
     std::size_t cur = 0;
     double best = 1e300;
     for (std::size_t i = 0; i < chain.size(); ++i) {
-      const auto& p = position[static_cast<std::size_t>(chain[i])];
-      const double d = p.first + p.second;
+      const Point& p = position[static_cast<std::size_t>(chain[i])];
+      const double d = p.x + p.y;
       if (d < best) {
         best = d;
         cur = i;
@@ -140,13 +140,12 @@ void reorder_chains(ChainPlan& plan, const std::vector<std::pair<double, double>
     tour.push_back(chain[cur]);
     used[cur] = 1;
     for (std::size_t step = 1; step < chain.size(); ++step) {
-      const auto& pc = position[static_cast<std::size_t>(chain[cur])];
+      const Point& pc = position[static_cast<std::size_t>(chain[cur])];
       double nearest = 1e300;
       std::size_t pick = 0;
       for (std::size_t i = 0; i < chain.size(); ++i) {
         if (used[i]) continue;
-        const auto& p = position[static_cast<std::size_t>(chain[i])];
-        const double d = std::abs(p.first - pc.first) + std::abs(p.second - pc.second);
+        const double d = manhattan(position[static_cast<std::size_t>(chain[i])], pc);
         if (d < nearest) {
           nearest = d;
           pick = i;
@@ -160,14 +159,12 @@ void reorder_chains(ChainPlan& plan, const std::vector<std::pair<double, double>
   }
 }
 
-double chain_wire_length(const ChainPlan& plan,
-                         const std::vector<std::pair<double, double>>& position) {
+double chain_wire_length(const ChainPlan& plan, const std::vector<Point>& position) {
   double total = 0.0;
   for (const auto& chain : plan.chains) {
     for (std::size_t i = 1; i < chain.size(); ++i) {
-      const auto& a = position[static_cast<std::size_t>(chain[i - 1])];
-      const auto& b = position[static_cast<std::size_t>(chain[i])];
-      total += std::abs(a.first - b.first) + std::abs(a.second - b.second);
+      total += manhattan(position[static_cast<std::size_t>(chain[i - 1])],
+                         position[static_cast<std::size_t>(chain[i])]);
     }
   }
   return total;

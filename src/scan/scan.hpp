@@ -8,9 +8,9 @@
 // buffer trees are added to the scan-enable (and test-point control) nets.
 #pragma once
 
-#include <utility>
 #include <vector>
 
+#include "layout/geometry.hpp"
 #include "netlist/netlist.hpp"
 
 namespace tpi {
@@ -41,19 +41,19 @@ struct ChainPlan {
 
 /// Partition scan cells into balanced chains, one clock domain per chain
 /// (mixing domains in one chain would need lock-up latches).
-/// `position` gives (x, y) per cell id for layout-driven clustering; pass
-/// an empty vector for netlist-order chains (pre-layout fallback).
+/// `position` gives the placed centre per cell id (Placement::pos) for
+/// layout-driven clustering; pass an empty vector for netlist-order chains
+/// (pre-layout fallback).
 ChainPlan plan_chains(const Netlist& nl, const ScanOptions& opts,
-                      const std::vector<std::pair<double, double>>& position);
+                      const std::vector<Point>& position);
 
 /// Order the cells inside each chain with a nearest-neighbour tour over
 /// their placed locations (layout-driven scan chain reordering, step 3).
-void reorder_chains(ChainPlan& plan, const std::vector<std::pair<double, double>>& position);
+void reorder_chains(ChainPlan& plan, const std::vector<Point>& position);
 
 /// Total scan-routing length estimate for a plan (sum of Manhattan hops
 /// between consecutive cells), used by the reordering ablation bench.
-double chain_wire_length(const ChainPlan& plan,
-                         const std::vector<std::pair<double, double>>& position);
+double chain_wire_length(const ChainPlan& plan, const std::vector<Point>& position);
 
 struct StitchReport {
   int num_chains = 0;

@@ -4,7 +4,7 @@
 // event-driven per-fault grading, forced replay resimulation and the
 // two-plane ternary sweep — are implemented once as NW-word uint64_t loop
 // templates (kernels_impl.hpp, NW in {1,2,4,8}) and compiled per backend
-// (kernels_scalar/avx2/avx512.cpp, see simd.hpp). All of them operate on
+// (kernels_scalar/avx512.cpp, see simd.hpp). All of them operate on
 // net-major word arrays: net n's lanes live at words [n*nw, n*nw+nw).
 //
 // Correctness never depends on the backend: every entry point computes the
@@ -112,9 +112,6 @@ const SimKernels& sim_kernels(SimdBackend b);
 
 // Per-backend tables (defined in kernels_<backend>.cpp).
 const SimKernels& sim_kernels_scalar();
-#ifdef TPI_HAVE_KERNELS_AVX2
-const SimKernels& sim_kernels_avx2();
-#endif
 #ifdef TPI_HAVE_KERNELS_AVX512
 const SimKernels& sim_kernels_avx512();
 #endif

@@ -1,6 +1,6 @@
 // Width-templated kernel implementations, included once per backend TU.
 //
-// The including TU defines TPI_SIMD_IMPL_NS (e.g. simd_impl_avx2) and is
+// The including TU defines TPI_SIMD_IMPL_NS (e.g. simd_impl_avx512) and is
 // compiled with that backend's ISA flags; everything here is plain NW-word
 // uint64_t loops the compiler auto-vectorises to whatever the TU's flags
 // allow. No intrinsics: the bit patterns produced are identical in every

@@ -10,50 +10,10 @@
 namespace tpi {
 namespace {
 
-bool cpu_supports(SimdBackend b) {
-  switch (b) {
-    case SimdBackend::kScalar:
-      return true;
-    case SimdBackend::kAvx2:
-#if defined(__x86_64__) || defined(__i386__)
-      return __builtin_cpu_supports("avx2");
-#else
-      return false;
-#endif
-    case SimdBackend::kAvx512:
-#if defined(__x86_64__) || defined(__i386__)
-      return __builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512bw");
-#else
-      return false;
-#endif
-  }
-  return false;
-}
-
-bool compiled_in(SimdBackend b) {
-  switch (b) {
-    case SimdBackend::kScalar:
-      return true;
-    case SimdBackend::kAvx2:
-#ifdef TPI_HAVE_KERNELS_AVX2
-      return true;
-#else
-      return false;
-#endif
-    case SimdBackend::kAvx512:
-#ifdef TPI_HAVE_KERNELS_AVX512
-      return true;
-#else
-      return false;
-#endif
-  }
-  return false;
-}
-
-SimdBackend widest_available() {
-  if (simd_backend_available(SimdBackend::kAvx512)) return SimdBackend::kAvx512;
-  if (simd_backend_available(SimdBackend::kAvx2)) return SimdBackend::kAvx2;
-  return SimdBackend::kScalar;
+// AVX-512 when it is compiled in and the CPU supports it, else scalar.
+SimdBackend auto_backend() {
+  return simd_backend_available(SimdBackend::kAvx512) ? SimdBackend::kAvx512
+                                                       : SimdBackend::kScalar;
 }
 
 // Resolved backend cache: -1 = unresolved. set_simd_backend invalidates.
@@ -68,29 +28,36 @@ SimdBackend resolve_locked() {
   if (!want) {
     if (const std::optional<std::string> v = env_string("TPI_SIMD")) {
       if (*v == "auto") {
-        // fall through to widest
+        // fall through to auto
       } else if (const std::optional<SimdBackend> b = simd_backend_from_name(*v)) {
         want = *b;
         origin = "TPI_SIMD";
       } else {
         log_warn() << "simd: invalid TPI_SIMD=\"" << *v
-                   << "\" (want auto|scalar|avx2|avx512); using auto";
+                   << "\" (want auto|scalar|avx512); using auto";
       }
     }
   }
   if (want && !simd_backend_available(*want)) {
-    const SimdBackend fb = widest_available();
+    const SimdBackend fb = auto_backend();
     log_warn() << "simd: requested backend \"" << simd_backend_name(*want) << "\" (" << origin
                << ") is unavailable on this host/build; falling back to \""
                << simd_backend_name(fb) << "\"";
     want = fb;
   }
-  return want ? *want : widest_available();
+  return want ? *want : auto_backend();
 }
 
 }  // namespace
 
-bool simd_backend_available(SimdBackend b) { return compiled_in(b) && cpu_supports(b); }
+bool simd_backend_available(SimdBackend b) {
+  if (b == SimdBackend::kScalar) return true;
+#if defined(TPI_HAVE_KERNELS_AVX512) && (defined(__x86_64__) || defined(__i386__))
+  return __builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512bw");
+#else
+  return false;
+#endif
+}
 
 SimdBackend simd_backend() {
   const int cached = g_resolved.load(std::memory_order_acquire);
@@ -109,24 +76,12 @@ void set_simd_backend(std::optional<SimdBackend> backend) {
   g_resolved.store(-1, std::memory_order_release);
 }
 
-int simd_lane_bits() {
-  switch (simd_backend()) {
-    case SimdBackend::kScalar:
-      return 64;
-    case SimdBackend::kAvx2:
-      return 256;
-    case SimdBackend::kAvx512:
-      return 512;
-  }
-  return 64;
-}
+int simd_lane_bits() { return simd_backend() == SimdBackend::kAvx512 ? 512 : 64; }
 
 const char* simd_backend_name(SimdBackend b) {
   switch (b) {
     case SimdBackend::kScalar:
       return "scalar";
-    case SimdBackend::kAvx2:
-      return "avx2";
     case SimdBackend::kAvx512:
       return "avx512";
   }
@@ -135,28 +90,16 @@ const char* simd_backend_name(SimdBackend b) {
 
 std::optional<SimdBackend> simd_backend_from_name(std::string_view name) {
   if (name == "scalar") return SimdBackend::kScalar;
-  if (name == "avx2") return SimdBackend::kAvx2;
   if (name == "avx512") return SimdBackend::kAvx512;
   return std::nullopt;
 }
 
 const SimKernels& sim_kernels(SimdBackend b) {
-  switch (b) {
-    case SimdBackend::kAvx512:
 #ifdef TPI_HAVE_KERNELS_AVX512
-      return sim_kernels_avx512();
+  if (b == SimdBackend::kAvx512) return sim_kernels_avx512();
 #else
-      break;
+  (void)b;
 #endif
-    case SimdBackend::kAvx2:
-#ifdef TPI_HAVE_KERNELS_AVX2
-      return sim_kernels_avx2();
-#else
-      break;
-#endif
-    case SimdBackend::kScalar:
-      break;
-  }
   return sim_kernels_scalar();
 }
 

@@ -3,13 +3,14 @@
 // All hot kernels (good-value sweep, event-driven fault grading, forced
 // replay resimulation, two-plane ternary sweep) are written once as plain
 // uint64_t loops over NW words per net (kernels_impl.hpp) and compiled
-// three times: once at baseline ISA, once with -mavx2 and once with
-// -mavx512f/bw/dq/vl. The compiler auto-vectorises the NW-word loops into
-// 256-/512-bit operations; the *logical* lane count of every pass is fixed
-// by the algorithms (kMaxLaneWords super-batches everywhere), so results
-// are bit-identical across backends by construction — only the wall clock
-// moves. Runtime dispatch picks the widest backend the CPU supports,
-// overridable by TPI_SIMD={auto,scalar,avx2,avx512} or programmatically
+// twice: once at baseline ISA (scalar, the portable path and the parity
+// reference) and once with -mavx512f/bw/dq/vl. The compiler
+// auto-vectorises the NW-word loops into 512-bit operations; the *logical*
+// lane count of every pass is fixed by the algorithms (kMaxLaneWords
+// super-batches everywhere), so results are bit-identical across backends
+// by construction — only the wall clock moves. Runtime dispatch picks
+// AVX-512 when it is compiled in and the CPU supports it, else scalar,
+// overridable by TPI_SIMD={auto,scalar,avx512} or programmatically
 // (set_simd_backend, used by the parity tests).
 #pragma once
 
@@ -19,7 +20,7 @@
 
 namespace tpi {
 
-enum class SimdBackend { kScalar = 0, kAvx2 = 1, kAvx512 = 2 };
+enum class SimdBackend { kScalar = 0, kAvx512 = 1 };
 
 /// Widest super-batch width in 64-bit words: every wide pass grades
 /// kMaxLaneWords * 64 = 512 patterns/lanes per net visit, independent of
@@ -42,9 +43,9 @@ constexpr int super_batch_words(std::int64_t remaining) {
 bool simd_backend_available(SimdBackend b);
 
 /// The backend the kernels currently dispatch to: the programmatic
-/// override if set, else TPI_SIMD from the environment, else the widest
-/// available. A requested-but-unavailable backend warns once and falls
-/// back to the widest available one.
+/// override if set, else TPI_SIMD from the environment, else AVX-512 when
+/// available and scalar otherwise. A requested-but-unavailable backend
+/// warns once and falls back to that automatic choice.
 SimdBackend simd_backend();
 
 /// Install (or clear, with nullopt) the process-wide backend override.
@@ -53,7 +54,7 @@ SimdBackend simd_backend();
 /// simulations are in flight on other threads.
 void set_simd_backend(std::optional<SimdBackend> backend);
 
-/// Physical datapath width of the active backend in bits (64/256/512);
+/// Physical datapath width of the active backend in bits (64 or 512);
 /// exported as the "rt.sim.lane_width" gauge.
 int simd_lane_bits();
 

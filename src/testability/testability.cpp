@@ -88,8 +88,6 @@ TestabilityResult analyze_testability(const CombModel& model) {
   r.co.assign(n_nets, kScoapInf);
   r.p1.assign(n_nets, 0.5f);
   r.obs.assign(n_nets, 0.0f);
-  r.ffr_root.assign(n_nets, kNoNet);
-  r.ffr_size.assign(n_nets, 0);
 
   // Controllable inputs.
   for (const NetId net : model.input_nets()) {
@@ -253,33 +251,6 @@ TestabilityResult analyze_testability(const CombModel& model) {
     }
   }
 
-  // ---- fanout-free regions ----
-  // A net is an FFR root when it fans out to more than one pin or is
-  // directly observed; otherwise it inherits the root of its single reader.
-  const Netlist& nl = model.netlist();
-  std::vector<char> observed(n_nets, 0);
-  for (const NetId net : model.observe_nets()) observed[static_cast<std::size_t>(net)] = 1;
-  for (std::size_t k = nodes.size(); k-- > 0;) {
-    const CombNode& node = nodes[k];
-    if (node.out == kNoNet) continue;
-    const auto out = static_cast<std::size_t>(node.out);
-    const Net& net = nl.net(node.out);
-    if (r.ffr_root[out] == kNoNet) {
-      if (net.fanout() != 1 || observed[out] || model.readers_of(node.out).empty()) {
-        r.ffr_root[out] = node.out;
-      } else {
-        // Single reader: inherit its output's root (reader is later in topo
-        // order, so already resolved).
-        const int reader = model.readers_of(node.out).front();
-        const NetId reader_out = nodes[static_cast<std::size_t>(reader)].out;
-        r.ffr_root[out] = (reader_out != kNoNet && r.ffr_root[static_cast<std::size_t>(
-                                                       reader_out)] != kNoNet)
-                              ? r.ffr_root[static_cast<std::size_t>(reader_out)]
-                              : node.out;
-      }
-    }
-    r.ffr_size[static_cast<std::size_t>(r.ffr_root[out])] += 1;
-  }
   return r;
 }
 

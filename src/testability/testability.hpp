@@ -1,9 +1,10 @@
-// Testability analysis: SCOAP, COP and fanout-free regions (FFRs).
+// Testability analysis: SCOAP and COP.
 //
 // §3.1 of the paper: "Several testability analysis measures are computed at
 // the beginning of each iteration, including SCOAP, COP, and TC values for
-// each signal line, and the sizes of fanout-free regions." These measures
-// drive test-point selection. All analyses run on the capture-view
+// each signal line, and the sizes of fanout-free regions." SCOAP and COP
+// drive test-point selection here; region sizes are not computed, because
+// the hybrid ranking (tpi.hpp) does not use them. All analyses run on the capture-view
 // combinational model, where scan flip-flops (and TSFFs) are fully
 // controllable/observable boundaries — which is exactly why inserting a
 // TSFF resets the local testability figures.
@@ -25,12 +26,6 @@ struct TestabilityResult {
   // COP (Brglez): signal probability p1 and observation probability obs.
   std::vector<float> p1;
   std::vector<float> obs;
-
-  // Fanout-free regions: for every net, the root net of its FFR (a net
-  // with fanout > 1, or observed directly), and for root nets the region
-  // size in gates.
-  std::vector<NetId> ffr_root;
-  std::vector<int> ffr_size;
 
   /// COP detection probability of a stuck-at fault on `net`.
   float detect_prob_sa0(NetId net) const {

@@ -7,7 +7,7 @@
 // observes its D input and controls its output from the internal FF.
 //
 // Insertion is the iterative process of §3.1:
-//   1. compute testability measures (SCOAP, COP, fanout-free regions),
+//   1. compute testability measures (SCOAP, COP),
 //   2. the analyses pick the method/cost function for the round,
 //   3. insert the best-scoring test points, reconnect clocks, repeat.
 //
@@ -28,7 +28,7 @@ namespace tpi {
 enum class TpiMethod {
   kCop,     ///< COP detection-probability cost only
   kScoap,   ///< SCOAP-based cost only
-  kHybrid,  ///< COP primary, SCOAP tie-break, FFR-size weighting (default)
+  kHybrid,  ///< exact COP gain of each hard net, COP hardness tie-break (default)
 };
 
 struct TpiOptions {

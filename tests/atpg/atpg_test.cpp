@@ -32,14 +32,11 @@ TEST(AtpgTest, AchievesHighEfficiencyOnTinyCircuit) {
 }
 
 TEST(AtpgTest, StaticCompactionShrinksPatternSet) {
-  AtpgOptions with;
-  AtpgOptions without;
-  without.static_compaction = false;
-  const AtpgResult a = run_on_tiny(2, with);
-  const AtpgResult b = run_on_tiny(2, without);
-  EXPECT_LT(a.num_patterns(), b.num_patterns());
-  // Compaction must not lose coverage.
-  EXPECT_NEAR(a.fault_coverage_pct, b.fault_coverage_pct, 0.5);
+  const AtpgResult r = run_on_tiny(2);
+  EXPECT_GT(r.num_patterns(), 0);
+  EXPECT_LT(r.num_patterns(), r.patterns_before_compaction);
+  // That compaction loses no coverage is checked by replaying the kept
+  // patterns (CompactedPatternsStillDetectEverything).
 }
 
 TEST(AtpgTest, CompactedPatternsStillDetectEverything) {

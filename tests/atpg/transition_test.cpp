@@ -20,23 +20,9 @@
 namespace tpi {
 namespace {
 
+using test::available_backends;
 using test::lib;
-
-std::vector<SimdBackend> available_backends() {
-  std::vector<SimdBackend> v;
-  for (const SimdBackend b :
-       {SimdBackend::kScalar, SimdBackend::kAvx2, SimdBackend::kAvx512}) {
-    if (simd_backend_available(b)) v.push_back(b);
-  }
-  return v;
-}
-
-/// Pins a backend for one scope; restores auto dispatch on exit.
-class ScopedBackend {
- public:
-  explicit ScopedBackend(SimdBackend b) { set_simd_backend(b); }
-  ~ScopedBackend() { set_simd_backend(std::nullopt); }
-};
+using test::ScopedBackend;
 
 TEST(TransitionFaultListTest, ModelStampedAndNamesRoundTrip) {
   auto nl = generate_circuit(lib(), test::tiny_profile(41));
@@ -228,7 +214,8 @@ TEST(TransitionAtpgTest, TransitionCoverageBelowStuckAt) {
 TEST(TatTest, GeneralizedFormulaReproducesPaperAtOneCaptureCycle) {
   for (const int l : {0, 9, 100}) {
     for (const int p : {1, 96, 5000}) {
-      EXPECT_EQ(test_application_time(l, p, 1), test_application_time(l, p));
+      // The default one capture cycle is the paper's eq. (2).
+      EXPECT_EQ(test_application_time(l, p), static_cast<std::int64_t>(l + 1) * p + l);
       // Launch-on-capture: one extra capture cycle per pattern.
       EXPECT_EQ(test_application_time(l, p, 2),
                 static_cast<std::int64_t>(l + 2) * p + l);

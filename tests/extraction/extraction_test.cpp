@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <memory>
+
 #include "../common/test_circuits.hpp"
 #include "circuits/generator.hpp"
 
@@ -10,34 +13,47 @@ namespace {
 
 using test::lib;
 
-TEST(ExtractionTest, TwoPinNetElmoreHandComputed) {
-  // Build a single buffer driving one sink; verify Elmore against the
-  // closed form: edge of length L -> R = r*L, C_total = c*L + C_pin,
-  // delay = R * (C_far_half + C_pin) + ... with a single pi segment:
-  // delay = r*L * (c*L/2 + C_pin) * 1e-3 ps.
-  Netlist nl(&lib(), "two_pin");
+// PI -> INV g -> net "out" -> INV g2 -> PO: "out" is a two-pin net.
+struct TwoPinCircuit {
+  std::unique_ptr<Netlist> nl;
+  NetId out = kNoNet;
+  RoutingResult routes;
+};
+
+TwoPinCircuit make_two_pin() {
+  TwoPinCircuit tp;
+  tp.nl = std::make_unique<Netlist>(&lib(), "two_pin");
+  Netlist& nl = *tp.nl;
   const int a = nl.add_primary_input("a");
   const CellSpec* inv = lib().gate(CellFunc::kInv, 1);
   const CellId g = nl.add_cell(inv, "g");
   nl.connect(g, 0, nl.pi_net(a));
-  const NetId out = nl.add_net("out");
-  nl.connect(g, inv->output_pin, out);
+  tp.out = nl.add_net("out");
+  nl.connect(g, inv->output_pin, tp.out);
   const CellId g2 = nl.add_cell(inv, "g2");
-  nl.connect(g2, 0, out);
+  nl.connect(g2, 0, tp.out);
   const NetId out2 = nl.add_net("out2");
   nl.connect(g2, inv->output_pin, out2);
   nl.add_primary_output("po", out2);
 
   const Floorplan fp = make_floorplan(nl, {});
-  const Placement pl = place(nl, fp, {});
-  const RoutingResult routes = route(nl, fp, pl);
-  const ExtractionResult px = extract(nl, routes);
+  const Placement pl = place(nl, fp);
+  tp.routes = route(nl, fp, pl);
+  return tp;
+}
 
-  const auto n = static_cast<std::size_t>(out);
-  const RouteTree& tree = routes.nets[n];
+TEST(ExtractionTest, TwoPinNetElmoreHandComputed) {
+  // Verify Elmore against the closed form: edge of length L -> R = r*L,
+  // C_total = c*L + C_pin, delay = R * (C_far_half + C_pin) + ... with a
+  // single pi segment: delay = r*L * (c*L/2 + C_pin) * 1e-3 ps.
+  const TwoPinCircuit tp = make_two_pin();
+  const ExtractionResult px = extract(*tp.nl, tp.routes);
+
+  const auto n = static_cast<std::size_t>(tp.out);
+  const RouteTree& tree = tp.routes.nets[n];
   ASSERT_EQ(tree.node.size(), 2u);
   const double len = tree.length_um;
-  const double pin_cap = inv->pins[0].cap_ff;
+  const double pin_cap = lib().gate(CellFunc::kInv, 1)->pins[0].cap_ff;
   const double r = kRShortOhmPerUm, c = kCShortFfPerUm;
   EXPECT_NEAR(px.nets[n].wire_cap_ff, c * len, 1e-9);
   EXPECT_NEAR(px.nets[n].pin_cap_ff, pin_cap, 1e-9);
@@ -48,28 +64,32 @@ TEST(ExtractionTest, TwoPinNetElmoreHandComputed) {
 }
 
 TEST(ExtractionTest, LongNetsUseThickMetal) {
-  ExtractionOptions opts;
-  opts.long_net_threshold_um = 10.0;  // force nearly everything "long"
-  auto nl = generate_circuit(lib(), test::tiny_profile(57));
-  const Floorplan fp = make_floorplan(*nl, {});
-  const Placement pl = place(*nl, fp, {});
-  const RoutingResult routes = route(*nl, fp, pl);
-  const ExtractionResult thick = extract(*nl, routes, opts);
-  const ExtractionResult normal = extract(*nl, routes, {});
-  // Thick metal has lower resistance: Elmore delays must shrink for the
-  // promoted nets.
-  double thick_sum = 0, normal_sum = 0;
-  for (std::size_t n = 0; n < nl->num_nets(); ++n) {
-    for (double d : thick.nets[n].sink_elmore_ps) thick_sum += d;
-    for (double d : normal.nets[n].sink_elmore_ps) normal_sum += d;
-  }
-  EXPECT_LT(thick_sum, normal_sum);
+  // Nets of at least 400 µm are promoted to the thick upper-metal class.
+  // Stretch the two-pin net's one route edge to just below and to exactly
+  // the threshold: below, it keeps the thin-metal constants; at 400 µm its
+  // lower resistance makes it faster although it is longer.
+  TwoPinCircuit tp = make_two_pin();
+  const auto n = static_cast<std::size_t>(tp.out);
+  RouteTree& tree = tp.routes.nets[n];
+  ASSERT_EQ(tree.node.size(), 2u);
+  auto extract_at = [&](double len) {
+    tree.edge_um[1] = len;
+    tree.length_um = len;
+    return extract(*tp.nl, tp.routes).nets[n];
+  };
+  const NetParasitics below = extract_at(399.9);
+  const NetParasitics at = extract_at(400.0);
+  EXPECT_NEAR(below.wire_cap_ff, kCShortFfPerUm * 399.9, 1e-9);
+  EXPECT_GT(std::abs(at.wire_cap_ff - kCShortFfPerUm * 400.0), 1e-3);
+  ASSERT_EQ(below.sink_elmore_ps.size(), 1u);
+  ASSERT_EQ(at.sink_elmore_ps.size(), 1u);
+  EXPECT_LT(at.sink_elmore_ps[0], below.sink_elmore_ps[0]);
 }
 
 TEST(ExtractionTest, TotalCapIncludesAllSinkPins) {
   auto nl = test::make_small_comb();
   const Floorplan fp = make_floorplan(*nl, {});
-  const Placement pl = place(*nl, fp, {});
+  const Placement pl = place(*nl, fp);
   const RoutingResult routes = route(*nl, fp, pl);
   const ExtractionResult px = extract(*nl, routes);
   // Net "a" feeds NOR.A and XOR.A.
@@ -89,9 +109,9 @@ TEST(ExtractionTest, ElmoreMonotoneAlongPath) {
   // and bounded by full-lumped worst case.
   auto nl = generate_circuit(lib(), test::tiny_profile(58));
   const Floorplan fp = make_floorplan(*nl, {});
-  const Placement pl = place(*nl, fp, {});
+  const Placement pl = place(*nl, fp);
   const RoutingResult routes = route(*nl, fp, pl);
-  const ExtractionResult px = extract(*nl, routes, {});
+  const ExtractionResult px = extract(*nl, routes);
   for (std::size_t n = 0; n < nl->num_nets(); ++n) {
     const RouteTree& tree = routes.nets[n];
     const NetParasitics& p = px.nets[n];
@@ -107,9 +127,9 @@ TEST(ExtractionTest, ElmoreMonotoneAlongPath) {
 TEST(ExtractionTest, AggregateWireCap) {
   auto nl = generate_circuit(lib(), test::tiny_profile(59));
   const Floorplan fp = make_floorplan(*nl, {});
-  const Placement pl = place(*nl, fp, {});
+  const Placement pl = place(*nl, fp);
   const RoutingResult routes = route(*nl, fp, pl);
-  const ExtractionResult px = extract(*nl, routes, {});
+  const ExtractionResult px = extract(*nl, routes);
   double sum = 0;
   for (const NetParasitics& p : px.nets) sum += p.wire_cap_ff;
   EXPECT_NEAR(px.total_wire_cap_ff, sum, 1e-6);

@@ -17,14 +17,19 @@ struct CtsCircuit {
   CtsReport report;
 };
 
-CtsCircuit make_cts(std::uint64_t seed, int max_fanout = 6) {
+// Sinks per clock buffer stage (clock_tree.cpp).
+constexpr std::size_t kMaxFanout = 18;
+
+// A tiny circuit with 96 flip-flops: about five times the fanout limit, so
+// its one domain gets several leaf buffers.
+CtsCircuit make_cts(std::uint64_t seed) {
+  CircuitProfile p = test::tiny_profile(seed);
+  p.num_ffs = 96;
   CtsCircuit out;
-  out.nl = generate_circuit(lib(), test::tiny_profile(seed));
+  out.nl = generate_circuit(lib(), p);
   out.fp = make_floorplan(*out.nl, {});
-  out.pl = place(*out.nl, out.fp, {});
-  CtsOptions opts;
-  opts.max_fanout = max_fanout;
-  out.report = synthesize_clock_trees(*out.nl, out.fp, out.pl, opts);
+  out.pl = place(*out.nl, out.fp);
+  out.report = synthesize_clock_trees(*out.nl, out.fp, out.pl);
   return out;
 }
 
@@ -46,14 +51,13 @@ TEST(ClockTreeTest, EveryFlipFlopStillClocked) {
 }
 
 TEST(ClockTreeTest, FanoutBoundedEverywhere) {
-  const int kMax = 5;
-  const CtsCircuit cc = make_cts(93, kMax);
+  const CtsCircuit cc = make_cts(93);
+  ASSERT_GT(cc.nl->flip_flops().size(), kMaxFanout);
   // The root net and every buffer output respect the limit.
   const NetId root = cc.nl->pi_net(cc.nl->clock_pis()[0]);
-  EXPECT_LE(cc.nl->net(root).fanout(), static_cast<std::size_t>(kMax));
+  EXPECT_LE(cc.nl->net(root).fanout(), kMaxFanout);
   for (const CellId buf : cc.report.new_cells) {
-    EXPECT_LE(cc.nl->net(cc.nl->cell(buf).output_net()).fanout(),
-              static_cast<std::size_t>(kMax));
+    EXPECT_LE(cc.nl->net(cc.nl->cell(buf).output_net()).fanout(), kMaxFanout);
   }
 }
 
@@ -85,8 +89,8 @@ TEST(ClockTreeTest, BuffersAreEcoPlaced) {
 TEST(ClockTreeTest, SmallDomainLeftAlone) {
   auto nl = test::make_shift_register();  // 2 sinks only
   const Floorplan fp = make_floorplan(*nl, {});
-  Placement pl = place(*nl, fp, {});
-  const CtsReport report = synthesize_clock_trees(*nl, fp, pl, {});
+  Placement pl = place(*nl, fp);
+  const CtsReport report = synthesize_clock_trees(*nl, fp, pl);
   EXPECT_EQ(report.buffers_added, 0);
   EXPECT_EQ(report.domains, 0);
 }
@@ -95,13 +99,11 @@ TEST(ClockTreeTest, MultiDomainBuildsSeparateTrees) {
   CircuitProfile p = test::tiny_profile(96);
   p.num_clock_domains = 2;
   p.domain_fraction = {0.5, 0.5};
-  p.num_ffs = 48;
+  p.num_ffs = 96;  // ~48 sinks per domain, over the fanout limit in both
   auto nl = generate_circuit(lib(), p);
   const Floorplan fp = make_floorplan(*nl, {});
-  Placement pl = place(*nl, fp, {});
-  CtsOptions opts;
-  opts.max_fanout = 6;
-  const CtsReport report = synthesize_clock_trees(*nl, fp, pl, opts);
+  Placement pl = place(*nl, fp);
+  const CtsReport report = synthesize_clock_trees(*nl, fp, pl);
   EXPECT_EQ(report.domains, 2);
   EXPECT_TRUE(nl->validate().empty());
 }

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <map>
 #include <string>
@@ -27,7 +28,7 @@ PlacedCircuit make_placed(std::uint64_t seed) {
   PlacedCircuit out;
   out.nl = generate_circuit(lib(), test::tiny_profile(seed));
   out.fp = make_floorplan(*out.nl, {});
-  out.pl = place(*out.nl, out.fp, {});
+  out.pl = place(*out.nl, out.fp);
   return out;
 }
 
@@ -79,10 +80,18 @@ TEST(PlacementTest, AllCellsAccountedForInRows) {
 TEST(PlacementTest, BeatsNaiveSpreadOnWirelength) {
   auto nl = generate_circuit(lib(), test::small_profile(73));
   const Floorplan fp = make_floorplan(*nl, {});
-  PlacementOptions zero_iters;
-  zero_iters.global_iterations = 0;
-  const Placement naive = place(*nl, fp, zero_iters);
-  const Placement tuned = place(*nl, fp, {});
+  const Placement tuned = place(*nl, fp);
+  // Naive spread: the same pads, cells in netlist order row after row,
+  // evenly over the core.
+  Placement naive = tuned;
+  const std::size_t n = nl->num_cells();
+  for (std::size_t c = 0; c < n; ++c) {
+    const double t = (static_cast<double>(c) + 0.5) / static_cast<double>(n);
+    const int r = std::min(fp.num_rows - 1, static_cast<int>(t * fp.num_rows));
+    const double frac_in_row = t * fp.num_rows - r;
+    naive.pos[c] = Point{fp.core_box.lx + frac_in_row * fp.core_box.width(),
+                         fp.row_y(r) + fp.row_height_um / 2.0};
+  }
   EXPECT_LT(tuned.total_hpwl(*nl), 0.9 * naive.total_hpwl(*nl));
 }
 
@@ -217,7 +226,7 @@ TEST(PlacementTest, FillersPlugEveryGap) {
 TEST(PlacementTest, HpwlIncludesPads) {
   auto nl = test::make_small_comb();
   const Floorplan fp = make_floorplan(*nl, {});
-  const Placement pl = place(*nl, fp, {});
+  const Placement pl = place(*nl, fp);
   EXPECT_GT(pl.total_hpwl(*nl), 0.0);
 }
 

@@ -4,6 +4,7 @@
 
 #include "../common/test_circuits.hpp"
 #include "circuits/generator.hpp"
+#include "circuits/profiles.hpp"
 
 namespace tpi {
 namespace {
@@ -21,7 +22,7 @@ RoutedCircuit make_routed(std::uint64_t seed) {
   RoutedCircuit out;
   out.nl = generate_circuit(lib(), test::tiny_profile(seed));
   out.fp = make_floorplan(*out.nl, {});
-  out.pl = place(*out.nl, out.fp, {});
+  out.pl = place(*out.nl, out.fp);
   out.routes = route(*out.nl, out.fp, out.pl);
   return out;
 }
@@ -91,13 +92,20 @@ TEST(RoutingTest, TotalLengthAggregates) {
 }
 
 TEST(RoutingTest, CongestionCausesDetours) {
-  auto nl = generate_circuit(lib(), test::small_profile(86));
-  const Floorplan fp = make_floorplan(*nl, {});
-  const Placement pl = place(*nl, fp, {});
-  RoutingOptions generous, scarce;
-  scarce.tracks_per_gcell = 4.0;  // absurdly low capacity
-  const RoutingResult easy = route(*nl, fp, pl, generous);
-  const RoutingResult hard = route(*nl, fp, pl, scarce);
+  // Routing capacity is a fixed 165 tracks per gcell edge, and a larger
+  // circuit at the same row utilisation has longer nets crossing each
+  // gcell: s38417 at scale 0.1 routes without overflow, at scale 0.25 it
+  // overflows.
+  auto route_profile = [](const CircuitProfile& p) {
+    auto nl = generate_circuit(lib(), p);
+    const Floorplan fp = make_floorplan(*nl, {});
+    const Placement pl = place(*nl, fp);
+    return route(*nl, fp, pl);
+  };
+  const RoutingResult easy = route_profile(test::small_profile(86));
+  CircuitProfile larger = scaled(s38417_profile(), 0.25);
+  larger.seed = 86;
+  const RoutingResult hard = route_profile(larger);
   EXPECT_GT(hard.overflowed_crossings, easy.overflowed_crossings);
   EXPECT_GT(hard.detour_length_um, easy.detour_length_um);
   EXPECT_GT(hard.total_wire_length_um, easy.total_wire_length_um);
@@ -113,7 +121,7 @@ TEST(RoutingTest, TwoPinNetIsManhattanExact) {
   nl.connect(g, buf->output_pin, out);
   nl.add_primary_output("po", out);
   const Floorplan fp = make_floorplan(nl, {});
-  const Placement pl = place(nl, fp, {});
+  const Placement pl = place(nl, fp);
   const RoutingResult routes = route(nl, fp, pl);
   const RouteTree& tree = routes.nets[static_cast<std::size_t>(nl.pi_net(a))];
   ASSERT_EQ(tree.node.size(), 2u);

@@ -13,7 +13,7 @@ using test::lib;
 TEST(SvgTest, RendersAllThreeStages) {
   auto nl = generate_circuit(lib(), test::tiny_profile(55));
   const Floorplan fp = make_floorplan(*nl, {});
-  const Placement pl = place(*nl, fp, {});
+  const Placement pl = place(*nl, fp);
   const RoutingResult routes = route(*nl, fp, pl);
 
   const std::string floorplan_svg =

@@ -176,8 +176,6 @@ void expect_views_equal_fresh_build(DesignDB& db, SeqView view) {
   EXPECT_EQ(t.co, fresh.co);
   EXPECT_EQ(t.p1, fresh.p1);
   EXPECT_EQ(t.obs, fresh.obs);
-  EXPECT_EQ(t.ffr_root, fresh.ffr_root);
-  EXPECT_EQ(t.ffr_size, fresh.ffr_size);
 }
 
 // Every edit since a view was built means a rebuild, including the ECO

@@ -158,7 +158,7 @@ TEST(ScanReorderTest, NearestNeighbourReducesWireLength) {
   ScanOptions opts;
   opts.max_chain_length = 12;
   // Synthetic placement: pseudo-random positions keyed by cell id.
-  std::vector<std::pair<double, double>> pos(nl->num_cells());
+  std::vector<Point> pos(nl->num_cells());
   for (std::size_t c = 0; c < pos.size(); ++c) {
     pos[c] = {static_cast<double>((c * 37) % 199), static_cast<double>((c * 91) % 173)};
   }

@@ -6,7 +6,6 @@
 // codegen bug, not a tolerance question.
 #include <gtest/gtest.h>
 
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -22,22 +21,9 @@
 namespace tpi {
 namespace {
 
+using test::available_backends;
 using test::lib;
-
-std::vector<SimdBackend> available_backends() {
-  std::vector<SimdBackend> v;
-  for (const SimdBackend b : {SimdBackend::kScalar, SimdBackend::kAvx2, SimdBackend::kAvx512}) {
-    if (simd_backend_available(b)) v.push_back(b);
-  }
-  return v;
-}
-
-/// Pins a backend for one scope; restores auto dispatch on exit.
-class ScopedBackend {
- public:
-  explicit ScopedBackend(SimdBackend b) { set_simd_backend(b); }
-  ~ScopedBackend() { set_simd_backend(std::nullopt); }
-};
+using test::ScopedBackend;
 
 TEST(SimdParityTest, ScalarBackendAlwaysAvailable) {
   EXPECT_TRUE(simd_backend_available(SimdBackend::kScalar));

@@ -67,14 +67,11 @@ TEST(SocRunnerTest, ResultBitIdenticalAcrossJobCountsAndBackends) {
   opts.bench_jobs = 4;
   EXPECT_EQ(soc_result_to_json(SocRunner(opts).run(lib())), reference);
 
-  for (const SimdBackend b :
-       {SimdBackend::kScalar, SimdBackend::kAvx2, SimdBackend::kAvx512}) {
-    if (!simd_backend_available(b)) continue;
-    set_simd_backend(b);
+  for (const SimdBackend b : test::available_backends()) {
+    const test::ScopedBackend pin(b);
     EXPECT_EQ(soc_result_to_json(SocRunner(opts).run(lib())), reference)
         << simd_backend_name(b);
   }
-  set_simd_backend(std::nullopt);
 }
 
 TEST(SocRunnerTest, ScheduleBeatsSerialAndCoversEveryCore) {

@@ -26,8 +26,8 @@ TimedCircuit analyze(std::unique_ptr<Netlist> nl, bool with_cts = false) {
   TimedCircuit out;
   out.nl = std::move(nl);
   out.fp = make_floorplan(*out.nl, {});
-  out.pl = place(*out.nl, out.fp, {});
-  if (with_cts) synthesize_clock_trees(*out.nl, out.fp, out.pl, {});
+  out.pl = place(*out.nl, out.fp);
+  if (with_cts) synthesize_clock_trees(*out.nl, out.fp, out.pl);
   out.routes = route(*out.nl, out.fp, out.pl);
   out.px = extract(*out.nl, out.routes);
   out.sta = run_sta(*out.nl, out.px);

@@ -85,44 +85,6 @@ TEST_F(SmallCombTestability, DetectionProbabilities) {
   EXPECT_NEAR(t_.detect_prob_min(y), 0.125f, 1e-6f);
 }
 
-TEST_F(SmallCombTestability, FanoutFreeRegions) {
-  // a fans out (g1, g3) -> a is its own root. y, z are multi-load or
-  // observed; every net gets a root.
-  for (std::size_t n = 0; n < nl_->num_nets(); ++n) {
-    const Net& net = nl_->net(static_cast<NetId>(n));
-    if (!net.driver.valid()) continue;
-    EXPECT_NE(t_.ffr_root[n], kNoNet) << nl_->net(static_cast<NetId>(n)).name;
-  }
-  const auto z = static_cast<std::size_t>(nl_->find_net("z"));
-  EXPECT_EQ(t_.ffr_root[z], nl_->find_net("z"));  // z observed + fanout 2
-}
-
-TEST(TestabilityTest, FfrChainCollapsesToRoot) {
-  // buf chain: a -> b1 -> b2 -> po. All gates share the root at the chain
-  // end (the observed net).
-  Netlist nl(&lib(), "chain");
-  const int a = nl.add_primary_input("a");
-  const CellSpec* buf = lib().gate(CellFunc::kBuf, 1);
-  NetId prev = nl.pi_net(a);
-  NetId last = kNoNet;
-  for (int i = 0; i < 3; ++i) {
-    const CellId b = nl.add_cell(buf, std::string("b").append(std::to_string(i)));
-    nl.connect(b, 0, prev);
-    last = nl.add_net(std::string("n").append(std::to_string(i)));
-    nl.connect(b, buf->output_pin, last);
-    prev = last;
-  }
-  nl.add_primary_output("po", last);
-  CombModel model(nl, SeqView::kCapture);
-  const TestabilityResult t = analyze_testability(model);
-  for (int i = 0; i < 3; ++i) {
-    const NetId net = nl.find_net(std::string("n").append(std::to_string(i)));
-    const auto n = static_cast<std::size_t>(net);
-    EXPECT_EQ(t.ffr_root[n], last);
-  }
-  EXPECT_EQ(t.ffr_size[static_cast<std::size_t>(last)], 3);
-}
-
 // Property: COP p1 approximates the measured signal probability under
 // random stimulus on generated circuits.
 TEST(TestabilityTest, CopMatchesSimulatedProbabilities) {

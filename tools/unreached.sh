@@ -18,7 +18,7 @@
 # unreached. Finally `gcov -j` reads the notes of every library and program
 # object of both trees (an object no program executed has no .gcda and reads
 # as all zero), the records of functions defined under src/ are merged by
-# source line (template instances and the scalar/AVX2/AVX-512 copies of the
+# source line (template instances and the scalar/AVX-512 copies of the
 # SIMD kernels share one line), and each function with zero calls is
 # printed as
 #   src/<file>:<line><TAB><function>
@@ -111,7 +111,9 @@ for path in glob.glob(os.path.join(gcov_dir, "*.json")):
             cwd = data.get("current_working_directory", root)
             for rec in data["files"]:
                 name = os.path.normpath(os.path.join(cwd, rec["file"]))
-                if not name.startswith(src):
+                # A source deleted since the tree was built leaves its
+                # notes behind; it has no functions to report.
+                if not name.startswith(src) or not os.path.exists(name):
                     continue
                 rel = os.path.relpath(name, root)
                 for fn in rec["functions"]:
