@@ -3,7 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <string>
+#include <vector>
 
+#include "../common/paper_netlists.hpp"
 #include "../common/test_circuits.hpp"
 
 namespace tpi {
@@ -107,6 +111,35 @@ TEST(LevelizeTest, ClockBuffersExcludedFromLogicGraph) {
   nl->connect(b, ckbuf->output_pin, out);
   const TopoOrder topo = levelize(*nl, SeqView::kCapture);
   for (const CellId c : topo.order) EXPECT_NE(c, b);
+}
+
+TEST(LevelizeTest, PaperScaleGolden) {
+  // Pin order, level and acyclic of both views on the full-size paper
+  // circuits, raw and after a 5 % TP flow through eco, byte for byte.
+  const std::vector<std::uint64_t> golden = {
+      0x67999f3086e5b979ull, 0x67999f3086e5b979ull,  // s38417 raw: application, capture
+      0x4174f6e9b31f6e1cull, 0x6daba5c255802b58ull,  // s38417 5 % TP after eco
+      0xe6d6d626bf8360e5ull, 0xe6d6d626bf8360e5ull,  // circuit1 raw
+      0xa90352d7148bb173ull, 0x1b0dfc031c0c9aafull,  // circuit1 5 % TP after eco
+      0xb087762b3bbf7525ull, 0xb087762b3bbf7525ull,  // p26909 raw
+      0xd09c48669910644dull, 0xe7313ed216d34dbeull,  // p26909 5 % TP after eco
+  };
+  std::size_t i = 0;
+  test::for_each_paper_netlist([&](const std::string& label, const Netlist& nl) {
+    for (const SeqView view : {SeqView::kApplication, SeqView::kCapture}) {
+      const TopoOrder topo = levelize(nl, view);
+      std::string bytes;
+      test::append_bytes(bytes, topo.order);
+      test::append_bytes(bytes, topo.level);
+      bytes.push_back(topo.acyclic ? '1' : '0');
+      const std::uint64_t d = fnv1a_64(bytes);
+      ASSERT_LT(i, golden.size());
+      EXPECT_EQ(d, golden[i]) << label << " view " << static_cast<int>(view) << " digest 0x"
+                              << std::hex << d;
+      ++i;
+    }
+  });
+  EXPECT_EQ(i, golden.size());
 }
 
 }  // namespace
