@@ -16,6 +16,7 @@
 #include "layout/placement.hpp"
 #include "layout/routing.hpp"
 #include "netlist/design_db.hpp"
+#include "netlist/levelize.hpp"
 #include "scan/scan.hpp"
 #include "sim/seq_sim.hpp"
 #include "sim/simd.hpp"
@@ -107,6 +108,58 @@ void BM_TpiRankRound(benchmark::State& state) {
   state.counters["shortlisted"] = static_cast<double>(stats.shortlisted);
 }
 BENCHMARK(BM_TpiRankRound)->Unit(benchmark::kMillisecond);
+
+// The full-size s38417, circuit1 and p26909 after 5 % TPI: the capture
+// view, which TPI rebuilds every round, has the TSFFs as boundaries; the
+// application view, which STA levelizes, has them transparent.
+const std::vector<std::unique_ptr<Netlist>>& tpi_paper_netlists() {
+  static const std::vector<std::unique_ptr<Netlist>> netlists = [] {
+    std::vector<std::unique_ptr<Netlist>> v;
+    for (const CircuitProfile& p : paper_profiles()) {
+      auto nl = generate_circuit(lib(), p);
+      DesignDB db(*nl);
+      TpiOptions opts;
+      opts.num_test_points =
+          static_cast<int>(std::lround(0.05 * static_cast<double>(nl->flip_flops().size())));
+      insert_test_points(db, opts);
+      v.push_back(std::move(nl));
+    }
+    return v;
+  }();
+  return netlists;
+}
+
+// levelize of all three circuits; Arg 0 = application view, 1 = capture.
+void BM_Levelize(benchmark::State& state) {
+  const SeqView view = state.range(0) == 0 ? SeqView::kApplication : SeqView::kCapture;
+  const auto& netlists = tpi_paper_netlists();
+  for (auto _ : state) {
+    for (const auto& nl : netlists) {
+      const TopoOrder topo = levelize(*nl, view);
+      benchmark::DoNotOptimize(topo.order.data());
+    }
+  }
+}
+BENCHMARK(BM_Levelize)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+
+// Capture-view CombModel compile of all three circuits from a given
+// TopoOrder: node array, reader CSR, observe cone and structural hashing.
+void BM_CombModelBuild(benchmark::State& state) {
+  const auto& netlists = tpi_paper_netlists();
+  std::vector<TopoOrder> topos;
+  for (const auto& nl : netlists) topos.push_back(levelize(*nl, SeqView::kCapture));
+  std::size_t deduped = 0;
+  for (auto _ : state) {
+    deduped = 0;
+    for (std::size_t i = 0; i < netlists.size(); ++i) {
+      const CombModel model(*netlists[i], SeqView::kCapture, topos[i]);
+      deduped += model.nodes_deduped();
+      benchmark::DoNotOptimize(model.eval_ops().data());
+    }
+  }
+  state.counters["nodes_deduped"] = static_cast<double>(deduped);
+}
+BENCHMARK(BM_CombModelBuild)->Unit(benchmark::kMillisecond);
 
 // Collapsed fault list of the full-size scanned s38417: what every ATPG
 // run and LBIST session pays before grading. Arg 0 = stuck-at, 1 =

@@ -97,8 +97,8 @@ int main() {
       ++g_failures;
     }
   }
-  for (const char* name : {"atpg.podem", "atpg.grade_chunk", "placement.global",
-                           "routing.route"}) {
+  for (const char* name : {"tpi.views", "tpi.rank", "scan.insert", "atpg.podem",
+                           "atpg.grade_chunk", "placement.global", "routing.route"}) {
     if (!contains(json, name)) {
       std::fprintf(stderr, "[trace_smoke] FAIL: span \"%s\" missing from trace\n", name);
       ++g_failures;

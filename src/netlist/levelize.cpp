@@ -1,6 +1,7 @@
 #include "netlist/levelize.hpp"
 
 #include <algorithm>
+#include <cstdint>
 
 namespace tpi {
 
@@ -41,60 +42,106 @@ bool is_logic_input_pin(const CellSpec& spec, int pin) {
   return pin != spec.ti_pin && pin != spec.te_pin && pin != spec.tr_pin;
 }
 
-bool in_graph(const Netlist& nl, CellId cell_id, SeqView view) {
-  return in_comb_graph(*nl.cell(cell_id).spec, view);
+/// The logic-input pins of a cell of `spec` as a bit mask (bit p = pin p).
+std::uint8_t logic_input_mask(const CellSpec& spec) {
+  std::uint8_t mask = 0;
+  for (std::size_t p = 0; p < spec.pins.size(); ++p) {
+    if (is_logic_input_pin(spec, static_cast<int>(p))) {
+      mask = static_cast<std::uint8_t>(mask | 1u << p);
+    }
+  }
+  return mask;
 }
 
 }  // namespace
 
+// Kahn's algorithm over a local logic-edge CSR instead of Net::sinks and
+// CellInst: one pass over the cells records each graph cell's logic-pin
+// mask and output net, a count pass over the nets keeps the edges from
+// graph drivers into logic pins, and a fill pass lays them out per net in
+// Net::sinks order. The FIFO, its seeds (ascending cell id) and each
+// net's sink order are those of a walk over the netlist itself, so order
+// and level come out the same.
 TopoOrder levelize(const Netlist& nl, SeqView view) {
+  static_assert(kMaxCellPins <= 8, "logic-pin masks are one byte");
   TopoOrder out;
   const std::size_t n = nl.num_cells();
   out.level.assign(n, -1);
-  std::vector<int> indegree(n, 0);
-  std::vector<char> active(n, 0);
 
+  // Per cell: in the graph or not, its logic-pin mask (0 outside the
+  // graph) and its output net (kNoNet outside the graph). Spec facts are
+  // recomputed only when the spec changes from the previous cell's.
+  std::vector<char> active(n, 0);
+  std::vector<std::uint8_t> pin_mask(n, 0);
+  std::vector<NetId> out_net(n, kNoNet);
+  std::size_t active_count = 0;
+  const CellSpec* last_spec = nullptr;
+  bool last_active = false;
+  std::uint8_t last_mask = 0;
   for (std::size_t c = 0; c < n; ++c) {
-    const CellId id = static_cast<CellId>(c);
-    if (!in_graph(nl, id, view)) continue;
+    const CellInst& inst = nl.cell(static_cast<CellId>(c));
+    if (inst.spec != last_spec) {
+      last_spec = inst.spec;
+      last_active = in_comb_graph(*last_spec, view);
+      last_mask = last_active ? logic_input_mask(*last_spec) : 0;
+    }
+    if (!last_active) continue;
     active[c] = 1;
-    const CellInst& inst = nl.cell(id);
-    for (std::size_t p = 0; p < inst.spec->pins.size(); ++p) {
-      if (!is_logic_input_pin(*inst.spec, static_cast<int>(p))) continue;
-      const NetId net = inst.conn[p];
-      if (net == kNoNet) continue;
-      const PinRef drv = nl.net(net).driver;
-      if (drv.valid() && in_graph(nl, drv.cell, view)) ++indegree[c];
+    ++active_count;
+    pin_mask[c] = last_mask;
+    out_net[c] = inst.output_net();
+  }
+  auto logic_edge = [&](const PinRef& sink) {
+    return (pin_mask[static_cast<std::size_t>(sink.cell)] >> sink.pin) & 1u;
+  };
+  auto graph_driver = [&](const Net& net) {
+    return net.driver.valid() && active[static_cast<std::size_t>(net.driver.cell)];
+  };
+
+  // Net k's logic sinks are edge_sink[edge_begin[k], edge_begin[k + 1]).
+  const std::size_t num_nets = nl.num_nets();
+  std::vector<std::uint32_t> edge_begin(num_nets + 1, 0);
+  for (std::size_t k = 0; k < num_nets; ++k) {
+    const Net& net = nl.net(static_cast<NetId>(k));
+    std::uint32_t edges = 0;
+    if (graph_driver(net)) {
+      for (const PinRef& sink : net.sinks) edges += logic_edge(sink);
+    }
+    edge_begin[k + 1] = edge_begin[k] + edges;
+  }
+  std::vector<CellId> edge_sink(edge_begin.back());
+  std::vector<int> indegree(n, 0);
+  for (std::size_t k = 0, e = 0; k < num_nets; ++k) {
+    const Net& net = nl.net(static_cast<NetId>(k));
+    if (!graph_driver(net)) continue;
+    for (const PinRef& sink : net.sinks) {
+      if (!logic_edge(sink)) continue;
+      edge_sink[e++] = sink.cell;
+      ++indegree[static_cast<std::size_t>(sink.cell)];
     }
   }
 
-  std::vector<CellId> queue;
+  // The order vector is the FIFO.
+  std::vector<CellId>& order = out.order;
+  order.reserve(active_count);
   for (std::size_t c = 0; c < n; ++c) {
     if (active[c] && indegree[c] == 0) {
-      queue.push_back(static_cast<CellId>(c));
+      order.push_back(static_cast<CellId>(c));
       out.level[c] = 0;
     }
   }
-
-  out.order.reserve(n);
-  for (std::size_t head = 0; head < queue.size(); ++head) {
-    const CellId c = queue[head];
-    out.order.push_back(c);
-    const NetId onet = nl.cell(c).output_net();
+  for (std::size_t head = 0; head < order.size(); ++head) {
+    const auto c = static_cast<std::size_t>(order[head]);
+    const NetId onet = out_net[c];
     if (onet == kNoNet) continue;
-    for (const PinRef& sink : nl.net(onet).sinks) {
-      const std::size_t sc = static_cast<std::size_t>(sink.cell);
-      if (!active[sc]) continue;
-      // Only count edges into logic pins (a clock pin load is not a logic edge).
-      if (!is_logic_input_pin(*nl.cell(sink.cell).spec, sink.pin)) continue;
-      out.level[sc] = std::max(out.level[sc], out.level[static_cast<std::size_t>(c)] + 1);
-      if (--indegree[sc] == 0) queue.push_back(sink.cell);
+    const auto k = static_cast<std::size_t>(onet);
+    for (std::uint32_t e = edge_begin[k]; e < edge_begin[k + 1]; ++e) {
+      const auto sc = static_cast<std::size_t>(edge_sink[e]);
+      out.level[sc] = std::max(out.level[sc], out.level[c] + 1);
+      if (--indegree[sc] == 0) order.push_back(edge_sink[e]);
     }
   }
-
-  std::size_t active_count = 0;
-  for (std::size_t c = 0; c < n; ++c) active_count += active[c];
-  out.acyclic = (out.order.size() == active_count);
+  out.acyclic = (order.size() == active_count);
   return out;
 }
 

@@ -6,6 +6,7 @@
 #include <map>
 
 #include "util/log.hpp"
+#include "util/trace.hpp"
 
 namespace tpi {
 namespace {
@@ -25,6 +26,7 @@ std::vector<CellId> scan_cells(const Netlist& nl) {
 }  // namespace
 
 ScanInsertReport insert_scan(Netlist& nl) {
+  TPI_SPAN("scan.insert");
   ScanInsertReport report;
   const CellSpec* sdff = nl.library().by_name("SDFF_X1");
   assert(sdff != nullptr);

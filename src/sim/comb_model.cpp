@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cassert>
-#include <unordered_map>
+#include <cstdint>
 
 #include "util/metrics.hpp"
 
@@ -29,15 +30,50 @@ bool symmetric_func(CellFunc f) {
 // Structural-hashing key: [func, num_inputs, in-class x4, sel-class].
 using NodeKey = std::array<std::int32_t, 7>;
 
-struct NodeKeyHash {
-  std::size_t operator()(const NodeKey& k) const {
-    std::size_t h = 1469598103934665603ULL;
+/// Open-addressing set of structural-hashing keys, each mapped to the
+/// first node that carried it. A slot is one uint64: a 32-bit fingerprint
+/// of the key's hash above that node's index + 1 (0 = empty), so the
+/// randomly probed table is 8 bytes per slot and stores no keys. A
+/// fingerprint match is confirmed by rebuilding the stored node's key,
+/// which is final once the node has been hashed: its fanin classes were
+/// set by earlier nodes and never change.
+class NodeKeyTable {
+ public:
+  /// Room for `max_keys` keys at a load factor of at most one half.
+  explicit NodeKeyTable(std::size_t max_keys)
+      : slots_(std::bit_ceil(std::max<std::size_t>(2 * max_keys, 16)), 0),
+        mask_(slots_.size() - 1) {}
+
+  /// The first node stored with `key` (`key_of(i)` rebuilds node i's
+  /// key), or `node` after storing it.
+  template <class KeyOf>
+  std::uint32_t find_or_insert(const NodeKey& key, std::uint32_t node, KeyOf&& key_of) {
+    const std::uint64_t h = hash(key);
+    const auto fingerprint = static_cast<std::uint32_t>(h >> 32);
+    for (std::size_t i = h & mask_;; i = (i + 1) & mask_) {
+      const std::uint64_t slot = slots_[i];
+      if (slot == 0) {
+        slots_[i] = std::uint64_t{fingerprint} << 32 | (std::uint64_t{node} + 1);
+        return node;
+      }
+      if (static_cast<std::uint32_t>(slot >> 32) != fingerprint) continue;
+      const auto stored = static_cast<std::uint32_t>(slot) - 1;
+      if (key_of(stored) == key) return stored;
+    }
+  }
+
+ private:
+  static std::uint64_t hash(const NodeKey& k) {
+    std::uint64_t h = 0x9e3779b97f4a7c15ULL;
     for (const std::int32_t v : k) {
-      h ^= static_cast<std::size_t>(static_cast<std::uint32_t>(v));
-      h *= 1099511628211ULL;
+      h = (h ^ static_cast<std::uint32_t>(v)) * 0xbf58476d1ce4e5b9ULL;
+      h ^= h >> 31;
     }
     return h;
   }
+
+  std::vector<std::uint64_t> slots_;
+  std::size_t mask_;
 };
 
 }  // namespace
@@ -186,10 +222,35 @@ CombModel::CombModel(const Netlist& nl, SeqView view, const TopoOrder& topo)
     for (const NetId n : const1_nets_) cls[static_cast<std::size_t>(n)] = const1_nets_.front();
   }
 
+  auto class_of = [&](NetId n) {
+    return n == kNoNet ? -1 : static_cast<std::int32_t>(cls[static_cast<std::size_t>(n)]);
+  };
+  auto node_key = [&](const CombNode& node) {
+    NodeKey key{};
+    key[0] = static_cast<std::int32_t>(node.func);
+    key[1] = node.num_inputs;
+    for (int i = 0; i < 4; ++i) key[2 + i] = i < node.num_inputs ? class_of(node.in[i]) : -1;
+    key[6] = class_of(node.sel);
+    if (symmetric_func(node.func)) {
+      // Canonicalise fanin order (at most four classes; open-coded to keep
+      // GCC's std::sort array-bounds analysis out of the picture).
+      for (int i = 1; i < node.num_inputs; ++i) {
+        const std::int32_t v = key[static_cast<std::size_t>(2 + i)];
+        int j = i - 1;
+        while (j >= 0 && key[static_cast<std::size_t>(2 + j)] > v) {
+          key[static_cast<std::size_t>(2 + j + 1)] = key[static_cast<std::size_t>(2 + j)];
+          --j;
+        }
+        key[static_cast<std::size_t>(2 + j + 1)] = v;
+      }
+    }
+    return key;
+  };
+
   eval_ops_.reserve(nodes_.size());
-  std::unordered_map<NodeKey, NetId, NodeKeyHash> seen;
-  seen.reserve(nodes_.size() * 2);
-  for (const CombNode& node : nodes_) {
+  NodeKeyTable seen(nodes_.size());
+  for (std::size_t idx = 0; idx < nodes_.size(); ++idx) {
+    const CombNode& node = nodes_[idx];
     EvalOp op;
     op.out = node.out;
     op.sel = node.sel;
@@ -209,32 +270,12 @@ CombModel::CombModel(const Netlist& nl, SeqView view, const TopoOrder& topo)
       eval_ops_.push_back(op);
       continue;
     }
-    NodeKey key{};
-    key[0] = static_cast<std::int32_t>(node.func);
-    key[1] = node.num_inputs;
-    for (int i = 0; i < node.num_inputs; ++i) {
-      key[2 + i] =
-          node.in[i] == kNoNet ? -1 : static_cast<std::int32_t>(cls[static_cast<std::size_t>(node.in[i])]);
-    }
-    for (int i = node.num_inputs; i < 4; ++i) key[2 + i] = -1;
-    key[6] = node.sel == kNoNet ? -1 : static_cast<std::int32_t>(cls[static_cast<std::size_t>(node.sel)]);
-    if (symmetric_func(node.func)) {
-      // Canonicalise fanin order (at most four classes; open-coded to keep
-      // GCC's std::sort array-bounds analysis out of the picture).
-      for (int i = 1; i < node.num_inputs; ++i) {
-        const std::int32_t v = key[static_cast<std::size_t>(2 + i)];
-        int j = i - 1;
-        while (j >= 0 && key[static_cast<std::size_t>(2 + j)] > v) {
-          key[static_cast<std::size_t>(2 + j + 1)] = key[static_cast<std::size_t>(2 + j)];
-          --j;
-        }
-        key[static_cast<std::size_t>(2 + j + 1)] = v;
-      }
-    }
-    const auto [it, inserted] = seen.emplace(key, node.out);
-    if (!inserted) {
-      op.copy_of = it->second;
-      cls[static_cast<std::size_t>(node.out)] = cls[static_cast<std::size_t>(it->second)];
+    const auto self = static_cast<std::uint32_t>(idx);
+    const std::uint32_t first = seen.find_or_insert(
+        node_key(node), self, [&](std::uint32_t i) { return node_key(nodes_[i]); });
+    if (first != self) {
+      op.copy_of = nodes_[first].out;
+      cls[static_cast<std::size_t>(node.out)] = cls[static_cast<std::size_t>(op.copy_of)];
       ++nodes_deduped_;
     }
     eval_ops_.push_back(op);

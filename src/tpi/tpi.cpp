@@ -9,6 +9,7 @@
 
 #include "netlist/design_db.hpp"
 #include "util/log.hpp"
+#include "util/trace.hpp"
 
 namespace tpi {
 namespace {
@@ -120,11 +121,35 @@ constexpr float kRandomTh = 1e-3f;  // random-detectable threshold
 // COP p1 vector that is put back after each candidate. The cone caps and
 // the BFS/node order decide the ranking and are part of its determinism
 // contract (DESIGN.md §5).
+//
+// Only relevant cone nodes are evaluated: a node is relevant when its
+// output is fixable (hard today, and 0.5 · obs >= the threshold, so
+// some p1 could make it random-detectable) or one of its readers is
+// relevant. min(p, 1 − p) <= 0.5 for every float p, so a node that is
+// not fixable never adds to the gain; and every producer of a relevant
+// node is relevant, so each evaluated node reads the same p1 values as
+// when the whole cone is evaluated. The mask is ANDed into the cone bitmap
+// word by word; cone membership and the cap are untouched.
 class GainEvaluator {
  public:
   GainEvaluator(const CombModel& model, const TestabilityResult& t)
       : model_(model), t_(t), p1_(t.p1), net_seen_(model.num_nets(), 0),
-        cone_((model.nodes().size() + 63) / 64, 0) {}
+        cone_((model.nodes().size() + 63) / 64, 0), relevant_(cone_.size(), 0) {
+    const auto& nodes = model.nodes();
+    auto relevant = [&](int k) {
+      const auto ki = static_cast<std::size_t>(k);
+      return ((relevant_[ki / 64] >> (ki % 64)) & 1u) != 0;
+    };
+    for (std::size_t k = nodes.size(); k-- > 0;) {  // readers come later in node order
+      const NetId out = nodes[k].out;
+      if (out == kNoNet) continue;
+      const auto readers = model.readers_of(out);
+      if (fixable(static_cast<std::size_t>(out)) ||
+          std::any_of(readers.begin(), readers.end(), relevant)) {
+        relevant_[k / 64] |= std::uint64_t{1} << (k % 64);
+      }
+    }
+  }
 
   double gain(NetId x) {
     constexpr std::size_t kMaxConeNodes = 500, kMaxFaninNets = 300;  // BFS caps
@@ -151,7 +176,8 @@ class GainEvaluator {
     }
     p1_[xi] = 0.5f;
     for (std::size_t w = lo; w < hi; ++w) {
-      for (std::uint64_t word = std::exchange(cone_[w], 0); word != 0; word &= word - 1) {
+      for (std::uint64_t word = std::exchange(cone_[w], 0) & relevant_[w]; word != 0;
+           word &= word - 1) {
         const std::size_t ni = w * 64 + static_cast<std::size_t>(std::countr_zero(word));
         const CombNode& node = model_.nodes()[ni];
         if (node.out == kNoNet) continue;
@@ -191,7 +217,7 @@ class GainEvaluator {
   }
 
   /// One pass over the model that makes upper_bound() valid for every net.
-  /// H[n] counts, over paths, the reader outputs below n that are hard
+  /// H[n] counts, over paths, the reader outputs below n that are fixable
   /// today — the only nodes that can add to n's control gain, whatever the
   /// cone cap. O[n] counts, over paths, the activatable-but-unobservable
   /// nets the fan-in walk can push. Both saturate at kBoundSat, far above
@@ -205,18 +231,18 @@ class GainEvaluator {
         const NetId out = nodes[static_cast<std::size_t>(reader)].out;
         if (out == kNoNet) continue;
         const auto o = static_cast<std::size_t>(out);
-        h = sat_add(h, sat_add(hard(o) ? 1 : 0, hard_below_[o]));
+        h = sat_add(h, sat_add(fixable(o) ? 1 : 0, fixable_below_[o]));
       }
       return h;
     };
-    hard_below_.assign(n_nets, 0);
+    fixable_below_.assign(n_nets, 0);
     for (std::size_t k = nodes.size(); k-- > 0;) {  // readers come later in node order
       const NetId out = nodes[k].out;
-      if (out != kNoNet) hard_below_[static_cast<std::size_t>(out)] = below(out);
+      if (out != kNoNet) fixable_below_[static_cast<std::size_t>(out)] = below(out);
     }
     for (std::size_t n = 0; n < n_nets; ++n) {  // PIs, pseudo-PIs, other producer-less nets
       const NetId net = static_cast<NetId>(n);
-      if (model_.producer_of(net) < 0) hard_below_[n] = below(net);
+      if (model_.producer_of(net) < 0) fixable_below_[n] = below(net);
     }
     unobserved_above_.assign(n_nets, 0);
     for (const CombNode& node : nodes) {  // producers come earlier in node order
@@ -231,11 +257,11 @@ class GainEvaluator {
     }
   }
 
-  /// gain(x) <= upper_bound(x): the cone holds at most H[x] hard outputs,
+  /// gain(x) <= upper_bound(x): the cone holds at most H[x] fixable outputs,
   /// X's own term adds at most 1, and the fan-in walk at most O[x] halves.
   double upper_bound(NetId x) const {
     const auto xi = static_cast<std::size_t>(x);
-    return hard_below_[xi] + 1.0 + 0.5 * unobserved_above_[xi];
+    return fixable_below_[xi] + 1.0 + 0.5 * unobserved_above_[xi];
   }
 
  private:
@@ -247,6 +273,9 @@ class GainEvaluator {
   bool hard(std::size_t n) const {
     return std::min(t_.p1[n], 1.0f - t_.p1[n]) * t_.obs[n] < kRandomTh;
   }
+  /// The net is hard, and forcing some p1 on it could lift its detection
+  /// probability to the threshold: min(p, 1 − p) never exceeds 0.5.
+  bool fixable(std::size_t n) const { return hard(n) && 0.5f * t_.obs[n] >= kRandomTh; }
   /// The net's faults are activatable but not observable today.
   bool unobserved(std::size_t n) const {
     const float activ = std::min(t_.p1[n], 1.0f - t_.p1[n]);
@@ -259,9 +288,10 @@ class GainEvaluator {
   std::vector<std::uint32_t> net_seen_;  ///< fan-in visit stamp per net
   std::uint32_t epoch_ = 0;
   std::vector<std::uint64_t> cone_;  ///< fan-out cone bitmap over nodes, zero between calls
+  std::vector<std::uint64_t> relevant_;  ///< relevant-node bitmap, fixed for the round
   std::vector<NetId> frontier_;
   std::vector<NetId> back_;
-  std::vector<std::uint32_t> hard_below_;        ///< H, per net
+  std::vector<std::uint32_t> fixable_below_;     ///< H, per net
   std::vector<std::uint32_t> unobserved_above_;  ///< O, per net
 };
 
@@ -271,6 +301,7 @@ std::vector<NetId> rank_tpi_candidates(const Netlist& nl, const TestabilityResul
                                        const CombModel& model, TpiMethod method,
                                        const std::unordered_set<NetId>& excluded,
                                        std::size_t max_candidates, RankStats* stats) {
+  TPI_SPAN("tpi.rank");
   struct Scored {
     NetId net;
     double score;
@@ -394,11 +425,16 @@ TpiReport insert_test_points(DesignDB& db, const TpiOptions& opts) {
     // pulled from the design database, so a round that follows an
     // edit-free round reuses the previous views instead of rebuilding
     // (previously inserted TSFFs are scan-cell boundaries in this view).
-    const CombModel& model = db.comb_model(SeqView::kCapture);
-    const TestabilityResult& t = db.testability(SeqView::kCapture);
+    const CombModel* model = nullptr;
+    const TestabilityResult* t = nullptr;
+    {
+      TPI_SPAN("tpi.views");
+      model = &db.comb_model(SeqView::kCapture);
+      t = &db.testability(SeqView::kCapture);
+    }
 
     const int batch = std::min(remaining, (opts.num_test_points + rounds - 1) / rounds);
-    const auto ranked = rank_tpi_candidates(nl, t, model, opts.method, opts.excluded_nets,
+    const auto ranked = rank_tpi_candidates(nl, *t, *model, opts.method, opts.excluded_nets,
                                             static_cast<std::size_t>(batch));
     if (ranked.empty()) break;
 
