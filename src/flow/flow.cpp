@@ -110,9 +110,9 @@ bool FlowEngine::run_stage(Stage stage) {
     }
     metrics_.add("flow.stages_run");
     metrics_.set_max("rt.flow.peak_rss_kb", peak_rss_kb());
-    // Physical datapath width of the active kernel backend (64 or 512).
-    // Runtime-prefixed: it varies by host CPU and TPI_SIMD, never the
-    // simulated results, so it stays out of the deterministic snapshot.
+    // Physical datapath width of the kernel backend (64 or 512).
+    // Runtime-prefixed: it varies by host CPU only, never the simulated
+    // results, so it stays out of the deterministic snapshot.
     metrics_.set("rt.sim.lane_width", simd_lane_bits());
   }
   const double wall_ms =

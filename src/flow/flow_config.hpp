@@ -11,9 +11,8 @@
 //     server's submit RPC. It accepts only the keys a submitted job can
 //     honour; the process settings stay env-only.
 //
-// Two variables have their own single reader because they act below the
-// flow layer: TPI_TRACE (trace_init_from_env, util/trace.hpp) and
-// TPI_SIMD (the backend resolver, sim/simd.hpp).
+// One variable has its own single reader because it acts below the flow
+// layer: TPI_TRACE (trace_init_from_env, util/trace.hpp).
 //
 // Precedence is purely positional: each builder layers over a base
 // config, so  from_json(request, from_env())  gives explicit per-job JSON

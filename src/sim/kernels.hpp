@@ -104,13 +104,11 @@ struct SimKernels {
                  Word* detect, int nw);
 };
 
-/// Kernels of the active backend (simd_backend()).
+/// Kernels of the process's backend (simd_backend()).
 const SimKernels& sim_kernels();
-/// Kernels of an explicit backend; falls back to scalar when `b` was not
-/// compiled in. Used by the cross-backend parity tests.
-const SimKernels& sim_kernels(SimdBackend b);
 
-// Per-backend tables (defined in kernels_<backend>.cpp).
+// Per-backend tables (defined in kernels_<backend>.cpp). Only sim_kernels()
+// and the parity test choose between them.
 const SimKernels& sim_kernels_scalar();
 #ifdef TPI_HAVE_KERNELS_AVX512
 const SimKernels& sim_kernels_avx512();

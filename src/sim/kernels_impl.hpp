@@ -1,6 +1,6 @@
 // Width-templated kernel implementations, included once per backend TU.
 //
-// The including TU defines TPI_SIMD_IMPL_NS (e.g. simd_impl_avx512) and is
+// The including TU defines TPI_KERNELS_NS (e.g. simd_impl_avx512) and is
 // compiled with that backend's ISA flags; everything here is plain NW-word
 // uint64_t loops the compiler auto-vectorises to whatever the TU's flags
 // allow. No intrinsics: the bit patterns produced are identical in every
@@ -20,8 +20,8 @@
 //  * forced replicates replay.cpp's forced_detect: a full sweep of the
 //    real ops (structural dedup is unsound under injection).
 
-#ifndef TPI_SIMD_IMPL_NS
-#error "kernels_impl.hpp must be included with TPI_SIMD_IMPL_NS defined"
+#ifndef TPI_KERNELS_NS
+#error "kernels_impl.hpp must be included with TPI_KERNELS_NS defined"
 #endif
 
 #include <cstddef>
@@ -31,7 +31,7 @@
 #include "sim/ternary_planes.hpp"
 
 namespace tpi {
-namespace TPI_SIMD_IMPL_NS {
+namespace TPI_KERNELS_NS {
 
 inline constexpr Word kZeroWords[kMaxLaneWords] = {};
 
@@ -423,5 +423,5 @@ inline const SimKernels& kernels() {
   return k;
 }
 
-}  // namespace TPI_SIMD_IMPL_NS
+}  // namespace TPI_KERNELS_NS
 }  // namespace tpi

@@ -1,6 +1,6 @@
 // Scalar (64-bit word) kernel backend: the portable baseline, compiled
 // with the project's default flags. Always present.
-#define TPI_SIMD_IMPL_NS simd_impl_scalar
+#define TPI_KERNELS_NS simd_impl_scalar
 #include "sim/kernels_impl.hpp"
 
 namespace tpi {

@@ -8,15 +8,13 @@
 // auto-vectorises the NW-word loops into 512-bit operations; the *logical*
 // lane count of every pass is fixed by the algorithms (kMaxLaneWords
 // super-batches everywhere), so results are bit-identical across backends
-// by construction — only the wall clock moves. Runtime dispatch picks
-// AVX-512 when it is compiled in and the CPU supports it, else scalar,
-// overridable by TPI_SIMD={auto,scalar,avx512} or programmatically
-// (set_simd_backend, used by the parity tests).
+// by construction — only the wall clock moves. The CPU alone picks the
+// backend, once per process: AVX-512 when it is compiled in and CPUID
+// reports every extension its TU is compiled for, else scalar. The parity
+// test calls both kernel tables directly (kernels.hpp).
 #pragma once
 
 #include <cstdint>
-#include <optional>
-#include <string_view>
 
 namespace tpi {
 
@@ -38,27 +36,18 @@ constexpr int super_batch_words(std::int64_t remaining) {
   return nw;
 }
 
-/// True when `b` was compiled in AND the running CPU supports it. kScalar
-/// is always available.
+/// True when `b` was compiled in AND the running CPU supports it: AVX-512
+/// needs the F, BW, DQ and VL extensions. kScalar is always available.
 bool simd_backend_available(SimdBackend b);
 
-/// The backend the kernels currently dispatch to: the programmatic
-/// override if set, else TPI_SIMD from the environment, else AVX-512 when
-/// available and scalar otherwise. A requested-but-unavailable backend
-/// warns once and falls back to that automatic choice.
+/// The backend the kernels dispatch to, resolved once per process:
+/// AVX-512 when available, else scalar.
 SimdBackend simd_backend();
 
-/// Install (or clear, with nullopt) the process-wide backend override.
-/// Takes effect on the next kernel dispatch; intended for the
-/// cross-backend parity tests. Not meant to be flipped while
-/// simulations are in flight on other threads.
-void set_simd_backend(std::optional<SimdBackend> backend);
-
-/// Physical datapath width of the active backend in bits (64 or 512);
+/// Physical datapath width of simd_backend() in bits (64 or 512);
 /// exported as the "rt.sim.lane_width" gauge.
 int simd_lane_bits();
 
 const char* simd_backend_name(SimdBackend b);
-std::optional<SimdBackend> simd_backend_from_name(std::string_view name);
 
 }  // namespace tpi

@@ -2,8 +2,8 @@
 // consistent warning and a fallback instead of module-specific
 // strtod/strtol ad-hockery. Each TPI_* variable has exactly one reader:
 // FlowConfig::from_env() (flow/flow_config.hpp) reads all of them except
-// TPI_TRACE (trace_init_from_env, util/trace.hpp) and TPI_SIMD (the
-// backend resolver, sim/simd.cpp), which act below the flow layer.
+// TPI_TRACE (trace_init_from_env, util/trace.hpp), which acts below the
+// flow layer.
 #pragma once
 
 #include <cstdint>

@@ -1,7 +1,7 @@
 // Shared helpers for tests: hand-built netlists with known behaviour, a
 // tiny generator profile used by the cross-module tests, a file reader
-// for the trace/ledger files the flow writes, a scoped setenv, a scoped
-// SIMD backend pin and a one-fault view of the fault-simulation bank.
+// for the trace/ledger files the flow writes, a scoped setenv and a
+// one-fault view of the fault-simulation bank.
 #pragma once
 
 #include <cstdio>
@@ -15,7 +15,6 @@
 #include "circuits/generator.hpp"
 #include "circuits/profiles.hpp"
 #include "netlist/netlist.hpp"
-#include "sim/simd.hpp"
 
 namespace tpi::test {
 
@@ -56,24 +55,6 @@ class ScopedEnv {
  private:
   std::string name_;
   std::optional<std::string> old_;
-};
-
-/// The SIMD backends this build and CPU can run, scalar first.
-inline std::vector<SimdBackend> available_backends() {
-  std::vector<SimdBackend> v;
-  for (const SimdBackend b : {SimdBackend::kScalar, SimdBackend::kAvx512}) {
-    if (simd_backend_available(b)) v.push_back(b);
-  }
-  return v;
-}
-
-/// Pins a backend for one scope; restores auto dispatch on exit.
-class ScopedBackend {
- public:
-  explicit ScopedBackend(SimdBackend b) { set_simd_backend(b); }
-  ~ScopedBackend() { set_simd_backend(std::nullopt); }
-  ScopedBackend(const ScopedBackend&) = delete;
-  ScopedBackend& operator=(const ScopedBackend&) = delete;
 };
 
 /// Library shared by all tests in a binary.
