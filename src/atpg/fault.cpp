@@ -5,12 +5,8 @@
 namespace tpi {
 namespace {
 
-// Is this sink pin part of the scan/clock infrastructure (tested by scan
-// shift and flush tests, not by capture patterns)?
-bool is_scan_pin(const Netlist& nl, const PinRef& ref) {
-  const CellSpec* spec = nl.cell(ref.cell).spec;
-  if (spec->pins[static_cast<std::size_t>(ref.pin)].is_clock) return true;
-  return ref.pin == spec->ti_pin || ref.pin == spec->te_pin || ref.pin == spec->tr_pin;
+bool scan_sink(const Netlist& nl, const PinRef& ref) {
+  return nl.cell(ref.cell).spec->is_scan_or_clock_pin(ref.pin);
 }
 
 // Transitive closure of "feeds only scan/clock infrastructure": a net whose
@@ -27,7 +23,7 @@ std::vector<char> scan_only_nets(const Netlist& nl) {
       if (!net.po_sinks.empty() || net.fanout() == 0) continue;
       bool all_scan = true;
       for (const PinRef& s : net.sinks) {
-        if (is_scan_pin(nl, s)) continue;
+        if (scan_sink(nl, s)) continue;
         const CellInst& inst = nl.cell(s.cell);
         const CellFunc f = inst.spec->func;
         const NetId out = inst.output_net();
@@ -112,12 +108,12 @@ FaultList build_fault_list(const CombModel& model, FaultModel fault_model) {
     if (!multi) {
       // Single-fanout: the sink pin fault is identical to the stem fault.
       stem_equiv += static_cast<int>(net.sinks.size());
-      if (!net.sinks.empty() && is_scan_pin(nl, net.sinks.front())) stem_scan = true;
+      if (!net.sinks.empty() && scan_sink(nl, net.sinks.front())) stem_scan = true;
     } else {
       // A stem whose every load is scan infrastructure (e.g. a scan-enable
       // net) is exercised by shift/flush, not capture.
       bool all_scan = net.po_sinks.empty();
-      for (const PinRef& s : net.sinks) all_scan = all_scan && is_scan_pin(nl, s);
+      for (const PinRef& s : net.sinks) all_scan = all_scan && scan_sink(nl, s);
       stem_scan = stem_scan || all_scan;
     }
     stem_at[ni] = static_cast<int>(faults.size());
@@ -125,7 +121,7 @@ FaultList build_fault_list(const CombModel& model, FaultModel fault_model) {
     add_fault(net_id, -1, true, stem_equiv, stem_scan);
     if (multi) {
       for (std::size_t s = 0; s < net.sinks.size(); ++s) {
-        const bool scan = clock || is_scan_pin(nl, net.sinks[s]);
+        const bool scan = clock || scan_sink(nl, net.sinks[s]);
         add_fault(net_id, static_cast<int>(s), false, 1, scan);
         add_fault(net_id, static_cast<int>(s), true, 1, scan);
       }

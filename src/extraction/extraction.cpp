@@ -16,6 +16,7 @@ constexpr double kLongNetThresholdUm = 400.0;
 ExtractionResult extract(const Netlist& nl, const RoutingResult& routes) {
   ExtractionResult res;
   res.nets.resize(nl.num_nets());
+  res.pin_elmore_ps.assign(nl.num_cells() * kMaxCellPins, 0.0);
 
   for (std::size_t ni = 0; ni < nl.num_nets(); ++ni) {
     const Net& net = nl.net(static_cast<NetId>(ni));
@@ -90,9 +91,11 @@ ExtractionResult extract(const Netlist& nl, const RoutingResult& routes) {
       delay[static_cast<std::size_t>(v)] =
           delay[static_cast<std::size_t>(par)] + 1e-3 * r * c_seen;
     }
-    p.sink_elmore_ps.resize(net.sinks.size() + net.po_sinks.size(), 0.0);
-    for (std::size_t v = 1; v < n_nodes && v - 1 < p.sink_elmore_ps.size(); ++v) {
-      p.sink_elmore_ps[v - 1] = delay[v];
+    // Node s + 1 is cell sink s; the PO pad nodes after them have no reader.
+    for (std::size_t v = 1; v < n_nodes && v - 1 < net.sinks.size(); ++v) {
+      const PinRef& s = net.sinks[v - 1];
+      res.pin_elmore_ps[static_cast<std::size_t>(s.cell) * kMaxCellPins +
+                        static_cast<std::size_t>(s.pin)] = delay[v];
     }
   }
   return res;

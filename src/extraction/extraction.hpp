@@ -25,18 +25,20 @@ struct NetParasitics {
   double wire_cap_ff = 0.0;
   double pin_cap_ff = 0.0;
   double total_cap_ff = 0.0;  ///< driver's output load
-  /// Elmore wire delay (ps) from the driver to each sink, ordered as the
-  /// net's cell sinks followed by its PO sinks.
-  std::vector<double> sink_elmore_ps;
-
-  double elmore_to_cell_sink(std::size_t sink_index) const {
-    return sink_index < sink_elmore_ps.size() ? sink_elmore_ps[sink_index] : 0.0;
-  }
 };
 
 struct ExtractionResult {
   std::vector<NetParasitics> nets;  ///< indexed by NetId
+  /// Elmore wire delay (ps) from each net's driver to each cell pin it
+  /// feeds, at cell * kMaxCellPins + pin, the netlist's own pin layout;
+  /// 0 for outputs, unconnected pins and unrouted nets.
+  std::vector<double> pin_elmore_ps;
   double total_wire_cap_ff = 0.0;
+
+  double elmore_ps(CellId cell, int pin) const {
+    return pin_elmore_ps[static_cast<std::size_t>(cell) * kMaxCellPins +
+                         static_cast<std::size_t>(pin)];
+  }
 };
 
 ExtractionResult extract(const Netlist& nl, const RoutingResult& routes);

@@ -2,6 +2,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -70,7 +71,9 @@ struct CellSpec {
   double setup_ps = 0.0;
   double hold_ps = 0.0;
 
-  // Cached pin roles (−1 when absent).
+  // Pin roles, decided once by CellLibrary::add_cell from the cell's
+  // function (−1 when absent): d/ti/te/tr only on sequential cells, select
+  // only on a MUX2.
   int output_pin = -1;
   int clock_pin = -1;
   int d_pin = -1;
@@ -78,8 +81,17 @@ struct CellSpec {
   int te_pin = -1;
   int tr_pin = -1;
   int select_pin = -1;  // MUX2 S
+  /// Logic fan-in pins in evaluation order: the inputs that are neither a
+  /// clock nor a scan pin, ascending (D for a flip-flop or TSFF; A, B, S
+  /// for a MUX2).
+  std::vector<int> logic_pins;
+  std::uint8_t logic_pin_mask = 0;          ///< bit p set: pin p is in logic_pins
+  std::uint8_t scan_or_clock_pin_mask = 0;  ///< bit p set: pin p is CK, TI, TE or TR
 
   double area_um2() const { return width_um * height_um; }
+  /// Whether `pin` belongs to the scan/clock infrastructure (tested by
+  /// scan shift and flush, not by capture patterns).
+  bool is_scan_or_clock_pin(int pin) const { return (scan_or_clock_pin_mask >> pin) & 1u; }
 
   /// Index of the named pin, or −1.
   int find_pin(std::string_view pin_name) const;

@@ -16,20 +16,35 @@ CellSpec* CellLibrary::add_cell(CellSpec spec, int width_sites) {
   }
   spec.width_um = width_sites * site_width_um_;
   spec.height_um = row_height_um_;
-  // Cache pin roles.
-  spec.output_pin = -1;
+  // Pin roles follow the function, whatever the caller set: only a
+  // flip-flop has data and scan pins, only a MUX2 a select, and every
+  // other input that is not a clock is logic.
+  spec.output_pin = spec.clock_pin = spec.d_pin = spec.ti_pin = spec.te_pin = spec.tr_pin =
+      spec.select_pin = -1;
+  spec.logic_pins.clear();
+  spec.logic_pin_mask = spec.scan_or_clock_pin_mask = 0;
+  spec.sequential = func_is_sequential(spec.func);
+  if (spec.sequential) {
+    spec.d_pin = spec.find_pin("D");
+    spec.ti_pin = spec.find_pin("TI");
+    spec.te_pin = spec.find_pin("TE");
+    spec.tr_pin = spec.find_pin("TR");
+  }
+  if (spec.func == CellFunc::kMux2) spec.select_pin = spec.find_pin("S");
   for (std::size_t i = 0; i < spec.pins.size(); ++i) {
     const PinSpec& p = spec.pins[i];
     const int idx = static_cast<int>(i);
-    if (p.dir == PinDir::kOutput) spec.output_pin = idx;
-    if (p.is_clock) spec.clock_pin = idx;
-    if (p.name == "D") spec.d_pin = idx;
-    if (p.name == "TI") spec.ti_pin = idx;
-    if (p.name == "TE") spec.te_pin = idx;
-    if (p.name == "TR") spec.tr_pin = idx;
-    if (p.name == "S") spec.select_pin = idx;
+    const auto bit = static_cast<std::uint8_t>(1u << i);
+    if (p.dir == PinDir::kOutput) {
+      spec.output_pin = idx;
+    } else if (p.is_clock || idx == spec.ti_pin || idx == spec.te_pin || idx == spec.tr_pin) {
+      if (p.is_clock) spec.clock_pin = idx;
+      spec.scan_or_clock_pin_mask |= bit;
+    } else {
+      spec.logic_pins.push_back(idx);
+      spec.logic_pin_mask |= bit;
+    }
   }
-  spec.sequential = func_is_sequential(spec.func);
   cells_.push_back(std::make_unique<CellSpec>(std::move(spec)));
   CellSpec* stored = cells_.back().get();
   by_name_[stored->name] = stored;

@@ -32,36 +32,15 @@ bool in_comb_graph(const CellSpec& spec, SeqView view) {
   return !spec.sequential;
 }
 
-/// Whether `pin` feeds the cell's combinational function: an input that is
-/// neither a clock nor a scan pin (TI/TE/TR); for a TSFF only D qualifies.
-bool is_logic_input_pin(const CellSpec& spec, int pin) {
-  if (spec.func == CellFunc::kTsff) return pin == spec.d_pin;
-  const PinSpec& ps = spec.pins[static_cast<std::size_t>(pin)];
-  if (ps.dir != PinDir::kInput || ps.is_clock) return false;
-  // Scan pins of regular flip-flops are not part of the logic function.
-  return pin != spec.ti_pin && pin != spec.te_pin && pin != spec.tr_pin;
-}
-
-/// The logic-input pins of a cell of `spec` as a bit mask (bit p = pin p).
-std::uint8_t logic_input_mask(const CellSpec& spec) {
-  std::uint8_t mask = 0;
-  for (std::size_t p = 0; p < spec.pins.size(); ++p) {
-    if (is_logic_input_pin(spec, static_cast<int>(p))) {
-      mask = static_cast<std::uint8_t>(mask | 1u << p);
-    }
-  }
-  return mask;
-}
-
 }  // namespace
 
 // Kahn's algorithm over a local logic-edge CSR instead of Net::sinks and
 // CellInst: one pass over the cells records each graph cell's logic-pin
-// mask and output net, a count pass over the nets keeps the edges from
-// graph drivers into logic pins, and a fill pass lays them out per net in
-// Net::sinks order. The FIFO, its seeds (ascending cell id) and each
-// net's sink order are those of a walk over the netlist itself, so order
-// and level come out the same.
+// mask (CellSpec::logic_pin_mask) and output net, a count pass over the
+// nets keeps the edges from graph drivers into logic pins, and a fill pass
+// lays them out per net in Net::sinks order. The FIFO, its seeds
+// (ascending cell id) and each net's sink order are those of a walk over
+// the netlist itself, so order and level come out the same.
 TopoOrder levelize(const Netlist& nl, SeqView view) {
   static_assert(kMaxCellPins <= 8, "logic-pin masks are one byte");
   TopoOrder out;
@@ -69,26 +48,17 @@ TopoOrder levelize(const Netlist& nl, SeqView view) {
   out.level.assign(n, -1);
 
   // Per cell: in the graph or not, its logic-pin mask (0 outside the
-  // graph) and its output net (kNoNet outside the graph). Spec facts are
-  // recomputed only when the spec changes from the previous cell's.
+  // graph) and its output net (kNoNet outside the graph).
   std::vector<char> active(n, 0);
   std::vector<std::uint8_t> pin_mask(n, 0);
   std::vector<NetId> out_net(n, kNoNet);
   std::size_t active_count = 0;
-  const CellSpec* last_spec = nullptr;
-  bool last_active = false;
-  std::uint8_t last_mask = 0;
   for (std::size_t c = 0; c < n; ++c) {
     const CellInst& inst = nl.cell(static_cast<CellId>(c));
-    if (inst.spec != last_spec) {
-      last_spec = inst.spec;
-      last_active = in_comb_graph(*last_spec, view);
-      last_mask = last_active ? logic_input_mask(*last_spec) : 0;
-    }
-    if (!last_active) continue;
+    if (!in_comb_graph(*inst.spec, view)) continue;
     active[c] = 1;
     ++active_count;
-    pin_mask[c] = last_mask;
+    pin_mask[c] = inst.spec->logic_pin_mask;
     out_net[c] = inst.output_net();
   }
   auto logic_edge = [&](const PinRef& sink) {

@@ -96,29 +96,21 @@ CombModel::CombModel(const Netlist& nl, SeqView view, const TopoOrder& topo)
     node.level = topo.level[static_cast<std::size_t>(cid)];
     max_level_ = std::max(max_level_, node.level);
     node.out = inst.output_net();
-    if (spec->func == CellFunc::kTsff) {
-      // Transparent test point: out follows D (application mode).
-      node.num_inputs = 1;
-      node.in[0] = inst.conn[static_cast<std::size_t>(spec->d_pin)];
-    } else if (spec->func == CellFunc::kMux2) {
-      node.num_inputs = 2;
-      node.in[0] = inst.conn[static_cast<std::size_t>(spec->find_pin("A"))];
-      node.in[1] = inst.conn[static_cast<std::size_t>(spec->find_pin("B"))];
-      node.sel = inst.conn[static_cast<std::size_t>(spec->select_pin)];
-    } else {
-      int k = 0;
-      for (std::size_t p = 0; p < spec->pins.size(); ++p) {
-        const PinSpec& ps = spec->pins[p];
-        if (ps.dir != PinDir::kInput || ps.is_clock) continue;
-        const int ip = static_cast<int>(p);
-        if (ip == spec->ti_pin || ip == spec->te_pin || ip == spec->tr_pin) continue;
-        const NetId n = inst.conn[p];
-        if (n == kNoNet) continue;
+    // Fan-in from the spec's logic pins. A transparent TSFF (out follows
+    // D) and a MUX2 keep fixed input slots even when a pin is unconnected;
+    // a gate packs its connected inputs.
+    const bool fixed_slots = spec->func == CellFunc::kTsff || spec->func == CellFunc::kMux2;
+    int k = 0;
+    for (const int p : spec->logic_pins) {
+      const NetId n = inst.conn[static_cast<std::size_t>(p)];
+      if (p == spec->select_pin) {
+        node.sel = n;
+      } else if (n != kNoNet || fixed_slots) {
         assert(k < 4);
         node.in[k++] = n;
       }
-      node.num_inputs = k;
     }
+    node.num_inputs = k;
     if (node.out != kNoNet) {
       producer_[static_cast<std::size_t>(node.out)] = static_cast<int>(nodes_.size());
     }

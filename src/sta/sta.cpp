@@ -26,14 +26,6 @@ struct NetArrival {
   int prev_pin = -1;           ///< that cell's critical input pin
 };
 
-// Find the index of a (cell, pin) sink within its net's sink list.
-int sink_index(const Net& net, CellId cell, int pin) {
-  for (std::size_t i = 0; i < net.sinks.size(); ++i) {
-    if (net.sinks[i].cell == cell && net.sinks[i].pin == pin) return static_cast<int>(i);
-  }
-  return -1;
-}
-
 class StaEngine {
  public:
   /// `topo` must be levelize(nl, SeqView::kApplication); both the forward
@@ -67,13 +59,6 @@ class StaEngine {
   double load_of(NetId net) const {
     return net == kNoNet ? 0.0 : px_.nets[static_cast<std::size_t>(net)].total_cap_ff;
   }
-  double wire_to(NetId net, CellId cell, int pin) const {
-    if (net == kNoNet) return 0.0;
-    const int idx = sink_index(nl_.net(net), cell, pin);
-    return idx < 0 ? 0.0
-                   : px_.nets[static_cast<std::size_t>(net)].elmore_to_cell_sink(
-                         static_cast<std::size_t>(idx));
-  }
   double lookup(const NldmTable& table, double slew, double load, CellId cell) {
     const NldmTable::Lookup r = table.lookup(slew, load);
     if (r.extrapolated) slow_cell_[static_cast<std::size_t>(cell)] = 1;
@@ -102,11 +87,9 @@ class StaEngine {
       q.pop();
       const Net& net = nl_.net(it.net);
       const int domain = clock_root_of_[it.net];
-      for (std::size_t si = 0; si < net.sinks.size(); ++si) {
-        const PinRef& s = net.sinks[si];
+      for (const PinRef& s : net.sinks) {
         const CellInst& inst = nl_.cell(s.cell);
-        const double wire =
-            px_.nets[static_cast<std::size_t>(it.net)].elmore_to_cell_sink(si);
+        const double wire = px_.elmore_ps(s.cell, s.pin);
         const double pin_arr = it.arrival + wire;
         const double pin_slew = it.slew + wire;
         if (inst.spec->sequential && s.pin == inst.spec->clock_pin) {
@@ -166,7 +149,7 @@ class StaEngine {
         if (in == kNoNet) continue;
         const auto& ia = net_[static_cast<std::size_t>(in)];
         if (ia.arrival_ps <= kNegInf) continue;
-        const double wire = wire_to(in, cid, arc.from_pin);
+        const double wire = px_.elmore_ps(cid, arc.from_pin);
         const double pin_slew = ia.slew_ps + wire;
         const double d = lookup(arc.delay, pin_slew, out_load, cid);
         const double cand = ia.arrival_ps + wire + d;
@@ -192,7 +175,7 @@ class StaEngine {
       if (d_net == kNoNet) continue;
       const auto& na = net_[static_cast<std::size_t>(d_net)];
       if (na.arrival_ps <= kNegInf) continue;
-      const double wire = wire_to(d_net, cid, inst.spec->d_pin);
+      const double wire = px_.elmore_ps(cid, inst.spec->d_pin);
       const double p = na.arrival_ps + wire + inst.spec->setup_ps - ck_arrival_[c];
       const int domain_pi = ck_domain_[c];
       int domain_slot = -1;
@@ -216,7 +199,7 @@ class StaEngine {
     cp.t_cp_ps = p;
     const CellInst& cap_inst = nl_.cell(capture);
     cp.t_setup_ps = cap_inst.spec->setup_ps;
-    cp.t_wires_ps += wire_to(d_net, capture, cap_inst.spec->d_pin);
+    cp.t_wires_ps += px_.elmore_ps(capture, cap_inst.spec->d_pin);
 
     double launch_ck = 0.0;
     NetId net = d_net;
@@ -230,7 +213,7 @@ class StaEngine {
       const bool is_launch_ff =
           inst.spec->sequential && na.prev_pin == inst.spec->clock_pin;
       // Recompute this arc's delay exactly as the forward pass did.
-      const double wire = is_launch_ff ? 0.0 : wire_to(in, na.prev_cell, na.prev_pin);
+      const double wire = is_launch_ff ? 0.0 : px_.elmore_ps(na.prev_cell, na.prev_pin);
       const double pin_slew = is_launch_ff
                                   ? ck_slew_[static_cast<std::size_t>(na.prev_cell)]
                                   : net_[static_cast<std::size_t>(in)].slew_ps + wire;
@@ -266,7 +249,7 @@ class StaEngine {
       if (!inst.spec->sequential || inst.spec->d_pin < 0) continue;
       const NetId d_net = inst.conn[static_cast<std::size_t>(inst.spec->d_pin)];
       if (d_net == kNoNet) continue;
-      const double wire = wire_to(d_net, cid, inst.spec->d_pin);
+      const double wire = px_.elmore_ps(cid, inst.spec->d_pin);
       down[static_cast<std::size_t>(d_net)] =
           std::max(down[static_cast<std::size_t>(d_net)],
                    wire + inst.spec->setup_ps - ck_arrival_[c]);
@@ -283,7 +266,7 @@ class StaEngine {
         if (in == kNoNet) continue;
         const auto& ia = net_[static_cast<std::size_t>(in)];
         if (ia.arrival_ps <= kNegInf) continue;
-        const double wire = wire_to(in, cid, arc.from_pin);
+        const double wire = px_.elmore_ps(cid, arc.from_pin);
         const double pin_slew = ia.slew_ps + wire;
         const double d = arc.delay.lookup(pin_slew, out_load).value_ps;
         down[static_cast<std::size_t>(in)] =

@@ -27,11 +27,7 @@ bool legal_site(const Netlist& nl, NetId net_id) {
   }
   bool has_logic_load = !net.po_sinks.empty();
   for (const PinRef& s : net.sinks) {
-    const CellSpec* spec = nl.cell(s.cell).spec;
-    const bool scan_pin = s.pin == spec->ti_pin || s.pin == spec->te_pin ||
-                          s.pin == spec->tr_pin ||
-                          spec->pins[static_cast<std::size_t>(s.pin)].is_clock;
-    if (!scan_pin) has_logic_load = true;
+    if (!nl.cell(s.cell).spec->is_scan_or_clock_pin(s.pin)) has_logic_load = true;
   }
   return has_logic_load;
 }

@@ -28,6 +28,10 @@ std::uint64_t mix_seed(std::uint64_t seed, std::uint64_t salt) {
   return z ^ (z >> 31);
 }
 
+// Each iteration draws a pipeline of kMinTransforms to kMaxTransforms steps.
+constexpr int kMinTransforms = 1;
+constexpr int kMaxTransforms = 4;
+
 constexpr std::uint64_t kFnvOffset = 1469598103934665603ULL;
 constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
 
@@ -207,8 +211,7 @@ FuzzReport TransformFuzzer::run() {
     const std::unique_ptr<Netlist> golden = generate_circuit(*lib_, prof);
 
     Rng plan(mix_seed(iter_seed, 2));
-    const int count =
-        static_cast<int>(plan.next_range(opts_.min_transforms, opts_.max_transforms));
+    const int count = static_cast<int>(plan.next_range(kMinTransforms, kMaxTransforms));
     std::vector<PlanStep> steps;
     steps.reserve(static_cast<std::size_t>(count));
     for (int p = 0; p < count; ++p) {

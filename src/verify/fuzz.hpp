@@ -50,8 +50,6 @@ EquivOptions fuzz_equiv_budget();
 struct FuzzOptions {
   std::uint64_t seed = 0xF422;
   int iterations = 50;
-  int min_transforms = 1;
-  int max_transforms = 4;
   CircuitProfile profile = default_fuzz_profile();
   EquivOptions equiv = fuzz_equiv_budget();
 };

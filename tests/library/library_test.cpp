@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -116,6 +117,55 @@ TEST_F(Phl130Test, ClockBuffersAscendingDrive) {
   ASSERT_GE(bufs.size(), 2u);
   for (std::size_t i = 1; i < bufs.size(); ++i) {
     EXPECT_GT(bufs[i]->drive, bufs[i - 1]->drive);
+  }
+}
+
+// Pin roles follow the cell's function, not its pin names: a NAND4's pin
+// "D" is logic, not a flip-flop data pin. Expected roles are written out
+// per cell of the library.
+TEST(LibraryTest, PinRolesFollowTheFunction) {
+  struct Roles {
+    std::vector<int> logic;          ///< in evaluation order
+    std::vector<int> scan_or_clock;  ///< ascending
+    int d_pin = -1;
+    int select_pin = -1;
+  };
+  const Roles one{{0}, {}, -1, -1};
+  const Roles two{{0, 1}, {}, -1, -1};
+  const Roles three{{0, 1, 2}, {}, -1, -1};
+  const Roles four{{0, 1, 2, 3}, {}, -1, -1};
+  const Roles none{{}, {}, -1, -1};
+  const std::map<std::string, Roles> expected = {
+      {"BUF_X1", one},      {"BUF_X2", one},      {"BUF_X4", one},
+      {"INV_X1", one},      {"INV_X2", one},      {"INV_X4", one},
+      {"NAND2_X1", two},    {"NAND3_X1", three},  {"NAND4_X1", four},
+      {"NOR2_X1", two},     {"NOR3_X1", three},   {"NOR4_X1", four},
+      {"AND2_X1", two},     {"AND3_X1", three},   {"OR2_X1", two},
+      {"OR3_X1", three},    {"XOR2_X1", two},     {"XNOR2_X1", two},
+      {"MUX2_X1", Roles{{0, 1, 2}, {}, -1, 2}},  // A, B, then S
+      {"CLKBUF_X2", one},   {"CLKBUF_X4", one},   {"CLKBUF_X8", one},
+      {"DFF_X1", Roles{{0}, {1}, 0, -1}},           // D, CK
+      {"SDFF_X1", Roles{{0}, {1, 2, 3}, 0, -1}},    // D, TI, TE, CK
+      {"TSFF_X1", Roles{{0}, {1, 2, 3, 4}, 0, -1}}, // D, TI, TE, TR, CK
+      {"TIE0", none},       {"TIE1", none},       {"FILL1", none},
+      {"FILL2", none},      {"FILL4", none},      {"FILL8", none},
+      {"FILL16", none},
+  };
+  const auto lib = make_phl130_library();
+  EXPECT_EQ(lib->cells().size(), expected.size());
+  for (const auto& cell : lib->cells()) {
+    const auto it = expected.find(cell->name);
+    ASSERT_NE(it, expected.end()) << cell->name;
+    const Roles& want = it->second;
+    EXPECT_EQ(cell->logic_pins, want.logic) << cell->name;
+    EXPECT_EQ(cell->d_pin, want.d_pin) << cell->name;
+    EXPECT_EQ(cell->select_pin, want.select_pin) << cell->name;
+    for (int p = 0; p < static_cast<int>(cell->pins.size()); ++p) {
+      const bool logic = std::count(want.logic.begin(), want.logic.end(), p) > 0;
+      const bool scan = std::count(want.scan_or_clock.begin(), want.scan_or_clock.end(), p) > 0;
+      EXPECT_EQ(((cell->logic_pin_mask >> p) & 1u) != 0, logic) << cell->name << " pin " << p;
+      EXPECT_EQ(cell->is_scan_or_clock_pin(p), scan) << cell->name << " pin " << p;
+    }
   }
 }
 
