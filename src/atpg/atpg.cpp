@@ -19,23 +19,6 @@ constexpr int kRandomBatches = 10;
 // faults than this.
 constexpr int kRandomMinYield = 8;
 
-// Pack batch[0..count) (count <= nw*64) into per-input lane words
-// (input-major): pattern k lands in bit k%64 of words[i*nw + k/64]. Lanes
-// past the pattern count stay zero (phantom all-zero vectors that
-// FaultSimBank::first_detections never counts).
-void pack_batch(const std::vector<TestPattern>& batch, std::size_t count, std::size_t num_inputs,
-                int nw, std::vector<Word>& words) {
-  words.assign(num_inputs * static_cast<std::size_t>(nw), 0);
-  for (std::size_t k = 0; k < count; ++k) {
-    const auto& bits = batch[k].bits;
-    const std::size_t j = k / kWordBits;
-    const int bit = static_cast<int>(k % kWordBits);
-    for (std::size_t i = 0; i < num_inputs; ++i) {
-      words[i * static_cast<std::size_t>(nw) + j] |= static_cast<Word>(bits[i] & 1) << bit;
-    }
-  }
-}
-
 // Live = could still be detected by a pattern: everything but kDetected and
 // kScanTested (kRedundant/kAborted stay eligible — simulation evidence of
 // detection overrides them). Built, with each live fault's resolved task,
@@ -54,6 +37,20 @@ void rebuild_live(const CombModel& model, FaultList& list, std::vector<Fault*>& 
 }
 
 }  // namespace
+
+void pack_patterns(const TestPattern* patterns, std::size_t count, std::size_t num_inputs, int nw,
+                   std::vector<Word>& words) {
+  words.assign(num_inputs * static_cast<std::size_t>(nw), 0);
+  for (std::size_t k = 0; k < count; ++k) {
+    const auto& bits = patterns[k].bits;
+    const std::size_t j = k / kWordBits;
+    const int bit = static_cast<int>(k % kWordBits);
+    const std::size_t n = std::min(num_inputs, bits.size());
+    for (std::size_t i = 0; i < n; ++i) {
+      words[i * static_cast<std::size_t>(nw) + j] |= static_cast<Word>(bits[i] != 0) << bit;
+    }
+  }
+}
 
 AtpgResult run_atpg(const CombModel& model, const TestabilityResult& testability,
                     const AtpgOptions& opts) {
@@ -105,7 +102,7 @@ AtpgResult run_atpg(const CombModel& model, const TestabilityResult& testability
   // Pack batch[0..count) into `nw` lane words, load them into the bank
   // and write each live fault's first detecting pattern into `first`.
   auto grade_batch = [&](std::size_t count, int nw) {
-    pack_batch(batch, count, num_inputs, nw, words);
+    pack_patterns(batch.data(), count, num_inputs, nw, words);
     bank.configure_lanes(nw);
     load_bank(words);
     bank.first_detections(live, tasks, count, first);

@@ -38,6 +38,15 @@ struct TestPattern {
   std::vector<std::uint8_t> bits;
 };
 
+/// Pack patterns[0, count) (count <= nw x 64) into `nw` lane words per
+/// input, input-major: pattern k sets bit k%64 of words[i*nw + k/64] when
+/// its bit i is nonzero. Lanes past `count` (phantom all-zero vectors that
+/// FaultSimBank::first_detections never counts) and inputs past a short
+/// pattern's end stay zero. The one packer of ATPG's three phases and of
+/// replay, which takes patterns from outside.
+void pack_patterns(const TestPattern* patterns, std::size_t count, std::size_t num_inputs, int nw,
+                   std::vector<Word>& words);
+
 struct AtpgResult {
   FaultModel fault_model = FaultModel::kStuckAt;  ///< model this run targeted
   FaultList faults;  ///< final per-fault statuses

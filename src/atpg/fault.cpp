@@ -59,10 +59,6 @@ std::optional<FaultModel> fault_model_from_name(std::string_view name) {
   return std::nullopt;
 }
 
-FaultList build_fault_list(const CombModel& model) {
-  return build_fault_list(model, FaultModel::kStuckAt);
-}
-
 FaultList build_fault_list(const CombModel& model, FaultModel fault_model) {
   const Netlist& nl = model.netlist();
   FaultList out;
@@ -211,6 +207,36 @@ FaultList build_fault_list(const CombModel& model, FaultModel fault_model) {
     if (f.equiv_count > 0) out.faults.push_back(f);
   }
   return out;
+}
+
+FaultTask resolve_fault_task(const CombModel& model, const Fault& fault) {
+  FaultTask task;
+  task.net = fault.net;
+  task.stuck1 = fault.stuck1;
+  if (fault.is_stem()) return task;
+  for (const int reader : model.readers_of(fault.net)) {
+    if (model.nodes()[static_cast<std::size_t>(reader)].cell == fault.branch.cell) {
+      task.branch_reader = reader;
+      return task;
+    }
+  }
+  // No logic reader: an FF D-pin branch is captured directly whenever the
+  // good value differs; any other sink (PO branch, scan pin) is dead.
+  const CellSpec* spec = model.netlist().cell(fault.branch.cell).spec;
+  if (spec->sequential && fault.branch.pin == spec->d_pin) {
+    task.direct_capture = true;
+  } else {
+    task.dead_branch = true;
+  }
+  return task;
+}
+
+std::vector<FaultTask> resolve_fault_tasks(const CombModel& model,
+                                           const std::vector<Fault*>& faults) {
+  std::vector<FaultTask> tasks;
+  tasks.reserve(faults.size());
+  for (const Fault* f : faults) tasks.push_back(resolve_fault_task(model, *f));
+  return tasks;
 }
 
 }  // namespace tpi

@@ -30,6 +30,7 @@
 #include <vector>
 
 #include "sim/comb_model.hpp"
+#include "sim/kernels.hpp"
 
 namespace tpi {
 
@@ -86,7 +87,17 @@ struct FaultList {
 /// Build the collapsed fault list for the capture-view model. The default
 /// is the stuck-at universe; kTransition builds the same sites with the
 /// transition-only (buffer/inverter) collapsing and every Fault::model set.
-FaultList build_fault_list(const CombModel& model);
-FaultList build_fault_list(const CombModel& model, FaultModel fault_model);
+FaultList build_fault_list(const CombModel& model,
+                           FaultModel fault_model = FaultModel::kStuckAt);
+
+/// Where a fault acts in `model`, the one answer PODEM, fault grading and
+/// pattern replay all use: a stem acts on its net everywhere; a branch
+/// acts at the first logic reader on its cell, or is captured directly by
+/// a flip-flop D pin with no logic reader, or is dead (any other sink: a
+/// PO branch or a scan pin).
+FaultTask resolve_fault_task(const CombModel& model, const Fault& fault);
+/// resolve_fault_task of every fault, in order.
+std::vector<FaultTask> resolve_fault_tasks(const CombModel& model,
+                                           const std::vector<Fault*>& faults);
 
 }  // namespace tpi

@@ -80,36 +80,6 @@ struct FaultSimBank::Worker {
   }
 };
 
-FaultTask resolve_fault_task(const CombModel& model, const Fault& fault) {
-  FaultTask task;
-  task.net = fault.net;
-  task.stuck1 = fault.stuck1;
-  if (fault.is_stem()) return task;
-  for (const int reader : model.readers_of(fault.net)) {
-    if (model.nodes()[static_cast<std::size_t>(reader)].cell == fault.branch.cell) {
-      task.branch_reader = reader;
-      return task;
-    }
-  }
-  // No logic reader: an FF D-pin branch is captured directly whenever the
-  // good value differs; any other sink (PO branch, scan pin) is dead.
-  const CellSpec* spec = model.netlist().cell(fault.branch.cell).spec;
-  if (spec->sequential && fault.branch.pin == spec->d_pin) {
-    task.direct_capture = true;
-  } else {
-    task.dead_branch = true;
-  }
-  return task;
-}
-
-std::vector<FaultTask> resolve_fault_tasks(const CombModel& model,
-                                           const std::vector<Fault*>& faults) {
-  std::vector<FaultTask> tasks;
-  tasks.reserve(faults.size());
-  for (const Fault* f : faults) tasks.push_back(resolve_fault_task(model, *f));
-  return tasks;
-}
-
 FaultSimBank::FaultSimBank(const CombModel& model, int jobs) : model_(&model), good_(model) {
   unsigned n = jobs <= 0 ? ThreadPool::default_concurrency() : static_cast<unsigned>(jobs);
   if (n < 1) n = 1;
@@ -136,22 +106,7 @@ void FaultSimBank::load_batch(const std::vector<Word>& input_words) {
 }
 
 void FaultSimBank::load_batch_loc(const std::vector<Word>& input_words) {
-  good_.load_inputs(input_words);
-  good_.run();
-  launch_values_ = good_.values();  // V1 frame, net-major
-  const CombModel& m = *model_;
-  const std::size_t nw = static_cast<std::size_t>(lane_words());
-  capture_inputs_ = input_words;  // PIs held across launch and capture
-  const std::size_t nff = m.boundary_ffs().size();
-  for (std::size_t i = 0; i < nff; ++i) {
-    const NetId d = m.observe_nets()[m.num_po_observes() + i];
-    const Word* w = launch_values_.data() + static_cast<std::size_t>(d) * nw;
-    for (std::size_t j = 0; j < nw; ++j) {
-      capture_inputs_[(m.num_pi_inputs() + i) * nw + j] = w[j];
-    }
-  }
-  good_.load_inputs(capture_inputs_);
-  good_.run();
+  good_.run_launch_capture(input_words, launch_values_);
   has_launch_ = true;
 }
 

@@ -10,8 +10,9 @@
 // LBIST: every batch of patterns is graded against all remaining faults
 // through FaultSimBank::first_detections, and drop_first_detected removes
 // each fault at its first detecting pattern. Callers resolve each live
-// fault's FaultTask once (resolve_fault_tasks) and keep the tasks aligned
-// with the live list; grading never resolves a fault itself.
+// fault's FaultTask once (resolve_fault_tasks in atpg/fault.hpp, which
+// PODEM and replay use too) and keep the tasks aligned with the live list;
+// grading never resolves a fault itself.
 //
 // The hot loops live in the dispatched SIMD kernels (sim/kernels.hpp): a
 // batch is lane_words() x 64 patterns wide, and each net visit grades all
@@ -26,14 +27,15 @@
 // to the serial path at any worker count.
 //
 // Transition faults are graded over launch-on-capture pattern pairs loaded
-// with load_batch_loc(): the launch frame V1 is simulated, the capture
-// frame holds the PIs and feeds each pseudo-input from the launch frame's
-// captured D value, and the kernels then grade the *capture* frame exactly
-// as for stuck-at. The transition condition (the fault site held the
-// launch value that makes the slow transition happen) is applied as a
-// per-lane mask after the kernel: slow-to-rise requires launch value 0,
-// slow-to-fall requires launch value 1. The kernels themselves are
-// untouched, so backend bit-identity carries over.
+// with load_batch_loc(), which builds them with
+// ParallelSim::run_launch_capture (as replay does): the launch frame V1 is
+// simulated, the capture frame holds the PIs and feeds each pseudo-input
+// from the launch frame's captured D value, and the kernels then grade the
+// *capture* frame exactly as for stuck-at. The transition condition (the
+// fault site held the launch value that makes the slow transition happen)
+// is applied as a per-lane mask after the kernel: slow-to-rise requires
+// launch value 0, slow-to-fall requires launch value 1. The kernels
+// themselves are untouched, so backend bit-identity carries over.
 #pragma once
 
 #include <cstdint>
@@ -47,14 +49,6 @@
 namespace tpi {
 
 class ThreadPool;
-
-/// Resolve a fault against the model for the grading/forced kernels: find
-/// the branch's logic reader, or classify it as a direct FF-D capture or a
-/// dead branch. Shared by fault simulation and pattern replay.
-FaultTask resolve_fault_task(const CombModel& model, const Fault& fault);
-/// resolve_fault_task of every fault, in order.
-std::vector<FaultTask> resolve_fault_tasks(const CombModel& model,
-                                           const std::vector<Fault*>& faults);
 
 /// Deterministic parallel fault grading: the live fault list is split into
 /// one contiguous chunk per worker (chunk boundaries depend only on the
@@ -87,11 +81,10 @@ class FaultSimBank {
   /// grades against this one good state.
   void load_batch(const std::vector<Word>& input_words);
 
-  /// Launch-on-capture batch for transition faults: simulate `input_words`
-  /// as the launch frame V1, then build and simulate the capture frame
-  /// (PIs held, pseudo-inputs fed from V1's captured D observes). The good
-  /// state is then the capture frame; the launch frame's values are kept
-  /// for the transition launch condition.
+  /// Launch-on-capture batch for transition faults
+  /// (ParallelSim::run_launch_capture of `input_words`). The good state is
+  /// then the capture frame; the launch frame's values are kept for the
+  /// transition launch condition.
   void load_batch_loc(const std::vector<Word>& input_words);
 
   /// Good-circuit state of the loaded batch (the capture frame after
@@ -127,8 +120,7 @@ class FaultSimBank {
 
   const CombModel* model_;
   ParallelSim good_;
-  std::vector<Word> launch_values_;   ///< V1 net values (load_batch_loc)
-  std::vector<Word> capture_inputs_;  ///< scratch for the capture frame
+  std::vector<Word> launch_values_;  ///< V1 net values (load_batch_loc)
   bool has_launch_ = false;
   std::vector<std::unique_ptr<Worker>> workers_;
   std::unique_ptr<ThreadPool> pool_;  ///< null when jobs() == 1

@@ -155,8 +155,8 @@ bool Podem::assign_and_imply(NetId net, Tern value) {
   std::size_t trail_cap = trail_.size();
   bool detected = detected_;
   const int inject = inject_node_;
-  const NetId site = fault_->net;
-  const Tern stuck = tern_of(fault_->stuck1);
+  const NetId site = task_.net;
+  const Tern stuck = tern_of(task_.stuck1);
 
   const auto set = [&](NetId n, TernCode code) {
     const auto i = static_cast<std::size_t>(n);
@@ -191,7 +191,7 @@ bool Podem::assign_and_imply(NetId net, Tern value) {
   };
 
   const TernCode assigned =
-      tern_code(value, fault_->is_stem() && net == site ? stuck : value);
+      tern_code(value, task_.is_stem() && net == site ? stuck : value);
   if (v[static_cast<std::size_t>(net)] != assigned) set(net, assigned);
   schedule(net);
 
@@ -213,7 +213,7 @@ bool Podem::assign_and_imply(NetId net, Tern value) {
         TernCode in[4];
         for (int i = 0; i < node.num_inputs; ++i) in[i] = v[static_cast<std::size_t>(node.in[i])];
         TernCode sel = node.sel != kNoNet ? v[static_cast<std::size_t>(node.sel)] : kCodeXX;
-        if (ni == inject && branch_reader_ >= 0) {
+        if (ni == inject && task_.branch_reader >= 0) {
           // The branch reader sees the stuck value on its faulty input pin.
           for (int i = 0; i < node.num_inputs; ++i) {
             if (node.in[i] == site) in[i] = code_with_faulty(in[i], stuck);
@@ -222,7 +222,7 @@ bool Podem::assign_and_imply(NetId net, Tern value) {
         }
         c = eval_node_code(node.func, node.num_inputs, in, sel);
         // Stem fault: the faulty circuit's value at the site is pinned.
-        if (ni == inject && branch_reader_ < 0) c = code_with_faulty(c, stuck);
+        if (ni == inject && task_.branch_reader < 0) c = code_with_faulty(c, stuck);
       }
       if (c == v[static_cast<std::size_t>(op.out)]) continue;
       set(op.out, c);
@@ -243,7 +243,7 @@ void Podem::rebuild_d_frontier() {
   d_frontier_.clear();
   // The branch reader carries the injected D on its faulty input; it never
   // appears as a D on a real net, so it is always a frontier candidate.
-  if (branch_reader_ >= 0) d_frontier_.push_back(branch_reader_);
+  if (task_.branch_reader >= 0) d_frontier_.push_back(task_.branch_reader);
   // The readers of every D net, nets in the order they left (X,X). A scan
   // of the trail pushing the readers of each entry whose net now holds a D
   // meets each such net first at that point, so every node first appears
@@ -269,7 +269,7 @@ void Podem::filter_d_frontier() {
     // Resolved only when BOTH circuits know the output; a known good value
     // with an unknown faulty value can still become a D.
     if (code_known(v_[static_cast<std::size_t>(node.out)])) continue;
-    if (ni == branch_reader_) {
+    if (ni == task_.branch_reader) {
       // Keep the injection node alive even before the fault is activated:
       // its D is virtual and appears once the site gets its value.
       d_frontier_[w++] = ni;
@@ -294,12 +294,11 @@ template <typename Fn>
 bool Podem::for_each_propagation_objective(int ni, Fn&& try_objective) {
   const CombNode& node = model_.nodes()[static_cast<std::size_t>(ni)];
   if (node.func == CellFunc::kMux2) {
-    const bool inject = ni == branch_reader_;
+    const bool inject = ni == task_.branch_reader;
     auto has_d = [&](NetId in_net) {
       const TernCode c = v_[static_cast<std::size_t>(in_net)];
-      return code_is_d(inject && in_net == fault_->net
-                           ? code_with_faulty(c, tern_of(fault_->stuck1))
-                           : c);
+      return code_is_d(inject && in_net == task_.net ? code_with_faulty(c, tern_of(task_.stuck1))
+                                                     : c);
     };
     if (has_d(node.sel)) {
       // D on select: make the data inputs differ.
@@ -346,14 +345,14 @@ bool Podem::for_each_propagation_objective(int ni, Fn&& try_objective) {
 // a branch that might still hold a test (in that case an exhausted search
 // must report kAborted, not kRedundant).
 bool Podem::find_decision(NetId* in_net, Tern* in_val) {
-  const Tern want = tern_of(!fault_->stuck1);
-  if (good(fault_->net) == Tern::kX) {
-    if (backtrace(fault_->net, want, in_net, in_val)) return true;
+  const Tern want = tern_of(!task_.stuck1);
+  if (good(task_.net) == Tern::kX) {
+    if (backtrace(task_.net, want, in_net, in_val)) return true;
     // Backtrace picked one uncontrollable chain; alternatives may exist.
     truncated_ = true;
     return false;
   }
-  if (good(fault_->net) != want) return false;  // activation conflict: genuine dead end
+  if (good(task_.net) != want) return false;  // activation conflict: genuine dead end
   // Drop stale frontier entries, then walk every candidate best first.
   filter_d_frontier();
   candidates_.assign(d_frontier_.begin(), d_frontier_.end());
@@ -484,38 +483,24 @@ bool Podem::backtrace(NetId obj_net, Tern obj_val, NetId* input_net, Tern* input
 
 PodemResult Podem::generate(const Fault& fault) {
   PodemResult res;
-  fault_ = &fault;
-  branch_reader_ = -1;
-  direct_branch_capture_ = false;
-  if (!fault.is_stem()) {
-    for (const int reader : model_.readers_of(fault.net)) {
-      if (model_.nodes()[static_cast<std::size_t>(reader)].cell == fault.branch.cell) {
-        branch_reader_ = reader;
-        break;
-      }
-    }
-    if (branch_reader_ < 0) {
-      // Branch fault straight into a flip-flop D pin: the faulty value is
-      // captured directly, so activating the site detects it.
-      const CellSpec* spec = model_.netlist().cell(fault.branch.cell).spec;
-      direct_branch_capture_ = spec->sequential && fault.branch.pin == spec->d_pin;
-      if (!direct_branch_capture_) {
-        res.outcome = PodemOutcome::kRedundant;  // unobservable branch
-        return res;
-      }
-    }
+  task_ = resolve_fault_task(model_, fault);
+  if (task_.dead_branch) {
+    res.outcome = PodemOutcome::kRedundant;  // unobservable branch
+    return res;
   }
-  inject_node_ = branch_reader_ >= 0 ? branch_reader_
-                 : fault.is_stem()    ? model_.producer_of(fault.net)
-                                      : -1;
+  inject_node_ = task_.branch_reader >= 0 ? task_.branch_reader
+                 : task_.is_stem()       ? model_.producer_of(task_.net)
+                                         : -1;
   reset_state();
   truncated_ = false;
-  if (branch_reader_ >= 0) d_frontier_.push_back(branch_reader_);
+  if (task_.branch_reader >= 0) d_frontier_.push_back(task_.branch_reader);
 
   decisions_.clear();
   int backtracks = 0;
   while (true) {
-    if (direct_branch_capture_ && good(fault.net) == tern_of(!fault.stuck1)) {
+    // A branch straight into a flip-flop D pin is captured directly, so
+    // activating the site detects it.
+    if (task_.direct_capture && good(task_.net) == tern_of(!task_.stuck1)) {
       detected_ = true;
     }
     if (detected_) {

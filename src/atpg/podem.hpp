@@ -60,12 +60,11 @@ class Podem {
   const CombModel& model_;
   const TestabilityResult& scoap_;
   PodemOptions opts_;
-  const Fault* fault_ = nullptr;
-  int branch_reader_ = -1;
+  /// The target fault where it acts (resolve_fault_task, once per call).
+  FaultTask task_;
   /// The one node whose evaluation injects the fault: the branch reader,
   /// or the stem net's producer (-1 when the stem is an input).
   int inject_node_ = -1;
-  bool direct_branch_capture_ = false;  ///< branch fault straight into a FF D pin
 
   /// Composite good/faulty code per net (sim/ternary.hpp), then two
   /// constant slots past the last net: (0,0) and (1,1).

@@ -80,6 +80,21 @@ void ParallelSim::run() {
   m.add("sim.good_node_evals", model_->nodes().size() - model_->nodes_deduped());
 }
 
+void ParallelSim::run_launch_capture(const std::vector<Word>& inputs, std::vector<Word>& launch) {
+  load_inputs(inputs);
+  run();
+  launch = value_;
+  const CombModel& m = *model_;
+  const std::size_t nff = m.boundary_ffs().size();
+  for (std::size_t i = 0; i < nff; ++i) {
+    const Word* d = launch.data() +
+                    static_cast<std::size_t>(m.observe_nets()[m.num_po_observes() + i]) * nw_;
+    Word* q = words(m.input_nets()[m.num_pi_inputs() + i]);
+    for (int j = 0; j < nw_; ++j) q[j] = d[j];
+  }
+  run();
+}
+
 void ParallelSim::read_observes(std::vector<Word>& out) const {
   const auto& nets = model_->observe_nets();
   out.resize(nets.size() * static_cast<std::size_t>(nw_));

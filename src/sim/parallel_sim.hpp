@@ -50,6 +50,15 @@ class ParallelSim {
   /// active kernel backend.
   void run();
 
+  /// Launch-on-capture pair, the one place it is built (transition
+  /// grading and replay both call it): load `inputs` and run the launch
+  /// frame, copy its net values into `launch`, then clock the boundary
+  /// flip-flops as SequentialSim::step does — each pseudo-input takes its
+  /// flip-flop's D value from the launch frame while the PIs stay loaded —
+  /// and run the capture frame. Two counted sweeps; values() is then the
+  /// capture frame.
+  void run_launch_capture(const std::vector<Word>& inputs, std::vector<Word>& launch);
+
   /// Capture observable values aligned with model.observe_nets():
   /// out[i*lane_words() + j] is observe net i, lane word j.
   void read_observes(std::vector<Word>& out) const;

@@ -6,8 +6,7 @@
 
 namespace tpi {
 
-std::uint64_t fnv1a_64(std::string_view data) {
-  std::uint64_t h = 0xcbf29ce484222325ull;
+std::uint64_t fnv1a_64(std::string_view data, std::uint64_t h) {
   for (const char c : data) {
     h ^= static_cast<unsigned char>(c);
     h *= 0x100000001b3ull;

@@ -35,8 +35,10 @@ namespace tpi {
 /// Envelope version written by this build; bump on layout changes.
 inline constexpr int kLedgerSchemaVersion = 1;
 
-/// FNV-1a over the bytes of `data` (the config fingerprint hash).
-std::uint64_t fnv1a_64(std::string_view data);
+/// FNV-1a over the bytes of `data` (the config fingerprint hash), starting
+/// from `h` (default: the offset basis): passing the previous hash chains
+/// several buffers into one.
+std::uint64_t fnv1a_64(std::string_view data, std::uint64_t h = 0xcbf29ce484222325ull);
 
 /// fnv1a_64 rendered as 16 lowercase hex digits.
 std::string fnv1a_hex(std::string_view data);

@@ -19,6 +19,11 @@ std::uint64_t rotl(std::uint64_t x, int k) {
 
 }  // namespace
 
+std::uint64_t mix_seed(std::uint64_t seed, std::uint64_t salt) {
+  std::uint64_t x = seed + 0x9e3779b97f4a7c15ULL * salt;
+  return splitmix64(x);
+}
+
 void Rng::reseed(std::uint64_t seed) {
   std::uint64_t sm = seed;
   for (auto& s : s_) s = splitmix64(sm);

@@ -10,6 +10,10 @@
 
 namespace tpi {
 
+/// splitmix64 of (seed, salt): independent seeds per salt, so adding or
+/// dropping one derived stream never shifts the others.
+std::uint64_t mix_seed(std::uint64_t seed, std::uint64_t salt);
+
 /// xoshiro256** by Blackman & Vigna — fast, high-quality, and byte-for-byte
 /// reproducible across platforms (unlike std::mt19937 distributions).
 class Rng {

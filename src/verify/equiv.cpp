@@ -13,15 +13,6 @@
 namespace tpi {
 namespace {
 
-/// splitmix64 finalizer — derives independent round seeds from (seed, salt)
-/// so adding rounds never perturbs the streams of earlier ones.
-std::uint64_t mix_seed(std::uint64_t seed, std::uint64_t salt) {
-  std::uint64_t z = seed + 0x9e3779b97f4a7c15ULL * (salt + 1);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
 /// Single-lane replay of a trace; returns the first frame where any real PO
 /// of the model fires (for a miter: miter_out), or -1.
 int fail_frame_of(const CombModel& model, const CexTrace& cex) {

@@ -11,6 +11,7 @@
 #include "netlist/design_db.hpp"
 #include "scan/scan.hpp"
 #include "tpi/tpi.hpp"
+#include "util/ledger.hpp"
 #include "util/log.hpp"
 #include "util/rng.hpp"
 #include "verify/miter.hpp"
@@ -18,30 +19,14 @@
 namespace tpi {
 namespace {
 
-/// splitmix64 finalizer (same construction as the equivalence checker):
-/// independent streams per (seed, salt) so a dropped transform never shifts
-/// the randomness of the ones that remain.
-std::uint64_t mix_seed(std::uint64_t seed, std::uint64_t salt) {
-  std::uint64_t z = seed + 0x9e3779b97f4a7c15ULL * (salt + 1);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
 // Each iteration draws a pipeline of kMinTransforms to kMaxTransforms steps.
 constexpr int kMinTransforms = 1;
 constexpr int kMaxTransforms = 4;
 
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ULL;
-constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
-
-std::uint64_t fnv1a(std::uint64_t h, const void* data, std::size_t n) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < n; ++i) h = (h ^ p[i]) * kFnvPrime;
-  return h;
-}
-
-std::uint64_t fnv1a(std::uint64_t h, const std::string& s) { return fnv1a(h, s.data(), s.size()); }
+// Start value of the run digest (fnv1a_64 chained over every iteration).
+// It is one digit short of FNV-1a's offset basis; kept, so a digest stays
+// comparable with earlier builds.
+constexpr std::uint64_t kDigestStart = 1469598103934665603ULL;
 
 int first_input_pin(const CellSpec* spec) {
   for (std::size_t p = 0; p < spec->pins.size(); ++p) {
@@ -203,7 +188,7 @@ bool TransformFuzzer::pipeline_fails(const Netlist& golden, std::uint64_t iter_s
 
 FuzzReport TransformFuzzer::run() {
   FuzzReport rep;
-  rep.digest = kFnvOffset;
+  rep.digest = kDigestStart;
   for (int i = 0; i < opts_.iterations; ++i) {
     const std::uint64_t iter_seed = mix_seed(opts_.seed, static_cast<std::uint64_t>(i));
     CircuitProfile prof = opts_.profile;
@@ -256,9 +241,9 @@ FuzzReport TransformFuzzer::run() {
     // contract tests compare across thread-count environment settings.
     Netlist mutant(*golden);
     apply_pipeline(mutant, iter_seed, steps);
-    rep.digest = fnv1a(rep.digest, write_bench_string(mutant));
-    const unsigned char outcome = failed ? 1 : 0;
-    rep.digest = fnv1a(rep.digest, &outcome, 1);
+    rep.digest = fnv1a_64(write_bench_string(mutant), rep.digest);
+    const char outcome = failed ? 1 : 0;
+    rep.digest = fnv1a_64({&outcome, 1}, rep.digest);
     ++rep.iterations_run;
   }
   return rep;

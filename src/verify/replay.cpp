@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "atpg/fault_sim.hpp"
+#include "atpg/fault.hpp"
 #include "sim/kernels.hpp"
 #include "sim/parallel_sim.hpp"
 
@@ -24,26 +24,29 @@ ReplayReport replay_patterns(const CombModel& capture_model, const FaultList& fa
   ReplayReport report;
   report.patterns = static_cast<std::int64_t>(patterns.size());
 
+  // Each claim is resolved once (resolve_fault_task, the same site the
+  // ATPG graded) and its task kept aligned with `pending`.
   std::vector<std::size_t> pending;
+  std::vector<FaultTask> tasks;
   for (std::size_t i = 0; i < faults.faults.size(); ++i) {
-    if (faults.faults[i].status == FaultStatus::kDetected) pending.push_back(i);
+    const Fault& f = faults.faults[i];
+    if (f.status != FaultStatus::kDetected) continue;
+    pending.push_back(i);
+    tasks.push_back(resolve_fault_task(capture_model, f));
   }
   report.claimed = static_cast<std::int64_t>(pending.size());
   if (pending.empty()) return report;
 
   const std::size_t num_inputs = capture_model.input_nets().size();
   // Transition claims are replayed over the same launch-on-capture frame
-  // pair the ATPG graded: the pattern is the launch frame, the capture
-  // frame holds the PIs and feeds pseudo-inputs from the launch frame's
-  // captured D values, the forced resimulation runs on the capture frame,
-  // and a claim only confirms in lanes where the site held the
-  // transition's initial value at launch.
+  // pair the ATPG graded (ParallelSim::run_launch_capture): the forced
+  // resimulation runs on the capture frame, and a claim only confirms in
+  // lanes where the site held the transition's initial value at launch.
   const bool transition = !faults.faults.empty() &&
                           faults.faults.front().model == FaultModel::kTransition;
   ParallelSim good(capture_model);
   std::vector<Word> input_words;
-  std::vector<Word> launch_values;
-  std::vector<Word> capture_inputs;
+  std::vector<Word> launch;
   // Forced resimulation is a full sweep per (fault, batch): super-batching
   // up to kMaxLaneWords x 64 patterns per sweep divides the sweep count by
   // the lane width. The confirmation for each claim is an OR over applied
@@ -66,58 +69,31 @@ ReplayReport replay_patterns(const CombModel& capture_model, const FaultList& fa
     // Lanes past the pattern count hold an all-zero phantom input vector;
     // a detection there must not confirm a claim.
     good.configure_lanes(nw);
-    input_words.assign(num_inputs * static_cast<std::size_t>(nw), 0);
-    for (std::size_t k = 0; k < batch; ++k) {
-      const auto& bits = patterns[base + k].bits;
-      const std::size_t j = k / kWordBits;
-      const int bit = static_cast<int>(k % kWordBits);
-      for (std::size_t i = 0; i < num_inputs && i < bits.size(); ++i) {
-        if (bits[i] != 0) {
-          input_words[i * static_cast<std::size_t>(nw) + j] |= Word{1} << bit;
-        }
-      }
-    }
-    good.load_inputs(input_words);
-    good.run();
+    pack_patterns(patterns.data() + base, batch, num_inputs, nw, input_words);
     if (transition) {
-      launch_values = good.values();  // V1 frame, net-major
-      capture_inputs = input_words;   // PIs held across both cycles
-      const std::size_t nff = capture_model.boundary_ffs().size();
-      const std::size_t snw = static_cast<std::size_t>(nw);
-      for (std::size_t i = 0; i < nff; ++i) {
-        const NetId d =
-            capture_model.observe_nets()[capture_model.num_po_observes() + i];
-        const Word* src = launch_values.data() + static_cast<std::size_t>(d) * snw;
-        for (std::size_t j = 0; j < snw; ++j) {
-          capture_inputs[(capture_model.num_pi_inputs() + i) * snw + j] = src[j];
-        }
-      }
-      good.load_inputs(capture_inputs);
+      good.run_launch_capture(input_words, launch);
+    } else {
+      good.load_inputs(input_words);
       good.run();
     }
 
     std::size_t w = 0;
-    for (const std::size_t fi : pending) {
-      const Fault& fault = faults.faults[fi];
-      const FaultTask task = resolve_fault_task(capture_model, fault);
+    for (std::size_t p = 0; p < pending.size(); ++p) {
+      const FaultTask& task = tasks[p];
       Word detect[kMaxLaneWords];
       kernels.forced(capture_model, good.values().data(), faulty_scratch.data(), task, detect, nw);
-      Word any = 0;
-      for (int j = 0; j < nw; ++j) {
-        Word d = detect[j] & lane_mask(batch, j);
-        if (transition) {
-          const Word launch =
-              launch_values[static_cast<std::size_t>(fault.net) *
-                                static_cast<std::size_t>(nw) +
-                            static_cast<std::size_t>(j)];
-          d &= fault.stuck1 ? launch : ~launch;
-        }
-        any |= d;
+      if (transition) {
+        const Word* site = launch.data() + static_cast<std::size_t>(task.net) * nw;
+        for (int j = 0; j < nw; ++j) detect[j] &= task.stuck1 ? site[j] : ~site[j];
       }
+      Word any = 0;
+      for (int j = 0; j < nw; ++j) any |= detect[j] & lane_mask(batch, j);
       if (any != 0) continue;  // confirmed
-      pending[w++] = fi;
+      pending[w] = pending[p];
+      tasks[w++] = task;
     }
     pending.resize(w);
+    tasks.resize(w);
     base += batch;
   }
 

@@ -27,7 +27,7 @@ TEST(TransitionFaultListTest, ModelStampedAndNamesRoundTrip) {
   const FaultList fl = build_fault_list(model, FaultModel::kTransition);
   ASSERT_FALSE(fl.faults.empty());
   for (const Fault& f : fl.faults) EXPECT_EQ(f.model, FaultModel::kTransition);
-  // The 1-arg overload keeps the stuck-at default.
+  // The default fault model is stuck-at.
   const FaultList sa = build_fault_list(model);
   for (const Fault& f : sa.faults) EXPECT_EQ(f.model, FaultModel::kStuckAt);
 

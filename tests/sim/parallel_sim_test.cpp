@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <unordered_map>
+
 #include "../common/test_circuits.hpp"
+#include "util/metrics.hpp"
+#include "util/rng.hpp"
 
 namespace tpi {
 namespace {
@@ -157,6 +162,64 @@ TEST(ParallelSimTest, CombModelInputAndObserveSets) {
   EXPECT_EQ(model.num_po_observes(), 1u);
   EXPECT_EQ(model.observe_nets().size(), 3u);
   EXPECT_EQ(model.boundary_ffs().size(), 2u);
+}
+
+// The launch-on-capture pair against two plain runs: the kept launch frame
+// is run() of the inputs, and the capture frame is run() of capture inputs
+// built here from the netlist, each flip-flop's Q taking the launch value
+// of its own D net while the PIs keep theirs. Two counted sweeps per pair.
+// The shift register has a flip-flop whose D is another one's Q, so a
+// pseudo-input fed from the half-updated capture frame shows.
+TEST(ParallelSimTest, LaunchCaptureMatchesTwoPlainRuns) {
+  std::vector<std::unique_ptr<Netlist>> circuits;
+  circuits.push_back(generate_circuit(lib(), test::tiny_profile(61)));
+  circuits.push_back(test::make_shift_register());
+  for (const auto& nl : circuits) {
+    SCOPED_TRACE(nl->name());
+    CombModel model(*nl, SeqView::kCapture);
+    ASSERT_GT(model.boundary_ffs().size(), 1u);
+    const auto& inputs = model.input_nets();
+    std::unordered_map<NetId, std::size_t> input_slot;
+    for (std::size_t i = 0; i < inputs.size(); ++i) input_slot[inputs[i]] = i;
+
+    for (const int nw : {1, 8}) {
+      SCOPED_TRACE(nw);
+      const auto snw = static_cast<std::size_t>(nw);
+      Rng rng(static_cast<std::uint64_t>(nw));
+      std::vector<Word> words(inputs.size() * snw);
+      for (Word& w : words) w = rng.next_u64();
+
+      ParallelSim loc(model, nw);
+      std::vector<Word> launch;
+      MetricsRegistry registry;
+      {
+        const ScopedMetricsRegistry scope(registry);
+        loc.run_launch_capture(words, launch);
+      }
+      const MetricsSnapshot snap = registry.snapshot();
+      const MetricValue* sweeps = snap.find("sim.good_sweeps");
+      ASSERT_NE(sweeps, nullptr);
+      EXPECT_EQ(sweeps->count, 2u);
+
+      ParallelSim plain(model, nw);
+      plain.load_inputs(words);
+      plain.run();
+      EXPECT_EQ(launch, plain.values());
+
+      std::vector<Word> capture = words;
+      for (const CellId ff : model.boundary_ffs()) {
+        const CellInst& inst = nl->cell(ff);
+        const Word* d = plain.words(inst.conn[static_cast<std::size_t>(inst.spec->d_pin)]);
+        const std::size_t q = input_slot.at(inst.output_net());
+        ASSERT_GE(q, model.num_pi_inputs());
+        for (std::size_t j = 0; j < snw; ++j) capture[q * snw + j] = d[j];
+      }
+      EXPECT_NE(capture, words);
+      plain.load_inputs(capture);
+      plain.run();
+      EXPECT_EQ(loc.values(), plain.values());
+    }
+  }
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include "atpg/fault.hpp"
 #include "flow/flow.hpp"
 #include "netlist/design_db.hpp"
+#include "scan/scan.hpp"
 
 namespace tpi {
 namespace {
@@ -39,6 +40,25 @@ TEST(ReplayTest, FlowAtpgOnS38417ProfileReplaysFully) {
   EXPECT_GT(r.verify.replay_claimed, 0);
   EXPECT_EQ(r.verify.replay_confirmed, r.verify.replay_claimed);
   EXPECT_TRUE(r.verify.equivalent);
+}
+
+// Transition claims replay over the launch-on-capture frame pair: every
+// claim of a transition ATPG run on a scanned sequential circuit must
+// reproduce under forced resimulation of the capture frame, gated by the
+// launch value at the site.
+TEST(ReplayTest, TransitionAtpgReplaysEveryClaim) {
+  auto nl = generate_circuit(lib(), test::tiny_profile(48));
+  insert_scan(*nl);
+  DesignDB db(*nl);
+  AtpgOptions opts;
+  opts.fault_model = FaultModel::kTransition;
+  const AtpgResult atpg = run_atpg(db, opts);
+  ASSERT_EQ(atpg.fault_model, FaultModel::kTransition);
+  const ReplayReport rep = replay_patterns(db.comb_model(SeqView::kCapture), atpg);
+  EXPECT_GT(rep.claimed, 0);
+  EXPECT_EQ(rep.confirmed, rep.claimed);
+  EXPECT_TRUE(rep.ok());
+  EXPECT_EQ(rep.patterns, static_cast<std::int64_t>(atpg.patterns.size()));
 }
 
 // Withholding the pattern set must flag every claim instead of silently
