@@ -401,18 +401,30 @@ void BM_PodemHardFaults(benchmark::State& state) {
 }
 BENCHMARK(BM_PodemHardFaults)->Unit(benchmark::kMillisecond);
 
+// Layout benches: arg 0 is the micro circuit, arg 1 the full-size scanned
+// s38417 (~25k cells), where placement's ranking and routing's per-net
+// trees dominate.
+const Netlist& layout_netlist(std::int64_t full_size) {
+  static const std::unique_ptr<Netlist> paper = [] {
+    auto n = generate_circuit(lib(), s38417_profile());
+    insert_scan(*n);
+    return n;
+  }();
+  return full_size != 0 ? *paper : scan_netlist();
+}
+
 void BM_GlobalPlacement(benchmark::State& state) {
-  const Netlist& nl = scan_netlist();
+  const Netlist& nl = layout_netlist(state.range(0));
   const Floorplan fp = make_floorplan(nl, {});
   for (auto _ : state) {
     const Placement pl = place(nl, fp);
     benchmark::DoNotOptimize(pl.row_used_um.size());
   }
 }
-BENCHMARK(BM_GlobalPlacement)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_GlobalPlacement)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 void BM_GlobalRouting(benchmark::State& state) {
-  const Netlist& nl = scan_netlist();
+  const Netlist& nl = layout_netlist(state.range(0));
   const Floorplan fp = make_floorplan(nl, {});
   const Placement pl = place(nl, fp);
   for (auto _ : state) {
@@ -420,7 +432,19 @@ void BM_GlobalRouting(benchmark::State& state) {
     benchmark::DoNotOptimize(r.total_wire_length_um);
   }
 }
-BENCHMARK(BM_GlobalRouting)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_GlobalRouting)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+
+void BM_Extraction(benchmark::State& state) {
+  const Netlist& nl = layout_netlist(state.range(0));
+  const Floorplan fp = make_floorplan(nl, {});
+  const Placement pl = place(nl, fp);
+  const RoutingResult routes = route(nl, fp, pl);
+  for (auto _ : state) {
+    const ExtractionResult px = extract(nl, routes);
+    benchmark::DoNotOptimize(px.total_wire_cap_ff);
+  }
+}
+BENCHMARK(BM_Extraction)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 void BM_StaFullPass(benchmark::State& state) {
   const Netlist& nl = scan_netlist();

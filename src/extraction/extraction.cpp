@@ -1,6 +1,7 @@
 #include "extraction/extraction.hpp"
 
 #include <algorithm>
+#include <vector>
 
 namespace tpi {
 namespace {
@@ -17,10 +18,13 @@ ExtractionResult extract(const Netlist& nl, const RoutingResult& routes) {
   ExtractionResult res;
   res.nets.resize(nl.num_nets());
   res.pin_elmore_ps.assign(nl.num_cells() * kMaxCellPins, 0.0);
+  // Per-node scratch, reused across nets.
+  std::vector<double> down_cap, delay;
+  std::vector<int> order, depth;
 
   for (std::size_t ni = 0; ni < nl.num_nets(); ++ni) {
     const Net& net = nl.net(static_cast<NetId>(ni));
-    const RouteTree& tree = routes.nets[ni];
+    const RouteTree tree = routes.tree(ni);
     NetParasitics& p = res.nets[ni];
 
     // Layer class by net length: long nets are promoted to thick metal.
@@ -42,7 +46,7 @@ ExtractionResult extract(const Netlist& nl, const RoutingResult& routes) {
     if (n_nodes < 2) continue;
     // Downstream capacitance per node (children have higher indices is NOT
     // guaranteed by Prim order, so accumulate via parent pointers).
-    std::vector<double> down_cap(n_nodes, 0.0);
+    down_cap.assign(n_nodes, 0.0);
     for (std::size_t v = 1; v < n_nodes; ++v) {
       // Sink pin / pad capacitance at the leaf node.
       const std::size_t sink_idx = v - 1;
@@ -56,9 +60,9 @@ ExtractionResult extract(const Netlist& nl, const RoutingResult& routes) {
     }
     // Propagate capacitance rootward. Repeated relaxation is avoided by
     // processing nodes in decreasing depth; compute depths first.
-    std::vector<int> order(n_nodes);
+    order.resize(n_nodes);
     for (std::size_t v = 0; v < n_nodes; ++v) order[v] = static_cast<int>(v);
-    std::vector<int> depth(n_nodes, 0);
+    depth.assign(n_nodes, 0);
     for (std::size_t v = 1; v < n_nodes; ++v) {
       int d = 0;
       for (int u = static_cast<int>(v); tree.parent[static_cast<std::size_t>(u)] >= 0;
@@ -77,7 +81,7 @@ ExtractionResult extract(const Netlist& nl, const RoutingResult& routes) {
           c_per_um * tree.edge_um[static_cast<std::size_t>(v)] / 2.0;  // far half
     }
     // Elmore delay: walk from root outward in increasing depth.
-    std::vector<double> delay(n_nodes, 0.0);
+    delay.assign(n_nodes, 0.0);
     for (auto it = order.rbegin(); it != order.rend(); ++it) {
       const int v = *it;
       const int par = tree.parent[static_cast<std::size_t>(v)];

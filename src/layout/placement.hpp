@@ -3,7 +3,7 @@
 //
 // Global placement is iterative centroid attraction (a light-weight
 // quadratic-style placer) on a flat CSR view of the netlist, with periodic
-// rank-based spreading (a radix sort, no comparisons) to keep cell density
+// rank-based spreading (a bucketed stable sort, see rank_by_key) to keep cell density
 // uniform, followed by row legalisation that packs cells onto sites. It
 // draws no random numbers: a placement is a function of the netlist and
 // floorplan alone. The layouts are optimised for area/wirelength only — no timing

@@ -18,61 +18,66 @@ constexpr float kTracksPerGcell = 165.0f;
 // hotspot).
 constexpr double kDetourPerOverflowUm = 18.0;
 
-// Endpoint positions of a net: driver first, then cell sinks, then POs.
-void net_endpoints(const Netlist& nl, const Placement& pl, NetId net_id,
-                   std::vector<Point>& pts) {
-  pts.clear();
-  const Net& net = nl.net(net_id);
-  if (net.driver.valid()) {
-    pts.push_back(pl.pos[static_cast<std::size_t>(net.driver.cell)]);
-  } else if (net.driven_by_pi()) {
-    pts.push_back(pl.pi_pad[static_cast<std::size_t>(net.pi_index)]);
-  } else {
-    return;  // undriven net: nothing to route
-  }
-  for (const PinRef& s : net.sinks) pts.push_back(pl.pos[static_cast<std::size_t>(s.cell)]);
-  for (const int po : net.po_sinks) pts.push_back(pl.po_pad[static_cast<std::size_t>(po)]);
+// Route-tree nodes of a net: the driver, then its fanout; none when it is
+// undriven (nothing to route).
+std::size_t endpoint_count(const Net& net) {
+  return net.driver.valid() || net.driven_by_pi() ? 1 + net.fanout() : 0;
 }
 
-// Prim rectilinear spanning tree over the endpoints.
-RouteTree prim_tree(const std::vector<Point>& pts) {
-  RouteTree tree;
-  const std::size_t n = pts.size();
-  tree.node = pts;
-  tree.parent.assign(n, -1);
-  tree.edge_um.assign(n, 0.0);
-  if (n < 2) return tree;
-  std::vector<char> in_tree(n, 0);
-  std::vector<double> best(n, 1e300);
-  std::vector<int> best_parent(n, 0);
-  in_tree[0] = 1;
+// Endpoint positions of a net into its endpoint_count() nodes: driver
+// first, then cell sinks, then POs.
+void net_endpoints(const Placement& pl, const Net& net, std::span<Point> pts) {
+  if (pts.empty()) return;
+  std::size_t k = 0;
+  pts[k++] = net.driver.valid() ? pl.pos[static_cast<std::size_t>(net.driver.cell)]
+                                : pl.pi_pad[static_cast<std::size_t>(net.pi_index)];
+  for (const PinRef& s : net.sinks) pts[k++] = pl.pos[static_cast<std::size_t>(s.cell)];
+  for (const int po : net.po_sinks) pts[k++] = pl.po_pad[static_cast<std::size_t>(po)];
+  assert(k == pts.size());
+}
+
+// Prim's per-net state, reused across the nets of one route() call.
+struct PrimScratch {
+  std::vector<char> in_tree;
+  std::vector<double> best;
+  std::vector<int> best_parent;
+};
+
+// Prim rectilinear spanning tree over a tree's nodes (its endpoints), whose
+// parents arrive as -1 and edges and length as 0.
+void prim_tree(RouteTreeEdit tree, PrimScratch& s) {
+  const std::size_t n = tree.node.size();
+  if (n < 2) return;
+  s.in_tree.assign(n, 0);
+  s.best.assign(n, 1e300);
+  s.best_parent.assign(n, 0);
+  s.in_tree[0] = 1;
   for (std::size_t v = 1; v < n; ++v) {
-    best[v] = manhattan(pts[0], pts[v]);
-    best_parent[v] = 0;
+    s.best[v] = manhattan(tree.node[0], tree.node[v]);
+    s.best_parent[v] = 0;
   }
   for (std::size_t added = 1; added < n; ++added) {
     std::size_t pick = 0;
     double d = 1e300;
     for (std::size_t v = 1; v < n; ++v) {
-      if (!in_tree[v] && best[v] < d) {
-        d = best[v];
+      if (!s.in_tree[v] && s.best[v] < d) {
+        d = s.best[v];
         pick = v;
       }
     }
-    in_tree[pick] = 1;
-    tree.parent[pick] = best_parent[pick];
+    s.in_tree[pick] = 1;
+    tree.parent[pick] = s.best_parent[pick];
     tree.edge_um[pick] = d;
     tree.length_um += d;
     for (std::size_t v = 1; v < n; ++v) {
-      if (in_tree[v]) continue;
-      const double dv = manhattan(pts[pick], pts[v]);
-      if (dv < best[v]) {
-        best[v] = dv;
-        best_parent[v] = static_cast<int>(pick);
+      if (s.in_tree[v]) continue;
+      const double dv = manhattan(tree.node[pick], tree.node[v]);
+      if (dv < s.best[v]) {
+        s.best[v] = dv;
+        s.best_parent[v] = static_cast<int>(pick);
       }
     }
   }
-  return tree;
 }
 
 struct Grid {
@@ -106,8 +111,19 @@ void walk_l_route(const Grid& g, const Point& a, const Point& b, F&& f) {
 
 RoutingResult route(const Netlist& nl, const Floorplan& fp, const Placement& pl) {
   TPI_SPAN("routing.route");
+  const std::size_t num_nets = nl.num_nets();
+  // One store for every tree, sized by a counting pass over the endpoints.
   RoutingResult res;
-  res.nets.resize(nl.num_nets());
+  res.first_.assign(num_nets + 1, 0);
+  for (std::size_t n = 0; n < num_nets; ++n) {
+    res.first_[n + 1] = res.first_[n] + static_cast<std::uint32_t>(
+                                            endpoint_count(nl.net(static_cast<NetId>(n))));
+  }
+  const std::size_t num_nodes = res.first_.back();
+  res.node_.resize(num_nodes);
+  res.parent_.assign(num_nodes, -1);
+  res.edge_um_.assign(num_nodes, 0.0);
+  res.length_um_.assign(num_nets, 0.0);
 
   Grid grid;
   grid.gcell = kGcellUm;
@@ -119,10 +135,11 @@ RoutingResult route(const Netlist& nl, const Floorplan& fp, const Placement& pl)
   grid.v_use.assign(static_cast<std::size_t>(grid.nx) * grid.ny, 0.0f);
 
   // Pass 1: build trees, accumulate demand.
-  std::vector<Point> pts;
-  for (std::size_t n = 0; n < nl.num_nets(); ++n) {
-    net_endpoints(nl, pl, static_cast<NetId>(n), pts);
-    RouteTree tree = prim_tree(pts);
+  PrimScratch scratch;
+  for (std::size_t n = 0; n < num_nets; ++n) {
+    const RouteTreeEdit tree = res.edit_tree(n);
+    net_endpoints(pl, nl.net(static_cast<NetId>(n)), tree.node);
+    prim_tree(tree, scratch);
     for (std::size_t v = 1; v < tree.node.size(); ++v) {
       const Point& a = tree.node[v];
       const Point& b = tree.node[static_cast<std::size_t>(tree.parent[v])];
@@ -131,12 +148,11 @@ RoutingResult route(const Netlist& nl, const Floorplan& fp, const Placement& pl)
         (horiz ? grid.h_use : grid.v_use)[idx] += 1.0f;
       });
     }
-    res.nets[n] = std::move(tree);
   }
 
   // Pass 2: detour charge for crossings through over-capacity gcells.
-  for (std::size_t n = 0; n < nl.num_nets(); ++n) {
-    RouteTree& tree = res.nets[n];
+  for (std::size_t n = 0; n < num_nets; ++n) {
+    const RouteTreeEdit tree = res.edit_tree(n);
     int overflows = 0;
     for (std::size_t v = 1; v < tree.node.size(); ++v) {
       const Point& a = tree.node[v];
@@ -162,9 +178,9 @@ RoutingResult route(const Netlist& nl, const Floorplan& fp, const Placement& pl)
   // Histogram accumulated locally and folded in once: nl.num_nets() can be
   // tens of thousands, one registry lock per net would dominate.
   HistogramData net_lengths;
-  for (const RouteTree& tree : res.nets) net_lengths.observe(tree.length_um);
+  for (const double length : res.length_um_) net_lengths.observe(length);
   MetricsRegistry& m = metrics();
-  m.add("routing.nets", nl.num_nets());
+  m.add("routing.nets", num_nets);
   m.add("routing.overflowed_crossings",
         static_cast<std::uint64_t>(res.overflowed_crossings));
   m.record_histogram("routing.net_length_um", net_lengths);

@@ -71,9 +71,9 @@ std::string render_layout_svg(const Netlist& nl, const Floorplan& fp, const Plac
   if (stage == LayoutStage::kRouted && routes != nullptr && pl != nullptr) {
     // Draw a sample of nets as L-routes (all of them would be solid ink).
     std::size_t drawn = 0;
-    const std::size_t step = std::max<std::size_t>(1, routes->nets.size() / kMaxDrawnNets);
-    for (std::size_t n = 0; n < routes->nets.size() && drawn < kMaxDrawnNets; n += step) {
-      const RouteTree& tree = routes->nets[n];
+    const std::size_t step = std::max<std::size_t>(1, routes->num_nets() / kMaxDrawnNets);
+    for (std::size_t n = 0; n < routes->num_nets() && drawn < kMaxDrawnNets; n += step) {
+      const RouteTree tree = routes->tree(n);
       if (tree.node.size() < 2) continue;
       ++drawn;
       for (std::size_t v = 1; v < tree.node.size(); ++v) {

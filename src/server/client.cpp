@@ -75,7 +75,12 @@ bool FlowClient::call(const std::string& request_line, std::string* response_lin
       return true;
     }
     const ssize_t n = ::recv(fd_, chunk, sizeof chunk, 0);
-    if (n <= 0) {
+    if (n == 0) {
+      // A peer close leaves errno untouched; strerror would read a stale one.
+      if (error != nullptr) *error = "recv: connection closed by peer";
+      return false;
+    }
+    if (n < 0) {
       set_err(error, "recv");
       return false;
     }

@@ -19,6 +19,9 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+// How long stop() lets connections finish replies already in flight.
+constexpr std::chrono::seconds kReplyGrace{2};
+
 bool send_all(int fd, const std::string& data) {
   std::size_t off = 0;
   while (off < data.size()) {
@@ -464,9 +467,14 @@ void FlowServer::serve_connection(int fd) {
       if (!send_all(fd, handle_request(line) + '\n')) break;
     }
   }
+  {
+    // Leave the set before the fd number can be reused, so stop() never
+    // shuts down a socket this thread no longer owns.
+    std::lock_guard<std::mutex> lock(conn_mu_);
+    conn_fds_.erase(fd);
+  }
+  conn_cv_.notify_all();
   ::close(fd);
-  std::lock_guard<std::mutex> lock(conn_mu_);
-  conn_fds_.erase(fd);
 }
 
 void FlowServer::wait_until_shutdown() {
@@ -489,7 +497,14 @@ void FlowServer::stop() {
   }
   if (accept_thread_.joinable()) accept_thread_.join();
   {
-    std::lock_guard<std::mutex> lock(conn_mu_);
+    // Close only the read side: a connection thread still answering a
+    // request (the shutdown RPC that woke wait_until_shutdown(), a result
+    // wait released above) sends its reply, then reads end-of-file. A
+    // client that stopped reading would block that send for good, so
+    // whatever is still open after a grace period loses both sides.
+    std::unique_lock<std::mutex> lock(conn_mu_);
+    for (const int fd : conn_fds_) ::shutdown(fd, SHUT_RD);
+    conn_cv_.wait_for(lock, kReplyGrace, [&] { return conn_fds_.empty(); });
     for (const int fd : conn_fds_) ::shutdown(fd, SHUT_RDWR);
   }
   std::vector<std::thread> conns;

@@ -156,6 +156,7 @@ class FlowServer {
   int listen_fd_ = -1;
   std::thread accept_thread_;
   std::mutex conn_mu_;
+  std::condition_variable conn_cv_;  ///< signalled when a connection closes
   std::unordered_set<int> conn_fds_;
   std::vector<std::thread> conn_threads_;
 };

@@ -1,5 +1,4 @@
-// Linear-time stable ranking of double keys (placement spreading and
-// legalisation).
+// Stable ranking of double keys (placement spreading and legalisation).
 #pragma once
 
 #include <cstdint>
@@ -10,8 +9,10 @@ namespace tpi {
 
 /// Indices 0..keys.size()-1 in ascending key order, ties in index order:
 /// exactly what std::stable_sort with operator< leaves of an iota, for keys
-/// without NaN. A stable LSD radix sort over order-preserving 64-bit images
-/// of the keys, so it makes no comparisons and reads each key once.
+/// without NaN. One counting pass scatters the indices into buckets of a
+/// monotone map of [min, max] (one bucket per key on average), then each
+/// bucket is sorted stably by key. Any non-finite key (or a key range the
+/// map cannot scale) falls back to std::stable_sort.
 std::vector<std::uint32_t> rank_by_key(std::span<const double> keys);
 
 }  // namespace tpi

@@ -51,7 +51,7 @@ TEST(ExtractionTest, TwoPinNetElmoreHandComputed) {
   const ExtractionResult px = extract(*tp.nl, tp.routes);
 
   const auto n = static_cast<std::size_t>(tp.out);
-  const RouteTree& tree = tp.routes.nets[n];
+  const RouteTree tree = tp.routes.tree(n);
   ASSERT_EQ(tree.node.size(), 2u);
   const double len = tree.length_um;
   const double pin_cap = lib().gate(CellFunc::kInv, 1)->pins[0].cap_ff;
@@ -71,7 +71,7 @@ TEST(ExtractionTest, LongNetsUseThickMetal) {
   // lower resistance makes it faster although it is longer.
   TwoPinCircuit tp = make_two_pin();
   const auto n = static_cast<std::size_t>(tp.out);
-  RouteTree& tree = tp.routes.nets[n];
+  const RouteTreeEdit tree = tp.routes.edit_tree(n);
   ASSERT_EQ(tree.node.size(), 2u);
   auto extract_at = [&](double len) {
     tree.edge_um[1] = len;
@@ -147,10 +147,15 @@ TEST(ExtractionTest, PerPinElmoreIsItsOwnRouteNode) {
   const Net& net = nl.net(n);
   ASSERT_EQ(net.sinks.size(), 3u);
   ASSERT_EQ(net.po_sinks.size(), 1u);
-  RouteTree& tree = routes.nets[static_cast<std::size_t>(n)];
-  tree.node.assign(5, Point{});
-  tree.parent = {-1, 0, 1, 0, 3};
-  tree.edge_um = {0.0, 30.0, 12.0, 50.0, 20.0};
+  const RouteTreeEdit tree = routes.edit_tree(static_cast<std::size_t>(n));
+  ASSERT_EQ(tree.node.size(), 5u);
+  const int parent[] = {-1, 0, 1, 0, 3};
+  const double edge_um[] = {0.0, 30.0, 12.0, 50.0, 20.0};
+  for (std::size_t v = 0; v < tree.node.size(); ++v) {
+    tree.node[v] = Point{};
+    tree.parent[v] = parent[v];
+    tree.edge_um[v] = edge_um[v];
+  }
   tree.length_um = 112.0;  // short net: thin-metal constants
   const ExtractionResult px = extract(nl, routes);
 
@@ -160,8 +165,8 @@ TEST(ExtractionTest, PerPinElmoreIsItsOwnRouteNode) {
     node_cap[s + 1] = nl.cell(sink.cell).spec->pins[static_cast<std::size_t>(sink.pin)].cap_ff;
   }
   node_cap[4] = kPoPadCapFf;
-  const std::vector<double> expect =
-      reference_elmore(tree, node_cap, kRShortOhmPerUm, kCShortFfPerUm);
+  const std::vector<double> expect = reference_elmore(
+      routes.tree(static_cast<std::size_t>(n)), node_cap, kRShortOhmPerUm, kCShortFfPerUm);
   for (std::size_t s = 0; s < net.sinks.size(); ++s) {
     const PinRef& sink = net.sinks[s];
     EXPECT_NEAR(px.elmore_ps(sink.cell, sink.pin), expect[s + 1], 1e-9) << "sink " << s;
@@ -198,7 +203,7 @@ TEST(ExtractionTest, ElmoreMonotoneAlongPath) {
   const RoutingResult routes = route(*nl, fp, pl);
   const ExtractionResult px = extract(*nl, routes);
   for (std::size_t n = 0; n < nl->num_nets(); ++n) {
-    const RouteTree& tree = routes.nets[n];
+    const RouteTree tree = routes.tree(n);
     const NetParasitics& p = px.nets[n];
     const double lumped_bound =
         1e-3 * 0.80 * tree.length_um * p.total_cap_ff + 1e-6;

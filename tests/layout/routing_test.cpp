@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <optional>
+
 #include "../common/test_circuits.hpp"
 #include "circuits/generator.hpp"
 #include "circuits/profiles.hpp"
+#include "extraction/extraction.hpp"
 
 namespace tpi {
 namespace {
@@ -29,18 +33,19 @@ RoutedCircuit make_routed(std::uint64_t seed) {
 
 TEST(RoutingTest, EveryDrivenNetHasATree) {
   const RoutedCircuit rc = make_routed(81);
-  ASSERT_EQ(rc.routes.nets.size(), rc.nl->num_nets());
+  ASSERT_EQ(rc.routes.num_nets(), rc.nl->num_nets());
   for (std::size_t n = 0; n < rc.nl->num_nets(); ++n) {
     const Net& net = rc.nl->net(static_cast<NetId>(n));
     if (!net.driver.valid() && !net.driven_by_pi()) continue;
-    const RouteTree& tree = rc.routes.nets[n];
+    const RouteTree tree = rc.routes.tree(n);
     EXPECT_EQ(tree.node.size(), 1 + net.fanout()) << net.name;
   }
 }
 
 TEST(RoutingTest, TreesAreConnectedToRoot) {
   const RoutedCircuit rc = make_routed(82);
-  for (const RouteTree& tree : rc.routes.nets) {
+  for (std::size_t n = 0; n < rc.routes.num_nets(); ++n) {
+    const RouteTree tree = rc.routes.tree(n);
     for (std::size_t v = 1; v < tree.node.size(); ++v) {
       // Walk to the root; must terminate at node 0.
       int u = static_cast<int>(v);
@@ -58,7 +63,7 @@ TEST(RoutingTest, TreeLengthAtLeastHalfHpwlAndBounded) {
   for (std::size_t n = 0; n < rc.nl->num_nets(); ++n) {
     const Net& net = rc.nl->net(static_cast<NetId>(n));
     if (!net.driver.valid() && !net.driven_by_pi()) continue;
-    const RouteTree& tree = rc.routes.nets[n];
+    const RouteTree tree = rc.routes.tree(n);
     HpwlAccumulator acc;
     for (const Point& p : tree.node) acc.add(p);
     // A spanning tree is at least half the bounding-box half-perimeter and
@@ -73,7 +78,8 @@ TEST(RoutingTest, TreeLengthAtLeastHalfHpwlAndBounded) {
 
 TEST(RoutingTest, PathToRootMatchesEdgeSum) {
   const RoutedCircuit rc = make_routed(84);
-  for (const RouteTree& tree : rc.routes.nets) {
+  for (std::size_t n = 0; n < rc.routes.num_nets(); ++n) {
+    const RouteTree tree = rc.routes.tree(n);
     double total = 0.0;
     for (std::size_t v = 1; v < tree.node.size(); ++v) {
       total += tree.edge_um[v];
@@ -86,7 +92,7 @@ TEST(RoutingTest, PathToRootMatchesEdgeSum) {
 TEST(RoutingTest, TotalLengthAggregates) {
   const RoutedCircuit rc = make_routed(85);
   double sum = 0.0;
-  for (const RouteTree& tree : rc.routes.nets) sum += tree.length_um;
+  for (std::size_t n = 0; n < rc.routes.num_nets(); ++n) sum += rc.routes.tree(n).length_um;
   EXPECT_NEAR(rc.routes.total_wire_length_um, sum, 1e-6);
   EXPECT_GE(rc.routes.detour_length_um, 0.0);
 }
@@ -123,12 +129,45 @@ TEST(RoutingTest, TwoPinNetIsManhattanExact) {
   const Floorplan fp = make_floorplan(nl, {});
   const Placement pl = place(nl, fp);
   const RoutingResult routes = route(nl, fp, pl);
-  const RouteTree& tree = routes.nets[static_cast<std::size_t>(nl.pi_net(a))];
+  const RouteTree tree = routes.tree(static_cast<std::size_t>(nl.pi_net(a)));
   ASSERT_EQ(tree.node.size(), 2u);
   EXPECT_NEAR(tree.length_um, manhattan(tree.node[0], tree.node[1]) +
                                   (tree.length_um - manhattan(tree.node[0], tree.node[1])),
               1e-9);  // base length plus any detour charge
   EXPECT_GE(tree.length_um, manhattan(tree.node[0], tree.node[1]) - 1e-9);
+}
+
+// Bit-for-bit equality of two extractions: every net's capacitances, the
+// total and every per-pin Elmore delay.
+void expect_same_bits(const ExtractionResult& a, const ExtractionResult& b) {
+  ASSERT_EQ(a.nets.size(), b.nets.size());
+  ASSERT_EQ(a.pin_elmore_ps.size(), b.pin_elmore_ps.size());
+  EXPECT_EQ(std::memcmp(a.nets.data(), b.nets.data(), a.nets.size() * sizeof a.nets[0]), 0);
+  EXPECT_EQ(std::memcmp(a.pin_elmore_ps.data(), b.pin_elmore_ps.data(),
+                        a.pin_elmore_ps.size() * sizeof(double)),
+            0);
+  EXPECT_EQ(std::memcmp(&a.total_wire_cap_ff, &b.total_wire_cap_ff, sizeof(double)), 0);
+}
+
+TEST(RoutingTest, MovedAndCopiedResultsExtractLikeAFreshRoute) {
+  // Trees are views into the result's store: a result moved into an
+  // optional (as FlowEngine keeps it) or copied, with the original gone,
+  // must read exactly what a fresh route() reads.
+  const RoutedCircuit rc = make_routed(87);
+  const ExtractionResult fresh = extract(*rc.nl, route(*rc.nl, rc.fp, rc.pl));
+  std::optional<RoutingResult> moved;
+  moved = route(*rc.nl, rc.fp, rc.pl);
+  expect_same_bits(extract(*rc.nl, *moved), fresh);
+  std::optional<RoutingResult> copied;
+  {
+    const RoutingResult original = route(*rc.nl, rc.fp, rc.pl);
+    copied = original;
+  }
+  expect_same_bits(extract(*rc.nl, *copied), fresh);
+  ASSERT_EQ(copied->num_nets(), rc.nl->num_nets());
+  for (std::size_t n = 0; n < copied->num_nets(); ++n) {
+    EXPECT_EQ(copied->tree(n).length_um, rc.routes.tree(n).length_um) << n;
+  }
 }
 
 }  // namespace

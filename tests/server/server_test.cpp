@@ -6,11 +6,16 @@
 #include "server/flow_server.hpp"
 
 #include <gtest/gtest.h>
+#include <sys/socket.h>
+#include <sys/un.h>
 #include <unistd.h>
 
 #include <atomic>
+#include <cerrno>
+#include <chrono>
 #include <condition_variable>
 #include <cstdio>
+#include <cstring>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -707,6 +712,105 @@ TEST(FlowServerTest, SocketRoundTrip) {
   EXPECT_EQ(refused.find("error")->as_string(), "server is shutting down");
   client.close();
   server.stop();
+}
+
+TEST(FlowServerTest, ShutdownReplySurvivesImmediateStop) {
+  // The daemon's main thread calls stop() the moment wait_until_shutdown()
+  // returns, which the shutdown RPC causes before its connection thread has
+  // sent {"ok": true}. The reply must still reach the client, every round.
+  constexpr int kRounds = 25;
+  const std::string path =
+      "/tmp/tpi_server_test_stop_" + std::to_string(::getpid()) + ".sock";
+  for (int round = 0; round < kRounds; ++round) {
+    FlowServerOptions opts;
+    opts.workers = 1;
+    opts.socket_path = path;
+    FlowServer server(tiny_base(), opts);
+    std::string error;
+    ASSERT_TRUE(server.listen(&error)) << error;
+    std::thread main_thread([&] {
+      server.wait_until_shutdown();
+      server.stop();
+    });
+    FlowClient client;
+    std::string response;
+    const bool connected = client.connect(server.socket_path(), &error);
+    const bool answered = connected && client.rpc("shutdown", "", &response, &error);
+    if (!connected) server.stop();  // releases main_thread
+    main_thread.join();
+    ASSERT_TRUE(answered) << "round " << round << ": " << error;
+    EXPECT_TRUE(parse_response(response).find("result")->find("ok")->as_bool());
+  }
+}
+
+// The AF_UNIX address of a short socket path, for tests that drive the
+// socket without FlowClient.
+sockaddr_un unix_address(const std::string& path) {
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
+  return addr;
+}
+
+TEST(FlowServerTest, StopDoesNotWaitForAClientThatStoppedReading) {
+  // A client that pipelines requests and never reads fills both socket
+  // buffers, so its connection thread blocks in send(). stop() lets
+  // in-flight replies go out, but not for ever.
+  FlowServerOptions opts;
+  opts.workers = 1;
+  opts.socket_path = "/tmp/tpi_server_test_stall_" + std::to_string(::getpid()) + ".sock";
+  FlowServer server(tiny_base(), opts);
+  std::string error;
+  ASSERT_TRUE(server.listen(&error)) << error;
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_un addr = unix_address(opts.socket_path);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr), 0);
+  std::atomic<std::size_t> sent{0};
+  std::thread writer([&] {
+    const std::string request = "{\"id\": 1, \"method\": \"stats\"}\n";
+    while (::send(fd, request.data(), request.size(), MSG_NOSIGNAL) > 0) ++sent;
+  });
+  // Wait until the writer stalls: both buffers are full.
+  for (std::size_t last = 0; sent.load() == 0 || sent.load() != last;) {
+    last = sent.load();
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  }
+  const auto start = std::chrono::steady_clock::now();
+  server.stop();
+  const auto waited = std::chrono::steady_clock::now() - start;
+  writer.join();  // its send() fails once the server closes the socket
+  ::close(fd);
+  EXPECT_LT(waited, std::chrono::seconds(10));
+}
+
+TEST(FlowClientTest, PeerCloseIsReportedAsClosedConnection) {
+  // A peer that reads the request and hangs up: recv() returns 0 and sets
+  // no errno, so the client must not report strerror(errno).
+  const std::string path = "/tmp/tpi_client_test_" + std::to_string(::getpid()) + ".sock";
+  const int listen_fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  ASSERT_GE(listen_fd, 0);
+  sockaddr_un addr = unix_address(path);
+  ::unlink(path.c_str());
+  ASSERT_EQ(::bind(listen_fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr), 0);
+  ASSERT_EQ(::listen(listen_fd, 1), 0);
+  FlowClient client;
+  std::string error;
+  ASSERT_TRUE(client.connect(path, &error)) << error;  // queued until accept()
+  std::thread peer([&] {
+    const int fd = ::accept(listen_fd, nullptr, nullptr);
+    char c = 0;
+    while (fd >= 0 && ::recv(fd, &c, 1, 0) == 1 && c != '\n') {
+    }
+    if (fd >= 0) ::close(fd);
+  });
+  errno = ENOENT;  // a stale errno the old message would have printed
+  std::string response;
+  EXPECT_FALSE(client.rpc("stats", "", &response, &error));
+  EXPECT_EQ(error, "recv: connection closed by peer");
+  peer.join();
+  ::close(listen_fd);
+  ::unlink(path.c_str());
 }
 
 TEST(FlowServerTest, ProtocolErrors) {

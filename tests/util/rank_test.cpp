@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <limits>
 #include <numeric>
+#include <utility>
 #include <vector>
 
 #include "util/rng.hpp"
@@ -72,6 +73,45 @@ TEST(RankByKeyTest, MatchesStableSortOnRandomKeys) {
     expect_stable_order(dup, "duplicates");
     expect_stable_order(neg, "negative");
     expect_stable_order(sub, "subnormal");
+  }
+}
+
+// Placement-size keys: ~25k cell coordinates bunched around a few centres,
+// with exact duplicates (cells pulled to one centroid) and signed zeros.
+std::vector<double> clustered_keys(Rng& rng) {
+  constexpr std::size_t kKeys = 25'000;
+  const double centres[] = {-40.0, 0.0, 0.5, 310.25, 1200.0};
+  std::vector<double> keys(kKeys);
+  for (std::size_t i = 0; i < kKeys; ++i) {
+    const double c = centres[rng.next_below(5)];
+    switch (rng.next_below(4)) {
+      case 0: keys[i] = c; break;                                      // exact duplicate
+      case 1: keys[i] = rng.next_below(2) != 0 ? 0.0 : -0.0; break;   // ±0
+      default: keys[i] = c + (rng.next_double() - 0.5) * 1e-3;        // tight cluster
+    }
+  }
+  return keys;
+}
+
+TEST(RankByKeyTest, PlacementSizeClusteredKeys) {
+  Rng rng(0xc1u);
+  expect_stable_order(clustered_keys(rng), "clustered");
+}
+
+TEST(RankByKeyTest, PlacementSizeKeysWithNonFiniteFallBack) {
+  // Two odd keys among placement keys. An infinity, or ±DBL_MAX whose range
+  // overflows, takes the comparison-sort fallback; subnormals alone do not.
+  Rng rng(0xc2u);
+  const double inf = std::numeric_limits<double>::infinity();
+  const double den = std::numeric_limits<double>::denorm_min();
+  const double big = std::numeric_limits<double>::max();
+  const std::pair<double, double> odd_pairs[] = {{inf, 3 * den}, {-inf, den}, {den, -3 * den},
+                                                 {big, -big}};
+  for (const auto& [first, second] : odd_pairs) {
+    std::vector<double> keys = clustered_keys(rng);
+    keys[rng.next_below(keys.size())] = first;
+    keys[rng.next_below(keys.size())] = second;
+    expect_stable_order(keys, "clustered with two odd keys");
   }
 }
 
