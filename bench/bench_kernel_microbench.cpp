@@ -222,16 +222,14 @@ void BM_FaultSimulationBatch(benchmark::State& state) {
   bank.load_batch(words);
   // Grade a rotating window of 256 faults per iteration.
   std::size_t cursor = 0;
-  std::vector<Fault*> window(256);
   std::vector<FaultTask> tasks(256);
   std::vector<Word> detect;
   for (auto _ : state) {
-    for (std::size_t i = 0; i < window.size(); ++i) {
-      window[i] = all[cursor];
+    for (std::size_t i = 0; i < tasks.size(); ++i) {
       tasks[i] = all_tasks[cursor];
       cursor = (cursor + 1) % all.size();
     }
-    bank.grade(window, tasks, detect);
+    bank.grade(tasks, detect);
     benchmark::DoNotOptimize(detect.data());
     benchmark::ClobberMemory();
   }
@@ -291,7 +289,7 @@ void BM_FaultGradeLive(benchmark::State& state) {
   for (auto _ : state) {
     for (auto& w : words) w = rng.next_u64();
     bank.load_batch(words);
-    bank.grade(live, tasks, detect);
+    bank.grade(tasks, detect);
     benchmark::DoNotOptimize(detect.data());
   }
   state.SetItemsProcessed(state.iterations() * kMaxLaneWords *
@@ -304,6 +302,41 @@ void BM_FaultGradeLive(benchmark::State& state) {
                           : 0.0;
 }
 BENCHMARK(BM_FaultGradeLive)->Arg(1)->Arg(2)->Arg(4)->UseRealTime()->Unit(benchmark::kMillisecond);
+
+// The LBIST inner loop: the whole live transition fault list of the same
+// netlist graded on one thread against one 512-pattern launch-on-capture
+// batch (load_batch_loc, both frames simulated) per iteration. The kernel
+// forces each fault only in the lanes that launch it.
+void BM_TransitionGradeLive(benchmark::State& state) {
+  const CombModel model(grade_netlist(), SeqView::kCapture);
+  FaultSimBank bank(model, 1);
+  bank.configure_lanes(kMaxLaneWords);
+  FaultList fl = build_fault_list(model, FaultModel::kTransition);
+  std::vector<Fault*> live;
+  for (Fault& f : fl.faults) {
+    if (f.status != FaultStatus::kScanTested) live.push_back(&f);
+  }
+  const std::vector<FaultTask> tasks = resolve_fault_tasks(model, live);
+  Rng rng(3);
+  std::vector<Word> words(model.input_nets().size() *
+                          static_cast<std::size_t>(kMaxLaneWords));
+  std::vector<Word> detect;
+  for (auto _ : state) {
+    for (auto& w : words) w = rng.next_u64();
+    bank.load_batch_loc(words);
+    bank.grade(tasks, detect);
+    benchmark::DoNotOptimize(detect.data());
+  }
+  state.SetItemsProcessed(state.iterations() * kMaxLaneWords *
+                          static_cast<std::int64_t>(live.size()));
+  state.counters["live_faults"] = static_cast<double>(live.size());
+  const FaultSimStats s = bank.take_stats();
+  state.counters["evals_per_fault"] =
+      s.faults_graded > 0
+          ? static_cast<double>(s.node_evals) / static_cast<double>(s.faults_graded)
+          : 0.0;
+}
+BENCHMARK(BM_TransitionGradeLive)->Unit(benchmark::kMillisecond);
 
 // Whole ATPG stage (all three phases) on the largest generated profile the
 // microbench uses — the single-circuit wall clock the sweep cannot hide.

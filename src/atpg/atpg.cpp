@@ -105,7 +105,7 @@ AtpgResult run_atpg(const CombModel& model, const TestabilityResult& testability
     pack_patterns(batch.data(), count, num_inputs, nw, words);
     bank.configure_lanes(nw);
     load_bank(words);
-    bank.first_detections(live, tasks, count, first);
+    bank.first_detections(tasks, count, first);
   };
 
   // ---- phase 1: pseudo-random warm-up ----

@@ -213,6 +213,7 @@ FaultTask resolve_fault_task(const CombModel& model, const Fault& fault) {
   FaultTask task;
   task.net = fault.net;
   task.stuck1 = fault.stuck1;
+  task.transition = fault.model == FaultModel::kTransition;
   if (fault.is_stem()) return task;
   for (const int reader : model.readers_of(fault.net)) {
     if (model.nodes()[static_cast<std::size_t>(reader)].cell == fault.branch.cell) {

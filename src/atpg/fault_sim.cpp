@@ -41,42 +41,27 @@ struct FaultSimBank::Worker {
   std::vector<Word> chunk;  ///< kFirstChunk faults' detect words
   FaultSimStats stats;
 
-  // Write first[i] for faults[lo, hi): grade the range kFirstChunk faults
-  // at a time into `chunk` and keep only each fault's first detection.
-  void first_detections(const FaultSimBank& bank, Fault* const* faults, const FaultTask* tasks,
-                        std::size_t lo, std::size_t hi, std::size_t patterns, int* first) {
+  // Write first[i] for tasks[lo, hi): grade the range kFirstChunk tasks
+  // at a time into `chunk` and keep only each task's first detection.
+  void first_detections(const FaultSimBank& bank, const FaultTask* tasks, std::size_t lo,
+                        std::size_t hi, std::size_t patterns, int* first) {
     const std::size_t nw = static_cast<std::size_t>(bank.lane_words());
     chunk.resize(kFirstChunk * nw);
     for (std::size_t c = lo; c < hi; c += kFirstChunk) {
       const std::size_t count = std::min(kFirstChunk, hi - c);
-      grade(bank, faults + c, tasks + c, count, chunk.data());
+      grade(bank, tasks + c, count, chunk.data());
       for (std::size_t i = 0; i < count; ++i) {
         first[c + i] = first_detection(chunk.data() + i * nw, patterns);
       }
     }
   }
 
-  // Grade `count` faults, resolved as `tasks`, against the bank's good
-  // state: detect[i*lane_words() + j] is fault i's lane word j.
-  void grade(const FaultSimBank& bank, Fault* const* faults, const FaultTask* tasks,
-             std::size_t count, Word* detect) {
-    sim_kernels().grade(*bank.model_, scratch, bank.good_.values().data(), tasks, count, detect,
-                        stats);
-    const std::size_t nw = static_cast<std::size_t>(bank.lane_words());
-    for (std::size_t i = 0; i < count; ++i) {
-      const Fault& f = *faults[i];
-      if (f.model != FaultModel::kTransition) continue;
-      // Transition launch mask, ANDed into the capture-frame detect words:
-      // slow-to-fall needs launch 1 at the site, slow-to-rise launch 0. A
-      // single-frame batch has no launch frame and detects nothing.
-      Word* d = detect + i * nw;
-      if (!bank.has_launch_) {
-        std::fill(d, d + nw, Word{0});
-        continue;
-      }
-      const Word* launch = bank.launch_values_.data() + static_cast<std::size_t>(f.net) * nw;
-      for (std::size_t j = 0; j < nw; ++j) d[j] &= f.stuck1 ? launch[j] : ~launch[j];
-    }
+  // Grade `count` tasks against the bank's good state (and launch frame,
+  // if loaded): detect[i*lane_words() + j] is task i's lane word j.
+  void grade(const FaultSimBank& bank, const FaultTask* tasks, std::size_t count, Word* detect) {
+    const Word* launch = bank.launch_values_.empty() ? nullptr : bank.launch_values_.data();
+    sim_kernels().grade(*bank.model_, scratch, bank.good_.values().data(), launch, tasks, count,
+                        detect, stats);
   }
 };
 
@@ -96,18 +81,18 @@ FaultSimBank::~FaultSimBank() = default;
 void FaultSimBank::configure_lanes(int lane_words) {
   if (lane_words == good_.lane_words()) return;
   good_.configure_lanes(lane_words);
+  launch_values_.clear();  // laid out for the old width
   for (auto& w : workers_) w->scratch.prepare(*model_, lane_words);
 }
 
 void FaultSimBank::load_batch(const std::vector<Word>& input_words) {
   good_.load_inputs(input_words);
   good_.run();
-  has_launch_ = false;
+  launch_values_.clear();
 }
 
 void FaultSimBank::load_batch_loc(const std::vector<Word>& input_words) {
   good_.run_launch_capture(input_words, launch_values_);
-  has_launch_ = true;
 }
 
 template <class Body>
@@ -133,25 +118,21 @@ void FaultSimBank::for_each_range(std::size_t n, const Body& body) {
   for (auto& f : done) f.get();
 }
 
-void FaultSimBank::grade(const std::vector<Fault*>& faults, const std::vector<FaultTask>& tasks,
-                         std::vector<Word>& detect) {
-  assert(tasks.size() == faults.size());
+void FaultSimBank::grade(const std::vector<FaultTask>& tasks, std::vector<Word>& detect) {
   const std::size_t nw = static_cast<std::size_t>(lane_words());
-  detect.resize(faults.size() * nw);
-  for_each_range(faults.size(), [&](Worker& w, std::size_t lo, std::size_t hi) {
-    w.grade(*this, faults.data() + lo, tasks.data() + lo, hi - lo, detect.data() + lo * nw);
+  detect.resize(tasks.size() * nw);
+  for_each_range(tasks.size(), [&](Worker& w, std::size_t lo, std::size_t hi) {
+    w.grade(*this, tasks.data() + lo, hi - lo, detect.data() + lo * nw);
   });
 }
 
-void FaultSimBank::first_detections(const std::vector<Fault*>& live,
-                                    const std::vector<FaultTask>& tasks, std::size_t patterns,
+void FaultSimBank::first_detections(const std::vector<FaultTask>& tasks, std::size_t patterns,
                                     std::vector<int>& first) {
-  assert(tasks.size() == live.size());
   const std::size_t nw = static_cast<std::size_t>(lane_words());
   patterns = std::min(patterns, nw * kWordBits);  // the batch holds no more
-  first.resize(live.size());  // every entry is written by its range's worker
-  for_each_range(live.size(), [&](Worker& w, std::size_t lo, std::size_t hi) {
-    w.first_detections(*this, live.data(), tasks.data(), lo, hi, patterns, first.data());
+  first.resize(tasks.size());  // every entry is written by its range's worker
+  for_each_range(tasks.size(), [&](Worker& w, std::size_t lo, std::size_t hi) {
+    w.first_detections(*this, tasks.data(), lo, hi, patterns, first.data());
   });
 }
 

@@ -12,7 +12,7 @@
 // each fault at its first detecting pattern. Callers resolve each live
 // fault's FaultTask once (resolve_fault_tasks in atpg/fault.hpp, which
 // PODEM and replay use too) and keep the tasks aligned with the live list;
-// grading never resolves a fault itself.
+// grading reads only the tasks and never resolves a fault itself.
 //
 // The hot loops live in the dispatched SIMD kernels (sim/kernels.hpp): a
 // batch is lane_words() x 64 patterns wide, and each net visit grades all
@@ -30,12 +30,14 @@
 // with load_batch_loc(), which builds them with
 // ParallelSim::run_launch_capture (as replay does): the launch frame V1 is
 // simulated, the capture frame holds the PIs and feeds each pseudo-input
-// from the launch frame's captured D value, and the kernels then grade the
-// *capture* frame exactly as for stuck-at. The transition condition (the
-// fault site held the launch value that makes the slow transition happen)
-// is applied as a per-lane mask after the kernel: slow-to-rise requires
-// launch value 0, slow-to-fall requires launch value 1. The kernels
-// themselves are untouched, so backend bit-identity carries over.
+// from the launch frame's captured D value, and the kernels grade the
+// *capture* frame. The grading kernel owns the transition condition (the
+// fault site held the launch value that makes the slow transition happen:
+// launch 0 for slow-to-rise, launch 1 for slow-to-fall): it forces the
+// stuck value only in the lanes that launch the fault, so the other lanes
+// never propagate an effect. The detect words are the capture-frame
+// stuck-at grade ANDed with that condition, bit for bit; a batch loaded
+// without a launch frame detects no transition fault.
 #pragma once
 
 #include <cstdint>
@@ -72,7 +74,8 @@ class FaultSimBank {
 
   /// Words per net in the current batch layout (1..kMaxLaneWords).
   int lane_words() const { return good_.lane_words(); }
-  /// Switch the batch width; resets the good state when it changes.
+  /// Switch the batch width; resets the good state and drops the launch
+  /// frame when it changes.
   void configure_lanes(int lane_words);
 
   /// Load + evaluate a batch of lane_words() x 64 patterns (words
@@ -91,21 +94,18 @@ class FaultSimBank {
   /// load_batch_loc).
   const ParallelSim& good() const { return good_; }
 
-  /// Grade every fault, tasks[i] being faults[i] resolved against the
-  /// bank's model: detect[i*lane_words() + j] is fault i's lane word j,
-  /// bit k set iff pattern j*64+k shows an observable difference at a PO
-  /// or pseudo-PO.
-  void grade(const std::vector<Fault*>& faults, const std::vector<FaultTask>& tasks,
-             std::vector<Word>& detect);
+  /// Grade every task (a fault resolved against the bank's model):
+  /// detect[i*lane_words() + j] is task i's lane word j, bit k set iff
+  /// pattern j*64+k shows an observable difference at a PO or pseudo-PO.
+  void grade(const std::vector<FaultTask>& tasks, std::vector<Word>& detect);
 
-  /// Grade `live` (tasks[i] resolving live[i]) and write first[i] = index
-  /// of the first pattern among the batch's first `patterns` that detects
-  /// live[i], or -1. Lanes at or past `patterns` (the all-zero fill of a
-  /// partial batch) never count. Each worker streams its range through a
-  /// fixed-size chunk of detect words, so no live-list-sized detect buffer
-  /// is ever held.
-  void first_detections(const std::vector<Fault*>& live, const std::vector<FaultTask>& tasks,
-                        std::size_t patterns, std::vector<int>& first);
+  /// Grade every task and write first[i] = index of the first pattern
+  /// among the batch's first `patterns` that detects tasks[i], or -1.
+  /// Lanes at or past `patterns` (the all-zero fill of a partial batch)
+  /// never count. Each worker streams its range through a fixed-size chunk
+  /// of detect words, so no live-list-sized detect buffer is ever held.
+  void first_detections(const std::vector<FaultTask>& tasks, std::size_t patterns,
+                        std::vector<int>& first);
 
   /// Summed per-worker counters since the last call; resets the workers.
   FaultSimStats take_stats();
@@ -120,8 +120,8 @@ class FaultSimBank {
 
   const CombModel* model_;
   ParallelSim good_;
-  std::vector<Word> launch_values_;  ///< V1 net values (load_batch_loc)
-  bool has_launch_ = false;
+  /// V1 net values of a load_batch_loc batch; empty for any other batch.
+  std::vector<Word> launch_values_;
   std::vector<std::unique_ptr<Worker>> workers_;
   std::unique_ptr<ThreadPool> pool_;  ///< null when jobs() == 1
 };

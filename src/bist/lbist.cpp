@@ -2,6 +2,7 @@
 
 #include <array>
 #include <bit>
+#include <cassert>
 #include <stdexcept>
 #include <string>
 
@@ -119,6 +120,10 @@ void Misr::absorb(std::uint64_t value) {
 }
 
 LbistResult run_lbist(const CombModel& model, const LbistOptions& opts) {
+  return run_lbist(model, build_fault_list(model, opts.fault_model), opts);
+}
+
+LbistResult run_lbist(const CombModel& model, FaultList faults, const LbistOptions& opts) {
   // report_every divides the pattern count; a negative budget is a typo.
   if (opts.report_every < 1) {
     throw std::invalid_argument("run_lbist: report_every must be >= 1, got " +
@@ -130,7 +135,7 @@ LbistResult run_lbist(const CombModel& model, const LbistOptions& opts) {
   }
   LbistResult res;
   const bool transition = opts.fault_model == FaultModel::kTransition;
-  FaultList faults = build_fault_list(model, opts.fault_model);
+  assert(faults.faults.empty() || faults.faults.front().model == opts.fault_model);
   res.total_faults = faults.total_uncollapsed;
   res.capture_period_ps = opts.capture_period_ps;
 
@@ -206,7 +211,7 @@ LbistResult run_lbist(const CombModel& model, const LbistOptions& opts) {
       bank.load_batch(words);
     }
     bank.good().read_observes(responses);
-    bank.first_detections(live, tasks, nwz * kWordBits, first);
+    bank.first_detections(tasks, nwz * kWordBits, first);
 
     // Per batch: live faults first detected there, and their equiv count.
     std::size_t drops[kMaxLaneWords] = {};

@@ -128,5 +128,9 @@ struct LbistResult {
 /// kMaxLaneWords x 64; the result is that of applying them 64 at a time. Throws
 /// std::invalid_argument for report_every < 1 or max_patterns < 0.
 LbistResult run_lbist(const CombModel& model, const LbistOptions& opts = {});
+/// The same session over `faults`, which must be build_fault_list(model,
+/// opts.fault_model) as built: sessions that share a model and fault model
+/// build the list once and hand each its own copy.
+LbistResult run_lbist(const CombModel& model, FaultList faults, const LbistOptions& opts);
 
 }  // namespace tpi

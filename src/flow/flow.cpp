@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <cmath>
+#include <utility>
 
 #include "bist/lbist.hpp"
 #include "circuits/generator.hpp"
@@ -276,9 +277,15 @@ void FlowEngine::do_sta() {
   lo.fault_size_ps = t_cp;
   lo.arrival_ps = &res_.sta.arrival_ps;
   const CombModel& capture = db_->comb_model(SeqView::kCapture);
-  const LbistResult fast = run_lbist(capture, lo);
-  lo.capture_period_ps = kAtSpeedSlowFactor * t_cp;
-  const LbistResult slow = run_lbist(capture, lo);
+  // One transition fault list for the pair. The slow session, which
+  // qualifies next to nothing, marks a copy; the fast one, whose live list
+  // and bank are the pair's largest, takes the list itself, so the copy
+  // never coexists with them.
+  FaultList faults = build_fault_list(capture, FaultModel::kTransition);
+  LbistOptions slow_lo = lo;
+  slow_lo.capture_period_ps = kAtSpeedSlowFactor * t_cp;
+  const LbistResult slow = run_lbist(capture, faults, slow_lo);
+  const LbistResult fast = run_lbist(capture, std::move(faults), lo);
 
   FlowResult::AtSpeedReport& r = res_.at_speed;
   r.ran = true;

@@ -50,6 +50,11 @@ struct FaultTask {
   bool stuck1 = false;
   bool direct_capture = false;  ///< branch on an FF D pin (no logic reader)
   bool dead_branch = false;     ///< branch with no logic reader, not a D pin
+  /// Transition fault under launch-on-capture: `grade` forces the stuck
+  /// value only in the lanes whose launch frame held the transition's
+  /// initial value at the site (1 for slow-to-fall, 0 for slow-to-rise).
+  /// `forced` ignores it and acts as stuck-at on the frame it is given.
+  bool transition = false;
 
   bool is_stem() const { return branch_reader < 0 && !direct_capture && !dead_branch; }
 };
@@ -92,10 +97,15 @@ struct SimKernels {
   void (*tern_sweep)(const CombModel& model, Word* p, Word* q);
   /// Event-driven grading of `count` faults against the good state:
   /// detect[i*scratch.nw + j] accumulates per-lane observable differences
-  /// for tasks[i]. Counters accumulate into `stats` (one faults_graded
-  /// per task, cone_skips for tasks outside every observe cone).
+  /// for tasks[i]. `launch` holds the launch frame's net values (same
+  /// layout as `good`, the capture frame) or is null; a transition task
+  /// acts only in the lanes that launch it, and with a null `launch` it
+  /// detects nothing. Stuck-at tasks never read `launch`. Counters
+  /// accumulate into `stats` (one faults_graded per task, cone_skips for
+  /// tasks outside every observe cone).
   void (*grade)(const CombModel& model, FaultScratch& scratch, const Word* good,
-                const FaultTask* tasks, std::size_t count, Word* detect, FaultSimStats& stats);
+                const Word* launch, const FaultTask* tasks, std::size_t count, Word* detect,
+                FaultSimStats& stats);
   /// Forced full-sweep resimulation of one fault (replay validation):
   /// evaluates every node with its real op (dedup does not apply under
   /// injection), writes num_nets*nw words into `faulty` and the observable

@@ -12,7 +12,11 @@
 //    output aliasing behaves like the historical read-then-write loop.
 //  * grade is strictly per task, and per 64-lane slice the detect bits
 //    are what the historical 64-wide grader produced for that lane's
-//    batch, for any NW. The event queue is a level-bucket
+//    batch, for any NW. A transition task forces its value only in the
+//    lanes that launch it and leaves the good value elsewhere; every op is
+//    bitwise per lane, so the other lanes stay good and its detect words
+//    are the stuck-at grade of the capture frame ANDed with the launch
+//    condition, with less propagation. The event queue is a level-bucket
 //    array instead of a binary heap — levelize guarantees readers sit at
 //    strictly higher levels than their fanins, so ascending-level draining
 //    is the same topological schedule with O(1) push/pop, and the set of
@@ -162,8 +166,8 @@ void tern_sweep_entry(const CombModel& model, Word* p, Word* q) {
 }
 
 template <int NW>
-void grade_one(const CombModel& model, FaultScratch& sc, const Word* good, const FaultTask& task,
-               Word* detect, FaultSimStats& stats) {
+void grade_one(const CombModel& model, FaultScratch& sc, const Word* good, const Word* launch,
+               const FaultTask& task, Word* detect, FaultSimStats& stats) {
   for (int j = 0; j < NW; ++j) detect[j] = 0;
   ++stats.faults_graded;
   if (!model.net_reaches_observe(task.net)) {
@@ -177,12 +181,24 @@ void grade_one(const CombModel& model, FaultScratch& sc, const Word* good, const
   Word* fval = sc.fval.data();
 
   const Word stuck = task.stuck1 ? ~Word{0} : Word{0};
-  Word stuck_arr[NW];
-  for (int j = 0; j < NW; ++j) stuck_arr[j] = stuck;
-
   const Word* g = good + static_cast<std::size_t>(task.net) * NW;
+  // The value the fault forces at its site, per lane: the stuck value,
+  // or for a transition fault the stuck value where the launch frame held
+  // the transition's initial value (1 for slow-to-fall, 0 for
+  // slow-to-rise) and the good value everywhere else.
+  Word site[NW];
+  if (task.transition) {
+    if (launch == nullptr) return;  // no launch frame, no transition
+    const Word* l = launch + static_cast<std::size_t>(task.net) * NW;
+    for (int j = 0; j < NW; ++j) {
+      const Word m = task.stuck1 ? l[j] : ~l[j];
+      site[j] = (stuck & m) | (g[j] & ~m);
+    }
+  } else {
+    for (int j = 0; j < NW; ++j) site[j] = stuck;
+  }
   Word act = 0;
-  for (int j = 0; j < NW; ++j) act |= g[j] ^ stuck;
+  for (int j = 0; j < NW; ++j) act |= g[j] ^ site[j];
   if (act == 0) return;  // no lane of any slice activates the fault
 
   const auto faulty = [&](NetId net) -> const Word* {
@@ -217,14 +233,14 @@ void grade_one(const CombModel& model, FaultScratch& sc, const Word* good, const
   };
 
   if (task.is_stem()) {
-    set_faulty(task.net, stuck_arr);
+    set_faulty(task.net, site);
     if (model.is_observe_net(task.net)) {
-      for (int j = 0; j < NW; ++j) detect[j] |= g[j] ^ stuck;
+      for (int j = 0; j < NW; ++j) detect[j] |= g[j] ^ site[j];
     }
     schedule_readers(task.net);
   } else if (task.direct_capture) {
     // FF D-pin branch with no logic reader: captured directly.
-    for (int j = 0; j < NW; ++j) detect[j] = g[j] ^ stuck;
+    for (int j = 0; j < NW; ++j) detect[j] = g[j] ^ site[j];
     return;
   } else if (task.dead_branch) {
     return;  // branch with no logic reader, not a D pin
@@ -238,11 +254,11 @@ void grade_one(const CombModel& model, FaultScratch& sc, const Word* good, const
     }
     const Word* in[4];
     for (int i = 0; i < op.num_inputs; ++i) {
-      in[i] = op.in[i] == task.net ? stuck_arr : good + static_cast<std::size_t>(op.in[i]) * NW;
+      in[i] = op.in[i] == task.net ? site : good + static_cast<std::size_t>(op.in[i]) * NW;
     }
     const Word* sel = kZeroWords;
     if (op.sel != kNoNet) {
-      sel = op.sel == task.net ? stuck_arr : good + static_cast<std::size_t>(op.sel) * NW;
+      sel = op.sel == task.net ? site : good + static_cast<std::size_t>(op.sel) * NW;
     }
     ++stats.node_evals;
     Word out[NW];
@@ -272,11 +288,11 @@ void grade_one(const CombModel& model, FaultScratch& sc, const Word* good, const
       const bool inject = ni == task.branch_reader;
       const Word* in[4];
       for (int i = 0; i < op.num_inputs; ++i) {
-        in[i] = (inject && op.in[i] == task.net) ? stuck_arr : faulty(op.in[i]);
+        in[i] = (inject && op.in[i] == task.net) ? site : faulty(op.in[i]);
       }
       const Word* sel = kZeroWords;
       if (op.sel != kNoNet) {
-        sel = (inject && op.sel == task.net) ? stuck_arr : faulty(op.sel);
+        sel = (inject && op.sel == task.net) ? site : faulty(op.sel);
       }
       ++stats.node_evals;
       Word out[NW];
@@ -303,10 +319,10 @@ void grade_one(const CombModel& model, FaultScratch& sc, const Word* good, const
 }
 
 template <int NW>
-void grade_impl(const CombModel& model, FaultScratch& sc, const Word* good,
+void grade_impl(const CombModel& model, FaultScratch& sc, const Word* good, const Word* launch,
                 const FaultTask* tasks, std::size_t count, Word* detect, FaultSimStats& stats) {
   for (std::size_t i = 0; i < count; ++i) {
-    grade_one<NW>(model, sc, good, tasks[i], detect + i * NW, stats);
+    grade_one<NW>(model, sc, good, launch, tasks[i], detect + i * NW, stats);
   }
 }
 
@@ -383,19 +399,20 @@ void sweep_entry(const CombModel& model, Word* values, int nw) {
 }
 
 void grade_entry(const CombModel& model, FaultScratch& scratch, const Word* good,
-                 const FaultTask* tasks, std::size_t count, Word* detect, FaultSimStats& stats) {
+                 const Word* launch, const FaultTask* tasks, std::size_t count, Word* detect,
+                 FaultSimStats& stats) {
   switch (scratch.nw) {
     case 1:
-      grade_impl<1>(model, scratch, good, tasks, count, detect, stats);
+      grade_impl<1>(model, scratch, good, launch, tasks, count, detect, stats);
       return;
     case 2:
-      grade_impl<2>(model, scratch, good, tasks, count, detect, stats);
+      grade_impl<2>(model, scratch, good, launch, tasks, count, detect, stats);
       return;
     case 4:
-      grade_impl<4>(model, scratch, good, tasks, count, detect, stats);
+      grade_impl<4>(model, scratch, good, launch, tasks, count, detect, stats);
       return;
     default:
-      grade_impl<8>(model, scratch, good, tasks, count, detect, stats);
+      grade_impl<8>(model, scratch, good, launch, tasks, count, detect, stats);
       return;
   }
 }

@@ -141,8 +141,8 @@ TEST(AtpgParallelTest, BankGradesIdenticalAcrossJobCounts) {
       bank.load_batch(words);
       std::vector<Word> detect;
       std::vector<int> first;
-      bank.grade(faults, tasks, detect);
-      bank.first_detections(faults, tasks, patterns, first);
+      bank.grade(tasks, detect);
+      bank.first_detections(tasks, patterns, first);
       EXPECT_EQ(bank.take_stats().faults_graded, 2 * faults.size());
       // first_detections streams each worker's range through fixed-size
       // chunks: every entry is the lowest set bit below `patterns` of the
@@ -197,7 +197,7 @@ TEST(AtpgParallelTest, GradeAndDropKeepsRedundantAndAbortedLive) {
   std::vector<Fault*> live{&detectable, &redundant_like, &aborted_like};
   std::vector<FaultTask> tasks = resolve_fault_tasks(model, live);
   std::vector<int> first;
-  bank.first_detections(live, tasks, 8, first);
+  bank.first_detections(tasks, 8, first);
   drop_first_detected(live, tasks, first, 8);
   // All faults are detectable by the exhaustive batch: the redundant and
   // aborted marks are overridden by simulation evidence and every fault

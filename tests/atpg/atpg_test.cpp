@@ -66,7 +66,7 @@ TEST(AtpgTest, CompactedPatternsStillDetectEverything) {
       }
     }
     bank.load_batch(words);
-    bank.first_detections(live, tasks, end - start, first);
+    bank.first_detections(tasks, end - start, first);
     drop_first_detected(live, tasks, first, end - start);
   }
   EXPECT_EQ(fresh.count_equiv(FaultStatus::kDetected), r.detected);

@@ -100,10 +100,10 @@ TEST_F(SmallCombFaultSim, FirstDetectionsIgnoreLanesPastPatternCount) {
     }
     bank_->load_batch(words);
     ASSERT_EQ(detect_word(*bank_, c_sa1), ~Word{0b111});  // the fill detects
-    bank_->first_detections(live, tasks, 3, first);
+    bank_->first_detections(tasks, 3, first);
     EXPECT_EQ(first, std::vector<int>{-1});
     // Counting lane 3 as a pattern makes it the first detector.
-    bank_->first_detections(live, tasks, 4, first);
+    bank_->first_detections(tasks, 4, first);
     EXPECT_EQ(first, std::vector<int>{3});
     drop_first_detected(live, tasks, first, 3);
     EXPECT_EQ(live.size(), 1u);
@@ -195,7 +195,7 @@ TEST(FaultSimConeTest, ConeSkipStatsNonzeroAndJobInvariant) {
     for (auto& w : words) w = rng.next_u64();
     bank.load_batch(words);
     std::vector<Word> detect;
-    bank.grade(live, resolve_fault_tasks(model, live), detect);
+    bank.grade(resolve_fault_tasks(model, live), detect);
     by_jobs[idx++] = bank.take_stats();
   }
   EXPECT_GT(by_jobs[0].cone_skips, 0u);

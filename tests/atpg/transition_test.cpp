@@ -1,10 +1,14 @@
 // Transition-delay fault model: launch-on-capture grading semantics, the
 // weaker (buffer/inverter-only) collapsing, cross-width and cross-jobs
 // bit-identity of the two-cycle detection words, and the generalized TAT
-// formula. The launch condition is applied as a mask after the unchanged
-// SIMD kernels, whose backend parity sim/simd_parity_test.cpp checks.
+// formula. The grading kernel applies the launch condition itself (it
+// forces a transition fault only in the lanes that launch it);
+// KernelLaunchMaskEqualsMaskedStuckAtGrade checks that against the
+// definition, a capture-frame stuck-at grade ANDed with the launch
+// condition, and sim/simd_parity_test.cpp checks backend parity.
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <vector>
 
 #include "../common/test_circuits.hpp"
@@ -12,7 +16,9 @@
 #include "atpg/fault.hpp"
 #include "atpg/fault_sim.hpp"
 #include "circuits/generator.hpp"
+#include "circuits/profiles.hpp"
 #include "scan/scan.hpp"
+#include "sim/parallel_sim.hpp"
 #include "sim/simd.hpp"
 #include "util/rng.hpp"
 
@@ -110,11 +116,11 @@ TEST(TransitionGradingTest, GradesIdenticalAcrossWidths) {
   FaultSimBank bank(model);
   bank.load_batch_loc(narrow);
   std::vector<Word> d1, d8;
-  bank.grade(faults, tasks, d1);
+  bank.grade(tasks, d1);
 
   bank.configure_lanes(kMaxLaneWords);
   bank.load_batch_loc(wide);
-  bank.grade(faults, tasks, d8);
+  bank.grade(tasks, d8);
 
   for (std::size_t i = 0; i < faults.size(); ++i) {
     ASSERT_EQ(d1[i], d8[i * static_cast<std::size_t>(kMaxLaneWords)])
@@ -141,13 +147,118 @@ TEST(TransitionGradingTest, BankMatchesSerialAtAnyJobs) {
     FaultSimBank bank(model, jobs);
     bank.load_batch_loc(words);
     std::vector<Word> detect;
-    bank.grade(faults, tasks, detect);
+    bank.grade(tasks, detect);
     if (jobs == 1) {
       serial = detect;
     } else {
       EXPECT_EQ(detect, serial);
     }
   }
+}
+
+TEST(TransitionGradingTest, LaneWidthChangeDropsLaunchFrame) {
+  // A launch frame is laid out for the width it was loaded at: after a
+  // width change the bank holds no launch frame, so grading before the
+  // next load_batch_loc detects nothing (and reads nothing past it).
+  auto nl = generate_circuit(lib(), scaled(s38417_profile(), 0.05));
+  CombModel model(*nl, SeqView::kCapture);
+  FaultList fl = build_fault_list(model, FaultModel::kTransition);
+  std::vector<Fault*> faults;
+  for (Fault& f : fl.faults) faults.push_back(&f);
+  const std::vector<FaultTask> tasks = resolve_fault_tasks(model, faults);
+  Rng rng(0x1A7E);
+  std::vector<Word> words(model.input_nets().size());
+  for (Word& w : words) w = rng.next_u64();
+  FaultSimBank bank(model);
+  bank.load_batch_loc(words);
+  bank.configure_lanes(kMaxLaneWords);
+  std::vector<Word> detect;
+  bank.grade(tasks, detect);
+  ASSERT_EQ(detect.size(), faults.size() * static_cast<std::size_t>(kMaxLaneWords));
+  for (std::size_t i = 0; i < detect.size(); ++i) {
+    ASSERT_EQ(detect[i], Word{0}) << "fault " << i / kMaxLaneWords;
+  }
+}
+
+// The kind of site a task grades, with a MUX select branch on its own.
+enum class SiteKind { kStem, kBranch, kMuxSelect, kDirectCapture, kDeadBranch };
+
+SiteKind site_kind(const CombModel& model, const FaultTask& t) {
+  if (t.direct_capture) return SiteKind::kDirectCapture;
+  if (t.dead_branch) return SiteKind::kDeadBranch;
+  if (t.branch_reader < 0) return SiteKind::kStem;
+  const EvalOp& op = model.eval_ops()[static_cast<std::size_t>(t.branch_reader)];
+  return op.sel == t.net ? SiteKind::kMuxSelect : SiteKind::kBranch;
+}
+
+TEST(TransitionGradingTest, KernelLaunchMaskEqualsMaskedStuckAtGrade) {
+  // The definition the kernel must meet bit for bit: the same tasks graded
+  // as stuck-at faults on the capture frame, ANDed with the launch
+  // condition (launch 1 at the site for slow-to-fall, 0 for slow-to-rise)
+  // taken from a separate launch-on-capture simulation.
+  auto nl = generate_circuit(lib(), scaled(s38417_profile(), 0.05));
+  insert_scan(*nl);
+  CombModel model(*nl, SeqView::kCapture);
+  FaultList fl = build_fault_list(model, FaultModel::kTransition);
+  std::vector<Fault*> faults;  // scan-tested ones too: they hold the dead branches
+  for (Fault& f : fl.faults) faults.push_back(&f);
+  const std::vector<FaultTask> tasks = resolve_fault_tasks(model, faults);
+  std::vector<FaultTask> stuck_at_tasks = tasks;
+  for (FaultTask& t : stuck_at_tasks) {
+    ASSERT_TRUE(t.transition);
+    t.transition = false;
+  }
+
+  // Per site kind: tasks with a detection, and tasks whose stuck-at grade
+  // detects in a lane the launch condition rules out.
+  std::size_t detecting[5] = {};
+  std::size_t masked_out[5] = {};
+  const std::size_t ni = model.input_nets().size();
+  for (const int jobs : {1, 4}) {
+    FaultSimBank bank(model, jobs);
+    ParallelSim frames(model);
+    for (const int nw : {1, 2, 4, 8}) {
+      SCOPED_TRACE(testing::Message() << "jobs " << jobs << " nw " << nw);
+      const std::size_t w = static_cast<std::size_t>(nw);
+      Rng rng(0x7A5C + static_cast<std::uint64_t>(nw));
+      std::vector<Word> words(ni * w);
+      for (Word& x : words) x = rng.next_u64();
+      bank.configure_lanes(nw);
+      bank.load_batch_loc(words);
+      std::vector<Word> got, ref;
+      bank.grade(tasks, got);
+      bank.grade(stuck_at_tasks, ref);
+      frames.configure_lanes(nw);
+      std::vector<Word> launch;
+      frames.run_launch_capture(words, launch);
+      for (std::size_t i = 0; i < tasks.size(); ++i) {
+        const int kind = static_cast<int>(site_kind(model, tasks[i]));
+        const Word* l = launch.data() + static_cast<std::size_t>(tasks[i].net) * w;
+        bool outside = false;
+        for (std::size_t j = 0; j < w; ++j) {
+          const Word m = tasks[i].stuck1 ? l[j] : ~l[j];
+          outside = outside || (ref[i * w + j] & ~m) != 0;
+          ref[i * w + j] &= m;
+        }
+        bool any = false;
+        for (std::size_t j = 0; j < w; ++j) any = any || got[i * w + j] != 0;
+        detecting[kind] += any;
+        masked_out[kind] += outside;
+      }
+      ASSERT_EQ(got, ref);
+    }
+  }
+  for (const SiteKind k : {SiteKind::kStem, SiteKind::kBranch, SiteKind::kMuxSelect,
+                           SiteKind::kDirectCapture}) {
+    SCOPED_TRACE(static_cast<int>(k));
+    EXPECT_GT(detecting[static_cast<int>(k)], 0u);
+    EXPECT_GT(masked_out[static_cast<int>(k)], 0u);
+  }
+  // A dead branch never detects, launched or not; the list must hold one.
+  std::size_t dead = 0;
+  for (const FaultTask& t : tasks) dead += site_kind(model, t) == SiteKind::kDeadBranch;
+  EXPECT_GT(dead, 0u);
+  EXPECT_EQ(detecting[static_cast<int>(SiteKind::kDeadBranch)], 0u);
 }
 
 AtpgResult run_transition_atpg(std::uint64_t seed, int jobs) {

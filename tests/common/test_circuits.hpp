@@ -65,10 +65,9 @@ inline const CellLibrary& lib() {
 
 /// Lane word 0 of `fault`'s detect words against the batch loaded in
 /// `bank`: bit k set iff pattern k detects it.
-inline Word detect_word(FaultSimBank& bank, Fault fault) {
-  std::vector<Fault*> one{&fault};
+inline Word detect_word(FaultSimBank& bank, const Fault& fault) {
   std::vector<Word> detect;
-  bank.grade(one, resolve_fault_tasks(bank.model(), one), detect);
+  bank.grade({resolve_fault_task(bank.model(), fault)}, detect);
   return detect[0];
 }
 

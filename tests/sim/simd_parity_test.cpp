@@ -10,6 +10,8 @@
 // The models are the capture and application views of two tiny generated
 // circuits and of a small s38417 after tpi_scan, floorplan_place and eco
 // at 5 % TP; the tasks are their stuck-at and transition fault lists.
+// `grade` is compared without a launch frame (transition tasks then
+// detect nothing) and with one, which its transition tasks read.
 // KernelCasesCoverEveryOpAndTaskKind checks that this set reaches dedup
 // copies, MUX2, XOR and TSFF ops and stem, branch, direct-capture and
 // dead-branch tasks.
@@ -17,6 +19,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
@@ -149,12 +152,13 @@ struct Grades {
 };
 
 Grades graded(const SimKernels& k, const CombModel& model, const std::vector<Word>& good,
-              const std::vector<FaultTask>& tasks, int nw) {
+              const std::vector<FaultTask>& tasks, int nw, const Word* launch = nullptr) {
   FaultScratch scratch;
   scratch.prepare(model, nw);
   Grades g;
   g.detect.assign(tasks.size() * static_cast<std::size_t>(nw), 0);
-  k.grade(model, scratch, good.data(), tasks.data(), tasks.size(), g.detect.data(), g.stats);
+  k.grade(model, scratch, good.data(), launch, tasks.data(), tasks.size(), g.detect.data(),
+          g.stats);
   return g;
 }
 
@@ -306,6 +310,61 @@ TEST(SimdParityTest, GradeIdenticalAcrossTables) {
       EXPECT_EQ(a.stats.cone_skips, s.stats.cone_skips);
       EXPECT_EQ(a.stats.node_evals, s.stats.node_evals);
       EXPECT_EQ(a.stats.events, s.stats.events);
+    }
+  }
+}
+
+// A launch frame from other inputs than the capture frame, so the
+// transition tasks launch in some lanes and not in others.
+TEST(SimdParityTest, GradeWithLaunchIdenticalAcrossTables) {
+  const SimKernels* avx = avx512_kernels();
+  if (avx == nullptr) GTEST_SKIP() << "no AVX-512 kernels on this build/CPU";
+  for (const KernelCase& c : kernel_cases()) {
+    SCOPED_TRACE(c.label);
+    const CombModel& m = *c.model;
+    for (const int nw : kWidths) {
+      SCOPED_TRACE(nw);
+      const std::vector<Word> good =
+          swept(sim_kernels_scalar(), m, input_state(m, nw, 0x1A0 + nw), nw);
+      const std::vector<Word> launch =
+          swept(sim_kernels_scalar(), m, input_state(m, nw, 0x2B0 + nw), nw);
+      const Grades s = graded(sim_kernels_scalar(), m, good, c.tasks, nw, launch.data());
+      const Grades a = graded(*avx, m, good, c.tasks, nw, launch.data());
+      std::size_t transition_detects = 0;
+      for (std::size_t i = 0; i < c.tasks.size(); ++i) {
+        if (!c.tasks[i].transition) continue;
+        for (int j = 0; j < nw; ++j) {
+          transition_detects += s.detect[i * static_cast<std::size_t>(nw) + j] != 0;
+        }
+      }
+      EXPECT_GT(transition_detects, 0u);
+      EXPECT_EQ(a.detect, s.detect);
+      EXPECT_EQ(a.stats.faults_graded, s.stats.faults_graded);
+      EXPECT_EQ(a.stats.cone_skips, s.stats.cone_skips);
+      EXPECT_EQ(a.stats.node_evals, s.stats.node_evals);
+      EXPECT_EQ(a.stats.events, s.stats.events);
+    }
+  }
+}
+
+// Without a launch frame a transition task detects nothing, in every
+// table the host can run.
+TEST(SimdParityTest, NullLaunchTransitionTasksDetectNothing) {
+  for (const SimKernels* k : runnable_kernels()) {
+    SCOPED_TRACE(k == &sim_kernels_scalar() ? "scalar" : "avx512");
+    for (const KernelCase& c : kernel_cases()) {
+      SCOPED_TRACE(c.label);
+      std::vector<FaultTask> transition;
+      std::copy_if(c.tasks.begin(), c.tasks.end(), std::back_inserter(transition),
+                   [](const FaultTask& t) { return t.transition; });
+      for (const int nw : kWidths) {
+        SCOPED_TRACE(nw);
+        const std::vector<Word> good = swept(*k, *c.model, input_state(*c.model, nw, 0x3C0), nw);
+        const Grades g = graded(*k, *c.model, good, transition, nw);
+        EXPECT_TRUE(std::all_of(g.detect.begin(), g.detect.end(), [](Word w) { return w == 0; }));
+        EXPECT_EQ(g.stats.faults_graded, transition.size());
+        EXPECT_EQ(g.stats.node_evals, 0u);
+      }
     }
   }
 }
